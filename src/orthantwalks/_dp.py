@@ -1,237 +1,57 @@
-"""Hot dynamic-programming kernels for float-mode walk counting.
+"""The dynamic-programming kernel behind exact and float walk counting.
 
-Two implementations of the same step update live here: numba @njit loops and
-a pure-numpy shifted-slice fallback.  Selection: numba is used when importable
-unless the environment variable ORTHANTWALKS_NO_NUMBA is set to 1/true/yes.
-Both paths are single-threaded and deterministic; bench/bench_dp.py compares
-them.
+One shifted-slice update serves both modes; the array dtype picks the
+arithmetic.  Weights are integers (the model's weights times the common
+denominator D), so exact mode runs on Python ints in an ``object`` array and
+float mode on float64.  A walk of n steps never leaves the box {0..n}^d, so
+step n touches only that box, not the whole (n_max+1)^d grid.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _flag_set(name):
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes")
-
-
-NUMBA_AVAILABLE = False
-if not _flag_set("ORTHANTWALKS_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_AVAILABLE = False
-
-
 def kernel_backend():
-    return "numba" if NUMBA_AVAILABLE else "numpy"
+    """Name of the array library the kernel runs on."""
+    return "numpy"
 
 
-# --------------------------------------------------------------- numpy path
+def evolve(vectors, weights, n_max, dtype):
+    """Yield the state after 0, 1, ..., n_max steps as a view of the reachable box.
 
-def _shifted_add(dst, src, shift, weight):
-    """dst += weight * (src shifted by ``shift``), clamping at the orthant walls."""
-    d = src.ndim
-    dst_slices = []
-    src_slices = []
-    for ax in range(d):
-        s = shift[ax]
-        n = src.shape[ax]
-        if s >= 0:
-            dst_slices.append(slice(s, n))
-            src_slices.append(slice(0, n - s))
-        else:
-            dst_slices.append(slice(0, n + s))
-            src_slices.append(slice(-s, n))
-    dst[tuple(dst_slices)] += weight * src[tuple(src_slices)]
-
-
-def evolve_numpy(vectors, weights, n_max):
-    """Generic-dimension float DP; returns the per-step state snapshots' reductions.
-
-    Output maps each recorded filter key to an array of length n_max+1:
-    'tot', ('axes', axes_tuple) for every non-empty subset, with the full
-    subset doubling as the origin count.
+    ``weights`` are integers.  With ``dtype=object`` the state holds exact
+    integer-weight counts; with a float dtype each step is divided by
+    sum(weights), so the state after n steps is the count over sum(weights)^n.
+    A yielded view is valid until the generator is resumed.
     """
     d = len(vectors[0])
-    size = n_max + 1
-    cur = np.zeros((size,) * d)
-    cur[(0,) * d] = 1.0
-    nxt = np.zeros_like(cur)
-    keys = _reduction_keys(d)
-    out = {k: np.zeros(n_max + 1) for k in keys}
-    _record(out, cur, 0)
+    exact = np.dtype(dtype) == np.dtype(object)
+    shape = (n_max + 1,) * d
+    cur = np.zeros(shape, dtype=dtype)
+    nxt = np.zeros(shape, dtype=dtype)
+    cur[(0,) * d] = 1
+    # products for non-unit weights land here, so no step allocates a temporary
+    scratch = np.zeros(shape, dtype=dtype) if any(w != 1 for w in weights) else None
+    if not exact:
+        total = float(sum(weights))
+        weights = [float(w) for w in weights]
+    yield cur[(slice(0, 1),) * d]
     for n in range(1, n_max + 1):
-        nxt[...] = 0.0
+        # cur is nonzero only on {0..n-1}^d; clear nxt's {0..n}^d and fill it
+        box = (slice(0, n + 1),) * d
+        nxt[box] = 0
         for v, w in zip(vectors, weights):
-            _shifted_add(nxt, cur, v, w)
+            lo = [max(-s, 0) for s in v]
+            src = tuple(slice(a, n) for a in lo)
+            dst = tuple(slice(a + s, n + s) for a, s in zip(lo, v))
+            if w == 1:
+                nxt[dst] += cur[src]
+            else:
+                part = scratch[tuple(slice(0, n - a) for a in lo)]
+                np.multiply(cur[src], w, out=part)
+                nxt[dst] += part
+        if not exact:
+            nxt[box] /= total
         cur, nxt = nxt, cur
-        _record(out, cur, n)
-    return out
-
-
-def _reduction_keys(d):
-    keys = ["tot"]
-    for mask in range(1, 2**d):
-        axes = tuple(j for j in range(d) if mask >> j & 1)
-        keys.append(("axes", axes))
-    return keys
-
-
-def _record(out, state, n):
-    d = state.ndim
-    out["tot"][n] = state.sum()
-    for key in out:
-        if key == "tot":
-            continue
-        _, axes = key
-        idx = tuple(0 if j in axes else slice(None) for j in range(d))
-        sub = state[idx]
-        out[key][n] = sub if np.isscalar(sub) or sub.ndim == 0 else sub.sum()
-
-
-# --------------------------------------------------------------- numba path
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _evolve2d(vx, vy, w, n_max):  # pragma: no cover - exercised via wrapper
-        size = n_max + 1
-        cur = np.zeros((size, size))
-        nxt = np.zeros((size, size))
-        cur[0, 0] = 1.0
-        tot = np.zeros(n_max + 1)
-        ax0 = np.zeros(n_max + 1)
-        ax1 = np.zeros(n_max + 1)
-        org = np.zeros(n_max + 1)
-        tot[0] = 1.0
-        ax0[0] = 1.0
-        ax1[0] = 1.0
-        org[0] = 1.0
-        for n in range(1, n_max + 1):
-            nxt[:, :] = 0.0
-            for k in range(w.size):
-                dx = vx[k]
-                dy = vy[k]
-                wk = w[k]
-                ilo = dx if dx > 0 else 0
-                ihi = size if dx >= 0 else size + dx
-                jlo = dy if dy > 0 else 0
-                jhi = size if dy >= 0 else size + dy
-                for i in range(ilo, ihi):
-                    for j in range(jlo, jhi):
-                        nxt[i, j] += wk * cur[i - dx, j - dy]
-            cur, nxt = nxt, cur
-            t = 0.0
-            for i in range(size):
-                for j in range(size):
-                    t += cur[i, j]
-            tot[n] = t
-            s0 = 0.0
-            s1 = 0.0
-            for j in range(size):
-                s0 += cur[0, j]
-                s1 += cur[j, 0]
-            ax0[n] = s0
-            ax1[n] = s1
-            org[n] = cur[0, 0]
-        return tot, ax0, ax1, org
-
-    @njit(cache=True, nogil=True)
-    def _evolve3d(vx, vy, vz, w, n_max):  # pragma: no cover - exercised via wrapper
-        size = n_max + 1
-        cur = np.zeros((size, size, size))
-        nxt = np.zeros((size, size, size))
-        cur[0, 0, 0] = 1.0
-        nkeys = 8  # tot, x, y, z, xy, xz, yz, origin
-        rec = np.zeros((nkeys, n_max + 1))
-        rec[:, 0] = 1.0
-        for n in range(1, n_max + 1):
-            nxt[:, :, :] = 0.0
-            for k in range(w.size):
-                dx = vx[k]
-                dy = vy[k]
-                dz = vz[k]
-                wk = w[k]
-                ilo = dx if dx > 0 else 0
-                ihi = size if dx >= 0 else size + dx
-                jlo = dy if dy > 0 else 0
-                jhi = size if dy >= 0 else size + dy
-                llo = dz if dz > 0 else 0
-                lhi = size if dz >= 0 else size + dz
-                for i in range(ilo, ihi):
-                    for j in range(jlo, jhi):
-                        for l in range(llo, lhi):
-                            nxt[i, j, l] += wk * cur[i - dx, j - dy, l - dz]
-            cur, nxt = nxt, cur
-            tot = 0.0
-            sx = 0.0
-            sy = 0.0
-            sz = 0.0
-            sxy = 0.0
-            sxz = 0.0
-            syz = 0.0
-            for i in range(size):
-                for j in range(size):
-                    for l in range(size):
-                        v = cur[i, j, l]
-                        tot += v
-                        if i == 0:
-                            sx += v
-                            if j == 0:
-                                sxy += v
-                            if l == 0:
-                                sxz += v
-                        if j == 0:
-                            sy += v
-                            if l == 0:
-                                syz += v
-                        if l == 0:
-                            sz += v
-            rec[0, n] = tot
-            rec[1, n] = sx
-            rec[2, n] = sy
-            rec[3, n] = sz
-            rec[4, n] = sxy
-            rec[5, n] = sxz
-            rec[6, n] = syz
-            rec[7, n] = cur[0, 0, 0]
-        return rec
-
-
-def evolve_float(vectors, weights, n_max, force_numpy=False):
-    """Run the float DP with the selected backend; see evolve_numpy for output."""
-    d = len(vectors[0])
-    if not force_numpy and NUMBA_AVAILABLE and d == 2:
-        vx = np.array([v[0] for v in vectors], dtype=np.int64)
-        vy = np.array([v[1] for v in vectors], dtype=np.int64)
-        w = np.asarray(weights, dtype=np.float64)
-        tot, ax0, ax1, org = _evolve2d(vx, vy, w, n_max)
-        return {
-            "tot": tot,
-            ("axes", (0,)): ax0,
-            ("axes", (1,)): ax1,
-            ("axes", (0, 1)): org,
-        }
-    if not force_numpy and NUMBA_AVAILABLE and d == 3:
-        vx = np.array([v[0] for v in vectors], dtype=np.int64)
-        vy = np.array([v[1] for v in vectors], dtype=np.int64)
-        vz = np.array([v[2] for v in vectors], dtype=np.int64)
-        w = np.asarray(weights, dtype=np.float64)
-        rec = _evolve3d(vx, vy, vz, w, n_max)
-        return {
-            "tot": rec[0],
-            ("axes", (0,)): rec[1],
-            ("axes", (1,)): rec[2],
-            ("axes", (2,)): rec[3],
-            ("axes", (0, 1)): rec[4],
-            ("axes", (0, 2)): rec[5],
-            ("axes", (1, 2)): rec[6],
-            ("axes", (0, 1, 2)): rec[7],
-        }
-    return evolve_numpy(vectors, weights, n_max)
+        yield cur[box]

@@ -371,9 +371,9 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     chosen = entries if entries is not None else ENTRIES
     profiles = {}
     if "empirical" in modes and threads > 1:
-        # the numba kernels release the GIL, so prefetching the enumeration
-        # passes in a pool speeds the reproduction up; fits and comparisons
-        # stay sequential (deterministic output either way)
+        # numpy releases the GIL inside the float DP's array updates, so
+        # prefetching the enumeration passes in a pool speeds the reproduction
+        # up; fits and comparisons stay sequential (deterministic output either way)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads) as pool:

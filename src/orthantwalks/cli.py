@@ -22,12 +22,12 @@ from mpmath import mp
 
 from orthantwalks import catalog as catalog_mod
 from orthantwalks.asympt import asympt_full
-from orthantwalks.critical import check_critical, contributing_points
+from orthantwalks.critical import MIN_PREC_BITS, check_critical, contributing_points
 from orthantwalks.enumeration import (
+    CapacityError,
     CountSeries,
     count_profile,
     count_walks,
-    count_walks_scaled,
     filter_name,
     normalize_filter,
     parse_filter,
@@ -617,6 +617,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.precision_bits < MIN_PREC_BITS:
+            raise UsageError(f"--precision-bits must be at least {MIN_PREC_BITS}")
         with mp.workprec(args.precision_bits + 64):
             if args.command == "catalog":
                 code, payload = _cmd_catalog(args)
@@ -636,7 +638,7 @@ def main(argv=None) -> int:
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 3
-    except (StepSetError, ValueError) as ex:
+    except (StepSetError, ValueError, CapacityError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,9 @@ SMOOTH = "SmoothV1"
 TRANSVERSE = "TransverseV1V3"
 
 RESIDUAL_TOL_EXP = -160  # residuals compared against 2**-160
+# Smallest precision (before GUARD_BITS) whose rounding leaves a residual 8 bits
+# below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes.
+MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
 
 
 @dataclass(frozen=True)

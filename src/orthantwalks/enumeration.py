@@ -2,10 +2,12 @@
 orthant, with endpoint filters (anywhere / chosen boundary hyperplanes / origin)
 and full endpoint-resolved tables.
 
-Exact mode uses Python big integers (big rationals for non-integer weights) and
-is bit-reproducible.  Float mode renormalizes by the total weight S(1) at every
-step, storing u_n = s_n / S(1)^n together with the log scale, so series up to
-n ~ 1000 neither overflow nor silently degrade.
+Both modes run the one kernel in ``_dp`` on the weights scaled to integers by
+D, the lcm of their denominators.  Exact mode counts in Python big integers and
+divides by D^n when it reads a count (giving Fractions for non-integer
+weights); it is bit-reproducible.  Float mode renormalizes by the total weight
+S(1) at every step, storing u_n = s_n / S(1)^n together with the log scale, so
+series up to n ~ 1000 neither overflow nor silently degrade.
 """
 
 from __future__ import annotations
@@ -111,43 +113,42 @@ class EndpointTable:
         return sum(self.counts.values())
 
 
-def _exact_weights(s: StepSet):
-    if all(w.denominator == 1 for _, w in s.steps):
-        return [(v, int(w)) for v, w in s.steps]
-    return [(v, w) for v, w in s.steps]
+def _integer_weights(s: StepSet):
+    """The step vectors, integer weights w*D, and D, the lcm of the weight denominators."""
+    denom = math.lcm(*(w.denominator for _, w in s.steps))
+    return [v for v, _ in s.steps], [int(w * denom) for _, w in s.steps], denom
 
 
-def _exact_frontier(s: StepSet, n, state_cap):
-    """Run the exact DP for n steps and return the list of frontier dicts' reductions lazily."""
-    steps = _exact_weights(s)
-    frontier = {(0,) * s.dim: steps[0][1] * 0 + 1}
-    yield frontier
-    for _ in range(n):
-        nxt = {}
-        for pos, c in frontier.items():
-            for v, w in steps:
-                q = tuple(p + dv for p, dv in zip(pos, v))
-                if any(x < 0 for x in q):
-                    continue
-                nxt[q] = nxt.get(q, 0) + c * w
-        if len(nxt) > state_cap:
-            raise CapacityError(
-                f"exact DP frontier exceeded {state_cap} states; raise state_cap to allow"
-            )
-        frontier = nxt
-        yield frontier
+def _check_box(s: StepSet, n_max, state_cap, what):
+    cells = (n_max + 1) ** s.dim
+    if cells > state_cap:
+        raise CapacityError(
+            f"{what} box (n+1)^{s.dim} = {cells} cells for n = {n_max} exceeds "
+            f"state_cap {state_cap}; raise state_cap to allow"
+        )
 
 
-def _reduce(frontier, flt):
+def _exact(count, denom, n):
+    """Read an integer-weight count as the model's count: an int, or a Fraction
+    when the weights are not all integers."""
+    return count if denom == 1 or not count else Fraction(count, denom**n)
+
+
+def _reduce(box, flt):
     if flt == "anywhere":
-        return sum(frontier.values())
-    axes = flt[1]
-    return sum(c for pos, c in frontier.items() if all(pos[a] == 0 for a in axes))
+        return box.sum()
+    idx = tuple(0 if j in flt[1] else slice(None) for j in range(box.ndim))
+    sub = box[idx]
+    return sub.sum() if isinstance(sub, np.ndarray) else sub
 
 
 def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact",
                 state_cap=DEFAULT_STATE_CAP):
-    """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max."""
+    """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
+
+    Both modes hold the DP state on the box {0..n_max}^d and raise
+    CapacityError when its (n_max+1)^d cells exceed ``state_cap``.
+    """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     flt = normalize_filter(flt, s.dim)
@@ -155,34 +156,33 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact",
         return count_profile(s, n_max, state_cap=state_cap)[flt]
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'float'")
-    values = [_reduce(f, flt) for f in _exact_frontier(s, n_max, state_cap)]
+    _check_box(s, n_max, state_cap, "exact DP")
+    vectors, weights, denom = _integer_weights(s)
+    values = [_exact(_reduce(box, flt), denom, n)
+              for n, box in enumerate(_dp.evolve(vectors, weights, n_max, object))]
     return CountSeries("exact", flt, values)
 
 
-def count_walks_scaled(s: StepSet, n_max, flt="anywhere", state_cap=DEFAULT_STATE_CAP):
-    """Float-mode counting (see CountSeries); one DP pass, renormalized by S(1)."""
-    return count_walks(s, n_max, flt, mode="float", state_cap=state_cap)
-
-
-def count_profile(s: StepSet, n_max, state_cap=DEFAULT_STATE_CAP, force_numpy=False):
+def count_profile(s: StepSet, n_max, state_cap=DEFAULT_STATE_CAP):
     """One float DP pass returning CountSeries for every standard filter.
 
-    Standard filters: anywhere, every single axis, and the origin; in d <= 3
-    every axis subset is recorded.
+    Standard filters: anywhere and every non-empty axis subset (the full
+    subset being the origin).
     """
-    if (n_max + 1) ** s.dim > state_cap:
-        raise CapacityError(f"float DP state {(n_max + 1) ** s.dim} exceeds cap {state_cap}")
-    s1 = s.total_weight()
-    vectors = [v for v, _ in s.steps]
-    weights = [float(w / s1) for _, w in s.steps]
-    raw = _dp.evolve_float(vectors, weights, n_max, force_numpy=force_numpy)
-    log_scale = math.log(float(s1))
+    _check_box(s, n_max, state_cap, "float DP")
+    vectors, weights, _ = _integer_weights(s)
+    keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
+                           for mask in range(1, 2**s.dim)]
+    raw = {key: np.zeros(n_max + 1) for key in keys}
+    for n, box in enumerate(_dp.evolve(vectors, weights, n_max, np.float64)):
+        for key, arr in raw.items():
+            arr[n] = _reduce(box, key)
+    log_scale = math.log(float(s.total_weight()))
     out = {}
-    for key, arr in raw.items():
-        flt = "anywhere" if key == "tot" else normalize_filter(key, s.dim)
+    for flt, arr in raw.items():
         positive = arr[arr > 0]
         underflow = bool(positive.size and positive.min() < 1e-290)
-        out[flt] = CountSeries("float", flt, np.asarray(arr), log_scale, underflow)
+        out[flt] = CountSeries("float", flt, arr, log_scale, underflow)
     return out
 
 
@@ -190,7 +190,9 @@ def endpoint_table(s: StepSet, n, max_n=12, state_cap=DEFAULT_STATE_CAP):
     """Exact coefficients of the length-n slice of the full endpoint generating function."""
     if n > max_n:
         raise CapacityError(f"endpoint tables limited to n <= {max_n} by default")
-    frontier = None
-    for frontier in _exact_frontier(s, n, state_cap):
+    _check_box(s, n, state_cap, "exact DP")
+    vectors, weights, denom = _integer_weights(s)
+    for box in _dp.evolve(vectors, weights, n, object):
         pass
-    return EndpointTable(n, dict(frontier))
+    return EndpointTable(n, {tuple(pos): _exact(box[tuple(pos)], denom, n)
+                             for pos in np.argwhere(box != 0).tolist()})

@@ -12,6 +12,7 @@ from orthantwalks.cli import (
     main,
     verify_model,
 )
+from orthantwalks.critical import MIN_PREC_BITS
 from orthantwalks.enumeration import CountSeries, count_walks
 from orthantwalks.stepset import build_stepset
 
@@ -157,6 +158,29 @@ def test_cli_critical_and_asympt(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["period"] == 2 and doc["rate_modulus_exact"] == "2*sqrt(3)"
+
+
+def test_cli_precision_floor(capsys):
+    # the working precision must clear critical.RESIDUAL_TOL_EXP, or every
+    # point fails its residual check and the table comes out silently empty
+    for bits in ("8", "96"):
+        assert main(["critical", "--model", "N,SE,S,SW", "--precision-bits", bits]) == 3
+        assert "usage error: --precision-bits" in capsys.readouterr().err
+    code, default = run_cli(capsys, "critical", "--model", "N,SE,S,SW")
+    assert code == 0
+    code, out = run_cli(capsys, "critical", "--model", "N,SE,S,SW", "--precision-bits", "192")
+    assert code == 0 and out == default
+    code, out = run_cli(capsys, "critical", "--model", "N,SE,S,SW",
+                        "--precision-bits", str(MIN_PREC_BITS))
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == 2 and all(r["critical_ok"] for r in rows)
+
+
+def test_cli_capacity_error(capsys):
+    assert main(["count", "--model", "N,S,E,W", "--n", "9000", "--mode", "float"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float DP box")
 
 
 def test_cli_asympt_partial_exit(capsys):

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +11,6 @@ from orthantwalks.enumeration import (
     CapacityError,
     count_profile,
     count_walks,
-    count_walks_scaled,
     endpoint_table,
     normalize_filter,
     parse_filter,
@@ -51,6 +49,13 @@ def test_endpoint_tables():
     # N,SE,S,SW after two steps: N.N -> (0,2), N.SE -> (1,0), N.S -> (0,0)
     assert endpoint_table(NSESSW, 2).counts == {(0, 2): 1, (1, 0): 1, (0, 0): 1}
     assert endpoint_table(NSESSW, 2).total() == count_walks(NSESSW, 2).values[2] == 3
+    # rational weights: exact Fractions, checked endpoint by endpoint
+    weighted = build_stepset(2, [("N", Fraction(1, 2)), ("SE", Fraction(3, 2)), "S", ("SW", 2)])
+    table = endpoint_table(weighted, 5)
+    for point, c in table.counts.items():
+        assert type(c) is Fraction
+        assert c == brute_force_counts(weighted.steps, 5, 2, endpoint=point)[5]
+    assert table.total() == count_walks(weighted, 5).values[5] == Fraction(103, 16)
 
 
 @settings(max_examples=20, deadline=None)
@@ -111,7 +116,7 @@ def test_weight_scaling_random(s, lam):
 def test_float_matches_exact_to_1e12():
     n = 60
     exact = count_walks(NSEW, n).values
-    fl = count_walks_scaled(NSEW, n)
+    fl = count_walks(NSEW, n, mode="float")
     for k in (1, 7, 30, 60):
         rel = abs(fl.value(k) - exact[k]) / exact[k]
         assert rel < 1e-12
@@ -132,20 +137,27 @@ def test_float_profile_consistency():
 def test_growth_rate_matches_reduced_weight():
     # even-index log-rate approaches log(2*sqrt(3)) for the negative-drift model;
     # the same-parity difference quotient removes the alpha*log(n)/n bias
-    fl = count_walks_scaled(NSESSW, 512)
+    fl = count_walks(NSESSW, 512, mode="float")
     rate = (fl.log_value(512) - fl.log_value(256)) / 256
     assert abs(rate - math.log(2 * math.sqrt(3))) < 1e-2
     raw = fl.log_value(512) / 512
     assert abs(raw - math.log(2 * math.sqrt(3))) < 3e-2
 
 
-def test_numpy_and_numba_paths_agree():
-    a = count_profile(NSESSW, 64)
-    b = count_profile(NSESSW, 64, force_numpy=True)
-    for key, series in a.items():
-        other = b[key]
-        mask = series.values > 0
-        assert np.allclose(series.values[mask], other.values[mask], rtol=1e-11)
+@settings(max_examples=25, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.data())
+def test_float_matches_exact_over_total_weight_powers(s, data):
+    # float mode stores u_n = s_n / S(1)^n; check every standard filter,
+    # rational weights included, against the exact series
+    n = data.draw(st.integers(0, 60 if s.dim == 2 else 20))
+    s1 = s.total_weight()
+    for flt, series in count_profile(s, n).items():
+        exact = count_walks(s, n, flt).values
+        for k, (u, c) in enumerate(zip(series.values, exact)):
+            if c == 0:
+                assert u == 0.0
+            else:
+                assert abs(u / float(Fraction(c) / s1**k) - 1) < 1e-12
 
 
 def test_exact_three_dimensional_model():
