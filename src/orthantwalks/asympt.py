@@ -16,7 +16,7 @@ with real per-residue constants), which is what verification compares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -93,9 +93,6 @@ class AsymptoticExpansion:
     partial: bool = False
     route: str = ""
     notes: tuple = ()
-
-    def constant_for_residue(self, r):
-        return self.periodic.constants[r % self.periodic.period]
 
 
 # ------------------------------------------------------------ jet machinery

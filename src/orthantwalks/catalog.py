@@ -10,16 +10,16 @@ coordinate 0, ``y_axis`` second coordinate 0, ``origin`` both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
 
 from orthantwalks.asympt import asympt_full
-from orthantwalks.enumeration import count_profile
+from orthantwalks.enumeration import count_profile, normalize_filter
+from orthantwalks.fit import compare_fit, estimate_growth
 from orthantwalks.laurent import GUARD_BITS, DEFAULT_PREC_BITS
-from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset, classify
+from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
 
 HS = "HighlySymmetric"
 POS = "PositiveDrift"
@@ -289,9 +289,6 @@ class CellResult:
     status: str  # pass | fail | partial | skipped
     details: dict
 
-    def ok(self):
-        return self.status in ("pass", "skipped", "partial")
-
 
 def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
     details = {}
@@ -324,39 +321,6 @@ def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
     return ("pass" if ok else "fail"), details
 
 
-def _compare_empirical(stored, fit, prec):
-    """Tolerances: |log rho_fit - log rho| < 1e-2, |alpha_fit - alpha| < 0.05,
-    |C_fit/C - 1| < 0.10 on every nonzero residue class."""
-    details = {}
-    rate = float(stored.rate_value(prec))
-    ok = abs(math.log(fit.rho) - math.log(rate)) < 1e-2
-    details["log_rho_err"] = abs(math.log(fit.rho) - math.log(rate))
-    details["alpha_err"] = abs(fit.alpha - float(stored.alpha))
-    ok = ok and details["alpha_err"] < 0.05
-    p = stored.period
-    want = [float(v) for v in stored.constant_values(prec)]
-    cerrs = {}
-    if fit.period % p != 0 and p % fit.period != 0:
-        return "fail", {"reason": f"period {fit.period} incompatible with stored {p}"}
-    span = max(p, fit.period)
-    for r in range(span):
-        w = want[r % p]
-        got = fit.constants.get(r % fit.period)
-        if w == 0:
-            if got is not None and abs(got) > 1e-6 * max(want):
-                cerrs[r] = float("inf")
-                ok = False
-            continue
-        if got is None:
-            cerrs[r] = float("inf")
-            ok = False
-            continue
-        cerrs[r] = abs(got / w - 1)
-        ok = ok and cerrs[r] < 0.10
-    details["constant_rel_errs"] = cerrs
-    return ("pass" if ok else "fail"), details
-
-
 def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                      prec=DEFAULT_PREC_BITS, entries=None, threads=1):
     """Reproduce the stored asymptotics tables; returns a list of CellResult.
@@ -365,8 +329,6 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     boundary cell whose expansion is not flagged partial); empirical mode fits
     the float enumeration oracle on all entries and all boundary columns.
     """
-    from orthantwalks.cli import estimate_growth  # local import avoids a cycle
-
     results = []
     chosen = entries if entries is not None else ENTRIES
     profiles = {}
@@ -403,17 +365,13 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                     results.append(CellResult(entry.name, table, col, "symbolic",
                                               "skipped", {"reason": entry.klass}))
             if "empirical" in modes:
-                fit = estimate_growth(profile[normalize_key(flt, s.dim)])
-                status, details = _compare_empirical(stored, fit, prec)
+                fit = estimate_growth(profile[normalize_filter(flt, s.dim)])
+                ok, details = compare_fit(
+                    fit, float(stored.rate_value(prec)), float(stored.alpha),
+                    [float(v) for v in stored.constant_values(prec)])
                 results.append(CellResult(entry.name, table, col, "empirical",
-                                          status, details))
+                                          "pass" if ok else "fail", details))
     return results
-
-
-def normalize_key(flt, dim):
-    from orthantwalks.enumeration import normalize_filter
-
-    return normalize_filter(flt, dim)
 
 
 def class_counts():

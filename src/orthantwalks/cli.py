@@ -1,8 +1,8 @@
-"""Command-line surface and verification harness.
+"""Verification reports and the command-line surface.
 
-The harness estimates (rate, polynomial order, per-residue constants) from
-enumeration series by residue-class-local Richardson extrapolation, compares
-them with engine predictions or stored catalog values, and reports structured
+``verify_model`` runs a model's exact identities, predicts its asymptotics
+with the engine (or takes stored catalog values), and checks the prediction
+against an empirical growth fit (``orthantwalks.fit``), reporting structured
 pass/fail/partial results.  Exit codes: 0 pass, 1 fail, 2 partial, 3 usage.
 """
 
@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -25,13 +24,12 @@ from orthantwalks.asympt import asympt_full
 from orthantwalks.critical import MIN_PREC_BITS, check_critical, contributing_points
 from orthantwalks.enumeration import (
     CapacityError,
-    CountSeries,
-    count_profile,
     count_walks,
     filter_name,
     normalize_filter,
     parse_filter,
 )
+from orthantwalks.fit import compare_fit, estimate_growth
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum, positive_part_check
 from orthantwalks.laurent import DEFAULT_PREC_BITS
 from orthantwalks.stepset import (
@@ -45,177 +43,12 @@ from orthantwalks.stepset import (
 
 SCHEMA_VERSION = "1"
 
-PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
-
 
 class UsageError(ValueError):
     pass
 
 
-# ------------------------------------------------------------ growth fitting
-
-@dataclass
-class GrowthFit:
-    rho: float
-    alpha: float
-    period: int
-    constants: dict  # residue -> leading constant
-    structural_zeros: tuple
-    converged: bool
-    diagnostics: dict
-
-
-def _neville(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0."""
-    vals = list(ys)
-    n = len(vals)
-    for level in range(1, n):
-        for i in range(n - level):
-            x0, x1 = xs[i], xs[i + level]
-            vals[i] = (x1 * vals[i] - x0 * vals[i + 1]) / (x1 - x0)
-    return vals[0]
-
-
-def _stride(n_max, p):
-    """Difference stride: a multiple of the period that also kills the phase
-    oscillation of subdominant terms (roots of unity of small order).  Short
-    series use stride 12 so the node ladder keeps enough headroom; 12 is a
-    multiple of every phase order arising here (1, 2, 3, 4, 6)."""
-    if n_max >= 320 and 24 % p == 0:
-        return 24
-    if n_max >= 72 and 12 % p == 0:
-        return 12
-    return math.lcm(p, 4)
-
-
-CHAIN_FACTORS = (1, 0.87, 0.76, 0.66, 0.57, 0.5, 0.43, 0.37, 0.32, 0.28, 0.24, 0.21)
-
-
-def _class_chain(logs, r, p, q):
-    """Sample indices across the upper tail, all congruent mod the stride q
-    (and hence in the residue class r mod p), largest first.  Spacing is mild
-    so the extrapolation has enough nodes to model slowly converging
-    correction ladders without reaching into small-n territory."""
-    n_max = len(logs) - 1
-    top = n_max - 2 * q
-    top -= (top - r) % p
-    out = []
-    for f in CHAIN_FACTORS:
-        n = min(int((n_max - 2 * q) * f), top)
-        n -= (n - top) % q
-        if n >= 2 * q and n not in out \
-                and all(math.isfinite(logs[n + k * q]) for k in (0, 1, 2)):
-            out.append(n)
-    return out
-
-
-def estimate_growth(series: CountSeries, known_rate=None) -> GrowthFit:
-    """Fit s_n ~ C_r rho^n n^alpha per residue class.
-
-    Period: smallest candidate for which every residue class has a consistent
-    zero pattern and stable within-class ratios in the tail.  alpha comes from
-    second differences of log s_n taken at a phase-killing stride (both rho
-    and the class constant cancel exactly), rho from first differences, and
-    the constants follow; each is Richardson extrapolated over a tail node
-    ladder.  Extrapolation runs in 1/n by default, switching to 1/sqrt(n)
-    when that basis is decisively more self-consistent (correction ladders of
-    these models can carry half-integer steps).
-    """
-    n_max = series.n_max()
-    if n_max < 64:
-        raise ValueError("series too short for growth estimation (need n_max >= 64)")
-    logs = [series.log_value(n) for n in range(n_max + 1)]
-    if all(not math.isfinite(v) for v in logs[1:]):
-        raise ValueError("series is identically zero")
-
-    def tail_indices(r, p):
-        start = max(n_max // 2, 8)
-        first = start + ((r - start) % p)
-        return range(first, n_max + 1, p)
-
-    chosen = None
-    for p in PERIOD_CANDIDATES:
-        ok = True
-        any_live = False
-        for r in range(p):
-            idx = list(tail_indices(r, p))
-            alive = [math.isfinite(logs[n]) for n in idx]
-            if all(not a for a in alive):
-                continue
-            if not all(alive):
-                ok = False
-                break
-            any_live = True
-            ratios = [logs[n + p] - logs[n] for n in idx[:-1]]
-            jumps = [abs(b - a) for a, b in zip(ratios, ratios[1:])]
-            if jumps and max(jumps[-6:]) > 0.02:
-                ok = False
-                break
-        if ok and any_live:
-            chosen = p
-            break
-    converged = chosen is not None
-    p = chosen if converged else PERIOD_CANDIDATES[-1]
-    q = _stride(n_max, p)
-
-    structural = []
-    alphas, rhos, constants = {}, {}, {}
-    for r in range(p):
-        idx = list(tail_indices(r, p))
-        if all(not math.isfinite(logs[n]) for n in idx):
-            structural.append(r)
-            continue
-        nodes = _class_chain(logs, r, p, q)
-        if len(nodes) < 3:
-            continue
-        a_vals = []
-        for n in nodes:
-            num = logs[n + 2 * q] - 2 * logs[n + q] + logs[n]
-            den = math.log(n + 2 * q) - 2 * math.log(n + q) + math.log(n)
-            a_vals.append(num / den)
-        trials = {}
-        for basis in ("n", "sqrt"):
-            xs = [1.0 / n if basis == "n" else n**-0.5 for n in nodes]
-            full = _neville(xs, a_vals)
-            shallow = _neville(xs[:-1], a_vals[:-1])
-            trials[basis] = (abs(full - shallow), full, xs)
-        basis = "sqrt" if trials["sqrt"][0] < 0.5 * trials["n"][0] else "n"
-        _, alpha_r, xs = trials[basis]
-        alphas[r] = alpha_r
-        if known_rate is not None:
-            log_rho = math.log(known_rate)
-        else:
-            g_vals = []
-            for n in nodes:
-                g_vals.append((logs[n + q] - logs[n]
-                               - alpha_r * (math.log(n + q) - math.log(n))) / q)
-            log_rho = _neville(xs, g_vals)
-        rhos[r] = log_rho
-        exps = [logs[n] - n * log_rho - alpha_r * math.log(n) for n in nodes]
-        if any(abs(e) > 300 for e in exps):
-            converged = False
-            continue
-        constants[r] = _neville(xs, [math.exp(e) for e in exps])
-
-    if not alphas or not constants:
-        raise ValueError("no residue class with enough data to fit")
-    alpha = sum(alphas.values()) / len(alphas)
-    log_rho = sum(rhos.values()) / len(rhos)
-    diag = {
-        "alpha_spread": max(alphas.values()) - min(alphas.values()),
-        "log_rho_spread": max(rhos.values()) - min(rhos.values()),
-        "classes": sorted(alphas),
-    }
-    return GrowthFit(math.exp(log_rho), alpha, p, constants, tuple(structural),
-                     converged, diag)
-
-
 # ----------------------------------------------------------- verification
-
-EMP_LOG_RHO_TOL = 1e-2
-EMP_ALPHA_TOL = 0.05
-EMP_CONST_TOL = 0.10
-
 
 @dataclass
 class VerificationReport:
@@ -278,33 +111,6 @@ def _expansion_payload(exp, digits=16):
         payload["period"] = pf.period
         payload["constants"] = [mp.nstr(c, digits) for c in pf.constants]
     return payload
-
-
-def _compare_fit_to_prediction(fit: GrowthFit, rate, alpha, period, constants):
-    comp = {"log_rho_err": abs(math.log(fit.rho) - math.log(rate)),
-            "alpha_err": abs(fit.alpha - alpha)}
-    ok = comp["log_rho_err"] < EMP_LOG_RHO_TOL and comp["alpha_err"] < EMP_ALPHA_TOL
-    span = max(period, fit.period)
-    if span % period or span % fit.period:
-        return False, {"reason": f"fit period {fit.period} incompatible with {period}"}
-    cerrs = {}
-    scale = max([abs(c) for c in constants] or [1.0])
-    for r in range(span):
-        want = constants[r % period]
-        got = fit.constants.get(r % fit.period)
-        if abs(want) < 1e-9 * scale:
-            if got is not None and abs(got) > 1e-6 * scale:
-                cerrs[str(r)] = float("inf")
-                ok = False
-            continue
-        if got is None:
-            cerrs[str(r)] = float("inf")
-            ok = False
-            continue
-        cerrs[str(r)] = abs(got / want - 1)
-        ok = ok and cerrs[str(r)] < EMP_CONST_TOL
-    comp["constant_rel_errs"] = cerrs
-    return ok, comp
 
 
 def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
@@ -379,15 +185,13 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
 
     comparisons = {}
     if pf is not None:
-        ok, comp = _compare_fit_to_prediction(
-            fit, float(pf.rate_modulus), float(pf.alpha), pf.period,
-            [float(c) for c in pf.constants])
+        ok, comp = compare_fit(fit, float(pf.rate_modulus), float(pf.alpha),
+                               [float(c) for c in pf.constants])
         comparisons["engine_vs_empirical"] = comp
         failed = failed or not ok
     elif stored is not None:
-        ok, comp = _compare_fit_to_prediction(
-            fit, float(stored.rate_value(prec)), float(stored.alpha), stored.period,
-            [float(v) for v in stored.constant_values(prec)])
+        ok, comp = compare_fit(fit, float(stored.rate_value(prec)), float(stored.alpha),
+                               [float(v) for v in stored.constant_values(prec)])
         comparisons["catalog_vs_empirical"] = comp
         failed = failed or not ok
     else:
@@ -463,32 +267,44 @@ def _emit(payload, fmt, out, rows=None):
         sys.stdout.write(text)
 
 
-def _add_common(sub):
-    sub.add_argument("--model", help="model file path, catalog name, or compass list")
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--endpoint", default="anywhere",
-                     help="anywhere | origin | axes=1,2 (1-based)")
-    sub.add_argument("--mode", choices=("exact", "float"), default="exact")
-    sub.add_argument("--precision-bits", type=int, default=DEFAULT_PREC_BITS)
-    sub.add_argument("--order", type=int, default=None, help="expansion depth N")
-    sub.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--digits", type=int, default=16)
+FLAGS = {
+    "--model": {"help": "model file path, catalog name, or compass list"},
+    "--n": {"type": int, "default": None},
+    "--endpoint": {"default": "anywhere", "help": "anywhere | origin | axes=1,2 (1-based)"},
+    "--mode": {"choices": ("exact", "float"), "default": "exact"},
+    "--order": {"type": int, "default": None, "help": "expansion depth N"},
+    "--digits": {"type": int, "default": 16},
+    "--threads": {"type": int, "default": 1},
+    "--check": {"action": "store_true"},
+    "--table": {"choices": ("table1", "table2", "both"), "default": "table1"},
+    "--modes": {"default": "symbolic,empirical"},
+    "--precision-bits": {"type": int, "default": DEFAULT_PREC_BITS},
+    "--format": {"choices": ("json", "csv", "md"), "default": "json"},
+    "--out": {"default": None},
+}
+
+# each subcommand accepts only the flags it reads, plus SHARED_FLAGS
+COMMAND_FLAGS = {
+    "count": ("--model", "--n", "--endpoint", "--mode"),
+    "diagonal": ("--model", "--n", "--endpoint"),
+    "orbitsum": ("--model",),
+    "critical": ("--model", "--digits"),
+    "asympt": ("--model", "--endpoint", "--order", "--digits"),
+    "verify": ("--model", "--n", "--endpoint", "--digits"),
+    "catalog": ("--n", "--threads", "--check", "--table", "--modes"),
+}
+SHARED_FLAGS = ("--precision-bits", "--format", "--out")
 
 
 def build_parser():
     parser = _Parser(prog="orthantwalks",
                      description="orthant lattice-walk enumeration and asymptotics")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("count", "diagonal", "orbitsum", "critical", "asympt", "verify"):
-        sp = subs.add_parser(name)
-        _add_common(sp)
-    cat = subs.add_parser("catalog")
-    _add_common(cat)
-    cat.add_argument("--check", action="store_true")
-    cat.add_argument("--table", choices=("table1", "table2", "both"), default="table1")
-    cat.add_argument("--modes", default="symbolic,empirical")
+    for name, flags in COMMAND_FLAGS.items():
+        # no prefix matching: ``catalog --mode`` must not stand for ``--modes``
+        sp = subs.add_parser(name, allow_abbrev=False)
+        for flag in flags + SHARED_FLAGS:
+            sp.add_argument(flag, **FLAGS[flag])
     return parser
 
 

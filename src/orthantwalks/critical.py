@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from orthantwalks.kernel import DiagonalKernel, diag_kernel
+from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, to_mp
 from orthantwalks.stepset import (
-    HIGHLY_SYMMETRIC,
     StepSet,
     UnsupportedModelError,
     classify,
@@ -50,17 +49,6 @@ class QuadVal:
             root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
             val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
         return val
-
-    def abs_squared(self):
-        """|value|^2, exact (rational) whenever it is rational."""
-        if self.m >= 0:
-            v = self
-            sq = v.rat**2 + v.coef**2 * v.m
-            cross = 2 * v.rat * v.coef
-            if cross == 0:
-                return sq
-            return None  # irrational |.|^2
-        return self.rat**2 + self.coef**2 * (-self.m)
 
     def __str__(self):
         if self.coef == 0:

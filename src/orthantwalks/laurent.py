@@ -214,15 +214,6 @@ class LaurentPoly:
             out[e] = coeff
         return LaurentPoly(self.dim + 1, out)
 
-    def permute_vars(self, order):
-        """Reorder variables: new axis i is old axis order[i]."""
-        if sorted(order) != list(range(self.dim)):
-            raise ValueError("order must be a permutation of the axes")
-        out = {}
-        for expo, coeff in self.terms.items():
-            out[tuple(expo[k] for k in order)] = coeff
-        return LaurentPoly(self.dim, out)
-
     def coeff_slice(self, var, exponent):
         """Laurent polynomial (in the remaining variables) multiplying var^exponent."""
         if not 0 <= var < self.dim:
@@ -247,9 +238,6 @@ class LaurentPoly:
             e[j] -= 1
             out[tuple(e)] = coeff * expo[j]
         return LaurentPoly(self.dim, out)
-
-    def max_abs_exponent(self):
-        return max((abs(e) for expo in self.terms for e in expo), default=0)
 
     # ------------------------------------------------------------ evaluation
 
@@ -315,12 +303,6 @@ class Jet:
     def const(cls, dim, order, value, prec=DEFAULT_PREC_BITS):
         with mp.workprec(prec):
             return cls(dim, order, {(0,) * dim: to_mp(value) + mp.mpc(0)}, prec)
-
-    @classmethod
-    def variable(cls, dim, order, j, prec=DEFAULT_PREC_BITS):
-        e = [0] * dim
-        e[j] = 1
-        return cls(dim, order, {tuple(e): mp.mpc(1)}, prec)
 
     def coefficient(self, expo):
         return self.coeffs.get(tuple(expo), mp.mpc(0))

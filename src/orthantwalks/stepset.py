@@ -73,12 +73,6 @@ class StepSet:
     def canonical_vector(self, v):
         return tuple(v[j] for j in self.axis_order)
 
-    def original_vector(self, v):
-        out = [0] * self.dim
-        for i, j in enumerate(self.axis_order):
-            out[j] = v[i]
-        return tuple(out)
-
     def canonical_steps(self):
         return tuple((self.canonical_vector(v), w) for v, w in self.steps)
 
@@ -86,9 +80,6 @@ class StepSet:
         """Map a set of 0-based original axes to canonical axis indices."""
         inv = {j: i for i, j in enumerate(self.axis_order)}
         return frozenset(inv[a] for a in axes)
-
-    def weight_map(self):
-        return {v: w for v, w in self.steps}
 
     # ------------------------------------------------------------ invariants
 
@@ -235,16 +226,6 @@ class Decomposition:
     BQ_pairs: tuple  # (B_k, Q_k) for k < d, in the variables without z_k
     ABprime: tuple  # (A'_j, B'_j, A''_j, B''_j) for j < d, in d-2 variables
 
-    def S(self):
-        d = self.dim
-        zd = LaurentPoly.variable(d, d - 1)
-        zdi = LaurentPoly.variable(d, d - 1, -1)
-        lift = lambda p: p.insert_var(d - 1)
-        return lift(self.A) * zdi + lift(self.Q) + lift(self.B) * zd
-
-    def Sbar(self):
-        return self.S().invert_var(self.dim - 1)
-
     # --- evaluation helpers taking full-length canonical points -------------
 
     def eval_hat(self, poly, drop, point):
@@ -258,17 +239,11 @@ class Decomposition:
     def eval_B(self, point):
         return self.B.eval(tuple(point[: self.dim - 1]))
 
-    def eval_Q(self, point):
-        return self.Q.eval(tuple(point[: self.dim - 1]))
-
     def eval_Bk(self, k, point):
         """B_k at a d-point (axis k dropped); B_d is B itself."""
         if k == self.dim - 1:
             return self.eval_B(point)
         return self.eval_hat(self.BQ_pairs[k][0], k, point)
-
-    def eval_bk(self, k, point):
-        return self.eval_hat(self.b_polys[k], k, point)
 
 
 def decompose(s: StepSet) -> Decomposition:

@@ -28,9 +28,9 @@ from orthantwalks.catalog import (
     lookup,
     reproduce_tables,
 )
-from orthantwalks.cli import estimate_growth
 from orthantwalks.critical import contributing_points, check_critical, minimal_point
 from orthantwalks.enumeration import count_profile, count_walks
+from orthantwalks.fit import estimate_growth
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum, \
     orbit_sum_product_form, positive_part_check, rational_equal, group_elements
 from orthantwalks.laurent import jet_of_exponential_substitution

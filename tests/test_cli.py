@@ -1,87 +1,15 @@
-"""Growth fitting, model verification, and the command-line surface."""
+"""Model verification and the command-line surface."""
 
 import json
-import math
+import re
+import shlex
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from orthantwalks.cli import (
-    GrowthFit,
-    estimate_growth,
-    main,
-    verify_model,
-)
+from orthantwalks.cli import build_parser, main, verify_model
 from orthantwalks.critical import MIN_PREC_BITS
-from orthantwalks.enumeration import CountSeries, count_walks
 from orthantwalks.stepset import build_stepset
-
-
-def synth(values, log_scale=0.0, flt="anywhere"):
-    return CountSeries("float", flt, np.asarray(values, dtype=float), log_scale)
-
-
-def test_fit_pure_geometric():
-    u = [1.0] * 513  # s_n = 2^n stored as u_n = s_n / 2^n
-    fit = estimate_growth(synth(u, math.log(2)))
-    assert fit.period == 1
-    assert abs(fit.rho - 2) < 1e-9
-    assert abs(fit.alpha) < 1e-6
-    assert abs(fit.constants[0] - 1) < 1e-6
-
-
-def test_fit_polynomial_factor():
-    # s_n = 5 * 3^n * n^{-3/2}
-    u = [0.0] + [5 * n ** -1.5 for n in range(1, 513)]
-    fit = estimate_growth(synth(u, math.log(3)))
-    assert abs(fit.rho - 3) < 1e-6
-    assert abs(fit.alpha + 1.5) < 0.01
-    assert abs(fit.constants[0] / 5 - 1) < 0.01
-
-
-def test_fit_periodic_with_structural_zeros():
-    # even-only support with constant 7, rate 2
-    u = [7.0 if n % 2 == 0 else 0.0 for n in range(513)]
-    fit = estimate_growth(synth(u, math.log(2)))
-    assert fit.period == 2
-    assert fit.structural_zeros == (1,)
-    assert abs(fit.constants[0] - 7) < 1e-4
-    assert 1 not in fit.constants
-
-
-def test_fit_known_rate_shortcut():
-    u = [0.0] + [2.5 * n ** -2.0 for n in range(1, 513)]
-    fit = estimate_growth(synth(u, math.log(4)), known_rate=4.0)
-    assert abs(fit.rho - 4) < 1e-12
-    assert abs(fit.alpha + 2) < 0.01
-    assert abs(fit.constants[0] / 2.5 - 1) < 0.01
-
-
-def test_fit_requires_length():
-    with pytest.raises(ValueError):
-        estimate_growth(synth([1.0] * 32))
-
-
-def test_fit_alternating_constants():
-    # period-2 constants 3 and 1 at rate 2
-    u = [(3.0 if n % 2 == 0 else 1.0) * (1 + 0.5 / max(n, 1)) for n in range(513)]
-    fit = estimate_growth(synth(u, math.log(2)))
-    assert fit.period == 2
-    assert abs(fit.constants[0] / 3 - 1) < 0.01
-    assert abs(fit.constants[1] / 1 - 1) < 0.01
-
-
-def test_fit_tolerance_monotonicity():
-    # the fitted constant error shrinks as the series grows
-    s = build_stepset(2, ["N", "SE", "S", "SW"])
-    import mpmath
-
-    want_even = float(12 * mpmath.sqrt(3) / mpmath.pi)
-    errs = []
-    for n_max in (128, 512):
-        fit = estimate_growth(count_walks(s, n_max, mode="float"))
-        errs.append(abs(fit.constants[0] / want_even - 1))
-    assert errs[1] < errs[0]
 
 
 # ------------------------------------------------------------ verify_model
@@ -224,3 +152,24 @@ def test_cli_catalog_listing(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 23
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbitsum", "--model", "N,S,E,W", "--n", "5"],
+    ["catalog", "--mode", "float"],
+    ["count", "--model", "N,S,E,W", "--threads", "4"],
+])
+def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: unrecognized arguments" in captured.err
+
+
+def test_cli_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^orthantwalks +(.+)$", readme, flags=re.M)
+    assert len(lines) == 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line))
