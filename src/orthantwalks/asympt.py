@@ -1,14 +1,17 @@
 """Coefficient asymptotics for orthant walks.
 
-Three routes produce (rate, polynomial order, per-residue constants):
+Two routes produce (rate, polynomial order, per-residue constants):
 
 * closed forms for the three drift classes (fully symmetric, one-axis
   positive drift, one-axis negative drift);
-* a smooth-point saddle engine that expands the kernel and numerator as
-  high-precision jets and applies the inverse-Hessian differential operator
-  to arbitrary depth;
-* a leading-order formula at the crossing points where the kernel sheet
-  meets {z_d = 1}.
+* one saddle engine that expands the phase and amplitude as high-precision
+  jets and applies the inverse-Hessian differential operator to arbitrary
+  depth.  Smooth points of the kernel sheet are expanded in z_1..z_d; at the
+  crossing points, where the sheet meets the pole {z_d = 1}, the engine takes
+  the residue there and expands the smooth integral left in z_1..z_{d-1}.
+
+The leading-order crossing formula ``transverse_contribution`` is kept only
+as an independent check on the engine.
 
 Every engine output is folded into a periodic normal form (smallest period
 with real per-residue constants), which is what verification compares.
@@ -34,6 +37,7 @@ from orthantwalks.laurent import (
     DEFAULT_PREC_BITS,
     GUARD_BITS,
     Jet,
+    LaurentPoly,
     jet_of_exponential_substitution,
     to_mp,
 )
@@ -66,8 +70,6 @@ class ContributionTerm:
     alpha: Fraction
     coefficients: list
     order_bound: int
-    higher_order_required: bool = False
-    route: str = "smooth"
 
     def lead_index(self, tol):
         for k, c in enumerate(self.coefficients):
@@ -136,18 +138,6 @@ def _hessian_operator(lam):
     return H
 
 
-def _unit_jet(d, order, axis, center_coord, sign, prec):
-    """Jet of 1 + sign * c * exp(i theta_axis) (sign=-1 gives boundary factors)."""
-    from orthantwalks.laurent import LaurentPoly
-
-    e = tuple(1 if j == axis else 0 for j in range(d))
-    base = jet_of_exponential_substitution(
-        LaurentPoly.monomial(d, e),
-        tuple(1 if j != axis else center_coord for j in range(d)),
-        order, prec)
-    return Jet.const(d, order, 1, prec) + base * sign
-
-
 def _saddle_coefficients(u, g, lam, N, prec):
     """c_k = (2 pi)^{-d/2} det(g'')^{-1/2} L_k for k < N.
 
@@ -181,70 +171,71 @@ def _saddle_coefficients(u, g, lam, N, prec):
 
 # --------------------------------------------------- point-level expansions
 
-def _smooth_u_jet(s, dcmp, point, variant, order, prec, representation):
-    """Numerator jet at a smooth saddle.
+def _amplitude(dcmp, variant, representation):
+    """The amplitude as one exact numerator and a list of denominator factors.
 
-    representation 'split': kernel sheet of the three-factor form, u =
-    prod(1+z_j) (1 - z_d^2 A/B) / (1-z_d); 'plain': fully symmetric one-factor
-    form, u = prod over all axes of (1+z_j).  ``variant`` lists canonical axes
-    whose boundary factor (1 - z_j) multiplies the numerator; the drift-axis
-    factor cancels the 1/(1-z_d) pole.
+    'plain' (fully symmetric one-factor form): prod_j (1+z_j); 'split' (kernel
+    sheet of the three-factor form): prod_{j<d} (1+z_j) (B - z_d^2 A) / (B
+    (1-z_d)); 'residue' (split form after the residue at z_d = 1, in
+    z_1..z_{d-1}): prod_{j<d} (1+z_j) (B - A) / B.  Each axis in ``variant``
+    adds a factor (1 - z_j); on the split form the drift-axis one cancels
+    1/(1-z_d).  Denominator factors stay apart: each one's jet is sparse, so
+    its reciprocal is cheap.
     """
-    d = s.dim
-    w = point.w
-    from orthantwalks.laurent import LaurentPoly
-
-    u = Jet.const(d, order, 1, prec)
-    cross_axes = range(d) if representation == "plain" else range(d - 1)
-    for j in cross_axes:
-        u = u * _unit_jet(d, order, j, w[j], 1, prec)
-    if representation == "split":
-        AB = []
-        for poly, name in ((dcmp.A, "A"), (dcmp.B, "B")):
-            lifted = poly.insert_var(d - 1)
-            AB.append(jet_of_exponential_substitution(lifted, w, order, prec))
-        ratio = AB[0] * AB[1].reciprocal()
-        e2 = tuple(2 if j == d - 1 else 0 for j in range(d))
-        zd2 = jet_of_exponential_substitution(
-            LaurentPoly.monomial(d, e2), w, order, prec)
-        u = u * (Jet.const(d, order, 1, prec) - zd2 * ratio)
-        if (d - 1) not in variant:
-            u = u * _unit_jet(d, order, d - 1, w[d - 1], -1, prec).reciprocal()
+    d = dcmp.dim
+    dim = d - 1 if representation == "residue" else d
+    num = LaurentPoly.const(dim, 1)
+    for j in range(d if representation == "plain" else d - 1):
+        num = num * (1 + LaurentPoly.variable(dim, j))
     for j in variant:
-        if representation == "split" and j == d - 1:
-            continue  # cancelled the pole above
-        u = u * _unit_jet(d, order, j, w[j], -1, prec)
-    return u
+        if not (representation == "split" and j == d - 1):
+            num = num * (1 - LaurentPoly.variable(dim, j))
+    if representation == "plain":
+        return num, []
+    if representation == "residue":
+        return num * (dcmp.B - dcmp.A), [dcmp.B]
+    A, B = dcmp.A.insert_var(d - 1), dcmp.B.insert_var(d - 1)
+    dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
+    return num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
-                        numerator_variant=(), prec=DEFAULT_PREC_BITS,
-                        representation="split") -> ContributionTerm:
-    """Depth-N saddle expansion at a smooth kernel point.
+                        numerator_variant=(), prec=DEFAULT_PREC_BITS) -> ContributionTerm:
+    """Depth-N saddle expansion at one contributing point.
 
     ``numerator_variant`` is a set of canonical axes carrying boundary factors
-    (1 - z_j).  Coefficients are reported against n^{-d/2 - k}.
+    (1 - z_j).  Fully symmetric models use the one-factor form; a crossing
+    point (stratum TRANSVERSE) is expanded after the residue at z_d = 1, in
+    the d-1 variables z_1..z_{d-1} with phase S(z', 1) = A + Q + B; every
+    other point lies on the kernel sheet of the three-factor form.
+    Coefficients are reported against n^{-m/2 - k}, m the number of
+    integration variables (d, or d-1 after the residue).
     """
-    if point.stratum != SMOOTH and representation == "split":
-        raise ValueError("smooth_contribution requires a smooth-sheet point")
     d = s.dim
     dcmp = decompose(s)
+    variant = tuple(numerator_variant)
+    if classify(s).kind == HIGHLY_SYMMETRIC:
+        representation, phase_poly, center = "plain", s.char_poly(), point.w
+    elif point.stratum == TRANSVERSE:
+        representation, phase_poly, center = "residue", dcmp.A + dcmp.Q + dcmp.B, point.w[:d - 1]
+    else:
+        representation, phase_poly, center = "split", s.sbar_poly(), point.w
     order = _needed_order(N)
     wp = prec + GUARD_BITS
     with mp.workprec(wp):
-        phase_poly = s.char_poly() if representation == "plain" else s.sbar_poly()
-        _, g, lam = _phase_jets(phase_poly, point.w, order, wp)
-        u = _smooth_u_jet(s, dcmp, point, tuple(numerator_variant), order, wp,
-                          representation)
+        _, g, lam = _phase_jets(phase_poly, center, order, wp)
+        num, dens = _amplitude(dcmp, variant, representation)
+        u = jet_of_exponential_substitution(num, center, order, wp)
+        for den in dens:
+            u = u * jet_of_exponential_substitution(den, center, order, wp).reciprocal()
         coeffs = _saddle_coefficients(u, g, lam, N, wp)
         return ContributionTerm(
             point=point,
             rate=point.rate(),
             rate_exact=point.rate_exact,
-            alpha=Fraction(-d, 2),
+            alpha=Fraction(-phase_poly.dim, 2),
             coefficients=coeffs,
             order_bound=N,
-            route="plain" if representation == "plain" else "smooth",
         )
 
 
@@ -252,8 +243,9 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
                             numerator_variant=(), prec=DEFAULT_PREC_BITS
                             ) -> ContributionTerm:
     """Leading-order contribution at a crossing point (kernel sheet meeting
-    {z_d=1}); returns a zero coefficient flagged higher_order_required when
-    the effective numerator vanishes there."""
+    {z_d=1}) from the closed crossing formula; a zero coefficient where the
+    effective numerator vanishes there.  Kept as an independent check on the
+    residue expansion of ``smooth_contribution``."""
     if point.stratum != TRANSVERSE:
         raise ValueError("transverse_contribution requires a crossing point")
     d = s.dim
@@ -265,12 +257,8 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
         geff = kern.G.eval(coords) / kern.H2.eval(coords)
         for j in numerator_variant:
             geff *= 1 - point.w[j]
-        tol = mp.mpf(2) ** (-wp // 2)
-        if abs(geff) < tol:
-            return ContributionTerm(
-                point=point, rate=point.rate(), rate_exact=point.rate_exact,
-                alpha=Fraction(-(d - 1), 2), coefficients=[mp.mpc(0)],
-                order_bound=1, higher_order_required=True, route="transverse")
+        if abs(geff) < mp.mpf(2) ** (-wp // 2):
+            geff = mp.mpc(0)  # the effective numerator vanishes here
         det_gamma = 1
         for sg in point.w_signs:
             det_gamma *= sg
@@ -285,8 +273,7 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
         c0 = c0 * geff / (det_gamma * hess_root)
         return ContributionTerm(
             point=point, rate=point.rate(), rate_exact=point.rate_exact,
-            alpha=Fraction(-(d - 1), 2), coefficients=[c0], order_bound=1,
-            route="transverse")
+            alpha=Fraction(-(d - 1), 2), coefficients=[c0], order_bound=1)
 
 
 def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
@@ -338,8 +325,10 @@ FOLD_PERIODS = (1, 2, 3, 4, 6, 8)
 def _fold(terms, base_alpha, rate_mod_exact, prec):
     """Fold contribution terms into the periodic normal form at leading order."""
     with mp.workprec(prec + GUARD_BITS):
+        # floored at 1: when every coefficient is rounding noise, the largest
+        # of them must not set the scale that decides what counts as zero
         tol_scale = max([max(abs(c) for c in t.coefficients) for t in terms
-                         if t.coefficients] or [mp.mpf(1)])
+                         if t.coefficients] + [mp.mpf(1)])
         tol = tol_scale * mp.mpf(2) ** (-(prec // 2))
         k0 = None
         for t in terms:
@@ -422,7 +411,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
             c0 = c0 / mp.sqrt(prod)
             term = ContributionTerm(None, to_mp(s1) + mp.mpc(0),
                                     QuadVal(s1, Fraction(0), Fraction(0)),
-                                    alpha, [c0], 1, route="closed")
+                                    alpha, [c0], 1)
             terms = [term]
         elif cls.drift_sign > 0:
             alpha = Fraction(-(d - 1), 2)
@@ -433,7 +422,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
             c0 = c0 / mp.sqrt(prod)
             term = ContributionTerm(None, to_mp(s1) + mp.mpc(0),
                                     QuadVal(s1, Fraction(0), Fraction(0)),
-                                    alpha, [c0], 1, route="closed")
+                                    alpha, [c0], 1)
             terms = [term]
         else:
             alpha = Fraction(-d, 2) - 1
@@ -450,12 +439,12 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
             terms = [ContributionTerm(
                 None, to_mp(q1) + 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
                 QuadVal(q1, Fraction(2), Fraction(a1 * b1)),
-                alpha, [c_of(rho)], 1, route="closed")]
+                alpha, [c_of(rho)], 1)]
             if dcmp.Q.is_zero():
                 terms.append(ContributionTerm(
                     None, to_mp(q1) - 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
                     QuadVal(q1, Fraction(-2), Fraction(a1 * b1)),
-                    alpha, [c_of(-rho)], 1, route="closed"))
+                    alpha, [c_of(-rho)], 1))
         periodic = _fold(terms, alpha, _rate_modulus_string(s, dcmp, cls.drift_sign, False), prec)
         return AsymptoticExpansion(terms, alpha, periodic, partial=False, route="closed")
 
@@ -489,33 +478,23 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     if N is None:
         N = default_depth(s, variant)
     drift_axis = d - 1
-    notes = []
-    partial = False
     if cls.kind == HIGHLY_SYMMETRIC:
         pts = contributing_points(s, prec)
-        terms = [smooth_contribution(s, p, N, variant, prec, representation="plain")
-                 for p in pts]
         route = "plain-smooth"
         rate_str = _rate_modulus_string(s, dcmp, 0, False)
         base_alpha = Fraction(-d, 2)
     elif cls.drift_sign < 0 or drift_axis in variant:
         pts = contributing_points(s, prec) if cls.drift_sign < 0 \
             else smooth_sheet_points(s, prec)
-        terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
         route = "smooth"
         rate_str = _rate_modulus_string(s, dcmp, -1, True)
         base_alpha = Fraction(-d, 2)
     else:
         pts = contributing_points(s, prec)
-        terms = [transverse_contribution(s, p, variant, prec) for p in pts]
         route = "transverse"
         rate_str = _rate_modulus_string(s, dcmp, 1, False)
         base_alpha = Fraction(-(d - 1), 2)
-        if any(t.higher_order_required for t in terms):
-            partial = True
-            notes.append("crossing-point numerator vanishes; leading term incomplete")
+    terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
     periodic = _fold(terms, base_alpha, rate_str, prec)
-    if periodic is None:
-        partial = True
-        notes.append("no nonzero leading coefficient at this expansion depth")
-    return AsymptoticExpansion(terms, base_alpha, periodic, partial, route, tuple(notes))
+    notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
+    return AsymptoticExpansion(terms, base_alpha, periodic, periodic is None, route, notes)

@@ -41,7 +41,7 @@ from orthantwalks.stepset import (
     load_stepset,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class UsageError(ValueError):
@@ -99,7 +99,6 @@ def _expansion_payload(exp, digits=16):
                 "rate_exact": str(t.rate_exact),
                 "coefficients": [mp.nstr(c, digits) for c in t.coefficients],
                 "order_bound": t.order_bound,
-                "higher_order_required": t.higher_order_required,
             }
             for t in exp.terms
         ],

@@ -445,22 +445,20 @@ def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
         factorials = [mp.mpf(1)]
         for k in range(1, order + 1):
             factorials.append(factorials[-1] * k)
+        indices = list(multi_indices(d, order))
         out = {}
         for expo, coeff in p.terms.items():
             scale = to_mp(coeff)
             for c, e in zip(coords, expo):
                 scale *= c ** e
-            ie = [mp.mpc(0, e) for e in expo]
-            for m in multi_indices(d, order):
+            taylor = [[mp.mpc(0, e) ** k / factorials[k] for k in range(order + 1)]
+                      for e in expo]
+            for m in indices:
+                if any(mj and not e for mj, e in zip(m, expo)):
+                    continue
                 val = scale
-                skip = False
                 for j, mj in enumerate(m):
                     if mj:
-                        if expo[j] == 0:
-                            skip = True
-                            break
-                        val *= ie[j] ** mj / factorials[mj]
-                if skip:
-                    continue
+                        val *= taylor[j][mj]
                 out[m] = out.get(m, mp.mpc(0)) + val
         return Jet(d, order, out, prec)

@@ -200,13 +200,12 @@ def test_criterion_08_table2():
     sym_bad = [(r.model, r.column) for r in sym
                if r.status not in ("pass", "partial", "skipped")]
     partials = {(r.model, r.column) for r in sym if r.status == "partial"}
-    expected_partials = {(e.name, "x_axis") for e in ENTRIES if e.klass == POS}
     gamma_cell = next(r for r in emp if r.model == "N,SE,SW" and r.column == "x_axis")
-    ok = (not emp_bad and not sym_bad and partials == expected_partials
+    ok = (not emp_bad and not sym_bad and not partials
           and gamma_cell.status == "pass" and len(emp) == 19 * 3)
-    report(8, ok, f"all 57 boundary-return cells fit empirically; symbolic "
-                  f"comparison passes wherever not flagged partial ({elapsed:.1f}s) "
-                  f"{emp_bad[:2]}{sym_bad[:2]}")
+    report(8, ok, f"all 57 boundary-return cells fit empirically; every symbolic "
+                  f"cell of a theorem model passes, none partial ({elapsed:.1f}s) "
+                  f"{emp_bad[:2]}{sym_bad[:2]}{sorted(partials)[:2]}")
 
 
 def test_criterion_09_weighted_family():

@@ -17,6 +17,7 @@ from orthantwalks.asympt import (
     smooth_contribution,
     transverse_contribution,
 )
+from orthantwalks.catalog import lookup
 from orthantwalks.critical import QuadVal, contributing_points, minimal_point
 from orthantwalks.laurent import Jet, jet_of_exponential_substitution
 from orthantwalks.stepset import (
@@ -261,10 +262,54 @@ def test_unsupported_classes_raise():
         asympt_closed(zero_drift)
 
 
-def test_positive_drift_boundary_with_symmetric_axis_is_partial():
-    exp = asympt_full(NNWS, ("axes", (0,)), prec=PREC)
-    assert exp.partial
-    assert any(t.higher_order_required for t in exp.terms)
+def test_positive_drift_boundary_with_symmetric_axis_matches_stored():
+    # the (1 - z_1) factor kills the leading crossing term; the residue
+    # expansion supplies the next order
+    with mp.workprec(260):
+        exp = asympt_full(NNWS, ("axes", (0,)), prec=PREC)
+        assert not exp.partial
+        pf = exp.periodic
+        assert pf.period == 1 and pf.alpha == Fraction(-3, 2)
+        assert pf.rate_modulus_exact == "3"
+        want = 3 * mp.sqrt(3) / (4 * mp.sqrt(mp.pi))
+        assert abs(pf.constants[0] - want) < mp.mpf(10) ** -30
+
+
+def test_periodic_crossing_model_with_vanishing_numerator():
+    # the second crossing point w' = -1 has a vanishing numerator, so only
+    # w' = 1 carries the leading term
+    s = build_stepset(2, [("NE", 2), ("NW", 2), ("SE", 1), ("SW", 1)])
+    with mp.workprec(260):
+        exp = asympt_full(s, prec=PREC)
+        assert not exp.partial and len(exp.terms) == 2
+        pf = exp.periodic
+        assert pf.period == 1 and pf.alpha == Fraction(-1, 2)
+        assert abs(pf.constants[0] - 1 / mp.sqrt(2 * mp.pi)) < mp.mpf(10) ** -30
+
+
+@settings(max_examples=15, deadline=None)
+@given(symmetric_models(dims=(2, 3), want=("pos",)))
+def test_residue_expansion_leads_with_crossing_formula(s):
+    with mp.workprec(260):
+        for p in contributing_points(s, PREC):
+            c0 = smooth_contribution(s, p, N=1, prec=PREC).coefficients[0]
+            want = transverse_contribution(s, p, prec=PREC).coefficients[0]
+            assert abs(c0 - want) < mp.mpf(10) ** -30 * max(1, abs(want))
+
+
+def test_fold_treats_rounding_noise_as_zero():
+    # at depth 2 both coefficients of every point are rounding noise; depth 3
+    # reaches the stored n^-3 term
+    s = build_stepset(2, ["N", "SE", "SW"])
+    shallow = asympt_full(s, ("axes", (0,)), N=2, prec=PREC)
+    assert shallow.partial and shallow.periodic is None
+    with mp.workprec(260):
+        pf = asympt_full(s, ("axes", (0,)), N=3, prec=PREC).periodic
+        stored = lookup("N,SE,SW").table2["x_axis"]
+        assert pf.alpha == stored.alpha == -3
+        assert pf.period == stored.period
+        for got, want in zip(pf.constants, stored.constant_values()):
+            assert abs(got - want) < mp.mpf(10) ** -30 * want
 
 
 @settings(max_examples=20, deadline=None)
