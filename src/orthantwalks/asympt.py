@@ -5,10 +5,12 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * closed forms for the three drift classes (fully symmetric, one-axis
   positive drift, one-axis negative drift);
 * one saddle engine that expands the phase and amplitude as high-precision
-  jets and applies the inverse-Hessian differential operator to arbitrary
-  depth.  Smooth points of the kernel sheet are expanded in z_1..z_d; at the
-  crossing points, where the sheet meets the pole {z_d = 1}, the engine takes
-  the residue there and expands the smooth integral left in z_1..z_{d-1}.
+  jets, each only to the degree it is read, and sums Hörmander's explicit
+  formula to any depth (for the diagonal Hessian it reads u gU^l only at even
+  multi-indices).  Smooth points of the kernel sheet are expanded in
+  z_1..z_d; at the crossing points, where the sheet meets the pole {z_d = 1},
+  the engine takes the residue there and expands the smooth integral left in
+  z_1..z_{d-1}.
 
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
@@ -99,10 +101,6 @@ class AsymptoticExpansion:
 
 # ------------------------------------------------------------ jet machinery
 
-def _needed_order(N):
-    return max(2, 6 * (N - 1))
-
-
 def _phase_jets(poly, center, order, prec):
     """S-tilde jet, its log-phase, and the diagonal Hessian entries."""
     sj = jet_of_exponential_substitution(poly, center, order, prec)
@@ -125,48 +123,63 @@ def _phase_jets(poly, center, order, prec):
     return sj, g, lam
 
 
-def _hessian_operator(lam):
-    inv = [1 / l for l in lam]
-
-    def H(jet):
-        out = None
-        for a, c in enumerate(inv):
-            term = jet.deriv(a).deriv(a) * (-c)
-            out = term if out is None else out + term
-        return out
-
-    return H
-
-
 def _saddle_coefficients(u, g, lam, N, prec):
     """c_k = (2 pi)^{-d/2} det(g'')^{-1/2} L_k for k < N.
+
+    Hörmander's explicit formula: with gU the phase g minus its quadratic
+    part and H = -sum_a lam_a^{-1} d_a^2,
+    L_k = sum_{l <= 2k} H^{k+l}(u gU^l)(0) / ((-1)^k 2^{k+l} l! (k+l)!), and
+    for the diagonal Hessian
+    H^m f(0) = (-1)^m m! sum_{|b| = m} prod_a (2 b_a)! / (b_a! lam_a^{b_a}) f_{2b},
+    f_{2b} the Taylor coefficient at the multi-index 2b.  So L_k reads u to
+    degree 2k and gU^l only at degrees 3l..2(k+l): u is needed to degree
+    2(N-1), g to degree 2N, and gU^l to degree 2(N-1+l).
 
     The determinant root is the product of principal square roots of the
     diagonal Hessian entries, which is the branch the saddle-point theorem
     prescribes for minimal points (each entry has non-negative real part).
     """
+    if g.order < 2 * N or u.order < 2 * (N - 1):
+        raise ValueError(f"depth {N} needs the phase jet to degree {2 * N} "
+                         f"and the amplitude jet to degree {2 * (N - 1)}")
+    d = g.dim
     with mp.workprec(prec):
-        H = _hessian_operator(lam)
-        gU = g.zero_degree(2).zero_degree(1).zero_degree(0)
-        gU_pows = [Jet.const(g.dim, g.order, 1, prec)]
-        for _ in range(2 * (N - 1)):
-            gU_pows.append(gU_pows[-1] * gU)
-        pref = (2 * mp.pi) ** (-mp.mpf(g.dim) / 2)
+        u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
+                   if sum(e) <= 2 * (N - 1)]
+        gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, prec)
+        weight = [[mp.factorial(2 * j) / (mp.factorial(j) * l**j) for j in range(3 * N)]
+                  for l in lam]
+        totals = [mp.mpc(0)] * N
+        power = Jet.const(d, 0, 1, prec)  # gU^0
+        for l in range(2 * N - 1):
+            if l:
+                # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
+                # so the degrees of gU^(l-1) and gU left out cannot reach it
+                top = 2 * (N - 1 + l)
+                power = Jet(d, top, power.coeffs, prec) * Jet(d, top, gU.coeffs, prec)
+            # a term of u pairs with the terms of gU^l that complete it to an
+            # even multi-index 2b of the degree H^m reads
+            partners = {}
+            for e, c in power.coeffs.items():
+                partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
+            for k in range((l + 1) // 2, N):
+                m = k + l
+                f = {}  # b -> Taylor coefficient of u gU^l at 2b
+                for e1, deg1, par1, c1 in u_terms:
+                    for e2, c2 in partners.get((2 * m - deg1, par1), ()):
+                        b = tuple((x + y) >> 1 for x, y in zip(e1, e2))
+                        p = c1 * c2
+                        f[b] = f[b] + p if b in f else p
+                total = mp.mpc(0)
+                for b, v in f.items():
+                    for a, ba in enumerate(b):
+                        v *= weight[a][ba]
+                    total += v
+                totals[k] += (-1) ** l * total / (2 ** m * mp.factorial(l))
+        pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
         for l in lam:
             pref = pref / mp.sqrt(l)
-        coeffs = []
-        for k in range(N):
-            total = mp.mpc(0)
-            for l in range(2 * k + 1):
-                jet = u * gU_pows[l]
-                for _ in range(k + l):
-                    jet = H(jet)
-                term = jet.constant_term()
-                denom = mp.mpf((-1) ** k * 2 ** (k + l))
-                denom *= mp.factorial(l) * mp.factorial(k + l)
-                total += term / denom
-            coeffs.append(pref * total)
-        return coeffs
+        return [pref * t for t in totals]
 
 
 # --------------------------------------------------- point-level expansions
@@ -199,44 +212,52 @@ def _amplitude(dcmp, variant, representation):
     return num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
 
 
-def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
-                        numerator_variant=(), prec=DEFAULT_PREC_BITS) -> ContributionTerm:
-    """Depth-N saddle expansion at one contributing point.
+def _saddle_jets(s, point, variant, phase_order, amplitude_order, prec):
+    """Amplitude jet u, phase jet g and diagonal Hessian entries at one
+    contributing point, to the given degrees; call at working precision
+    ``prec``.
 
-    ``numerator_variant`` is a set of canonical axes carrying boundary factors
-    (1 - z_j).  Fully symmetric models use the one-factor form; a crossing
-    point (stratum TRANSVERSE) is expanded after the residue at z_d = 1, in
-    the d-1 variables z_1..z_{d-1} with phase S(z', 1) = A + Q + B; every
-    other point lies on the kernel sheet of the three-factor form.
-    Coefficients are reported against n^{-m/2 - k}, m the number of
-    integration variables (d, or d-1 after the residue).
+    Fully symmetric models use the one-factor form; a crossing point (stratum
+    TRANSVERSE) is expanded after the residue at z_d = 1, in the d-1
+    variables z_1..z_{d-1} with phase S(z', 1) = A + Q + B; every other point
+    lies on the kernel sheet of the three-factor form.
     """
     d = s.dim
     dcmp = decompose(s)
-    variant = tuple(numerator_variant)
     if classify(s).kind == HIGHLY_SYMMETRIC:
         representation, phase_poly, center = "plain", s.char_poly(), point.w
     elif point.stratum == TRANSVERSE:
         representation, phase_poly, center = "residue", dcmp.A + dcmp.Q + dcmp.B, point.w[:d - 1]
     else:
         representation, phase_poly, center = "split", s.sbar_poly(), point.w
-    order = _needed_order(N)
+    _, g, lam = _phase_jets(phase_poly, center, phase_order, prec)
+    num, dens = _amplitude(dcmp, tuple(variant), representation)
+    u = jet_of_exponential_substitution(num, center, amplitude_order, prec)
+    for den in dens:
+        u = u * jet_of_exponential_substitution(den, center, amplitude_order, prec).reciprocal()
+    return u, g, lam
+
+
+def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
+                        numerator_variant=(), prec=DEFAULT_PREC_BITS) -> ContributionTerm:
+    """Depth-N saddle expansion at one contributing point.
+
+    ``numerator_variant`` is a set of canonical axes carrying boundary factors
+    (1 - z_j).  The expansion form follows the model and the point (see
+    ``_saddle_jets``).  Coefficients are reported against n^{-m/2 - k}, m the
+    number of integration variables (d, or d-1 after the residue at a
+    crossing point).
+    """
+    if N < 1:
+        raise ValueError(f"expansion depth N must be at least 1, got {N}")
     wp = prec + GUARD_BITS
     with mp.workprec(wp):
-        _, g, lam = _phase_jets(phase_poly, center, order, wp)
-        num, dens = _amplitude(dcmp, variant, representation)
-        u = jet_of_exponential_substitution(num, center, order, wp)
-        for den in dens:
-            u = u * jet_of_exponential_substitution(den, center, order, wp).reciprocal()
-        coeffs = _saddle_coefficients(u, g, lam, N, wp)
+        # each jet only to the degree _saddle_coefficients reads
+        u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1), wp)
         return ContributionTerm(
-            point=point,
-            rate=point.rate(),
-            rate_exact=point.rate_exact,
-            alpha=Fraction(-phase_poly.dim, 2),
-            coefficients=coeffs,
-            order_bound=N,
-        )
+            point=point, rate=point.rate(), rate_exact=point.rate_exact,
+            alpha=Fraction(-g.dim, 2), coefficients=_saddle_coefficients(u, g, lam, N, wp),
+            order_bound=N)
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
@@ -378,9 +399,7 @@ def _fold(terms, base_alpha, rate_mod_exact, prec):
 def _rate_modulus_string(s, dcmp, drift_sign, boundary_with_drift):
     ones = (1,) * (s.dim - 1)
     a1, b1, q1 = dcmp.A.eval(ones), dcmp.B.eval(ones), dcmp.Q.eval(ones)
-    if drift_sign > 0 and not boundary_with_drift:
-        return str(QuadVal(s.total_weight(), Fraction(0), Fraction(0)))
-    if drift_sign == 0:
+    if drift_sign == 0 or (drift_sign > 0 and not boundary_with_drift):
         return str(QuadVal(s.total_weight(), Fraction(0), Fraction(0)))
     return str(QuadVal(q1, Fraction(2), Fraction(a1 * b1)))
 
@@ -402,28 +421,20 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
     s1 = s.total_weight()
     wp = prec + GUARD_BITS
     with mp.workprec(wp):
-        if cls.kind == HIGHLY_SYMMETRIC:
-            alpha = Fraction(-d, 2)
-            c0 = mp.pi ** (-mp.mpf(d) / 2) * to_mp(s1) ** (mp.mpf(d) / 2)
-            prod = to_mp(a1)
+        if cls.kind == HIGHLY_SYMMETRIC or cls.drift_sign > 0:
+            if cls.kind == HIGHLY_SYMMETRIC:
+                alpha = Fraction(-d, 2)
+                c0 = mp.pi ** (-mp.mpf(d) / 2) * to_mp(s1) ** (mp.mpf(d) / 2)
+                prod = to_mp(a1)
+            else:
+                alpha = Fraction(-(d - 1), 2)
+                c0 = (1 - to_mp(a1) / to_mp(b1)) * (to_mp(s1) / mp.pi) ** (mp.mpf(d - 1) / 2)
+                prod = mp.mpf(1)
             for b in dcmp.b_scalars:
                 prod *= to_mp(b)
-            c0 = c0 / mp.sqrt(prod)
-            term = ContributionTerm(None, to_mp(s1) + mp.mpc(0),
-                                    QuadVal(s1, Fraction(0), Fraction(0)),
-                                    alpha, [c0], 1)
-            terms = [term]
-        elif cls.drift_sign > 0:
-            alpha = Fraction(-(d - 1), 2)
-            c0 = (1 - to_mp(a1) / to_mp(b1)) * (to_mp(s1) / mp.pi) ** (mp.mpf(d - 1) / 2)
-            prod = mp.mpf(1)
-            for b in dcmp.b_scalars:
-                prod *= to_mp(b)
-            c0 = c0 / mp.sqrt(prod)
-            term = ContributionTerm(None, to_mp(s1) + mp.mpc(0),
-                                    QuadVal(s1, Fraction(0), Fraction(0)),
-                                    alpha, [c0], 1)
-            terms = [term]
+            terms = [ContributionTerm(None, to_mp(s1) + mp.mpc(0),
+                                      QuadVal(s1, Fraction(0), Fraction(0)),
+                                      alpha, [c0 / mp.sqrt(prod)], 1)]
         else:
             alpha = Fraction(-d, 2) - 1
             rho = mp.sqrt(to_mp(a1) / to_mp(b1))
@@ -477,6 +488,8 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     variant = tuple(sorted(s.to_canonical_axes(flt[1]))) if flt != "anywhere" else ()
     if N is None:
         N = default_depth(s, variant)
+    if N < 1:
+        raise ValueError(f"expansion depth N must be at least 1, got {N}")
     drift_axis = d - 1
     if cls.kind == HIGHLY_SYMMETRIC:
         pts = contributing_points(s, prec)

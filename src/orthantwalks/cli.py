@@ -434,6 +434,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.precision_bits < MIN_PREC_BITS:
             raise UsageError(f"--precision-bits must be at least {MIN_PREC_BITS}")
+        for flag, least in (("n", 0), ("order", 1), ("digits", 1), ("threads", 1)):
+            value = getattr(args, flag, None)  # absent, or left at a None default
+            if value is not None and value < least:
+                raise UsageError(f"--{flag} must be at least {least}")
         with mp.workprec(args.precision_bits + 64):
             if args.command == "catalog":
                 code, payload = _cmd_catalog(args)

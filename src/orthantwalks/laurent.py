@@ -10,6 +10,7 @@ data extracted from them stays accurate far below double precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from mpmath import mp
 
@@ -318,29 +319,19 @@ class Jet:
             raise ValueError("jet dimension mismatch")
 
     def __add__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.const(self.dim, self.order, other, self.prec)
         self._check(other)
         order = min(self.order, other.order)
         out = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
         for e, c in other.coeffs.items():
             if sum(e) <= order:
-                s = out.get(e, mp.mpc(0)) + c
-                out[e] = s
+                out[e] = out.get(e, mp.mpc(0)) + c
         return self._like(out, order)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return self._like({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.const(self.dim, self.order, other, self.prec)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
@@ -349,84 +340,70 @@ class Jet:
                 return self._like({e: v * c for e, v in self.coeffs.items()})
         self._check(other)
         order = min(self.order, other.order)
+        # the right factor by total degree, so each row stops at the order
+        right = sorted(((sum(e), e, c) for e, c in other.coeffs.items()),
+                       key=lambda t: t[0])
         out = {}
         with mp.workprec(self.prec):
             for e1, c1 in self.coeffs.items():
-                d1 = sum(e1)
-                if d1 > order:
-                    continue
-                for e2, c2 in other.coeffs.items():
-                    if d1 + sum(e2) > order:
-                        continue
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, mp.mpc(0)) + c1 * c2
+                room = order - sum(e1)
+                for d2, e2, c2 in right:
+                    if d2 > room:
+                        break
+                    e = tuple(map(add, e1, e2))
+                    p = c1 * c2
+                    out[e] = out[e] + p if e in out else p
         return self._like(out, order)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer jet powers")
-        result = Jet.const(self.dim, self.order, 1, self.prec)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def nilpotent_part(self):
-        """The jet minus its constant term (vanishes at 0)."""
-        out = {e: c for e, c in self.coeffs.items() if any(e)}
-        return self._like(out)
+    def _by_degree(self, x0, weight, plus_self=False):
+        """Solve X_0 = x0, X_D = p_D + sum_{0<i<=D} weight(i, D) (f_i X_{D-i})_D
+        for D = 1..order, f_i the degree-i part of this jet and p_D = f_D if
+        ``plus_self`` else 0: one triangular product in all."""
+        f = [{} for _ in range(self.order + 1)]
+        for e, c in self.coeffs.items():
+            if any(e):
+                f[sum(e)][e] = c
+        parts = [{(0,) * self.dim: x0}]
+        for deg in range(1, self.order + 1):
+            acc = dict(f[deg]) if plus_self else {}
+            for i in range(1, deg + 1):
+                w = weight(i, deg)
+                for e1, c1 in f[i].items():
+                    c1 = c1 * w
+                    for e2, c2 in parts[deg - i].items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+            parts.append(acc)
+        return self._like({e: c for part in parts for e, c in part.items()})
 
     def reciprocal(self):
-        """1/f for a jet with nonzero constant term."""
+        """1/f for a jet with nonzero constant term: f R = 1 degree by degree."""
         with mp.workprec(self.prec):
-            c0 = self.constant_term()
-            if c0 == 0:
+            if self.constant_term() == 0:
                 raise ZeroDivisionError("jet has zero constant term")
-            g = self.nilpotent_part() * (1 / c0)
-            # 1/(1+g) = 1 - g + g^2 - ... via Horner
-            acc = Jet.const(self.dim, self.order, 1, self.prec)
-            for _ in range(self.order):
-                acc = Jet.const(self.dim, self.order, 1, self.prec) - g * acc
-            return acc * (1 / c0)
+            r0 = 1 / self.constant_term()
+            return self._by_degree(r0, lambda i, deg: -r0)
 
     def log(self):
-        """Principal log of a jet with nonzero constant term."""
+        """Principal log of a jet with nonzero constant term.
+
+        For f = c0 (1 + g), L = log(1 + g) solves E L = E g - g E L, E the
+        Euler operator (a term of degree D times D), so
+        L_D = g_D - sum_{0<i<D} ((D-i)/D) (g_i L_{D-i})_D.
+        """
         with mp.workprec(self.prec):
             c0 = self.constant_term()
             if c0 == 0:
                 raise ZeroDivisionError("jet has zero constant term")
-            g = self.nilpotent_part() * (1 / c0)
-            # log(1+g) = sum_{k>=1} (-1)^{k+1} g^k / k, by Horner on powers of g
-            acc = Jet.const(self.dim, self.order, 0, self.prec)
-            for k in range(self.order, 0, -1):
-                ck = mp.mpf(1) / k if k % 2 == 1 else mp.mpf(-1) / k
-                acc = acc * g + ck
-            return g * acc + mp.log(c0)
+            return (self * (1 / c0))._by_degree(
+                mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
 
     def exp(self):
+        """exp(f): E F = F E f, so F_D = sum_{0<i<=D} (i/D) (f_i F_{D-i})_D."""
         with mp.workprec(self.prec):
-            g = self.nilpotent_part()
-            acc = Jet.const(self.dim, self.order, 1, self.prec)
-            for k in range(self.order, 0, -1):
-                acc = Jet.const(self.dim, self.order, 1, self.prec) + acc * g * (mp.mpf(1) / k)
-            return acc * mp.exp(self.constant_term())
-
-    def deriv(self, axis):
-        """Partial derivative d/dtheta_axis; the reliable order drops by one."""
-        out = {}
-        for expo, c in self.coeffs.items():
-            if expo[axis] == 0:
-                continue
-            e = list(expo)
-            e[axis] -= 1
-            out[tuple(e)] = c * expo[axis]
-        return self._like(out, self.order - 1)
-
-    def zero_degree(self, degree):
-        """Copy with every coefficient of the given total degree removed."""
-        out = {e: c for e, c in self.coeffs.items() if sum(e) != degree}
-        return self._like(out)
+            return self._by_degree(mp.exp(self.constant_term()), lambda i, deg: mp.mpf(i) / deg)
 
 
 def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):

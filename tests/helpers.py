@@ -6,7 +6,10 @@ import itertools
 from fractions import Fraction
 
 from hypothesis import strategies as st
+from mpmath import mp
 
+from orthantwalks.asympt import _saddle_jets
+from orthantwalks.laurent import GUARD_BITS, Jet
 from orthantwalks.stepset import build_stepset
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
@@ -92,3 +95,46 @@ def brute_force_counts(steps, n_max, dim, endpoint=None, axes=None):
                 nxt[q] = nxt.get(q, Fraction(0)) + w * wv
         frontier = nxt
     return totals
+
+
+def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
+    """Oracle: the depth-N saddle coefficients by the operator route.
+
+    Builds every jet to degree 6(N-1) and applies H = -sum_a lam_a^{-1} d_a^2
+    k+l times to the full jet u gU^l before reading its constant term, for
+    L_k = sum_{l <= 2k} H^{k+l}(u gU^l)(0) / ((-1)^k 2^{k+l} l! (k+l)!).
+    Shares only the jet construction with ``asympt.smooth_contribution``.
+    """
+    wp = prec + GUARD_BITS
+    order = max(2, 6 * (N - 1))
+    with mp.workprec(wp):
+        u, g, lam = _saddle_jets(s, point, numerator_variant, order, order, wp)
+        d = g.dim
+
+        def H(jet):
+            out = {}
+            for a, la in enumerate(lam):
+                for e, c in jet.coeffs.items():
+                    if e[a] >= 2:
+                        f = e[:a] + (e[a] - 2,) + e[a + 1:]
+                        out[f] = out.get(f, mp.mpc(0)) - c * e[a] * (e[a] - 1) / la
+            return Jet(d, jet.order - 2, out, wp)
+
+        gU = Jet(d, order, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, wp)
+        gU_pows = [Jet.const(d, order, 1, wp)]
+        for _ in range(2 * (N - 1)):
+            gU_pows.append(gU_pows[-1] * gU)
+        pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
+        for la in lam:
+            pref = pref / mp.sqrt(la)
+        coeffs = []
+        for k in range(N):
+            total = mp.mpc(0)
+            for l in range(2 * k + 1):
+                jet = u * gU_pows[l]
+                for _ in range(k + l):
+                    jet = H(jet)
+                denom = mp.mpf((-1) ** k * 2 ** (k + l)) * mp.factorial(l) * mp.factorial(k + l)
+                total += jet.constant_term() / denom
+            coeffs.append(pref * total)
+        return coeffs

@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from helpers import symmetric_models
+from helpers import operator_saddle_coefficients, symmetric_models
 from orthantwalks.asympt import (
     ContributionTerm,
     _phase_jets,
@@ -30,6 +30,8 @@ from orthantwalks.stepset import (
 NSGROUP = build_stepset(2, ["N", "SE", "S", "SW"])
 NNWS = build_stepset(2, ["NE", "NW", "S"])
 NSEW = build_stepset(2, ["N", "S", "E", "W"])
+S3 = build_stepset(
+    3, [((0, 0, 1), 1)] + [((sx, sy, -1), 1) for sx in (-1, 1) for sy in (-1, 1)])
 
 PREC = 192
 
@@ -142,10 +144,8 @@ def test_closed_constant_rejects_crossing_point():
 
 
 def test_d3_example_constants():
-    s3 = build_stepset(
-        3, [((0, 0, 1), 1)] + [((sx, sy, -1), 1) for sx in (-1, 1) for sy in (-1, 1)])
     with mp.workprec(280):
-        exp = asympt_full(s3, prec=224)
+        exp = asympt_full(S3, prec=224)
         pf = exp.periodic
         crho = 2 ** mp.mpf("4.5") / mp.pi ** mp.mpf("1.5")
         cmrho = crho / 9
@@ -222,6 +222,80 @@ def test_high_order_vanishing_numerator_kills_first_correction():
         coeffs = _saddle_coefficients(u, g, lam, 2, 256)
         assert abs(coeffs[0]) < mp.mpf(10) ** -40
         assert abs(coeffs[1]) < mp.mpf(10) ** -40
+
+
+# ------------------------------------------- explicit formula vs operator
+
+@pytest.mark.parametrize("s, axes, depth", [
+    (NSGROUP, (), 4),              # split form on the kernel sheet
+    (NSGROUP, (0, 1), 4),          # split form, both boundary factors
+    (build_stepset(2, ["N", "SE", "SW"]), (0,), 4),
+    (NNWS, (), 4),                 # residue form at the crossing point
+    (NNWS, (0,), 4),
+    (NSEW, (), 4),                 # plain form
+    (S3, (0,), 3),
+], ids=["N,S,SE,SW anywhere", "N,S,SE,SW origin", "N,SE,SW axes=1", "NE,NW,S anywhere",
+        "NE,NW,S axes=1", "N,S,E,W anywhere", "3D axes=1"])
+def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
+    # the oracle builds every jet to degree 6(N-1) and applies the Hessian
+    # operator; its depth-N coefficients are a prefix of its deeper ones.
+    # Where the amplitude vanishes at the point (every boundary filter here)
+    # the phase is read only to degree 2N-1; the unfiltered plain and residue
+    # forms read it to degree 2N.
+    variant = tuple(sorted(s.to_canonical_axes(axes)))
+    with mp.workprec(280):
+        pts = contributing_points(s, PREC)
+        want = [operator_saddle_coefficients(s, p, depth, variant, PREC) for p in pts]
+        scale = max(abs(c) for cs in want for c in cs)
+        for p, cs in zip(pts, want):
+            for n in range(1, depth + 1):
+                got = smooth_contribution(s, p, N=n, numerator_variant=variant,
+                                          prec=PREC).coefficients
+                assert len(got) == n
+                for g, w in zip(got, cs):
+                    assert abs(g - w) <= mp.mpf(10) ** -60 * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(1, 3), st.data())
+def test_deeper_expansion_extends_shallower(s, depth, data):
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    variant = tuple(sorted(s.to_canonical_axes(axes)))
+    with mp.workprec(260):
+        # the points asympt_full expands for this filter
+        for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:
+            shallow = smooth_contribution(s, p, N=depth, numerator_variant=variant,
+                                          prec=PREC).coefficients
+            deep = smooth_contribution(s, p, N=depth + 1, numerator_variant=variant,
+                                       prec=PREC).coefficients
+            scale = max([abs(c) for c in deep] + [mp.mpf(1)])
+            assert len(deep) == depth + 1
+            for a, b in zip(shallow, deep):
+                assert abs(a - b) <= mp.mpf(10) ** -60 * scale
+
+
+def test_d3_origin_expansion():
+    # pinned from the operator route at default depth (4); depth 5 folds to
+    # the same leading constants
+    with mp.workprec(260):
+        want = [mp.mpf("32.508741598331376530310812126533642319387596432523737129573465217"),
+                0, 0, 0]
+        for depth in (None, 5):
+            exp = asympt_full(S3, "origin", N=depth, prec=PREC)
+            pf = exp.periodic
+            assert not exp.partial
+            assert pf.period == 4 and pf.alpha == Fraction(-9, 2)
+            for got, c in zip(pf.constants, want):
+                assert abs(got - c) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_expansion_depth_must_be_positive(depth):
+    with pytest.raises(ValueError, match="depth"):
+        asympt_full(NSGROUP, N=depth)
+    with pytest.raises(ValueError, match="depth"):
+        smooth_contribution(NSGROUP, minimal_point(NSGROUP, PREC), N=depth)
 
 
 # ----------------------------------------------------------- folding rules

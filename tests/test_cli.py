@@ -113,6 +113,25 @@ def test_cli_precision_floor(capsys):
     assert code == 0 and len(rows) == 2 and all(r["critical_ok"] for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["asympt", "--model", "N,SE,S,SW", "--order", "0"],
+    ["asympt", "--model", "N,SE,S,SW", "--order", "-2"],
+    ["asympt", "--model", "N,SE,S,SW", "--digits", "0"],
+    ["asympt", "--model", "N,SE,S,SW", "--digits", "-5"],
+    ["critical", "--model", "N,SE,S,SW", "--digits", "0"],
+    ["catalog", "--check", "--modes", "symbolic", "--threads", "0"],
+    ["catalog", "--check", "--modes", "symbolic", "--n", "-1"],
+    ["diagonal", "--model", "NE,NW,S", "--n", "-3"],
+    ["count", "--model", "N,S,E,W", "--n", "-1"],
+    ["verify", "--model", "N,SE,S,SW", "--n", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_cli_numeric_flag_floors(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {argv[-2]} must be at least")
+
+
 def test_cli_capacity_error(capsys):
     assert main(["count", "--model", "N,S,E,W", "--n", "9000", "--mode", "float"]) == 1
     captured = capsys.readouterr()

@@ -224,8 +224,19 @@ def test_jet_mul_reciprocal_log_exp():
         assert all(abs(c) < mp.mpf(2) ** -150 for c in diff.coeffs.values())
 
 
-def test_jet_derivative_shifts_coefficients():
-    j = Jet(2, 3, {(2, 1): mp.mpf(5)}, prec=64)
-    dj = j.deriv(0)
-    assert abs(dj.coefficient((1, 1)) - 10) == 0
-    assert dj.order == 2
+def test_jet_log_reciprocal_exp_by_degree_in_three_variables():
+    # the degree recurrences against the power series of log, by jet
+    # products, at a depth and dimension the saddle engine reaches
+    with mp.workprec(300):
+        p = LP(3, {(1, 0, 0): 2, (0, -1, 0): 1, (0, 0, 1): 3, (1, 1, -1): 1, (0, 0, 0): 5})
+        jet = jet_of_exponential_substitution(p, (Fraction(1), Fraction(2), Fraction(1, 3)), 8, 256)
+        assert len(jet.coeffs) == 165
+        c0 = jet.constant_term()
+        h = Jet(3, 8, {e: c / c0 for e, c in jet.coeffs.items() if any(e)}, 256)
+        want, power = Jet.const(3, 8, mp.log(c0), 256), Jet.const(3, 8, 1, 256)
+        for k in range(1, 9):
+            power = power * h
+            want = want + power * (mp.mpf((-1) ** (k + 1)) / k)
+        for diff in (jet.log() - want, jet.log().exp() - jet,
+                     jet * jet.reciprocal() - Jet.const(3, 8, 1, 256)):
+            assert all(abs(c) < mp.mpf(2) ** -200 for c in diff.coeffs.values())
