@@ -16,7 +16,10 @@ The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
 Every engine output is folded into a periodic normal form (smallest period
-with real per-residue constants), which is what verification compares.
+with real per-residue constants), which is what verification compares.  The
+engine takes its points from ``critical`` and reports the exact rate of the
+principal one; the closed forms report that of their first term.  Neither
+route checks support itself: ``stepset.decompose`` refuses unsupported models.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from orthantwalks.laurent import (
 from orthantwalks.stepset import (
     HIGHLY_SYMMETRIC,
     StepSet,
-    UnsupportedModelError,
     classify,
     decompose,
 )
@@ -396,24 +398,11 @@ def _fold(terms, base_alpha, rate_mod_exact, prec):
         return PeriodicForm(period, consts, base_alpha - k0, rate_mod, rate_mod_exact)
 
 
-def _rate_modulus_string(s, dcmp, drift_sign, boundary_with_drift):
-    ones = (1,) * (s.dim - 1)
-    a1, b1, q1 = dcmp.A.eval(ones), dcmp.B.eval(ones), dcmp.Q.eval(ones)
-    if drift_sign == 0 or (drift_sign > 0 and not boundary_with_drift):
-        return str(QuadVal(s.total_weight(), Fraction(0), Fraction(0)))
-    return str(QuadVal(q1, Fraction(2), Fraction(a1 * b1)))
-
-
 # ------------------------------------------------------------- closed forms
 
 def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
     """Closed-form leading asymptotics from the drift-class theorems."""
     cls = classify(s)
-    if cls.kind == "Unsupported":
-        if cls.drift_sign == 0:
-            raise UnsupportedModelError(
-                "zero drift without full symmetry: asymptotics conjectural, unsupported")
-        raise UnsupportedModelError("model symmetry class not supported")
     d = s.dim
     dcmp = decompose(s)
     ones = (1,) * (d - 1)
@@ -456,7 +445,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                     None, to_mp(q1) - 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
                     QuadVal(q1, Fraction(-2), Fraction(a1 * b1)),
                     alpha, [c_of(-rho)], 1))
-        periodic = _fold(terms, alpha, _rate_modulus_string(s, dcmp, cls.drift_sign, False), prec)
+        periodic = _fold(terms, alpha, str(terms[0].rate_exact), prec)
         return AsymptoticExpansion(terms, alpha, periodic, partial=False, route="closed")
 
 
@@ -474,39 +463,28 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     The filter is given in user axes; it is translated to canonical axes
     internally.  Zero-drift models must be fully symmetric; they are handled
     through the one-factor symmetric representation, which keeps every
-    contributing point on a smooth sheet for any filter.
+    contributing point on a smooth sheet for any filter.  The folded rate
+    string is the exact rate of the principal point; unsupported models are
+    refused by ``decompose`` when the points are sought.
     """
     cls = classify(s)
-    if cls.kind == "Unsupported":
-        if cls.drift_sign == 0 and cls.axis is not None:
-            raise UnsupportedModelError(
-                "zero drift without full symmetry: asymptotics conjectural, unsupported")
-        raise UnsupportedModelError("model symmetry class not supported")
     d = s.dim
-    dcmp = decompose(s)
     flt = normalize_filter(flt, d)
     variant = tuple(sorted(s.to_canonical_axes(flt[1]))) if flt != "anywhere" else ()
     if N is None:
         N = default_depth(s, variant)
     if N < 1:
         raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    drift_axis = d - 1
-    if cls.kind == HIGHLY_SYMMETRIC:
-        pts = contributing_points(s, prec)
-        route = "plain-smooth"
-        rate_str = _rate_modulus_string(s, dcmp, 0, False)
-        base_alpha = Fraction(-d, 2)
-    elif cls.drift_sign < 0 or drift_axis in variant:
-        pts = contributing_points(s, prec) if cls.drift_sign < 0 \
-            else smooth_sheet_points(s, prec)
-        route = "smooth"
-        rate_str = _rate_modulus_string(s, dcmp, -1, True)
-        base_alpha = Fraction(-d, 2)
-    else:
+    if cls.drift_sign > 0 and d - 1 not in variant:
         pts = contributing_points(s, prec)
         route = "transverse"
-        rate_str = _rate_modulus_string(s, dcmp, 1, False)
         base_alpha = Fraction(-(d - 1), 2)
+    else:
+        # a returning drift axis cancels the crossing factor: smooth sheet only
+        pts = smooth_sheet_points(s, prec) if cls.drift_sign > 0 else contributing_points(s, prec)
+        route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
+        base_alpha = Fraction(-d, 2)
+    rate_str = str(next(p for p in pts if p.is_principal()).rate_exact)
     terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
     periodic = _fold(terms, base_alpha, rate_str, prec)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)

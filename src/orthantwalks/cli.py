@@ -35,7 +35,6 @@ from orthantwalks.laurent import DEFAULT_PREC_BITS
 from orthantwalks.stepset import (
     StepSet,
     StepSetError,
-    UnsupportedModelError,
     build_stepset,
     classify,
     load_stepset,
@@ -142,14 +141,10 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     pf = None
     partial = not supported
     if supported:
-        try:
-            exp = asympt_full(s, flt, prec=prec)
-            predicted = _expansion_payload(exp, digits)
-            partial = partial or exp.partial
-            pf = exp.periodic if not exp.partial else None
-        except UnsupportedModelError as ex:
-            notes.append(str(ex))
-            partial = True
+        exp = asympt_full(s, flt, prec=prec)
+        predicted = _expansion_payload(exp, digits)
+        partial = exp.partial
+        pf = exp.periodic if not exp.partial else None
 
     stored = None
     if pf is None:
@@ -330,7 +325,7 @@ def _cmd_diagonal(args, s):
     flt = parse_filter(args.endpoint, s.dim)
     axes = () if flt == "anywhere" else tuple(sorted(s.to_canonical_axes(flt[1])))
     kern = diag_kernel(s)
-    coeffs = diagonal_coeffs(kern, n, boundary_axes=axes, cap=max(16, n))
+    coeffs = diagonal_coeffs(kern, n, boundary_axes=axes)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": s.describe(),
@@ -360,8 +355,8 @@ def _cmd_critical(args, s):
             "t": mp.nstr(p.t, args.digits),
             "stratum": p.stratum,
             "rate_exact": str(p.rate_exact),
-            "abs_w_sq": str(tuple(str(f) for f in p.modulus_data["abs_w_sq"])),
-            "abs_t": mp.nstr(p.modulus_data["abs_t"], args.digits),
+            "abs_w_sq": str(("1",) * (s.dim - 1) + (str(abs(p.wd_squared)),)),
+            "abs_t": mp.nstr(abs(p.t), args.digits),
             "max_residual": mp.nstr(max(v for k, v in rep.residuals.items()
                                         if k != "H2_distance"), 3),
             "critical_ok": rep.ok,

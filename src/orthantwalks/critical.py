@@ -1,16 +1,19 @@
-"""Minimal critical points and contributing singularities of the diagonal kernel.
+"""Contributing singularities of the diagonal kernel, and the minimal point.
 
-Candidate points are finite: sign vectors on the symmetric axes, a fourth root
-of unity times the principal square root of B(w)/A(w) on the drift axis, and
-the solved t.  Exact rational filtering is used where the squared moduli are
-rational; everything else is checked at high precision against a 2^-160
-residual tolerance, which is rigorous here because distinct candidate moduli
-in this family are never that close.
+Two candidate families build every point: the smooth sheet (sign vectors on
+the symmetric axes, a fourth root of unity times the principal square root of
+B(w)/A(w) on the drift axis, and the solved t) and the crossing of that sheet
+with {z_d = 1}.  The minimal point is the principal member of the family the
+drift selects: all signs +1 and no rotation.  Exact rational filtering is
+used where the squared moduli are rational; everything else is checked at
+high precision against a 2^-160 residual tolerance, which is rigorous here
+because distinct candidate moduli in this family are never that close.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,12 +21,7 @@ from mpmath import mp
 
 from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, to_mp
-from orthantwalks.stepset import (
-    StepSet,
-    UnsupportedModelError,
-    classify,
-    decompose,
-)
+from orthantwalks.stepset import StepSet, decompose
 
 SMOOTH = "SmoothV1"
 TRANSVERSE = "TransverseV1V3"
@@ -32,6 +30,14 @@ RESIDUAL_TOL_EXP = -160  # residuals compared against 2**-160
 # Smallest precision (before GUARD_BITS) whose rounding leaves a residual 8 bits
 # below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes.
 MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
+
+
+def _exact_root(q: Fraction):
+    """The rational square root of q >= 0, or None when q is not a square."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 @dataclass(frozen=True)
@@ -51,16 +57,18 @@ class QuadVal:
         return val
 
     def __str__(self):
-        if self.coef == 0:
-            return str(self.rat)
-        root = f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})"
-        coef = "" if self.coef == 1 else ("-" if self.coef == -1 else f"{self.coef}*")
+        """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9) reads 8."""
+        root = _exact_root(abs(self.m))
+        if root is not None and self.m >= 0:
+            return str(self.rat + self.coef * root)
+        if root is None:
+            coef, unit = self.coef, (f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})")
+        else:  # i times a rational
+            coef, unit = self.coef * root, "i"
+        term = unit if abs(coef) == 1 else f"{abs(coef)}*{unit}"
         if self.rat == 0:
-            return f"{coef}{root}"
-        sign = "+" if self.coef > 0 else "-"
-        mag = abs(self.coef)
-        cs = "" if mag == 1 else f"{mag}*"
-        return f"{self.rat} {sign} {cs}{root}"
+            return term if coef > 0 else f"-{term}"
+        return f"{self.rat} {'+' if coef > 0 else '-'} {term}"
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,10 @@ class ContributingPoint:
     w_signs: tuple  # exact +-1 for the first d-1 coordinates
     wd_squared: object  # Fraction: exact square of the drift coordinate
     rate_exact: QuadVal  # exact form of 1/(w_1..w_d t) = Sbar(w)
-    modulus_data: dict
-    drift_sign: int
+
+    def is_principal(self):
+        """All signs +1 and no rotation: the point with positive coordinates."""
+        return self.nu == 0 and all(sg == 1 for sg in self.w_signs)
 
     def coords(self):
         return self.w + (self.t,)
@@ -118,57 +128,7 @@ def _reference_t(dcmp):
     return 1 / (c * sval)
 
 
-def minimal_point(s: StepSet, prec=DEFAULT_PREC_BITS) -> ContributingPoint:
-    """The unique minimal kernel zero with positive coordinates."""
-    cls = classify(s)
-    if cls.kind == "Unsupported":
-        raise UnsupportedModelError("no minimal-point formula for this class")
-    dcmp = decompose(s)
-    d = s.dim
-    ones = (1,) * (d - 1)
-    a1, b1, q1 = dcmp.A.eval(ones), dcmp.B.eval(ones), dcmp.Q.eval(ones)
-    with mp.workprec(prec + GUARD_BITS):
-        if cls.drift_sign < 0:
-            q = Fraction(b1, a1)
-            wd = _sqrt_fraction(q)
-            sval = QuadVal(q1, Fraction(2), Fraction(a1 * b1))
-            t = 1 / (wd * sval.to_mp())
-            abs_t_sq = Fraction(a1, b1) / (q1**2 + 4 * a1 * b1) if q1 == 0 else None
-            return ContributingPoint(
-                w=tuple(mp.mpc(1) for _ in range(d - 1)) + (wd,),
-                t=t,
-                stratum=SMOOTH,
-                nu=0,
-                w_signs=(1,) * (d - 1),
-                wd_squared=q,
-                rate_exact=sval,
-                modulus_data={
-                    "abs_w_sq": (Fraction(1),) * (d - 1) + (abs(q),),
-                    "abs_t": abs(t),
-                    "abs_t_sq": abs_t_sq,
-                },
-                drift_sign=cls.drift_sign,
-            )
-        s1 = s.total_weight()
-        t = Fraction(1, 1) / s1
-        return ContributingPoint(
-            w=tuple(mp.mpc(1) for _ in range(d)),
-            t=to_mp(t),
-            stratum=TRANSVERSE,
-            nu=0,
-            w_signs=(1,) * (d - 1),
-            wd_squared=Fraction(1),
-            rate_exact=QuadVal(s1, Fraction(0), Fraction(0)),
-            modulus_data={
-                "abs_w_sq": (Fraction(1),) * d,
-                "abs_t": to_mp(abs(t)),
-                "abs_t_sq": t**2,
-            },
-            drift_sign=cls.drift_sign,
-        )
-
-
-def _smooth_family(s: StepSet, dcmp, drift_sign, prec):
+def _smooth_family(s: StepSet, dcmp, prec):
     """Candidates (w, nu*sqrt(B(w)/A(w)), t) on the smooth kernel sheet,
     filtered by the squared-modulus conditions and the criticality residuals."""
     d = s.dim
@@ -210,10 +170,6 @@ def _smooth_family(s: StepSet, dcmp, drift_sign, prec):
                     continue
                 eps = Fraction(2) if abs(sval - (to_mp(qw) + 2 * _sqrt_fraction(m))) \
                     < abs(sval - (to_mp(qw) - 2 * _sqrt_fraction(m))) else Fraction(-2)
-                abs_t_sq = None
-                if m < 0 or qw == 0:
-                    denom = qw**2 + 4 * abs(m)
-                    abs_t_sq = 1 / (abs(q) * denom)
                 point = ContributingPoint(
                     w=tuple(mp.mpc(sg) for sg in signs) + (wd,),
                     t=t,
@@ -222,18 +178,12 @@ def _smooth_family(s: StepSet, dcmp, drift_sign, prec):
                     w_signs=signs,
                     wd_squared=wd_sq,
                     rate_exact=QuadVal(qw, eps, m),
-                    modulus_data={
-                        "abs_w_sq": tuple(Fraction(1) for _ in signs) + (abs(q),),
-                        "abs_t": abs(t),
-                        "abs_t_sq": abs_t_sq,
-                    },
-                    drift_sign=drift_sign,
                 )
                 out.append(point)
     return out
 
 
-def _transverse_family(s: StepSet, dcmp, drift_sign, prec):
+def _transverse_family(s: StepSet, dcmp, prec):
     """Candidates (w, 1, t) on the crossing of the kernel sheet with {z_d = 1}."""
     d = s.dim
     s1 = s.total_weight()
@@ -259,17 +209,13 @@ def _transverse_family(s: StepSet, dcmp, drift_sign, prec):
                 w_signs=signs,
                 wd_squared=Fraction(1),
                 rate_exact=QuadVal(Fraction(sw), Fraction(0), Fraction(0)),
-                modulus_data={
-                    "abs_w_sq": (Fraction(1),) * d,
-                    "abs_t": to_mp(abs(t)),
-                    "abs_t_sq": t**2,
-                },
-                drift_sign=drift_sign,
             ))
     return out
 
 
-def _check_h2(s: StepSet, points, prec):
+def _sorted_checked(s: StepSet, points, prec):
+    """Points in a fixed order, after checking none lies on the second sheet."""
+    points.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     kern = diag_kernel(s)
     with mp.workprec(prec + GUARD_BITS):
         tol = _tol()
@@ -286,16 +232,9 @@ def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     drift: smooth points (w, nu*sqrt(B(w)/A(w)), t).  Zero drift (fully
     symmetric): the sign points, the all-ones one lying on the crossing.
     """
-    cls = classify(s)
-    if cls.kind == "Unsupported":
-        raise UnsupportedModelError("contributing points only for supported classes")
     dcmp = decompose(s)
-    if cls.drift_sign > 0:
-        pts = _transverse_family(s, dcmp, cls.drift_sign, prec)
-    else:
-        pts = _smooth_family(s, dcmp, cls.drift_sign, prec)
-    pts.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
-    return _check_h2(s, pts, prec)
+    family = _transverse_family if dcmp.drift > 0 else _smooth_family
+    return _sorted_checked(s, family(s, dcmp, prec), prec)
 
 
 def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):
@@ -304,13 +243,13 @@ def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     These drive boundary-return asymptotics when the returning set includes
     the drift axis (the 1 - z_d factor cancels and the crossing disappears).
     """
-    cls = classify(s)
-    if cls.kind == "Unsupported":
-        raise UnsupportedModelError("smooth-sheet points only for supported classes")
-    dcmp = decompose(s)
-    pts = _smooth_family(s, dcmp, cls.drift_sign, prec)
-    pts.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
-    return _check_h2(s, pts, prec)
+    return _sorted_checked(s, _smooth_family(s, decompose(s), prec), prec)
+
+
+def minimal_point(s: StepSet, prec=DEFAULT_PREC_BITS) -> ContributingPoint:
+    """The unique minimal kernel zero with positive coordinates: the principal
+    contributing point."""
+    return next(p for p in contributing_points(s, prec) if p.is_principal())
 
 
 @dataclass(frozen=True)

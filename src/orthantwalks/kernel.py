@@ -194,9 +194,6 @@ def coprimality_spotcheck(kern: DiagonalKernel, samples=4):
 
 # -------------------------------------------------- exact diagonal extraction
 
-DEFAULT_DIAGONAL_CAP = 16
-
-
 def _series_pieces(kern: DiagonalKernel, boundary_axes):
     """d-variable polynomials driving the t-expansion of G/(H1*H2) (with the
     boundary numerator): a, b such that 1/(H1 H2) = sum_t (sum_{m+l=n} a^m b^l) t^n
@@ -223,16 +220,13 @@ def _clamp(p: LaurentPoly, bound):
     return LaurentPoly(p.dim, kept)
 
 
-def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=(),
-                    cap=DEFAULT_DIAGONAL_CAP):
+def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=()):
     """Exact [ (z_1..z_d t)^n ] of G/H for n <= n_max.
 
     ``boundary_axes`` multiplies the numerator by prod (1 - z_j) over the given
     canonical axes, giving the boundary-return diagonals.  The geometric
     expansion of 1/H3 in z_d is folded in by summing the z_d-exponents <= n.
     """
-    if n_max > cap:
-        raise ValueError(f"n_max {n_max} above cap {cap}; pass a larger cap explicitly")
     boundary_axes = tuple(sorted(set(boundary_axes)))
     a, b, g0, g1 = _series_pieces(kern, boundary_axes)
     d = kern.stepset.dim

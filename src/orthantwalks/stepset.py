@@ -249,11 +249,13 @@ class Decomposition:
 def decompose(s: StepSet) -> Decomposition:
     """Exact decompositions of the characteristic polynomial (canonical order)."""
     cls = classify(s)
-    if cls.kind == UNSUPPORTED:
+    if cls.kind == UNSUPPORTED:  # the one support check every analytic route meets
+        if cls.axis is not None:
+            raise UnsupportedModelError(
+                "zero drift without full symmetry: asymptotics conjectural, unsupported")
         raise UnsupportedModelError(
-            "model is not symmetric over all but (at most) one axis with nonzero "
-            "drift; decompositions are undefined"
-        )
+            "model symmetry class not supported: it must be symmetric in every axis "
+            "but at most one, with nonzero drift along that one")
     d = s.dim
     S = s.char_poly()
     A = S.coeff_slice(d - 1, -1)
@@ -267,9 +269,6 @@ def decompose(s: StepSet) -> Decomposition:
     ones = (1,) * (d - 1)
     for k in range(d - 1):
         bp = S.coeff_slice(k, 1)
-        bm = S.coeff_slice(k, -1)
-        if bp != bm:
-            raise UnsupportedModelError(f"axis {k + 1} is not symmetric")
         b_polys.append(bp)
         b_scalars.append(bp.eval(ones))
         Bk, Qk = _split_symmetric(sbar, k)

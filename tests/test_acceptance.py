@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 
 from orthantwalks.asympt import (
@@ -60,10 +61,18 @@ def test_criterion_01_table1_symbolic():
                   f"({elapsed:.1f}s)")
 
 
-def test_criterion_02_table1_empirical():
+@pytest.fixture(scope="module")
+def both_tables():
+    """One reproduction of both tables at n=512, read by criteria 02 and 08,
+    so each of the 23 float enumerations runs once; returns (results, seconds)."""
     t0 = time.time()
-    res = reproduce_tables("table1", ("empirical",), n_max=512, prec=PREC)
-    elapsed = time.time() - t0
+    res = reproduce_tables("both", ("symbolic", "empirical"), n_max=512, prec=PREC)
+    return res, time.time() - t0
+
+
+def test_criterion_02_table1_empirical(both_tables):
+    res, elapsed = both_tables
+    res = [r for r in res if r.table == "table1" and r.mode == "empirical"]
     bad = [(r.model, r.details) for r in res if r.status != "pass"]
     ok = not bad and len(res) == 23 and elapsed < 300
     report(2, ok, f"23 models fit at n=512 within (1e-2, 0.05, 0.10) "
@@ -190,10 +199,9 @@ def test_criterion_07_derivative_identities():
                   "at every contributing point; finite differences agree to 1e-8")
 
 
-def test_criterion_08_table2():
-    t0 = time.time()
-    res = reproduce_tables("table2", ("symbolic", "empirical"), n_max=512, prec=PREC)
-    elapsed = time.time() - t0
+def test_criterion_08_table2(both_tables):
+    res, elapsed = both_tables
+    res = [r for r in res if r.table == "table2"]
     emp = [r for r in res if r.mode == "empirical"]
     sym = [r for r in res if r.mode == "symbolic"]
     emp_bad = [(r.model, r.column) for r in emp if r.status != "pass"]

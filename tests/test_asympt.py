@@ -153,6 +153,9 @@ def test_d3_example_constants():
         assert pf.alpha == Fraction(-5, 2) - 1 + 1  # -d/2 - 1 = -5/2
         assert abs(pf.constants[0] - (crho + cmrho)) < mp.mpf(10) ** -30
         assert abs(pf.constants[1] - (crho - cmrho)) < mp.mpf(10) ** -30
+    # perfect-square radicands print as their roots, real and imaginary
+    assert pf.rate_modulus_exact == "4"
+    assert {"4", "-4", "4*i", "-4*i"} <= {str(t.rate_exact) for t in exp.terms}
 
 
 # --------------------------------------------------- derivative identities

@@ -1,5 +1,6 @@
 """Catalog data integrity, lookup, closed-form series, and reproduction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from orthantwalks.catalog import (
     ALG,
     NOSYM,
     CatalogEntry,
-    class_counts,
     eval_const,
     gf_series,
     lookup,
@@ -25,7 +25,7 @@ from orthantwalks.stepset import build_stepset, classify
 
 def test_entry_census():
     assert len(ENTRIES) == 23
-    assert class_counts() == {HS: 4, POS: 6, NEG: 6, ALG: 4, NOSYM: 3}
+    assert Counter(e.klass for e in ENTRIES) == {HS: 4, POS: 6, NEG: 6, ALG: 4, NOSYM: 3}
     names = [e.name for e in ENTRIES]
     assert len(set(names)) == 23
 
@@ -106,6 +106,8 @@ def test_reproduce_symbolic_subset():
         by_status.setdefault(r.status, []).append((r.model, r.table, r.column))
     assert not by_status.get("fail")
     assert not by_status.get("partial")
+    # errors at rounding level (about 1e-77 here) are reported as exactly 0
+    assert all(e == 0.0 for r in res for e in r.details["constant_rel_errs"])
 
 
 def test_reproduce_empirical_subset():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from mpmath import mp
 
 from helpers import symmetric_models
+from orthantwalks.asympt import asympt_closed, asympt_full
 from orthantwalks.critical import (
     SMOOTH,
     TRANSVERSE,
@@ -39,7 +40,8 @@ def test_minimal_point_negative_drift():
     assert p.stratum == SMOOTH
     assert p.wd_squared == Fraction(1, 3)
     assert str(p.rate_exact) == "2*sqrt(3)"
-    assert p.modulus_data["abs_t_sq"] == Fraction(1, 4) * 3 / 3  # 1/4
+    with mp.workprec(260):
+        assert abs(abs(p.t) ** 2 - mp.mpf(1) / 4) < TOL
 
 
 def test_minimal_point_positive_and_zero_drift():
@@ -51,7 +53,8 @@ def test_minimal_point_positive_and_zero_drift():
         pz = minimal_point(NSEW)
         assert pz.stratum == TRANSVERSE
         assert abs(pz.t - mp.mpf(1) / 4) < TOL
-        assert pz.modulus_data["abs_t_sq"] == Fraction(1, 16)
+        assert abs(abs(pz.t) ** 2 - mp.mpf(1) / 16) < TOL
+    assert str(pz.rate_exact) == "4"
 
 
 def test_contributing_points_nsessw():
@@ -79,8 +82,9 @@ def test_contributing_points_nsesw_include_imaginary_pair():
     r2 = round(2 ** -0.5, 6)
     assert kinds == [(-1, -r2, 0.0), (-1, r2, 0.0), (1, 0.0, -r2), (1, 0.0, r2)]
     for p in pts:
-        assert abs(p.modulus_data["abs_t"] - mp.mpf(1) / 2) < TOL
-        assert p.modulus_data["abs_t_sq"] == Fraction(1, 4)
+        with mp.workprec(260):
+            assert abs(abs(p.t) - mp.mpf(1) / 2) < TOL
+        assert abs(p.wd_squared) == Fraction(1, 2)
         assert check_critical(NSESW, p).ok
     rates = sorted(str(p.rate_exact) for p in pts)
     assert rates == ["-2*i*sqrt(2)", "-2*sqrt(2)", "2*i*sqrt(2)", "2*sqrt(2)"]
@@ -104,6 +108,8 @@ def test_contributing_points_zero_drift():
     assert len(pts) == 2
     strata = sorted(p.stratum for p in pts)
     assert strata == [SMOOTH, TRANSVERSE]
+    # 2 + 2*sqrt(1) and -2 - 2*sqrt(1): a square radicand prints as its root
+    assert sorted(str(p.rate_exact) for p in pts) == ["-4", "4"]
     smooth = next(p for p in pts if p.stratum == SMOOTH)
     assert smooth.w_signs == (-1,)
     with mp.workprec(260):
@@ -138,12 +144,20 @@ def test_perturbed_point_rejected():
     assert rep.residuals["grad_2"] > mp.mpf(10) ** -4
 
 
+ZERO_DRIFT_ONE_AXIS = build_stepset(2, [((1, 0), 1), ((-1, 0), 1),
+                                         ((1, 1), 2), ((-1, 1), 2), ((0, 1), 1),
+                                         ((1, -1), 1), ((-1, -1), 1), ((0, -1), 3)])
+
+
 def test_unsupported_model_raises():
-    nws = build_stepset(2, ["N", "W", "SE"])
-    with pytest.raises(UnsupportedModelError):
-        contributing_points(nws)
-    with pytest.raises(UnsupportedModelError):
-        minimal_point(nws)
+    # every analytic route stops at the one gate in decompose, with its message
+    for s, message in (
+            (build_stepset(2, ["N", "W", "SE"]), "^model symmetry class not supported: "),
+            (ZERO_DRIFT_ONE_AXIS, "^zero drift without full symmetry: asymptotics conjectural")):
+        for route in (decompose, contributing_points, smooth_sheet_points,
+                      minimal_point, asympt_full, asympt_closed):
+            with pytest.raises(UnsupportedModelError, match=message):
+                route(s)
 
 
 def test_unique_positive_minimum_witness():
@@ -200,3 +214,4 @@ def test_candidate_count_bounds(s):
         assert len(pts) <= 2**d
     mins = [p for p in pts if p.w_signs == (1,) * (d - 1) and p.nu == 0]
     assert len(mins) == 1
+    assert minimal_point(s) == mins[0]
