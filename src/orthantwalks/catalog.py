@@ -253,31 +253,6 @@ def lookup(model) -> CatalogEntry:
     raise KeyError(f"unknown model {model!r}")
 
 
-# ------------------------------------------------- closed-form power series
-
-def gf_series(entry: CatalogEntry, n_max):
-    """Exact Maclaurin coefficients of the stored algebraic closed form."""
-    if entry.gf_closed_form is None:
-        raise ValueError(f"{entry.name} carries no closed-form generating function")
-    p, r, q = entry.gf_closed_form
-    order = n_max + 3
-    rr = [Fraction(r[k]) if k < len(r) else Fraction(0) for k in range(order)]
-    if rr[0] != 1:
-        raise ValueError("radicand must have constant term 1")
-    s = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    for n in range(1, order):
-        acc = rr[n]
-        for i in range(1, n):
-            acc -= s[i] * s[n - i]
-        s[n] = acc / 2
-    num = [(Fraction(p[k]) if k < len(p) else Fraction(0)) - s[k] for k in range(order)]
-    shift = next(i for i, c in enumerate(q) if c != 0)
-    if any(num[k] != 0 for k in range(shift)):
-        raise ValueError("numerator is not divisible by the denominator monomial")
-    c = Fraction(q[shift])
-    return [num[k + shift] / c for k in range(n_max + 1)]
-
-
 # --------------------------------------------------------------- empirical
 
 @dataclass

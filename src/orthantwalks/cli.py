@@ -31,10 +31,11 @@ from orthantwalks.enumeration import (
 )
 from orthantwalks.fit import compare_fit, estimate_growth
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum, positive_part_check
-from orthantwalks.laurent import DEFAULT_PREC_BITS
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import (
     StepSet,
     StepSetError,
+    UnsupportedModelError,
     build_stepset,
     classify,
     load_stepset,
@@ -120,12 +121,16 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     n_max = n_max if n_max is not None else default_nmax(d)
     exact_n = exact_n if exact_n is not None else default_exact_n(d)
     notes = []
-    supported = cls.kind != "Unsupported"
     exact_checks = {}
     failed = False
+    try:
+        kern = diag_kernel(s)  # runs the support gate, decompose
+    except UnsupportedModelError as ex:
+        kern = None
+        notes.append(str(ex))
+    supported = kern is not None
 
     if supported:
-        kern = diag_kernel(s)
         axes = () if flt == "anywhere" else tuple(sorted(s.to_canonical_axes(flt[1])))
         diag = diagonal_coeffs(kern, exact_n, boundary_axes=axes)
         oracle = count_walks(s, exact_n, flt).values
@@ -163,8 +168,6 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
                 notes.append("prediction from stored catalog values (empirical-only)")
         except KeyError:
             pass
-    if not supported and cls.drift_sign == 0 and cls.axis is not None:
-        notes.append("zero drift without full symmetry: asymptotics conjectural")
 
     fit = estimate_growth(count_walks(s, n_max, flt, mode="float"))
     empirical = {
@@ -433,7 +436,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)  # absent, or left at a None default
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be at least {least}")
-        with mp.workprec(args.precision_bits + 64):
+        with mp.workprec(args.precision_bits + GUARD_BITS):
             if args.command == "catalog":
                 code, payload = _cmd_catalog(args)
             else:

@@ -1,13 +1,13 @@
 """Contributing singularities of the diagonal kernel, and the minimal point.
 
 Two candidate families build every point: the smooth sheet (sign vectors on
-the symmetric axes, a fourth root of unity times the principal square root of
-B(w)/A(w) on the drift axis, and the solved t) and the crossing of that sheet
-with {z_d = 1}.  The minimal point is the principal member of the family the
-drift selects: all signs +1 and no rotation.  Exact rational filtering is
-used where the squared moduli are rational; everything else is checked at
-high precision against a 2^-160 residual tolerance, which is rigorous here
-because distinct candidate moduli in this family are never that close.
+the symmetric axes, either square root of B(w)/A(w) on the drift axis, and the
+solved t) and the crossing of that sheet with {z_d = 1}.  The minimal point is
+the principal member of the family the drift selects: all signs +1 and the
+principal root.  Exact rational filtering is used where the squared moduli
+are rational; everything else is checked at high precision against a 2^-160
+residual tolerance, which is rigorous here because distinct candidate moduli
+in this family are never that close.
 """
 
 from __future__ import annotations
@@ -76,20 +76,20 @@ class ContributingPoint:
     """A minimal critical point of the diagonal kernel.
 
     Coordinates are in canonical axis order; the first d-1 are exactly +-1,
-    the drift coordinate is nu * sqrt(B(w)/A(w)) for smooth points or exactly
+    the drift coordinate is i^nu * sqrt(B(w)/A(w)) for smooth points or exactly
     1 for transverse ones, and t solves H1 = 0.
     """
 
     w: tuple  # d mpmath coordinates
     t: object  # mpmath
     stratum: str  # SmoothV1 | TransverseV1V3
-    nu: int  # power of i applied to the principal root (0..3); 0 for transverse
+    nu: int  # power of i applied to the principal root: 0 or 2; 0 for transverse
     w_signs: tuple  # exact +-1 for the first d-1 coordinates
     wd_squared: object  # Fraction: exact square of the drift coordinate
     rate_exact: QuadVal  # exact form of 1/(w_1..w_d t) = Sbar(w)
 
     def is_principal(self):
-        """All signs +1 and no rotation: the point with positive coordinates."""
+        """All signs +1 and the principal root: the point with positive coordinates."""
         return self.nu == 0 and all(sg == 1 for sg in self.w_signs)
 
     def coords(self):
@@ -129,7 +129,7 @@ def _reference_t(dcmp):
 
 
 def _smooth_family(s: StepSet, dcmp, prec):
-    """Candidates (w, nu*sqrt(B(w)/A(w)), t) on the smooth kernel sheet,
+    """Candidates (w, +-sqrt(B(w)/A(w)), t) on the smooth kernel sheet,
     filtered by the squared-modulus conditions and the criticality residuals."""
     d = s.dim
     ones = (1,) * (d - 1)
@@ -150,12 +150,11 @@ def _smooth_family(s: StepSet, dcmp, prec):
                 continue
             wd0 = _sqrt_fraction(q)
             m = Fraction(aw * bw)
-            for k in range(4):
-                wd = wd0 * mp.mpc(0, 1) ** k
-                wd_sq = q if k % 2 == 0 else -q
-                # criticality along the drift axis: B(w) = wd^2 A(w)
-                if bw != wd_sq * aw:
-                    continue
+            # with wd^2 = B(w)/A(w), Sbar(w) = Q(w) + 2*wd*A(w), and the principal
+            # root has wd*A(w) = sign(A(w))*sqrt(A(w)B(w)): the rate's exact sign
+            sign_a = 1 if aw > 0 else -1
+            for nu, root in ((0, 1), (2, -1)):
+                wd = root * wd0
                 sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
                 if abs(sval) < tol:
                     continue
@@ -168,16 +167,14 @@ def _smooth_family(s: StepSet, dcmp, prec):
                 grads = _gradient_residuals(s, signs + (wd,), d)
                 if any(g > tol for g in grads):
                     continue
-                eps = Fraction(2) if abs(sval - (to_mp(qw) + 2 * _sqrt_fraction(m))) \
-                    < abs(sval - (to_mp(qw) - 2 * _sqrt_fraction(m))) else Fraction(-2)
                 point = ContributingPoint(
                     w=tuple(mp.mpc(sg) for sg in signs) + (wd,),
                     t=t,
-                    stratum=TRANSVERSE if wd_sq == 1 and abs(wd - 1) < tol else SMOOTH,
-                    nu=k,
+                    stratum=TRANSVERSE if q == 1 and abs(wd - 1) < tol else SMOOTH,
+                    nu=nu,
                     w_signs=signs,
-                    wd_squared=wd_sq,
-                    rate_exact=QuadVal(qw, eps, m),
+                    wd_squared=q,
+                    rate_exact=QuadVal(qw, Fraction(2 * sign_a * root), m),
                 )
                 out.append(point)
     return out
@@ -229,7 +226,7 @@ def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     """All contributing singularities for the length diagonal, per drift class.
 
     Positive drift: crossing points (w, 1, t) with |S(w,1)| = S(1).  Negative
-    drift: smooth points (w, nu*sqrt(B(w)/A(w)), t).  Zero drift (fully
+    drift: smooth points (w, +-sqrt(B(w)/A(w)), t).  Zero drift (fully
     symmetric): the sign points, the all-ones one lying on the crossing.
     """
     dcmp = decompose(s)

@@ -1,6 +1,12 @@
 """Algebraic kernel method: the reflection group of the walk, the signed orbit
-sum, the rational-diagonal representation of the length generating function,
-exact diagonal coefficient extraction, and the positive-part identity check.
+sum, the rational-diagonal representation G / (H1 * H2 * H3) of the length
+generating function, exact diagonal coefficient extraction, and the
+positive-part identity check.
+
+Diagonal extraction, the positive-part check and the non-negativity check
+all expand 1/(H1 * H2) in t by one recurrence over the factors
+``diag_kernel`` builds; the positive-part check reads the same t-coefficients
+at reflected exponents and compares them with the DP oracle's endpoint table.
 
 All polynomials here live in canonical axis order (drift axis last); diagonal
 variables are z_1..z_d with t as the final variable of (d+1)-variable
@@ -33,58 +39,17 @@ class GroupElement:
     def sign(self):
         return -1 if (len(self.flips) + self.gamma) % 2 else 1
 
-    def act(self, p: LaurentPoly, dcmp: Decomposition):
-        """Apply to a Laurent polynomial, clearing denominators.
-
-        The drift involution sends z_d to (A/B)/z_d, so the image is rational;
-        returns (numerator, apow, bpow) meaning numerator / (A^apow * B^bpow)
-        with A, B lifted to d variables.
-        """
-        d = self.dim
-        for j in self.flips:
-            p = p.invert_var(j)
-        if not self.gamma:
-            return p, 0, 0
-        exps = p.var_exponents(d - 1)
-        if not exps:
-            return p, 0, 0
-        lo, hi = min(exps), max(exps)
-        apow = max(0, -lo)
-        bpow = max(0, hi)
-        A = dcmp.A.insert_var(d - 1)
-        B = dcmp.B.insert_var(d - 1)
-        out = LaurentPoly.zero(d)
-        for k in exps:
-            piece = p.coeff_slice(d - 1, k).insert_var(d - 1, -k)
-            out = out + piece * A ** (k + apow) * B ** (bpow - k)
-        return out, apow, bpow
-
 
 def group_elements(s: StepSet):
     """All 2^d group elements (identity first, then by flip set and gamma)."""
     dcmp = decompose(s)  # validates the symmetry class
     d = s.dim
-    elems = []
-    for gamma in (False, True):
-        for r in range(d):
-            for flips in itertools.combinations(range(d - 1), r):
-                elems.append(GroupElement(d, frozenset(flips), gamma))
-    # dedupe combinations loop artifacts and order deterministically
-    elems = sorted(set(elems), key=lambda e: (e.gamma, sorted(e.flips), len(e.flips)))
-    assert len(elems) == 2**d
+    elems = [GroupElement(d, frozenset(flips), gamma)
+             for gamma in (False, True)
+             for r in range(d)
+             for flips in itertools.combinations(range(d - 1), r)]
+    elems.sort(key=lambda e: (e.gamma, sorted(e.flips), len(e.flips)))
     return dcmp, elems
-
-
-def rational_equal(lhs, rhs, dcmp: Decomposition):
-    """Equality of (num, apow, bpow) pairs as rational functions in A, B."""
-    n1, a1, b1 = lhs
-    n2, a2, b2 = rhs
-    d = dcmp.dim
-    A = dcmp.A.insert_var(d - 1)
-    B = dcmp.B.insert_var(d - 1)
-    left = n1 * A ** max(0, a2 - a1) * B ** max(0, b2 - b1)
-    right = n2 * A ** max(0, a1 - a2) * B ** max(0, b1 - b2)
-    return left == right
 
 
 def orbit_sum(s: StepSet):
@@ -137,10 +102,6 @@ class DiagonalKernel:
     H2: LaurentPoly
     H3: LaurentPoly
 
-    @property
-    def H(self):
-        return self.H3 * self.H1 * self.H2
-
     def factors(self):
         return {"H1": self.H1, "H2": self.H2, "H3": self.H3}
 
@@ -192,32 +153,45 @@ def coprimality_spotcheck(kern: DiagonalKernel, samples=4):
     return True
 
 
-# -------------------------------------------------- exact diagonal extraction
+# ------------------------------------------------------------ t-expansion
 
 def _series_pieces(kern: DiagonalKernel, boundary_axes):
-    """d-variable polynomials driving the t-expansion of G/(H1*H2) (with the
-    boundary numerator): a, b such that 1/(H1 H2) = sum_t (sum_{m+l=n} a^m b^l) t^n
-    and g0 + t*g1 = G * prod_{j in V} (1-z_j)."""
-    s, dcmp = kern.stepset, kern.dcmp
-    d = s.dim
-    zprod = LaurentPoly.monomial(d, (1,) * d)
-    zd = LaurentPoly.variable(d, d - 1)
-    A = dcmp.A.insert_var(d - 1)
-    Q = dcmp.Q.insert_var(d - 1)
-    a = zprod * s.sbar_poly()
-    b = zprod * (Q + zd * A)
-    g0 = LaurentPoly.const(d, 1)
-    for j in range(d - 1):
-        g0 = g0 * (1 + LaurentPoly.variable(d, j))
-    for j in boundary_axes:
-        g0 = g0 * (1 - LaurentPoly.variable(d, j))
-    g1 = -(g0 * (zprod * (Q + 2 * zd * A)))
-    return a, b, g0, g1
+    """a, b, g0, g1 in z_1..z_d with H1 = 1 - t a, H2 = 1 - t b and
+    g0 + t g1 = G * prod_{j in boundary_axes} (1 - z_j)."""
+    d = kern.stepset.dim
+    edge = LaurentPoly.const(d, 1)
+    for j in set(boundary_axes):
+        edge = edge * (1 - LaurentPoly.variable(d, j))
+    return (-kern.H1.coeff_slice(d, 1), -kern.H2.coeff_slice(d, 1),
+            edge * kern.G.coeff_slice(d, 0), edge * kern.G.coeff_slice(d, 1))
 
 
-def _clamp(p: LaurentPoly, bound):
-    kept = {e: c for e, c in p.terms.items() if all(x <= bound for x in e)}
-    return LaurentPoly(p.dim, kept)
+def _t_series(a: LaurentPoly, b: LaurentPoly, n_max, bound):
+    """The t-coefficients f_0..f_{n_max} of 1/((1 - t a)(1 - t b)), by
+    f_n = a f_{n-1} + b^n, keeping the terms with every exponent <= bound.
+
+    a and b have exponents in 0..2, so exponents only grow along the
+    recurrence: a term dropped here cannot reach a kept one later.
+    """
+    def kept(p):
+        return LaurentPoly(p.dim, {e: c for e, c in p.terms.items() if max(e) <= bound})
+
+    f = bpow = LaurentPoly.const(a.dim, 1)
+    yield f
+    for _ in range(n_max):
+        bpow = kept(bpow * b)
+        f = kept(a * f) + bpow
+        yield f
+
+
+def _diagonal_term(g: LaurentPoly, f: LaurentPoly, n):
+    """Sum of the coefficients of g*f at (n, ..., n, k) for 0 <= k <= n."""
+    total = Fraction(0)
+    for e, c in g.terms.items():
+        head = tuple(n - x for x in e[:-1])
+        for k in range(n + 1):
+            total += c * f.terms.get(head + (k - e[-1],), 0)
+    return total
 
 
 def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=()):
@@ -227,24 +201,12 @@ def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=()):
     canonical axes, giving the boundary-return diagonals.  The geometric
     expansion of 1/H3 in z_d is folded in by summing the z_d-exponents <= n.
     """
-    boundary_axes = tuple(sorted(set(boundary_axes)))
     a, b, g0, g1 = _series_pieces(kern, boundary_axes)
-    d = kern.stepset.dim
     out = []
-    f_prev = None
-    f_cur = LaurentPoly.const(d, 1)  # f_0
-    bpow = LaurentPoly.const(d, 1)
-    for n in range(n_max + 1):
-        if n > 0:
-            bpow = _clamp(bpow * b, n_max)
-            f_prev, f_cur = f_cur, _clamp(a * f_cur, n_max) + bpow
-        L = g0 * f_cur + (g1 * f_prev if f_prev is not None else LaurentPoly.zero(d))
-        total = Fraction(0)
-        want = (n,) * (d - 1)
-        for expo, coeff in L.terms.items():
-            if expo[: d - 1] == want and 0 <= expo[d - 1] <= n:
-                total += coeff
-        out.append(total)
+    prev = LaurentPoly.zero(kern.stepset.dim)
+    for n, f in enumerate(_t_series(a, b, n_max, n_max)):
+        out.append(_diagonal_term(g0, f, n) + _diagonal_term(g1, prev, n))
+        prev = f
     return out
 
 
@@ -257,57 +219,33 @@ class PositivePartReport:
     max_n: int
 
 
-def _nonneg_part(p: LaurentPoly):
-    return LaurentPoly(p.dim, {e: c for e, c in p.terms.items() if all(x >= 0 for x in e)})
-
-
 def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
     """Exact check that the non-negative part of the two-factor rational form
     reproduces the endpoint generating function up to t^n_max.
 
     The form has denominator factors (1 - t S) and (1 - t (A/z_d + Q)) and
-    numerator prod_{j<d}(1 - z_j^-2) * (1 - t (2 A / z_d + Q)); its t-degree-n
-    coefficient is a Laurent polynomial, so the identity is checkable exactly.
+    numerator prod_{j<d}(1 - z_j^-2) * (1 - t (2 A / z_d + Q)).  Its t^n
+    coefficient is z^(n,...,n) L_n(1/z), where L_n is the t^n coefficient of
+    G * prod_{j<d}(1 - z_j) / (H1 * H2); so the endpoint (i_1..i_d) carries
+    the coefficient of L_n at (n - i_1, ..., n - i_d), and the identity is
+    checkable exactly.
     """
-    dcmp = decompose(s)
     d = s.dim
-    S = s.char_poly()
-    A = dcmp.A.insert_var(d - 1)
-    Q = dcmp.Q.insert_var(d - 1)
-    zdi = LaurentPoly.variable(d, d - 1, -1)
-    D = zdi * A + Q
-    n0 = LaurentPoly.const(d, 1)
-    for j in range(d - 1):
-        n0 = n0 * (1 - LaurentPoly.variable(d, j, -2))
-    n1 = -(n0 * (2 * zdi * A + Q))
+    a, b, g0, g1 = _series_pieces(diag_kernel(s), range(d - 1))
     results = []
-    ok_all = True
-    h_prev = None
-    h_cur = LaurentPoly.const(d, 1)
-    dpow = LaurentPoly.const(d, 1)
-    for n in range(n_max + 1):
-        if n > 0:
-            dpow = dpow * D
-            h_prev, h_cur = h_cur, S * h_cur + dpow
-        coeff = n0 * h_cur + (n1 * h_prev if h_prev is not None else LaurentPoly.zero(d))
-        got = _nonneg_part(coeff)
+    prev = LaurentPoly.zero(d)
+    for n, f in enumerate(_t_series(a, b, n_max, n_max)):
+        got = {e: c for e, c in (g0 * f + g1 * prev).terms.items() if max(e) <= n}
+        prev = f
         table = endpoint_table(s, n)
-        want = LaurentPoly(d, {s.canonical_vector(pt): w for pt, w in table.counts.items()})
-        ok = got == want
-        ok_all = ok_all and ok
-        results.append((n, ok))
-    return PositivePartReport(ok_all, tuple(results), n_max)
+        want = {tuple(n - x for x in s.canonical_vector(pt)): w
+                for pt, w in table.counts.items()}
+        results.append((n, got == want))
+    return PositivePartReport(all(ok for _, ok in results), tuple(results), n_max)
 
 
 def series_nonnegative(kern: DiagonalKernel, n_max=8):
     """All t-coefficients of 1/(H1*H2) have non-negative coefficients."""
     a, b, _, _ = _series_pieces(kern, ())
-    d = kern.stepset.dim
-    f_cur = LaurentPoly.const(d, 1)
-    bpow = LaurentPoly.const(d, 1)
-    for n in range(1, n_max + 1):
-        bpow = bpow * b
-        f_cur = a * f_cur + bpow
-        if any(c < 0 for c in f_cur.terms.values()):
-            return False
-    return True
+    # f_n has no exponent above 2n, so the bound 2 * n_max keeps every term
+    return all(c >= 0 for f in _t_series(a, b, n_max, 2 * n_max) for c in f.terms.values())

@@ -197,16 +197,6 @@ class LaurentPoly:
             out[tuple(e)] = coeff
         return LaurentPoly(self.dim, out)
 
-    def scale_var(self, j, factor):
-        """Substitute z_j -> factor * z_j with exact rational factor."""
-        factor = _as_fraction(factor)
-        if factor == 0:
-            raise ValueError("scale factor must be nonzero")
-        out = {}
-        for expo, coeff in self.terms.items():
-            out[expo] = coeff * factor ** expo[j]
-        return LaurentPoly(self.dim, out)
-
     def insert_var(self, j, power=0):
         """Embed into one more variable, inserted at position j with the given power."""
         out = {}

@@ -86,10 +86,10 @@ class StepSet:
     def total_weight(self):
         return sum((w for _, w in self.steps), Fraction(0))
 
-    def char_poly(self, canonical=True):
-        """The characteristic Laurent polynomial sum_i w_i z^i."""
+    def char_poly(self):
+        """The characteristic Laurent polynomial sum_i w_i z^i, in canonical order."""
         terms = {}
-        for v, w in (self.canonical_steps() if canonical else self.steps):
+        for v, w in self.canonical_steps():
             terms[v] = terms.get(v, Fraction(0)) + w
         return LaurentPoly(self.dim, terms)
 

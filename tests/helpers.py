@@ -1,4 +1,6 @@
-"""Shared test utilities: random model generation and brute-force oracles."""
+"""Shared test utilities: random model generation, brute-force oracles, and
+the exact helpers only tests use (group action, rational equality, closed-form
+series)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from orthantwalks.asympt import _saddle_jets
-from orthantwalks.laurent import GUARD_BITS, Jet
+from orthantwalks.laurent import GUARD_BITS, Jet, LaurentPoly
 from orthantwalks.stepset import build_stepset
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
@@ -138,3 +140,65 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
                 total += jet.constant_term() / denom
             coeffs.append(pref * total)
         return coeffs
+
+
+def act(el, p, dcmp):
+    """Apply the group element ``el`` to a Laurent polynomial, clearing denominators.
+
+    The drift involution sends z_d to (A/B)/z_d, so the image is rational;
+    returns (numerator, apow, bpow) meaning numerator / (A^apow * B^bpow)
+    with A, B lifted to d variables.
+    """
+    d = el.dim
+    for j in el.flips:
+        p = p.invert_var(j)
+    if not el.gamma:
+        return p, 0, 0
+    exps = p.var_exponents(d - 1)
+    if not exps:
+        return p, 0, 0
+    lo, hi = min(exps), max(exps)
+    apow = max(0, -lo)
+    bpow = max(0, hi)
+    A = dcmp.A.insert_var(d - 1)
+    B = dcmp.B.insert_var(d - 1)
+    out = LaurentPoly.zero(d)
+    for k in exps:
+        piece = p.coeff_slice(d - 1, k).insert_var(d - 1, -k)
+        out = out + piece * A ** (k + apow) * B ** (bpow - k)
+    return out, apow, bpow
+
+
+def rational_equal(lhs, rhs, dcmp):
+    """Equality of (num, apow, bpow) pairs as rational functions in A, B."""
+    n1, a1, b1 = lhs
+    n2, a2, b2 = rhs
+    d = dcmp.dim
+    A = dcmp.A.insert_var(d - 1)
+    B = dcmp.B.insert_var(d - 1)
+    left = n1 * A ** max(0, a2 - a1) * B ** max(0, b2 - b1)
+    right = n2 * A ** max(0, a1 - a2) * B ** max(0, b1 - b2)
+    return left == right
+
+
+def gf_series(entry, n_max):
+    """Exact Maclaurin coefficients of a catalog entry's stored algebraic closed form."""
+    if entry.gf_closed_form is None:
+        raise ValueError(f"{entry.name} carries no closed-form generating function")
+    p, r, q = entry.gf_closed_form
+    order = n_max + 3
+    rr = [Fraction(r[k]) if k < len(r) else Fraction(0) for k in range(order)]
+    if rr[0] != 1:
+        raise ValueError("radicand must have constant term 1")
+    s = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for n in range(1, order):
+        acc = rr[n]
+        for i in range(1, n):
+            acc -= s[i] * s[n - i]
+        s[n] = acc / 2
+    num = [(Fraction(p[k]) if k < len(p) else Fraction(0)) - s[k] for k in range(order)]
+    shift = next(i for i, c in enumerate(q) if c != 0)
+    if any(num[k] != 0 for k in range(shift)):
+        raise ValueError("numerator is not divisible by the denominator monomial")
+    c = Fraction(q[shift])
+    return [num[k + shift] / c for k in range(n_max + 1)]

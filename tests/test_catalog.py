@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from helpers import gf_series
 from orthantwalks.catalog import (
     ENTRIES,
     HS,
@@ -15,7 +16,6 @@ from orthantwalks.catalog import (
     NOSYM,
     CatalogEntry,
     eval_const,
-    gf_series,
     lookup,
     reproduce_tables,
 )

@@ -206,12 +206,17 @@ def test_candidate_count_bounds(s):
     cls = classify(s)
     d = s.dim
     assert pts, "the principal minimal point must always survive"
-    if cls.drift_sign > 0:
-        assert len(pts) <= 2 ** (d - 1)
-    elif cls.drift_sign < 0:
-        assert len(pts) <= 2 ** (d + 1)
-    else:
-        assert len(pts) <= 2**d
+    # one sign vector per symmetric axis, times the two drift roots off the crossing
+    assert len(pts) <= (2 ** (d - 1) if cls.drift_sign > 0 else 2**d)
     mins = [p for p in pts if p.w_signs == (1,) * (d - 1) and p.nu == 0]
     assert len(mins) == 1
     assert minimal_point(s) == mins[0]
+    sheet = smooth_sheet_points(s)
+    assert len(sheet) <= 2**d
+    # each exact rate is 1/(w_1..w_d t) at the point
+    with mp.workprec(256):
+        for p in pts + sheet:
+            prod = p.t
+            for c in p.w:
+                prod *= c
+            assert abs(p.rate_exact.to_mp() - 1 / prod) < mp.mpf(2) ** -150

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import symmetric_models
+from helpers import act, rational_equal, symmetric_models
 from orthantwalks.enumeration import count_walks
 from orthantwalks.kernel import (
     coprimality_spotcheck,
@@ -15,7 +16,6 @@ from orthantwalks.kernel import (
     orbit_sum,
     orbit_sum_product_form,
     positive_part_check,
-    rational_equal,
     series_nonnegative,
 )
 from orthantwalks.laurent import LaurentPoly
@@ -53,7 +53,7 @@ def test_gamma_action_on_drift_variable():
     dcmp, elems = group_elements(NSESSW)
     gamma = next(e for e in elems if e.gamma and not e.flips)
     zd = LaurentPoly.variable(2, 1)
-    num, apow, bpow = gamma.act(zd, dcmp)
+    num, apow, bpow = act(gamma, zd, dcmp)
     # z_d maps to (A/B)/z_d with A = x + 1 + 1/x and B = 1
     expect = LP(2, {(1, -1): 1, (0, -1): 1, (-1, -1): 1})
     assert rational_equal((num, apow, bpow), (expect, 0, 0), dcmp)
@@ -64,15 +64,15 @@ def test_group_fixes_characteristic_polynomial():
         dcmp, elems = group_elements(s)
         S = s.char_poly()
         for e in elems:
-            assert rational_equal(e.act(S, dcmp), (S, 0, 0), dcmp)
+            assert rational_equal(act(e, S, dcmp), (S, 0, 0), dcmp)
 
 
 def test_elements_are_involutions():
     dcmp, elems = group_elements(NSESSW)
     probe = LP(2, {(1, 1): 1, (0, -1): 2})
     for e in elems:
-        n1, a1, b1 = e.act(probe, dcmp)
-        n2, a2, b2 = e.act(n1, dcmp)
+        n1, a1, b1 = act(e, probe, dcmp)
+        n2, a2, b2 = act(e, n1, dcmp)
         assert rational_equal((n2, a1 + a2, b1 + b2), (probe, 0, 0), dcmp)
 
 
@@ -116,7 +116,7 @@ def test_orbit_sum_antisymmetry_under_generators():
         for e in elems:
             if len(e.flips) + e.gamma != 1:
                 continue
-            assert rational_equal(e.act(num, dcmp), (-num, 0, 0), dcmp)
+            assert rational_equal(act(e, num, dcmp), (-num, 0, 0), dcmp)
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,6 +184,20 @@ def test_boundary_diagonal_swapped_axes_model():
     got = diagonal_coeffs(k, 6, boundary_axes=(0,))
     want = count_walks(s, 6, ("axes", (s.axis_order[0],))).values
     assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.data())
+def test_kernel_series_match_oracle_random(s, data):
+    # random weighted models, with a random set of canonical boundary axes
+    d = s.dim
+    axes = tuple(sorted(data.draw(st.sets(st.sampled_from(range(d))))))
+    n = 8 if d == 2 else 5
+    kern = diag_kernel(s)
+    want = count_walks(s, n, ("axes", tuple(s.axis_order[a] for a in axes))).values
+    assert diagonal_coeffs(kern, n, boundary_axes=axes) == want
+    assert positive_part_check(s, 4).passed
+    assert series_nonnegative(kern, 4)
 
 
 def test_weighted_diagonal_matches_oracle():

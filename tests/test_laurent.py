@@ -74,12 +74,6 @@ def test_signed_product_expansion():
     assert got == LP(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
 
 
-def test_scale_var():
-    p = LP(1, {(2,): 1, (-1,): 1})
-    q = p.scale_var(0, Fraction(3))
-    assert q == LP(1, {(2,): 9, (-1,): Fraction(1, 3)})
-
-
 def test_exponent_overflow_is_hard_error():
     with pytest.raises(ExponentOverflowError):
         LP(1, {(2**31 + 1,): 1})
