@@ -15,11 +15,15 @@ Two routes produce (rate, polynomial order, per-residue constants):
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
-Every engine output is folded into a periodic normal form (smallest period
-with real per-residue constants), which is what verification compares.  The
-engine takes its points from ``critical`` and reports the exact rate of the
-principal one; the closed forms report that of their first term.  Neither
-route checks support itself: ``stepset.decompose`` refuses unsupported models.
+``asympt_full`` decides once whether the crossing applies: positive drift
+with the drift axis left free.  Then it expands the crossing points, and
+otherwise the smooth-sheet points, both from ``critical``; the base exponent
+is read off the terms.  Every engine output is folded into a periodic normal
+form (smallest period with real per-residue constants, over the periods the
+growth fitter also tries), which is what verification compares.  The engine
+reports the exact rate of the principal point; the closed forms report that
+of their first term.  Neither route checks support itself:
+``stepset.decompose`` refuses unsupported models.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from orthantwalks.critical import (
     contributing_points,
     smooth_sheet_points,
 )
+from orthantwalks.fit import PERIOD_CANDIDATES
 from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import (
     DEFAULT_PREC_BITS,
@@ -342,9 +347,6 @@ def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
 
 # ------------------------------------------------------------------ folding
 
-FOLD_PERIODS = (1, 2, 3, 4, 6, 8)
-
-
 def _fold(terms, base_alpha, rate_mod_exact, prec):
     """Fold contribution terms into the periodic normal form at leading order."""
     with mp.workprec(prec + GUARD_BITS):
@@ -378,7 +380,7 @@ def _fold(terms, base_alpha, rate_mod_exact, prec):
         if not live:
             return None
         period = None
-        for p in FOLD_PERIODS:
+        for p in PERIOD_CANDIDATES:
             if all(abs(om**p - 1) < mp.mpf(2) ** (-(prec // 3)) for om, _ in live):
                 consts = []
                 ok = True
@@ -468,24 +470,21 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     refused by ``decompose`` when the points are sought.
     """
     cls = classify(s)
-    d = s.dim
-    flt = normalize_filter(flt, d)
-    variant = tuple(sorted(s.to_canonical_axes(flt[1]))) if flt != "anywhere" else ()
+    variant = s.canonical_variant(normalize_filter(flt, s.dim))
     if N is None:
         N = default_depth(s, variant)
     if N < 1:
         raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    if cls.drift_sign > 0 and d - 1 not in variant:
-        pts = contributing_points(s, prec)
-        route = "transverse"
-        base_alpha = Fraction(-(d - 1), 2)
+    # a returning drift axis cancels the crossing factor: smooth sheet only
+    crossing = cls.drift_sign > 0 and s.dim - 1 not in variant
+    if crossing:
+        pts, route = contributing_points(s, prec), "transverse"
     else:
-        # a returning drift axis cancels the crossing factor: smooth sheet only
-        pts = smooth_sheet_points(s, prec) if cls.drift_sign > 0 else contributing_points(s, prec)
+        pts = smooth_sheet_points(s, prec)
         route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
-        base_alpha = Fraction(-d, 2)
     rate_str = str(next(p for p in pts if p.is_principal()).rate_exact)
     terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
+    base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
     periodic = _fold(terms, base_alpha, rate_str, prec)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
     return AsymptoticExpansion(terms, base_alpha, periodic, periodic is None, route, notes)

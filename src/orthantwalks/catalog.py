@@ -29,6 +29,8 @@ NOSYM = "NoSymmetryDFinite"
 
 THEOREM_CLASSES = (HS, POS, NEG)
 
+SYMBOLIC_REL_TOL = mp.mpf("1e-12")  # engine vs stored rate and constants
+
 
 def eval_const(expr, prec=DEFAULT_PREC_BITS):
     """Evaluate a stored radical expression at the given binary precision.
@@ -78,6 +80,10 @@ class CatalogEntry:
 
     def theorem_covered(self):
         return self.klass in THEOREM_CLASSES
+
+    def stored(self, column):
+        """The stored asymptotics of one column (a key of COLUMN_FILTERS), or None."""
+        return self.table1 if column == "anywhere" else (self.table2 or {}).get(column)
 
 
 def _sa(rate, alpha, *constants):
@@ -227,6 +233,7 @@ ENTRIES = (
 )
 
 COLUMN_FILTERS = {
+    "anywhere": "anywhere",
     "x_axis": ("axes", (0,)),
     "y_axis": ("axes", (1,)),
     "origin": ("axes", (0, 1)),
@@ -265,7 +272,7 @@ class CellResult:
     details: dict
 
 
-def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
+def _compare_symbolic(entry, stored, expansion, prec):
     details = {}
     if expansion.partial or expansion.periodic is None:
         return "partial", {"notes": list(expansion.notes)}
@@ -273,7 +280,7 @@ def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
     with mp.workprec(prec + GUARD_BITS):
         rate_err = abs(pf.rate_modulus - stored.rate_value(prec)) / stored.rate_value(prec)
         details["rate_rel_err"] = float(rate_err)
-        ok = rate_err < rel_tol
+        ok = rate_err < SYMBOLIC_REL_TOL
         details["alpha"] = str(pf.alpha)
         ok = ok and pf.alpha == stored.alpha
         want = stored.constant_values(prec)
@@ -287,7 +294,7 @@ def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
         errs = []
         for got, w in zip(pf.constants, want):
             errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
-            ok = ok and errs[-1] < rel_tol
+            ok = ok and errs[-1] < SYMBOLIC_REL_TOL
         # errors below half the working precision are rounding noise: reported
         # as 0, so reordering the engine's sums cannot change the report
         noise = mp.mpf(2) ** (-(prec // 2))
@@ -295,12 +302,14 @@ def _compare_symbolic(entry, stored, expansion, prec, rel_tol=mp.mpf("1e-12")):
     return ("pass" if ok else "fail"), details
 
 
-def _cells(entry, which):
-    """(table, column, stored) for each cell of ``entry`` that ``which`` reproduces."""
-    cells = [("table1", "anywhere", entry.table1)] if which in ("table1", "both") else []
+def cells(entry, which):
+    """(table, column, stored) for each cell of ``entry`` in ``which``: table1,
+    table2 or both."""
+    columns = ["anywhere"] if which in ("table1", "both") else []
     if which in ("table2", "both") and entry.table2:
-        cells += [("table2", col, stored) for col, stored in entry.table2.items()]
-    return cells
+        columns += list(entry.table2)
+    return [("table1" if col == "anywhere" else "table2", col, entry.stored(col))
+            for col in columns]
 
 
 def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
@@ -322,16 +331,16 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
 
         with ThreadPoolExecutor(threads) as pool:
             futs = {e.name: pool.submit(count_profile, e.stepset(), n_max)
-                    for e in chosen if _cells(e, which)}
+                    for e in chosen if cells(e, which)}
             profiles = {name: f.result() for name, f in futs.items()}
     for entry in chosen:
         s = entry.stepset()
-        cells = _cells(entry, which)
+        entry_cells = cells(entry, which)
         profile = None
-        if "empirical" in modes and cells:
+        if "empirical" in modes and entry_cells:
             profile = profiles.get(entry.name) or count_profile(s, n_max)
-        for table, col, stored in cells:
-            flt = "anywhere" if col == "anywhere" else COLUMN_FILTERS[col]
+        for table, col, stored in entry_cells:
+            flt = COLUMN_FILTERS[col]
             if "symbolic" in modes:
                 if entry.theorem_covered():
                     exp = asympt_full(s, flt, prec=prec)

@@ -36,9 +36,9 @@ from orthantwalks.stepset import (
     StepSet,
     StepSetError,
     UnsupportedModelError,
-    build_stepset,
     classify,
     load_stepset,
+    stepset_from_document,
 )
 
 SCHEMA_VERSION = "2"
@@ -79,12 +79,12 @@ class VerificationReport:
         }
 
 
+# n up to which verify checks the exact identities, by dimension (8 above 3D)
+EXACT_N = {2: 12, 3: 12}
+
+
 def default_nmax(dim):
     return {2: 512, 3: 160}.get(dim, 64)
-
-
-def default_exact_n(dim):
-    return 12 if dim <= 3 else 8
 
 
 def _expansion_payload(exp, digits=16):
@@ -113,13 +113,13 @@ def _expansion_payload(exp, digits=16):
 
 
 def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
-                 exact_n=None, digits=16) -> VerificationReport:
+                 digits=16) -> VerificationReport:
     """Full verification: exact identities, engine prediction, empirical fit."""
     cls = classify(s)
     d = s.dim
     flt = normalize_filter(flt, d)
     n_max = n_max if n_max is not None else default_nmax(d)
-    exact_n = exact_n if exact_n is not None else default_exact_n(d)
+    exact_n = EXACT_N.get(d, 8)
     notes = []
     exact_checks = {}
     failed = False
@@ -131,8 +131,7 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     supported = kern is not None
 
     if supported:
-        axes = () if flt == "anywhere" else tuple(sorted(s.to_canonical_axes(flt[1])))
-        diag = diagonal_coeffs(kern, exact_n, boundary_axes=axes)
+        diag = diagonal_coeffs(kern, exact_n, boundary_axes=s.canonical_variant(flt))
         oracle = count_walks(s, exact_n, flt).values
         match = [Fraction(x) for x in diag] == [Fraction(x) for x in oracle]
         exact_checks["diagonal_vs_oracle"] = {"max_n": exact_n, "pass": match}
@@ -155,16 +154,9 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     if pf is None:
         try:
             entry = catalog_mod.lookup(s)
-            key = "anywhere" if flt == "anywhere" else None
-            if key is None:
-                for col, f in catalog_mod.COLUMN_FILTERS.items():
-                    if normalize_filter(f, d) == flt:
-                        key = col
-                        break
-            stored_asym = entry.table1 if key == "anywhere" else \
-                (entry.table2 or {}).get(key)
-            if stored_asym is not None:
-                stored = stored_asym
+            stored = entry.stored(next(col for col, f in catalog_mod.COLUMN_FILTERS.items()
+                                       if normalize_filter(f, d) == flt))
+            if stored is not None:
                 notes.append("prediction from stored catalog values (empirical-only)")
         except KeyError:
             pass
@@ -226,7 +218,7 @@ def _resolve_model(text) -> StepSet:
     except KeyError:
         pass
     try:
-        return build_stepset(2, [t.strip() for t in text.split(",") if t.strip()])
+        return stepset_from_document(text)
     except StepSetError as ex:
         raise UsageError(f"cannot resolve model {text!r}: {ex}") from ex
 
@@ -305,9 +297,16 @@ def build_parser():
     return parser
 
 
+def _endpoint(args, s):
+    try:
+        return parse_filter(args.endpoint, s.dim)
+    except ValueError as ex:
+        raise UsageError(f"--endpoint: {ex}") from ex
+
+
 def _cmd_count(args, s):
     n = args.n if args.n is not None else 20
-    flt = parse_filter(args.endpoint, s.dim)
+    flt = _endpoint(args, s)
     series = count_walks(s, n, flt, mode=args.mode)
     rows = []
     for k in range(n + 1):
@@ -325,10 +324,9 @@ def _cmd_count(args, s):
 
 def _cmd_diagonal(args, s):
     n = args.n if args.n is not None else 10
-    flt = parse_filter(args.endpoint, s.dim)
-    axes = () if flt == "anywhere" else tuple(sorted(s.to_canonical_axes(flt[1])))
+    flt = _endpoint(args, s)
     kern = diag_kernel(s)
-    coeffs = diagonal_coeffs(kern, n, boundary_axes=axes)
+    coeffs = diagonal_coeffs(kern, n, boundary_axes=s.canonical_variant(flt))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": s.describe(),
@@ -369,7 +367,7 @@ def _cmd_critical(args, s):
 
 
 def _cmd_asympt(args, s):
-    flt = parse_filter(args.endpoint, s.dim)
+    flt = _endpoint(args, s)
     exp = asympt_full(s, flt, N=args.order, prec=args.precision_bits)
     payload = {"schema_version": SCHEMA_VERSION, "model": s.describe(),
                "endpoint": filter_name(flt, s.dim)}
@@ -385,7 +383,7 @@ def _cmd_asympt(args, s):
 
 
 def _cmd_verify(args, s):
-    rep = verify_model(s, n_max=args.n, flt=parse_filter(args.endpoint, s.dim),
+    rep = verify_model(s, n_max=args.n, flt=_endpoint(args, s),
                        prec=args.precision_bits, digits=args.digits)
     payload = rep.to_dict()
     payload["rows"] = [{"model": rep.model, "endpoint": rep.endpoint,
@@ -396,18 +394,9 @@ def _cmd_verify(args, s):
 
 def _cmd_catalog(args):
     if not args.check:
-        rows = []
-        for e in catalog_mod.ENTRIES:
-            if args.table in ("table1", "both"):
-                rows.append({"model": e.name, "class": e.klass, "column": "anywhere",
-                             "rate": e.table1.rate, "alpha": str(e.table1.alpha),
-                             "constants": " ; ".join(e.table1.constants)})
-            if args.table in ("table2", "both") and e.table2:
-                for col in ("x_axis", "y_axis", "origin"):
-                    sa = e.table2[col]
-                    rows.append({"model": e.name, "class": e.klass, "column": col,
-                                 "rate": sa.rate, "alpha": str(sa.alpha),
-                                 "constants": " ; ".join(sa.constants)})
+        rows = [{"model": e.name, "class": e.klass, "column": col, "rate": sa.rate,
+                 "alpha": str(sa.alpha), "constants": " ; ".join(sa.constants)}
+                for e in catalog_mod.ENTRIES for _, col, sa in catalog_mod.cells(e, args.table)]
         return 0, {"schema_version": SCHEMA_VERSION, "rows": rows}
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     n_max = args.n if args.n is not None else 512

@@ -1,13 +1,15 @@
 """Contributing singularities of the diagonal kernel, and the minimal point.
 
-Two candidate families build every point: the smooth sheet (sign vectors on
-the symmetric axes, either square root of B(w)/A(w) on the drift axis, and the
-solved t) and the crossing of that sheet with {z_d = 1}.  The minimal point is
-the principal member of the family the drift selects: all signs +1 and the
-principal root.  Exact rational filtering is used where the squared moduli
-are rational; everything else is checked at high precision against a 2^-160
-residual tolerance, which is rigorous here because distinct candidate moduli
-in this family are never that close.
+One loop over the sign vectors w in {+-1}^(d-1) on the symmetric axes builds
+every point.  Its only switch is the crossing: off it, the drift coordinate is
+either square root of B(w)/A(w) on the smooth kernel sheet; on it, the
+coordinate is 1, where that sheet crosses the pole {z_d = 1}.  Positive drift
+takes the crossing, and the smooth sheet serves every other case.  The
+minimal point is the principal point: all signs +1 and the principal root.
+Exact rational filtering is used where the squared moduli are rational;
+everything else is checked at high precision against a 2^-160 residual
+tolerance, which is rigorous here because distinct candidate moduli in this
+family are never that close.
 """
 
 from __future__ import annotations
@@ -110,116 +112,76 @@ def _sqrt_fraction(q: Fraction):
     return mp.mpc(0, mag) if q < 0 else mp.mpc(mag, 0)
 
 
-def _gradient_residuals(s: StepSet, point, upto):
+def _gradients(s: StepSet, upto):
+    """The first ``upto`` partial derivatives of Sbar."""
     sbar = s.sbar_poly()
-    res = []
-    for j in range(upto):
-        res.append(abs(to_mp(abs(sbar.deriv(j).eval(point)))))
-    return res
+    return [sbar.deriv(j) for j in range(upto)]
 
 
-def _reference_t(dcmp):
-    """|t| at the positive critical point of the smooth kernel sheet."""
-    ones = (1,) * (dcmp.dim - 1)
-    a1, b1, q1 = dcmp.A.eval(ones), dcmp.B.eval(ones), dcmp.Q.eval(ones)
-    c = mp.sqrt(mp.mpf(b1.numerator) / b1.denominator
-                / (mp.mpf(a1.numerator) / a1.denominator))
-    sval = to_mp(q1) + 2 * mp.sqrt(to_mp(a1) * to_mp(b1))
-    return 1 / (c * sval)
+def _residuals(gradients, point):
+    return [abs(to_mp(abs(g.eval(point)))) for g in gradients]
 
 
-def _smooth_family(s: StepSet, dcmp, prec):
-    """Candidates (w, +-sqrt(B(w)/A(w)), t) on the smooth kernel sheet,
-    filtered by the squared-modulus conditions and the criticality residuals."""
+def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
+    """Contributing points over the sign vectors w in {+-1}^(d-1).
+
+    Off the crossing the drift coordinate is w_d = +-sqrt(B(w)/A(w)) on the
+    smooth kernel sheet, kept when |w_d|^2 and |t| match the positive point;
+    at the crossing it is w_d = 1, kept when |S(w,1)| = S(1).  Every kept
+    point must also pass the gradient residual check.
+
+    No kept point lies on the second kernel sheet H2 = 0.  On the smooth sheet
+    H2 = w_d A(w)/Sbar(w), and points with A(w) = 0 or Sbar(w) = 0 are
+    skipped.  At a crossing H2 = B(w)/S(w,1); all weights are positive, so
+    |S(w,1)| = S(1) forces |B(w)| = B(1) > 0 (build_stepset requires a forward
+    step on every axis).
+    """
     d = s.dim
     ones = (1,) * (d - 1)
-    a1, b1 = dcmp.A.eval(ones), dcmp.B.eval(ones)
-    q_ref = Fraction(b1, a1)
+    q_ref = Fraction(dcmp.B.eval(ones), dcmp.A.eval(ones))
+    gradients = _gradients(s, d - 1 if crossing else d)
     out = []
     with mp.workprec(prec + GUARD_BITS):
         tol = _tol()
-        t_ref = _reference_t(dcmp)
+        t_ref = None  # |t| at the positive point, which is the first candidate
         for signs in itertools.product((1, -1), repeat=d - 1):
-            aw = dcmp.A.eval(signs)
-            bw = dcmp.B.eval(signs)
-            qw = dcmp.Q.eval(signs)
-            if aw == 0 or bw == 0:
-                continue
-            q = Fraction(bw, aw)
-            if abs(q) != abs(q_ref):  # exact |w_d|^2 filter
-                continue
-            wd0 = _sqrt_fraction(q)
-            m = Fraction(aw * bw)
-            # with wd^2 = B(w)/A(w), Sbar(w) = Q(w) + 2*wd*A(w), and the principal
-            # root has wd*A(w) = sign(A(w))*sqrt(A(w)B(w)): the rate's exact sign
-            sign_a = 1 if aw > 0 else -1
-            for nu, root in ((0, 1), (2, -1)):
-                wd = root * wd0
-                sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
-                if abs(sval) < tol:
+            aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
+            prod = math.prod(signs)
+            # (nu, w_d, w_d^2, exact rate Sbar(w), t) for each drift coordinate
+            drifts = []
+            if crossing:
+                sw = aw + qw + bw
+                if abs(sw) == dcmp.total_weight:  # exact |t| = 1/S(1) filter
+                    drifts.append((0, mp.mpc(1), Fraction(1),
+                                   QuadVal(sw, Fraction(0), Fraction(0)),
+                                   to_mp(Fraction(1, prod * sw))))
+            elif aw != 0 and bw != 0 and abs(Fraction(bw, aw)) == abs(q_ref):
+                # exact |w_d|^2 filter passed; with w_d^2 = B(w)/A(w),
+                # Sbar(w) = Q(w) + 2*w_d*A(w), and the principal root has
+                # w_d*A(w) = sign(A(w))*sqrt(A(w)B(w)): the rate's exact sign
+                q = Fraction(bw, aw)
+                wd0 = _sqrt_fraction(q)
+                sign_a = 1 if aw > 0 else -1
+                for nu, root in ((0, 1), (2, -1)):
+                    wd = root * wd0
+                    sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
+                    if abs(sval) < tol:
+                        continue
+                    t = 1 / (prod * wd * sval)
+                    t_ref = abs(t) if t_ref is None else t_ref
+                    if abs(abs(t) - t_ref) > tol:
+                        continue
+                    drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
+                                                      Fraction(aw * bw)), t))
+            for nu, wd, wd_squared, rate, t in drifts:
+                if any(g > tol for g in _residuals(gradients, signs + (wd,))):
                     continue
-                prod = 1
-                for sg in signs:
-                    prod *= sg
-                t = 1 / (prod * wd * sval)
-                if abs(abs(t) - t_ref) > tol:
-                    continue
-                grads = _gradient_residuals(s, signs + (wd,), d)
-                if any(g > tol for g in grads):
-                    continue
-                point = ContributingPoint(
-                    w=tuple(mp.mpc(sg) for sg in signs) + (wd,),
-                    t=t,
-                    stratum=TRANSVERSE if q == 1 and abs(wd - 1) < tol else SMOOTH,
-                    nu=nu,
-                    w_signs=signs,
-                    wd_squared=q,
-                    rate_exact=QuadVal(qw, Fraction(2 * sign_a * root), m),
-                )
-                out.append(point)
+                # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
+                stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
+                out.append(ContributingPoint(tuple(mp.mpc(sg) for sg in signs) + (wd,), t,
+                                             stratum, nu, signs, wd_squared, rate))
+    out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
-
-
-def _transverse_family(s: StepSet, dcmp, prec):
-    """Candidates (w, 1, t) on the crossing of the kernel sheet with {z_d = 1}."""
-    d = s.dim
-    s1 = s.total_weight()
-    out = []
-    with mp.workprec(prec + GUARD_BITS):
-        tol = _tol()
-        for signs in itertools.product((1, -1), repeat=d - 1):
-            sw = dcmp.A.eval(signs) + dcmp.Q.eval(signs) + dcmp.B.eval(signs)
-            if sw == 0 or abs(sw) != s1:  # exact |t| = 1/S(1) filter
-                continue
-            prod = 1
-            for sg in signs:
-                prod *= sg
-            t = Fraction(1, prod * sw)
-            grads = _gradient_residuals(s, signs + (1,), d - 1)
-            if any(g > tol for g in grads):
-                continue
-            out.append(ContributingPoint(
-                w=tuple(mp.mpc(sg) for sg in signs) + (mp.mpc(1),),
-                t=to_mp(t),
-                stratum=TRANSVERSE,
-                nu=0,
-                w_signs=signs,
-                wd_squared=Fraction(1),
-                rate_exact=QuadVal(Fraction(sw), Fraction(0), Fraction(0)),
-            ))
-    return out
-
-
-def _sorted_checked(s: StepSet, points, prec):
-    """Points in a fixed order, after checking none lies on the second sheet."""
-    points.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
-    kern = diag_kernel(s)
-    with mp.workprec(prec + GUARD_BITS):
-        tol = _tol()
-        for p in points:
-            if abs(kern.H2.eval(p.coords())) < tol:
-                raise ArithmeticError("candidate lies on the second kernel sheet")
-    return points
 
 
 def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
@@ -227,11 +189,11 @@ def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
 
     Positive drift: crossing points (w, 1, t) with |S(w,1)| = S(1).  Negative
     drift: smooth points (w, +-sqrt(B(w)/A(w)), t).  Zero drift (fully
-    symmetric): the sign points, the all-ones one lying on the crossing.
+    symmetric): the sign points, the all-ones one lying on the crossing.  For
+    drift <= 0 these are exactly the ``smooth_sheet_points``.
     """
     dcmp = decompose(s)
-    family = _transverse_family if dcmp.drift > 0 else _smooth_family
-    return _sorted_checked(s, family(s, dcmp, prec), prec)
+    return _sign_vector_points(s, dcmp, dcmp.drift > 0, prec)
 
 
 def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):
@@ -240,7 +202,7 @@ def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     These drive boundary-return asymptotics when the returning set includes
     the drift axis (the 1 - z_d factor cancels and the crossing disappears).
     """
-    return _sorted_checked(s, _smooth_family(s, decompose(s), prec), prec)
+    return _sign_vector_points(s, decompose(s), False, prec)
 
 
 def minimal_point(s: StepSet, prec=DEFAULT_PREC_BITS) -> ContributingPoint:
@@ -267,13 +229,11 @@ def check_critical(s: StepSet, point, t=None, stratum=SMOOTH,
         coords, tval = tuple(point), t
     kern = diag_kernel(s)
     d = s.dim
+    gradients = _gradients(s, d if stratum == SMOOTH else d - 1)
     with mp.workprec(prec + GUARD_BITS):
         coords = tuple(to_mp(c) for c in coords)
         tval = to_mp(tval)
-        res = {}
-        upto = d if stratum == SMOOTH else d - 1
-        for j, g in enumerate(_gradient_residuals(s, coords, upto)):
-            res[f"grad_{j + 1}"] = g
+        res = {f"grad_{j + 1}": g for j, g in enumerate(_residuals(gradients, coords))}
         res["H1"] = abs(kern.H1.eval(coords + (tval,)))
         if stratum == TRANSVERSE:
             res["H3"] = abs(coords[d - 1] - 1)

@@ -26,7 +26,8 @@ class CapacityError(RuntimeError):
     """A resource bound (state count / table size) was exceeded."""
 
 
-DEFAULT_STATE_CAP = 1 << 26
+DEFAULT_STATE_CAP = 1 << 26  # most DP box cells any count may hold
+ENDPOINT_TABLE_MAX_N = 12
 
 
 def normalize_filter(flt, dim):
@@ -119,12 +120,12 @@ def _integer_weights(s: StepSet):
     return [v for v, _ in s.steps], [int(w * denom) for _, w in s.steps], denom
 
 
-def _check_box(s: StepSet, n_max, state_cap, what):
+def _check_box(s: StepSet, n_max, what):
     cells = (n_max + 1) ** s.dim
-    if cells > state_cap:
+    if cells > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"{what} box (n+1)^{s.dim} = {cells} cells for n = {n_max} exceeds "
-            f"state_cap {state_cap}; raise state_cap to allow"
+            f"the limit of {DEFAULT_STATE_CAP} cells"
         )
 
 
@@ -142,34 +143,33 @@ def _reduce(box, flt):
     return sub.sum() if isinstance(sub, np.ndarray) else sub
 
 
-def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact",
-                state_cap=DEFAULT_STATE_CAP):
+def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
 
     Both modes hold the DP state on the box {0..n_max}^d and raise
-    CapacityError when its (n_max+1)^d cells exceed ``state_cap``.
+    CapacityError when its (n_max+1)^d cells exceed ``DEFAULT_STATE_CAP``.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     flt = normalize_filter(flt, s.dim)
     if mode == "float":
-        return count_profile(s, n_max, state_cap=state_cap)[flt]
+        return count_profile(s, n_max)[flt]
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'float'")
-    _check_box(s, n_max, state_cap, "exact DP")
+    _check_box(s, n_max, "exact DP")
     vectors, weights, denom = _integer_weights(s)
     values = [_exact(_reduce(box, flt), denom, n)
               for n, box in enumerate(_dp.evolve(vectors, weights, n_max, object))]
     return CountSeries("exact", flt, values)
 
 
-def count_profile(s: StepSet, n_max, state_cap=DEFAULT_STATE_CAP):
+def count_profile(s: StepSet, n_max):
     """One float DP pass returning CountSeries for every standard filter.
 
     Standard filters: anywhere and every non-empty axis subset (the full
     subset being the origin).
     """
-    _check_box(s, n_max, state_cap, "float DP")
+    _check_box(s, n_max, "float DP")
     vectors, weights, _ = _integer_weights(s)
     keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
                            for mask in range(1, 2**s.dim)]
@@ -186,11 +186,11 @@ def count_profile(s: StepSet, n_max, state_cap=DEFAULT_STATE_CAP):
     return out
 
 
-def endpoint_table(s: StepSet, n, max_n=12, state_cap=DEFAULT_STATE_CAP):
+def endpoint_table(s: StepSet, n):
     """Exact coefficients of the length-n slice of the full endpoint generating function."""
-    if n > max_n:
-        raise CapacityError(f"endpoint tables limited to n <= {max_n} by default")
-    _check_box(s, n, state_cap, "exact DP")
+    if n > ENDPOINT_TABLE_MAX_N:
+        raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
+    _check_box(s, n, "exact DP")
     vectors, weights, denom = _integer_weights(s)
     for box in _dp.evolve(vectors, weights, n, object):
         pass

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 from orthantwalks.enumeration import CountSeries
 
+# the periods tried, shortest first, by the fitter here and by the engine's
+# fold (asympt._fold); compare_fit needs one period to divide the other
 PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 
 EMP_LOG_RHO_TOL = 1e-2

@@ -23,6 +23,8 @@ from orthantwalks.enumeration import endpoint_table
 from orthantwalks.laurent import LaurentPoly
 from orthantwalks.stepset import Decomposition, StepSet, decompose
 
+COPRIMALITY_SAMPLES = 4  # rational points tried on each factor's zero set
+
 
 # ------------------------------------------------------------ symmetry group
 
@@ -129,12 +131,12 @@ def diag_kernel(s: StepSet) -> DiagonalKernel:
     return DiagonalKernel(s, dcmp, G, H1, H2, H3)
 
 
-def coprimality_spotcheck(kern: DiagonalKernel, samples=4):
+def coprimality_spotcheck(kern: DiagonalKernel):
     """G does not vanish identically on any H_i zero set, sampled at rational points."""
     d = kern.stepset.dim
     for name, H in kern.factors().items():
         found_nonzero = False
-        for k in range(1, samples + 1):
+        for k in range(1, COPRIMALITY_SAMPLES + 1):
             z = [Fraction(j + 2, j + k + 2) for j in range(d)]
             if name == "H3":
                 z[d - 1] = Fraction(1)

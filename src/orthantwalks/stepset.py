@@ -76,10 +76,12 @@ class StepSet:
     def canonical_steps(self):
         return tuple((self.canonical_vector(v), w) for v, w in self.steps)
 
-    def to_canonical_axes(self, axes):
-        """Map a set of 0-based original axes to canonical axis indices."""
-        inv = {j: i for i, j in enumerate(self.axis_order)}
-        return frozenset(inv[a] for a in axes)
+    def canonical_variant(self, flt):
+        """The sorted canonical axes of a normalized endpoint filter; () for
+        'anywhere'."""
+        if flt == "anywhere":
+            return ()
+        return tuple(sorted(self.axis_order.index(a) for a in flt[1]))
 
     # ------------------------------------------------------------ invariants
 
@@ -148,7 +150,10 @@ def build_stepset(dimension, steps):
                 vec = SHORTHAND_2D[vec.strip().upper()]
             except KeyError:
                 raise StepSetError(f"unknown step shorthand {vec!r}") from None
-        vec = tuple(int(c) for c in vec)
+        try:
+            vec = tuple(int(c) for c in vec)
+        except (TypeError, ValueError):
+            raise StepSetError(f"step vector {vec!r} is not a list of integers") from None
         if len(vec) != dimension:
             raise StepSetError(f"step {vec} has wrong dimension")
         if any(c not in (-1, 0, 1) for c in vec):
@@ -293,16 +298,29 @@ def decompose(s: StepSet) -> Decomposition:
 # ------------------------------------------------------------------ file I/O
 
 def stepset_from_document(doc):
-    """Build a StepSet from a parsed model document (see the file format)."""
+    """Build a StepSet from a parsed model document (see the file format), or
+    from a comma-separated compass list; StepSetError names a bad field."""
     if isinstance(doc, str):
         return build_stepset(2, [t.strip() for t in doc.split(",") if t.strip()])
-    dim = int(doc["dimension"])
+    if not isinstance(doc, dict):
+        raise StepSetError("model document must be a JSON object")
+    for field in ("dimension", "steps"):
+        if field not in doc:
+            raise StepSetError(f"model document has no {field!r} field")
+    try:
+        dim = int(doc["dimension"])
+    except (TypeError, ValueError):
+        raise StepSetError(f"'dimension' {doc['dimension']!r} is not an integer") from None
+    if not isinstance(doc["steps"], list):
+        raise StepSetError("'steps' must be a list of step records")
     steps = []
     for rec in doc["steps"]:
         if isinstance(rec, str):
             steps.append(rec)
-        else:
+        elif isinstance(rec, dict) and "vector" in rec:
             steps.append((rec["vector"], rec.get("weight", 1)))
+        else:
+            raise StepSetError(f"step record {rec!r} needs a 'vector' field")
     return build_stepset(dim, steps)
 
 

@@ -19,6 +19,7 @@ from orthantwalks.asympt import (
 )
 from orthantwalks.catalog import lookup
 from orthantwalks.critical import QuadVal, contributing_points, minimal_point
+from orthantwalks.enumeration import normalize_filter
 from orthantwalks.laurent import Jet, jet_of_exponential_substitution
 from orthantwalks.stepset import (
     UnsupportedModelError,
@@ -245,7 +246,7 @@ def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
     # Where the amplitude vanishes at the point (every boundary filter here)
     # the phase is read only to degree 2N-1; the unfiltered plain and residue
     # forms read it to degree 2N.
-    variant = tuple(sorted(s.to_canonical_axes(axes)))
+    variant = s.canonical_variant(normalize_filter(("axes", axes), s.dim))
     with mp.workprec(280):
         pts = contributing_points(s, PREC)
         want = [operator_saddle_coefficients(s, p, depth, variant, PREC) for p in pts]
@@ -264,7 +265,7 @@ def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
 def test_deeper_expansion_extends_shallower(s, depth, data):
     axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
     flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
-    variant = tuple(sorted(s.to_canonical_axes(axes)))
+    variant = s.canonical_variant(flt)
     with mp.workprec(260):
         # the points asympt_full expands for this filter
         for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:

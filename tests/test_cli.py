@@ -171,6 +171,36 @@ def test_cli_out_file_and_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"steps": ["N", "S", "E", "W"]}, "'dimension'"),
+    ({"dimension": 2}, "'steps'"),
+    ({"dimension": 2, "steps": [{"weight": "1"}, "S", "E", "W"]}, "'vector'"),
+    (["N", "S", "E", "W"], "JSON object"),
+    ({"dimension": 2, "steps": [5, "S", "E", "W"]}, "'vector'"),
+    ({"dimension": 2, "steps": [{"vector": 5}, "S", "E", "W"]}, "step vector 5"),
+    ({"dimension": 2, "steps": [{"vector": ["a", 1]}, "S", "E", "W"]}, "step vector ['a', 1]"),
+], ids=["no dimension", "no steps", "no vector", "list document", "number record",
+        "number vector", "non-integer vector"])
+def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["count", "--model", str(path), "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["count", "diagonal", "asympt", "verify"])
+@pytest.mark.parametrize("endpoint", ["nowhere", "axes=a", "axes=3"])
+def test_cli_bad_endpoint_is_usage_error(capsys, command, endpoint):
+    assert main([command, "--model", "N,SE,S,SW", "--endpoint", endpoint]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --endpoint")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_usage_errors(capsys):
     assert main(["count", "--model", "NOT,A,MODEL"]) == 3
     assert main(["count"]) == 3

@@ -213,8 +213,17 @@ def test_candidate_count_bounds(s):
     assert minimal_point(s) == mins[0]
     sheet = smooth_sheet_points(s)
     assert len(sheet) <= 2**d
-    # each exact rate is 1/(w_1..w_d t) at the point
+    # off the crossing both searches are one: asympt_full relies on it
+    if cls.drift_sign <= 0:
+        assert pts == sheet
+    # every point is critical and off the second kernel sheet (H2_distance)
+    assert all(check_critical(s, p).ok for p in pts + sheet)
     with mp.workprec(256):
+        # each point shares |t| with the positive point of its search
+        for found in (pts, sheet):
+            ref = abs(next(p for p in found if p.is_principal()).t)
+            assert all(abs(abs(p.t) - ref) < mp.mpf(2) ** -150 for p in found)
+        # each exact rate is 1/(w_1..w_d t) at the point
         for p in pts + sheet:
             prod = p.t
             for c in p.w:

@@ -169,7 +169,7 @@ def test_exact_three_dimensional_model():
 
 def test_capacity_errors():
     with pytest.raises(CapacityError):
-        count_walks(NSEW, 6, state_cap=3)
+        count_walks(NSEW, 8192)  # (8193)^2 cells exceed 2^26, refused before allocating
     with pytest.raises(CapacityError):
         endpoint_table(NSEW, 20)
     with pytest.raises(CapacityError):

@@ -84,7 +84,9 @@ def test_canonical_order_moves_drift_axis_last():
     d = decompose(s)
     assert d.A == LaurentPoly.const(1, 1)
     assert d.B == LaurentPoly(1, {(1,): 1, (-1,): 1})
-    assert s.to_canonical_axes({0}) == frozenset({1})
+    assert s.canonical_variant(("axes", (0,))) == (1,)
+    assert s.canonical_variant(("axes", (0, 1))) == (0, 1)
+    assert s.canonical_variant("anywhere") == ()
 
 
 def test_validation_errors():
