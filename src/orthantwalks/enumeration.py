@@ -3,8 +3,11 @@ orthant, with endpoint filters (anywhere / chosen boundary hyperplanes / origin)
 and full endpoint-resolved tables.
 
 Both modes run the one kernel in ``_dp`` on the weights scaled to integers by
-D, the lcm of their denominators.  Exact mode counts in Python big integers and
-divides by D^n when it reads a count (giving Fractions for non-integer
+D, the lcm of their denominators.  The kernel keeps cell-by-cell only the walks
+that can still return to a boundary hyperplane by the horizon n_max and sums
+the rest over the axes they can no longer reach, so a filter's count adds up
+the parts that keep all of its axes.  Exact mode counts in Python big integers
+and divides by D^n when it reads a count (giving Fractions for non-integer
 weights); it is bit-reproducible.  Float mode renormalizes by the total weight
 S(1) at every step, storing u_n = s_n / S(1)^n together with the log scale, so
 series up to n ~ 1000 neither overflow nor silently degrade.
@@ -12,6 +15,7 @@ series up to n ~ 1000 neither overflow nor silently degrade.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,7 @@ class CapacityError(RuntimeError):
     """A resource bound (state count / table size) was exceeded."""
 
 
-DEFAULT_STATE_CAP = 1 << 26  # most DP box cells any count may hold
+DEFAULT_STATE_CAP = 1 << 26  # largest box (n_max+1)^d any count may span
 ENDPOINT_TABLE_MAX_N = 12
 
 
@@ -56,6 +60,8 @@ def parse_filter(text, dim):
         return normalize_filter(text, dim)
     if text.startswith("axes="):
         axes = tuple(int(a) - 1 for a in text[5:].split(",") if a.strip())
+        if not axes:
+            raise ValueError(f"endpoint filter {text!r} names no axis")
         return normalize_filter(("axes", axes), dim)
     raise ValueError(f"cannot parse endpoint filter {text!r}")
 
@@ -135,19 +141,16 @@ def _exact(count, denom, n):
     return count if denom == 1 or not count else Fraction(count, denom**n)
 
 
-def _reduce(box, flt):
-    if flt == "anywhere":
-        return box.sum()
-    idx = tuple(0 if j in flt[1] else slice(None) for j in range(box.ndim))
-    sub = box[idx]
-    return sub.sum() if isinstance(sub, np.ndarray) else sub
+def _reduce(state, flt):
+    return _dp.restricted_total(state, () if flt == "anywhere" else flt[1])
 
 
 def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
 
-    Both modes hold the DP state on the box {0..n_max}^d and raise
-    CapacityError when its (n_max+1)^d cells exceed ``DEFAULT_STATE_CAP``.
+    Both modes raise CapacityError when the box {0..n_max}^d the walks span
+    has more than ``DEFAULT_STATE_CAP`` cells, although no part of the
+    kernel's state holds more than (n_max//2 + 2)^d of them.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -158,8 +161,8 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
         raise ValueError("mode must be 'exact' or 'float'")
     _check_box(s, n_max, "exact DP")
     vectors, weights, denom = _integer_weights(s)
-    values = [_exact(_reduce(box, flt), denom, n)
-              for n, box in enumerate(_dp.evolve(vectors, weights, n_max, object))]
+    values = [_exact(_reduce(state, flt), denom, n)
+              for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object))]
     return CountSeries("exact", flt, values)
 
 
@@ -174,9 +177,9 @@ def count_profile(s: StepSet, n_max):
     keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
                            for mask in range(1, 2**s.dim)]
     raw = {key: np.zeros(n_max + 1) for key in keys}
-    for n, box in enumerate(_dp.evolve(vectors, weights, n_max, np.float64)):
+    for n, state in enumerate(_dp.evolve(vectors, weights, n_max, np.float64)):
         for key, arr in raw.items():
-            arr[n] = _reduce(box, key)
+            arr[n] = _reduce(state, key)
     log_scale = math.log(float(s.total_weight()))
     out = {}
     for flt, arr in raw.items():
@@ -192,7 +195,9 @@ def endpoint_table(s: StepSet, n):
         raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
     _check_box(s, n, "exact DP")
     vectors, weights, denom = _integer_weights(s)
-    for box in _dp.evolve(vectors, weights, n, object):
-        pass
+    # n steps before a horizon of 2n no walk is far from any axis yet, so the
+    # state is one part holding every endpoint
+    states = _dp.evolve(vectors, weights, 2 * n, object)
+    (box,) = next(itertools.islice(states, n, None)).values()
     return EndpointTable(n, {tuple(pos): _exact(box[tuple(pos)], denom, n)
                              for pos in np.argwhere(box != 0).tolist()})

@@ -16,6 +16,8 @@ polynomials.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,17 +175,31 @@ def _t_series(a: LaurentPoly, b: LaurentPoly, n_max, bound):
     f_n = a f_{n-1} + b^n, keeping the terms with every exponent <= bound.
 
     a and b have exponents in 0..2, so exponents only grow along the
-    recurrence: a term dropped here cannot reach a kept one later.
+    recurrence: a term dropped here cannot reach a kept one later, and the
+    products skip such terms instead of forming them.  The recurrence runs on
+    the integer polynomials F_n = D^n f_n, with D the lcm of the denominators
+    of a and b.
     """
-    def kept(p):
-        return LaurentPoly(p.dim, {e: c for e, c in p.terms.items() if max(e) <= bound})
+    denom = math.lcm(*(c.denominator for p in (a, b) for c in p.terms.values()))
+    ai, bi = ({e: int(c * denom) for e, c in p.terms.items()} for p in (a, b))
 
-    f = bpow = LaurentPoly.const(a.dim, 1)
-    yield f
-    for _ in range(n_max):
-        bpow = kept(bpow * b)
-        f = kept(a * f) + bpow
-        yield f
+    def product(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(map(operator.add, e1, e2))
+                if max(e) <= bound:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    f = bpow = {(0,) * a.dim: 1}
+    yield LaurentPoly(a.dim, f)
+    for n in range(1, n_max + 1):
+        bpow = product(bpow, bi)
+        f = product(ai, f)
+        for e, c in bpow.items():
+            f[e] = f.get(e, 0) + c
+        yield LaurentPoly(a.dim, {e: Fraction(c, denom**n) for e, c in f.items()})
 
 
 def _diagonal_term(g: LaurentPoly, f: LaurentPoly, n):

@@ -34,6 +34,18 @@ class UnsupportedModelError(ValueError):
     """The model falls outside the supported symmetry classes."""
 
 
+def _integer(value, what):
+    """``value`` as an int when it is integral; StepSetError naming ``what`` otherwise."""
+    try:
+        if isinstance(value, str):
+            return int(value)
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StepSetError(f"{what} {value!r} is not an integer")
+
+
 def parse_weight(w):
     """Exact rational weight from int/Fraction or a string like '3/2' or '0.25'."""
     if isinstance(w, Fraction):
@@ -135,6 +147,7 @@ def build_stepset(dimension, steps):
     ``steps`` is an iterable of (vector, weight) pairs or, in two dimensions,
     compass shorthands (optionally (shorthand, weight)).
     """
+    dimension = _integer(dimension, "'dimension'")
     if dimension < 2:
         raise StepSetError("dimension must be at least 2")
     parsed = []
@@ -151,8 +164,8 @@ def build_stepset(dimension, steps):
             except KeyError:
                 raise StepSetError(f"unknown step shorthand {vec!r}") from None
         try:
-            vec = tuple(int(c) for c in vec)
-        except (TypeError, ValueError):
+            vec = tuple(_integer(c, "component") for c in vec)
+        except (TypeError, StepSetError):
             raise StepSetError(f"step vector {vec!r} is not a list of integers") from None
         if len(vec) != dimension:
             raise StepSetError(f"step {vec} has wrong dimension")
@@ -307,10 +320,6 @@ def stepset_from_document(doc):
     for field in ("dimension", "steps"):
         if field not in doc:
             raise StepSetError(f"model document has no {field!r} field")
-    try:
-        dim = int(doc["dimension"])
-    except (TypeError, ValueError):
-        raise StepSetError(f"'dimension' {doc['dimension']!r} is not an integer") from None
     if not isinstance(doc["steps"], list):
         raise StepSetError("'steps' must be a list of step records")
     steps = []
@@ -321,7 +330,7 @@ def stepset_from_document(doc):
             steps.append((rec["vector"], rec.get("weight", 1)))
         else:
             raise StepSetError(f"step record {rec!r} needs a 'vector' field")
-    return build_stepset(dim, steps)
+    return build_stepset(doc["dimension"], steps)
 
 
 def load_stepset(path):

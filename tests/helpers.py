@@ -70,24 +70,14 @@ def symmetric_models(draw, dims=(2, 3), want=("pos", "neg", "hs")):
     return build_stepset(d, steps)
 
 
-def brute_force_counts(steps, n_max, dim, endpoint=None, axes=None):
-    """Oracle: direct recursive enumeration of orthant paths, no DP reuse.
+def brute_force_endpoints(steps, n_max, dim):
+    """Oracle: the endpoint weights {position: total weight} after 0..n_max steps.
 
-    ``steps`` is a list of (vector, weight).  Returns the list s_0..s_{n_max}
-    of total weights of paths whose endpoint satisfies the filter:
-    everything, exact ``endpoint``, or zero on every axis in ``axes``.
+    ``steps`` is a list of (vector, weight); steps leaving the orthant are dropped.
     """
-    totals = []
     frontier = {(0,) * dim: Fraction(1)}
-    for n in range(n_max + 1):
-        tot = Fraction(0)
-        for pos, w in frontier.items():
-            if endpoint is not None and pos != tuple(endpoint):
-                continue
-            if axes is not None and any(pos[j] != 0 for j in axes):
-                continue
-            tot += w
-        totals.append(tot)
+    yield frontier
+    for _ in range(n_max):
         nxt = {}
         for pos, w in frontier.items():
             for v, wv in steps:
@@ -96,6 +86,26 @@ def brute_force_counts(steps, n_max, dim, endpoint=None, axes=None):
                     continue
                 nxt[q] = nxt.get(q, Fraction(0)) + w * wv
         frontier = nxt
+        yield frontier
+
+
+def brute_force_counts(steps, n_max, dim, endpoint=None, axes=None):
+    """Oracle: direct recursive enumeration of orthant paths, no DP reuse.
+
+    ``steps`` is a list of (vector, weight).  Returns the list s_0..s_{n_max}
+    of total weights of paths whose endpoint satisfies the filter:
+    everything, exact ``endpoint``, or zero on every axis in ``axes``.
+    """
+    totals = []
+    for frontier in brute_force_endpoints(steps, n_max, dim):
+        tot = Fraction(0)
+        for pos, w in frontier.items():
+            if endpoint is not None and pos != tuple(endpoint):
+                continue
+            if axes is not None and any(pos[j] != 0 for j in axes):
+                continue
+            tot += w
+        totals.append(tot)
     return totals
 
 

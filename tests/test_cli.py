@@ -179,8 +179,10 @@ def test_cli_out_file_and_determinism(tmp_path, capsys):
     ({"dimension": 2, "steps": [5, "S", "E", "W"]}, "'vector'"),
     ({"dimension": 2, "steps": [{"vector": 5}, "S", "E", "W"]}, "step vector 5"),
     ({"dimension": 2, "steps": [{"vector": ["a", 1]}, "S", "E", "W"]}, "step vector ['a', 1]"),
+    ({"dimension": 2, "steps": [{"vector": [0.5, 1]}, "S", "E", "W"]}, "step vector [0.5, 1]"),
+    ({"dimension": 2.7, "steps": ["N", "S", "E", "W"]}, "'dimension' 2.7"),
 ], ids=["no dimension", "no steps", "no vector", "list document", "number record",
-        "number vector", "non-integer vector"])
+        "number vector", "non-integer vector", "fractional vector", "fractional dimension"])
 def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
@@ -192,7 +194,7 @@ def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
 
 
 @pytest.mark.parametrize("command", ["count", "diagonal", "asympt", "verify"])
-@pytest.mark.parametrize("endpoint", ["nowhere", "axes=a", "axes=3"])
+@pytest.mark.parametrize("endpoint", ["nowhere", "axes=a", "axes=3", "axes="])
 def test_cli_bad_endpoint_is_usage_error(capsys, command, endpoint):
     assert main([command, "--model", "N,SE,S,SW", "--endpoint", endpoint]) == 3
     captured = capsys.readouterr()

@@ -1,13 +1,16 @@
 """DP oracle: exact counts vs brute force, float mode, filters, invariants."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_counts, symmetric_models
+from helpers import brute_force_counts, brute_force_endpoints, symmetric_models
+from orthantwalks import _dp
 from orthantwalks.enumeration import (
+    ENDPOINT_TABLE_MAX_N,
     CapacityError,
     count_profile,
     count_walks,
@@ -21,6 +24,15 @@ NSEW = build_stepset(2, ["N", "S", "E", "W"])
 NNWS = build_stepset(2, ["NE", "NW", "S"])
 NSESSW = build_stepset(2, ["N", "SE", "S", "SW"])
 NSESW = build_stepset(2, ["N", "SE", "SW"])
+WEIGHTED = build_stepset(2, [("N", Fraction(1, 2)), ("SE", Fraction(3, 2)), "S", ("SW", 2)])
+D3 = build_stepset(3, [((0, 0, 1), 1)] + [((sx, sy, -1), 1) for sx in (-1, 1) for sy in (-1, 1)])
+D4 = build_stepset(4, [((0, 0, 0, 1), 1)] + [((a, b, c, -1), 1)
+                                             for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
+
+
+def standard_filters(dim):
+    return ["anywhere"] + [("axes", tuple(j for j in range(dim) if mask >> j & 1))
+                           for mask in range(1, 2**dim)]
 
 
 # ------------------------------------------------------------- frozen values
@@ -50,12 +62,11 @@ def test_endpoint_tables():
     assert endpoint_table(NSESSW, 2).counts == {(0, 2): 1, (1, 0): 1, (0, 0): 1}
     assert endpoint_table(NSESSW, 2).total() == count_walks(NSESSW, 2).values[2] == 3
     # rational weights: exact Fractions, checked endpoint by endpoint
-    weighted = build_stepset(2, [("N", Fraction(1, 2)), ("SE", Fraction(3, 2)), "S", ("SW", 2)])
-    table = endpoint_table(weighted, 5)
+    table = endpoint_table(WEIGHTED, 5)
     for point, c in table.counts.items():
         assert type(c) is Fraction
-        assert c == brute_force_counts(weighted.steps, 5, 2, endpoint=point)[5]
-    assert table.total() == count_walks(weighted, 5).values[5] == Fraction(103, 16)
+        assert c == brute_force_counts(WEIGHTED.steps, 5, 2, endpoint=point)[5]
+    assert table.total() == count_walks(WEIGHTED, 5).values[5] == Fraction(103, 16)
 
 
 @settings(max_examples=20, deadline=None)
@@ -68,6 +79,51 @@ def test_exact_matches_brute_force(s, n):
         assert c == expect
 
 
+# ---------------------------------------------------------- light-cone pruning
+# The kernel collapses every axis a walk cannot return to before the horizon
+# n_max, so each horizon prunes differently: every horizon up to the largest is
+# checked, at every n, on every standard filter.
+
+@pytest.mark.parametrize("s, horizon", [(NSESSW, 17), (WEIGHTED, 14), (D3, 11), (D4, 8)],
+                         ids=["N,SE,S,SW", "rational weights", "3D", "4D"])
+def test_exact_counts_match_brute_force_at_every_horizon(s, horizon):
+    for flt in standard_filters(s.dim):
+        axes = None if flt == "anywhere" else flt[1]
+        want = brute_force_counts(s.steps, horizon, s.dim, axes=axes)
+        for n_max in range(horizon + 1):
+            assert count_walks(s, n_max, flt).values == want[:n_max + 1], (flt, n_max)
+
+
+@pytest.mark.parametrize("s", [WEIGHTED, D3], ids=["rational weights", "3D"])
+def test_endpoint_tables_match_brute_force(s):
+    for n, frontier in enumerate(brute_force_endpoints(s.steps, ENDPOINT_TABLE_MAX_N, s.dim)):
+        assert endpoint_table(s, n).counts == frontier
+
+
+@pytest.mark.parametrize("s, n_max", [(NSESSW, 81), (D3, 30), (D4, 16)], ids=["2D", "3D", "4D"])
+def test_float_profile_matches_exact_after_every_axis_collapses(s, n_max):
+    s1 = s.total_weight()
+    for flt, series in count_profile(s, n_max).items():
+        exact = count_walks(s, n_max, flt).values
+        for k, (u, c) in enumerate(zip(series.values, exact)):
+            if c == 0:
+                assert u == 0.0
+            else:
+                assert abs(u / float(Fraction(c) / s1**k) - 1) < 1e-12, (flt, k)
+
+
+def test_evolve_keeps_only_the_light_cone_live():
+    # the full part shrinks to {0..min(n, H-n)}^d, and the walks far from
+    # every axis end up in the scalar part, with the total weight kept
+    vectors, weights = [v for v, _ in D3.steps], [1] * len(D3.steps)
+    horizon = 12
+    for n, state in enumerate(_dp.evolve(vectors, weights, horizon, object)):
+        assert state[(0, 1, 2)].shape == (min(n, horizon - n) + 1,) * 3
+        assert _dp.restricted_total(state, ()) == count_walks(D3, n).values[n]
+    assert set(state) == {axes for r in range(4) for axes in itertools.combinations(range(3), r)}
+    assert state[()][()] > 0
+
+
 # ------------------------------------------------------------------ filters
 
 def test_filter_parsing():
@@ -77,6 +133,9 @@ def test_filter_parsing():
     assert normalize_filter(("axes", ()), 2) == "anywhere"
     with pytest.raises(ValueError):
         parse_filter("axes=5", 2)
+    for empty in ("axes=", "axes=,"):  # names no boundary, so it is not 'anywhere'
+        with pytest.raises(ValueError):
+            parse_filter(empty, 2)
 
 
 def test_filter_nesting():

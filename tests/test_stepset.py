@@ -104,6 +104,24 @@ def test_validation_errors():
         build_stepset(2, [((0, 0), 1), ("N", 1), ("S", 1), ("E", 1), ("W", 1)])
 
 
+def test_non_integer_step_data_rejected():
+    # truncating these would silently count a different model
+    with pytest.raises(StepSetError, match=r"step vector \[0\.5, 1\]"):
+        build_stepset(2, [([0.5, 1], 1), "S", "E", "W"])
+    with pytest.raises(StepSetError, match="'dimension' 2.7 is not an integer"):
+        build_stepset(2.7, ["N", "S", "E", "W"])
+    with pytest.raises(StepSetError, match="'dimension' 2.7 is not an integer"):
+        stepset_from_document({"dimension": 2.7, "steps": ["N", "S", "E", "W"]})
+    with pytest.raises(StepSetError, match="step vector"):
+        stepset_from_document({"dimension": 2, "steps": [{"vector": [0, Fraction(1, 2)]},
+                                                         "S", "E", "W"]})
+    # integral values of any numeric type still pass
+    nsew = build_stepset(2, ["N", "S", "E", "W"])
+    assert build_stepset(2.0, [([0, 1.0], 1), ([Fraction(2, 2), 0], 1), "S", "W"]) == nsew
+    doc = {"dimension": 2, "steps": [{"vector": [0, 1]}, "S", "E", "W"]}
+    assert stepset_from_document(doc) == nsew
+
+
 def test_decimal_weights_parse_exactly():
     s = build_stepset(2, [("N", "0.5"), ("S", "1/2"), ("E", 1), ("W", 1)])
     assert s.total_weight() == 3
