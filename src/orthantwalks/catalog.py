@@ -3,9 +3,12 @@ for walks ending anywhere and for boundary returns, closed-form generating
 functions where known, and the reproduction harness comparing stored values
 against the symbolic engine and the enumeration oracle.
 
-Stored constants are exact radical expressions evaluated on demand at high
-precision.  Boundary columns: ``x_axis`` means the endpoint has first
-coordinate 0, ``y_axis`` second coordinate 0, ``origin`` both.
+Stored constants are exact radical expressions, turned into numbers only by
+``StoredAsymptotics``; ``periodic`` gives them as the engine's
+``PeriodicForm``, the one prediction record that ``fit.compare_fit`` and the
+engine-vs-stored check both read.  Boundary columns: ``x_axis`` means the
+endpoint has first coordinate 0, ``y_axis`` second coordinate 0, ``origin``
+both.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from orthantwalks.asympt import asympt_full
+from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import count_profile, normalize_filter
-from orthantwalks.fit import compare_fit, estimate_growth
+from orthantwalks.fit import common_period, compare_fit, estimate_growth
 from orthantwalks.laurent import GUARD_BITS, DEFAULT_PREC_BITS
 from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
 
@@ -64,6 +67,11 @@ class StoredAsymptotics:
 
     def constant_values(self, prec=DEFAULT_PREC_BITS):
         return [eval_const(c, prec) for c in self.constants]
+
+    def periodic(self, prec=DEFAULT_PREC_BITS):
+        """The stored values as a PeriodicForm, evaluated at ``prec`` bits."""
+        return PeriodicForm(self.period, self.constant_values(prec), self.alpha,
+                            self.rate_value(prec), self.rate)
 
 
 @dataclass(frozen=True)
@@ -272,27 +280,23 @@ class CellResult:
     details: dict
 
 
-def _compare_symbolic(entry, stored, expansion, prec):
+def _compare_symbolic(want, expansion, prec):
+    """Check the engine's expansion against ``want``, the stored PeriodicForm."""
     details = {}
     if expansion.partial or expansion.periodic is None:
         return "partial", {"notes": list(expansion.notes)}
     pf = expansion.periodic
     with mp.workprec(prec + GUARD_BITS):
-        rate_err = abs(pf.rate_modulus - stored.rate_value(prec)) / stored.rate_value(prec)
+        rate_err = abs(pf.rate_modulus - want.rate_modulus) / want.rate_modulus
         details["rate_rel_err"] = float(rate_err)
         ok = rate_err < SYMBOLIC_REL_TOL
         details["alpha"] = str(pf.alpha)
-        ok = ok and pf.alpha == stored.alpha
-        want = stored.constant_values(prec)
-        if pf.period != stored.period:
-            # allow refolding onto a multiple of the stored period
-            if pf.period % stored.period == 0:
-                want = [want[r % stored.period] for r in range(pf.period)]
-            else:
-                ok = False
-                want = []
+        ok = ok and pf.alpha == want.alpha
+        span = common_period(pf.period, want.period)
+        ok = ok and span is not None
         errs = []
-        for got, w in zip(pf.constants, want):
+        for r in range(span or 0):
+            got, w = pf.constants[r % pf.period], want.constants[r % want.period]
             errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
             ok = ok and errs[-1] < SYMBOLIC_REL_TOL
         # errors below half the working precision are rounding noise: reported
@@ -316,17 +320,17 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                      prec=DEFAULT_PREC_BITS, entries=None, threads=1):
     """Reproduce the stored asymptotics tables; returns a list of CellResult.
 
-    Symbolic mode runs the engine on theorem-covered entries (and on every
-    boundary cell whose expansion is not flagged partial); empirical mode fits
-    the float enumeration oracle on all entries and all boundary columns.
+    Symbolic mode runs the engine only on theorem-covered entries, every
+    column of them, and reports the other entries' cells as skipped; empirical
+    mode fits the float enumeration oracle on all entries and all columns.
     """
     results = []
     chosen = entries if entries is not None else ENTRIES
     profiles = {}
-    if "empirical" in modes and threads > 1:
-        # numpy releases the GIL inside the float DP's array updates, so
-        # prefetching the enumeration passes in a pool speeds the reproduction
-        # up; fits and comparisons stay sequential (deterministic output either way)
+    if "empirical" in modes:
+        # numpy releases the GIL inside the float DP's array updates, so the
+        # enumeration passes run in a pool of ``threads`` workers; fits and
+        # comparisons stay sequential (deterministic output for any ``threads``)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads) as pool:
@@ -335,26 +339,21 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
             profiles = {name: f.result() for name, f in futs.items()}
     for entry in chosen:
         s = entry.stepset()
-        entry_cells = cells(entry, which)
-        profile = None
-        if "empirical" in modes and entry_cells:
-            profile = profiles.get(entry.name) or count_profile(s, n_max)
-        for table, col, stored in entry_cells:
+        for table, col, stored in cells(entry, which):
             flt = COLUMN_FILTERS[col]
+            want = stored.periodic(prec)
             if "symbolic" in modes:
                 if entry.theorem_covered():
                     exp = asympt_full(s, flt, prec=prec)
-                    status, details = _compare_symbolic(entry, stored, exp, prec)
-                    results.append(CellResult(entry.name, table, col, "symbolic",
-                                              status, details))
+                    status, details = _compare_symbolic(want, exp, prec)
                 else:
-                    results.append(CellResult(entry.name, table, col, "symbolic",
-                                              "skipped", {"reason": entry.klass}))
+                    status, details = "skipped", {"reason": entry.klass}
+                results.append(CellResult(entry.name, table, col, "symbolic",
+                                          status, details))
             if "empirical" in modes:
-                fit = estimate_growth(profile[normalize_filter(flt, s.dim)])
-                ok, details = compare_fit(
-                    fit, float(stored.rate_value(prec)), float(stored.alpha),
-                    [float(v) for v in stored.constant_values(prec)])
+                fit = estimate_growth(profiles[entry.name][normalize_filter(flt, s.dim)])
+                ok, details = compare_fit(fit, want.rate_modulus, want.alpha,
+                                          want.constants)
                 results.append(CellResult(entry.name, table, col, "empirical",
                                           "pass" if ok else "fail", details))
     return results

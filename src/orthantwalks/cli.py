@@ -12,9 +12,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -64,19 +65,7 @@ class VerificationReport:
     notes: tuple
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "symmetry_class": self.symmetry_class,
-            "drift_sign": self.drift_sign,
-            "endpoint": self.endpoint,
-            "predicted": self.predicted,
-            "empirical": self.empirical,
-            "exact_checks": self.exact_checks,
-            "comparisons": self.comparisons,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self), "notes": list(self.notes)}
 
 
 # n up to which verify checks the exact identities, by dimension (8 above 3D)
@@ -141,25 +130,25 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     else:
         exact_checks["note"] = "kernel identities skipped: unsupported symmetry class"
 
-    predicted = None
-    pf = None
+    # the prediction: the engine's, or else the stored catalog values
+    predicted = pf = None
+    source = "engine"
     partial = not supported
     if supported:
         exp = asympt_full(s, flt, prec=prec)
         predicted = _expansion_payload(exp, digits)
         partial = exp.partial
         pf = exp.periodic if not exp.partial else None
-
-    stored = None
     if pf is None:
         try:
-            entry = catalog_mod.lookup(s)
-            stored = entry.stored(next(col for col, f in catalog_mod.COLUMN_FILTERS.items()
-                                       if normalize_filter(f, d) == flt))
-            if stored is not None:
-                notes.append("prediction from stored catalog values (empirical-only)")
+            stored = catalog_mod.lookup(s).stored(next(
+                col for col, f in catalog_mod.COLUMN_FILTERS.items()
+                if normalize_filter(f, d) == flt))
         except KeyError:
-            pass
+            stored = None
+        if stored is not None:
+            pf, source = stored.periodic(prec), "catalog"
+            notes.append("prediction from stored catalog values (empirical-only)")
 
     fit = estimate_growth(count_walks(s, n_max, flt, mode="float"))
     empirical = {
@@ -174,14 +163,8 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
 
     comparisons = {}
     if pf is not None:
-        ok, comp = compare_fit(fit, float(pf.rate_modulus), float(pf.alpha),
-                               [float(c) for c in pf.constants])
-        comparisons["engine_vs_empirical"] = comp
-        failed = failed or not ok
-    elif stored is not None:
-        ok, comp = compare_fit(fit, float(stored.rate_value(prec)), float(stored.alpha),
-                               [float(v) for v in stored.constant_values(prec)])
-        comparisons["catalog_vs_empirical"] = comp
+        ok, comp = compare_fit(fit, pf.rate_modulus, pf.alpha, pf.constants)
+        comparisons[f"{source}_vs_empirical"] = comp
         failed = failed or not ok
     else:
         notes.append("no prediction available; empirical fit reported unchecked")
@@ -304,6 +287,20 @@ def _endpoint(args, s):
         raise UsageError(f"--endpoint: {ex}") from ex
 
 
+def _float_count(series, k):
+    """A float count as a plain float; where forming it overflows, as a decimal
+    mantissa and exponent read off its logarithm (12 significant digits)."""
+    try:
+        return repr(float(series.value(k)))
+    except OverflowError:
+        log10 = series.log_value(k) / math.log(10)
+        if log10 == -math.inf:
+            return "0.0"
+        exponent = math.floor(log10)
+        mantissa, shift = f"{10 ** (log10 - exponent):.11e}".split("e")
+        return f"{mantissa}e+{exponent + int(shift)}"
+
+
 def _cmd_count(args, s):
     n = args.n if args.n is not None else 20
     flt = _endpoint(args, s)
@@ -313,7 +310,7 @@ def _cmd_count(args, s):
         if args.mode == "exact":
             rows.append({"n": k, "count": str(series.values[k])})
         else:
-            rows.append({"n": k, "count": repr(series.value(k)),
+            rows.append({"n": k, "count": _float_count(series, k),
                          "log_count": repr(series.log_value(k))})
     payload = {"schema_version": SCHEMA_VERSION, "model": s.describe(),
                "endpoint": filter_name(flt, s.dim), "mode": series.mode, "rows": rows}
@@ -408,10 +405,7 @@ def _cmd_catalog(args):
     statuses = {r.status for r in results}
     code = 1 if "fail" in statuses else (2 if "partial" in statuses else 0)
     payload = {"schema_version": SCHEMA_VERSION, "rows": rows,
-               "details": [
-                   {"model": r.model, "table": r.table, "column": r.column,
-                    "mode": r.mode, "status": r.status, "details": r.details}
-                   for r in results]}
+               "details": [asdict(r) for r in results]}
     return code, payload
 
 

@@ -2,8 +2,9 @@
 
 ``estimate_growth`` estimates (rate, polynomial order, per-residue constants)
 from an enumeration series by residue-class-local Richardson extrapolation;
-``compare_fit`` checks such a fit against a prediction (engine output or
-stored catalog values) with the one set of empirical tolerances.
+``compare_fit`` checks it against a prediction (an ``asympt.PeriodicForm``
+from the engine or from ``StoredAsymptotics.periodic``) with the one set of
+empirical tolerances.  ``common_period`` aligns periods for every comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from orthantwalks.enumeration import CountSeries
 
 # the periods tried, shortest first, by the fitter here and by the engine's
-# fold (asympt._fold); compare_fit needs one period to divide the other
+# fold (asympt._fold); comparisons need one period to divide the other
 PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 
 EMP_LOG_RHO_TOL = 1e-2
@@ -173,21 +174,30 @@ def estimate_growth(series: CountSeries) -> GrowthFit:
                      converged, diag)
 
 
+def common_period(p, q):
+    """The period two periodic sequences are compared over: the longer of the
+    two when it is a multiple of the other, else None (not comparable)."""
+    span = max(p, q)
+    return None if span % p or span % q else span
+
+
 def compare_fit(fit: GrowthFit, rate, alpha, constants):
-    """Check a fit against predicted (rate, alpha, per-residue constants).
+    """Check a fit against predicted (rate, alpha, per-residue constants),
+    given as numbers of any type and compared in float.
 
     The predicted period is ``len(constants)``.  Passes when |log rho_fit -
     log rate| < EMP_LOG_RHO_TOL, |alpha_fit - alpha| < EMP_ALPHA_TOL and
     |C_fit/C - 1| < EMP_CONST_TOL on every nonzero predicted residue class,
     with no fitted constant above 1e-6 of the largest one where the prediction
-    is zero.  One period must divide the other.  Returns ``(ok, details)``.
+    is zero, over the ``common_period``.  Returns ``(ok, details)``.
     """
+    constants = [float(c) for c in constants]
     period = len(constants)
-    comp = {"log_rho_err": abs(math.log(fit.rho) - math.log(rate)),
-            "alpha_err": abs(fit.alpha - alpha)}
+    comp = {"log_rho_err": abs(math.log(fit.rho) - math.log(float(rate))),
+            "alpha_err": abs(fit.alpha - float(alpha))}
     ok = comp["log_rho_err"] < EMP_LOG_RHO_TOL and comp["alpha_err"] < EMP_ALPHA_TOL
-    span = max(period, fit.period)
-    if span % period or span % fit.period:
+    span = common_period(period, fit.period)
+    if span is None:
         return False, {"reason": f"fit period {fit.period} incompatible with {period}"}
     cerrs = {}
     scale = max([abs(c) for c in constants] or [1.0])
@@ -196,14 +206,8 @@ def compare_fit(fit: GrowthFit, rate, alpha, constants):
         got = fit.constants.get(r % fit.period)
         if abs(want) < 1e-9 * scale:
             if got is not None and abs(got) > 1e-6 * scale:
-                cerrs[str(r)] = float("inf")
-                ok = False
-            continue
-        if got is None:
-            cerrs[str(r)] = float("inf")
-            ok = False
-            continue
-        cerrs[str(r)] = abs(got / want - 1)
-        ok = ok and cerrs[str(r)] < EMP_CONST_TOL
+                cerrs[str(r)] = math.inf
+        else:
+            cerrs[str(r)] = math.inf if got is None else abs(got / want - 1)
     comp["constant_rel_errs"] = cerrs
-    return ok, comp
+    return ok and all(e < EMP_CONST_TOL for e in cerrs.values()), comp

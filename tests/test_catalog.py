@@ -15,10 +15,13 @@ from orthantwalks.catalog import (
     ALG,
     NOSYM,
     CatalogEntry,
+    StoredAsymptotics,
+    _compare_symbolic,
     eval_const,
     lookup,
     reproduce_tables,
 )
+from orthantwalks.asympt import AsymptoticExpansion, PeriodicForm
 from orthantwalks.enumeration import count_walks
 from orthantwalks.stepset import build_stepset, classify
 
@@ -114,3 +117,35 @@ def test_reproduce_empirical_subset():
     sel = [e for e in ENTRIES if e.name in ("N,S,E,W", "NE,E,SW,W")]
     res = reproduce_tables("table1", ("empirical",), entries=sel, n_max=512)
     assert all(r.status == "pass" for r in res)
+
+
+def test_reproduce_same_cells_for_any_thread_count():
+    # the enumeration passes run in one pool whatever its size
+    sel = [e for e in ENTRIES if e.name in ("N,S,E,W", "N,SE,SW", "NE,W,S")]
+    one, two = (reproduce_tables("both", entries=sel, n_max=128, threads=t) for t in (1, 2))
+    assert len(one) == 2 * (1 + 3 + 1 + 3 + 1)
+    assert one == two
+
+
+@pytest.mark.parametrize("engine_period, stored_period, status", [
+    (2, 4, "pass"), (4, 2, "pass"), (2, 3, "fail"), (3, 2, "fail")])
+def test_compare_symbolic_aligns_periods_both_ways(engine_period, stored_period, status):
+    # constants repeating with period 2, written out over either period
+    pattern = ("12*sqrt(3)/pi", "18/pi")
+    stored = StoredAsymptotics("2*sqrt(3)", Fraction(-2),
+                               tuple(pattern[r % 2] for r in range(stored_period)))
+    engine = StoredAsymptotics("2*sqrt(3)", Fraction(-2),
+                               tuple(pattern[r % 2] for r in range(engine_period)))
+    expansion = AsymptoticExpansion([], Fraction(-2), engine.periodic())
+    got, details = _compare_symbolic(stored.periodic(), expansion, 256)
+    assert got == status
+    assert details["constant_rel_errs"] == ([0.0] * 4 if status == "pass" else [])
+
+
+def test_stored_periodic_form():
+    pf = lookup("N,S,SE,SW").table1.periodic()
+    assert isinstance(pf, PeriodicForm)
+    assert (pf.period, pf.alpha, pf.rate_modulus_exact) == (2, Fraction(-2), "2*sqrt(3)")
+    with mp.workprec(200):
+        assert abs(pf.rate_modulus - 2 * mp.sqrt(3)) < mp.mpf(10) ** -40
+        assert abs(pf.constants[1] - 18 / mp.pi) < mp.mpf(10) ** -40

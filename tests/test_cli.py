@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,36 @@ def test_cli_numeric_flag_floors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: {argv[-2]} must be at least")
+
+
+def test_cli_float_count_prints_plain_floats(capsys):
+    code, out = run_cli(capsys, "count", "--model", "N,S,E,W", "--mode", "float",
+                        "--n", "2", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,count,log_count"
+    counts = [float(line.split(",")[1]) for line in lines[1:]]
+    assert counts == pytest.approx([1, 2, 6], rel=1e-12)
+    assert "np." not in out
+
+
+def test_cli_float_count_past_the_float_range(capsys):
+    # 8 steps: the counts pass 1.8e308 near n = 340, where log_count still holds them
+    code, out = run_cli(capsys, "count", "--model", "N,S,E,W,NE,NW,SE,SW",
+                        "--mode", "float", "--n", "400")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert Decimal(rows[400]["count"]).adjusted() == 358
+    for row in rows[::20] + rows[-5:]:
+        count = Decimal(row["count"])
+        assert abs(float(count.ln()) - float(row["log_count"])) < 1e-10
+    # odd n at the origin: a structural zero where the scale 4^n overflows
+    code, out = run_cli(capsys, "count", "--model", "N,S,E,W", "--endpoint", "origin",
+                        "--mode", "float", "--n", "520")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert (rows[519]["count"], rows[519]["log_count"]) == ("0.0", "-inf")
+    assert Decimal(rows[520]["count"]).adjusted() == 305
 
 
 def test_cli_capacity_error(capsys):

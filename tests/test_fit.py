@@ -9,7 +9,7 @@ import pytest
 
 from orthantwalks.cli import verify_model
 from orthantwalks.enumeration import CountSeries, count_walks
-from orthantwalks.fit import GrowthFit, compare_fit, estimate_growth
+from orthantwalks.fit import GrowthFit, common_period, compare_fit, estimate_growth
 from orthantwalks.stepset import build_stepset
 
 
@@ -79,10 +79,38 @@ def fitted(constants, period, rho=2.0, alpha=-1.0):
     return GrowthFit(rho, alpha, period, constants, zeros, True, {})
 
 
+@pytest.mark.parametrize("p, q, span", [
+    (2, 4, 4), (4, 2, 4), (1, 3, 3), (3, 3, 3), (2, 3, None), (4, 6, None)])
+def test_common_period(p, q, span):
+    assert common_period(p, q) == span
+
+
 def test_compare_rejects_incompatible_periods():
     ok, details = compare_fit(fitted({0: 1.0, 1: 1.0}, 2), 2.0, -1.0, [1.0, 1.0, 1.0])
     assert not ok
     assert details["reason"] == "fit period 2 incompatible with 3"
+
+
+def test_compare_rejects_incompatible_periods_reversed():
+    ok, details = compare_fit(fitted({0: 1.0, 1: 1.0, 2: 1.0}, 3), 2.0, -1.0, [1.0, 1.0])
+    assert not ok
+    assert details["reason"] == "fit period 3 incompatible with 2"
+
+
+@pytest.mark.parametrize("fit_period, period", [(2, 4), (4, 2)])
+def test_compare_aligns_periods_both_ways(fit_period, period):
+    # constants repeating with period 2, written out over period 2 or 4
+    fit = fitted({r: (3.0, 5.0)[r % 2] for r in range(fit_period)}, fit_period)
+    ok, details = compare_fit(fit, 2.0, -1.0, [(3.0, 5.0)[r % 2] for r in range(period)])
+    assert ok
+    assert details["constant_rel_errs"] == {str(r): 0.0 for r in range(4)}
+
+
+def test_compare_takes_exact_and_multiprecision_predictions():
+    ok, details = compare_fit(fitted({0: 1.0}, 1), mpmath.mpf(2), Fraction(-1),
+                              [mpmath.mpf(1)])
+    assert ok
+    assert details == {"log_rho_err": 0.0, "alpha_err": 0.0, "constant_rel_errs": {"0": 0.0}}
 
 
 def test_compare_flags_mass_on_a_predicted_zero_class():

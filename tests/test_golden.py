@@ -1,0 +1,35 @@
+"""Byte-level golden reports: the JSON each command writes must not change.
+
+The expected files in ``tests/golden`` were written by the same commands
+before the comparison code was merged into one path; a refactor that keeps
+every number keeps these bytes.  To regenerate one after an intended change,
+run its command with ``--out tests/golden/<name>.json`` and say why in
+CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from orthantwalks.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, exit code)
+CASES = {
+    "verify_N_SE_S_SW": (["verify", "--n", "256", "--model", "N,SE,S,SW"], 0),
+    "verify_N_W_SE": (["verify", "--n", "256", "--model", "N,W,SE"], 2),
+    "catalog_symbolic": (["catalog", "--check", "--table", "both",
+                          "--modes", "symbolic"], 0),
+    "asympt_N_SE_SW_axes1": (["asympt", "--model", "N,SE,SW",
+                              "--endpoint", "axes=1"], 0),
+    "critical_N_SE_S_SW": (["critical", "--model", "N,SE,S,SW"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    argv, code = CASES[name]
+    out = tmp_path / f"{name}.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
