@@ -7,23 +7,24 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * one saddle engine that expands the phase and amplitude as high-precision
   jets, each only to the degree it is read, and sums Hörmander's explicit
   formula to any depth (for the diagonal Hessian it reads u gU^l only at even
-  multi-indices).  Smooth points of the kernel sheet are expanded in
-  z_1..z_d; at the crossing points, where the sheet meets the pole {z_d = 1},
-  the engine takes the residue there and expands the smooth integral left in
-  z_1..z_{d-1}.
+  multi-indices).  One constructor, ``_integrand``, gives each point's exact
+  phase and amplitude polynomials: the one-factor form for fully symmetric
+  models; the kernel sheet, in z_1..z_d, for smooth points; and at the
+  crossing points, where the sheet meets the pole {z_d = 1}, the residue
+  there, leaving a smooth integral in z_1..z_{d-1}.
 
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
 ``asympt_full`` decides once whether the crossing applies: positive drift
 with the drift axis left free.  Then it expands the crossing points, and
-otherwise the smooth-sheet points, both from ``critical``; the base exponent
-is read off the terms.  Every engine output is folded into a periodic normal
-form (smallest period with real per-residue constants, over the periods the
-growth fitter also tries), which is what verification compares.  The engine
-reports the exact rate of the principal point; the closed forms report that
-of their first term.  Neither route checks support itself:
-``stepset.decompose`` refuses unsupported models.
+otherwise the smooth-sheet points, both chosen exactly by ``critical``; the
+base exponent is read off the terms.  Every engine output is folded into a
+periodic normal form (smallest period with real per-residue constants, over
+the periods the growth fitter also tries), which is what verification
+compares.  The engine reports the exact rate of the principal point; the
+closed forms report that of their first term.  Neither route checks support
+itself: ``stepset.decompose`` refuses unsupported models.
 """
 
 from __future__ import annotations
@@ -191,54 +192,47 @@ def _saddle_coefficients(u, g, lam, N, prec):
 
 # --------------------------------------------------- point-level expansions
 
-def _amplitude(dcmp, variant, representation):
-    """The amplitude as one exact numerator and a list of denominator factors.
+def _integrand(s, point, variant):
+    """The integrand at one contributing point: its phase polynomial, the
+    centre of the expansion, one exact amplitude numerator and a list of
+    amplitude denominator factors.
 
-    'plain' (fully symmetric one-factor form): prod_j (1+z_j); 'split' (kernel
-    sheet of the three-factor form): prod_{j<d} (1+z_j) (B - z_d^2 A) / (B
-    (1-z_d)); 'residue' (split form after the residue at z_d = 1, in
-    z_1..z_{d-1}): prod_{j<d} (1+z_j) (B - A) / B.  Each axis in ``variant``
-    adds a factor (1 - z_j); on the split form the drift-axis one cancels
+    Fully symmetric models use the one-factor form: phase S, amplitude
+    prod_j (1+z_j).  A crossing point (stratum TRANSVERSE) is expanded after
+    the residue at z_d = 1, in z_1..z_{d-1}: phase S(z', 1) = A + Q + B,
+    amplitude prod_{j<d} (1+z_j) (B - A) / B.  Every other point lies on the
+    kernel sheet of the three-factor form: phase Sbar, amplitude
+    prod_{j<d} (1+z_j) (B - z_d^2 A) / (B (1-z_d)).  Each axis in ``variant``
+    adds a factor (1 - z_j); on the kernel sheet the drift-axis one cancels
     1/(1-z_d).  Denominator factors stay apart: each one's jet is sparse, so
     its reciprocal is cheap.
     """
-    d = dcmp.dim
-    dim = d - 1 if representation == "residue" else d
+    d = s.dim
+    dcmp = decompose(s)
+    symmetric = classify(s).kind == HIGHLY_SYMMETRIC
+    residue = not symmetric and point.stratum == TRANSVERSE
+    dim = d - 1 if residue else d
     num = LaurentPoly.const(dim, 1)
-    for j in range(d if representation == "plain" else d - 1):
+    for j in range(d if symmetric else d - 1):
         num = num * (1 + LaurentPoly.variable(dim, j))
     for j in variant:
-        if not (representation == "split" and j == d - 1):
+        if symmetric or residue or j != d - 1:
             num = num * (1 - LaurentPoly.variable(dim, j))
-    if representation == "plain":
-        return num, []
-    if representation == "residue":
-        return num * (dcmp.B - dcmp.A), [dcmp.B]
+    if symmetric:
+        return s.char_poly(), point.w, num, []
+    if residue:
+        return dcmp.A + dcmp.Q + dcmp.B, point.w[:d - 1], num * (dcmp.B - dcmp.A), [dcmp.B]
     A, B = dcmp.A.insert_var(d - 1), dcmp.B.insert_var(d - 1)
     dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
-    return num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
+    return s.sbar_poly(), point.w, num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
 
 
 def _saddle_jets(s, point, variant, phase_order, amplitude_order, prec):
-    """Amplitude jet u, phase jet g and diagonal Hessian entries at one
-    contributing point, to the given degrees; call at working precision
-    ``prec``.
-
-    Fully symmetric models use the one-factor form; a crossing point (stratum
-    TRANSVERSE) is expanded after the residue at z_d = 1, in the d-1
-    variables z_1..z_{d-1} with phase S(z', 1) = A + Q + B; every other point
-    lies on the kernel sheet of the three-factor form.
-    """
-    d = s.dim
-    dcmp = decompose(s)
-    if classify(s).kind == HIGHLY_SYMMETRIC:
-        representation, phase_poly, center = "plain", s.char_poly(), point.w
-    elif point.stratum == TRANSVERSE:
-        representation, phase_poly, center = "residue", dcmp.A + dcmp.Q + dcmp.B, point.w[:d - 1]
-    else:
-        representation, phase_poly, center = "split", s.sbar_poly(), point.w
-    _, g, lam = _phase_jets(phase_poly, center, phase_order, prec)
-    num, dens = _amplitude(dcmp, tuple(variant), representation)
+    """Amplitude jet u, phase jet g and diagonal Hessian entries of
+    ``_integrand`` at one contributing point, to the given degrees; call at
+    working precision ``prec``."""
+    phase, center, num, dens = _integrand(s, point, tuple(variant))
+    _, g, lam = _phase_jets(phase, center, phase_order, prec)
     u = jet_of_exponential_substitution(num, center, amplitude_order, prec)
     for den in dens:
         u = u * jet_of_exponential_substitution(den, center, amplitude_order, prec).reciprocal()
@@ -251,7 +245,7 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
 
     ``numerator_variant`` is a set of canonical axes carrying boundary factors
     (1 - z_j).  The expansion form follows the model and the point (see
-    ``_saddle_jets``).  Coefficients are reported against n^{-m/2 - k}, m the
+    ``_integrand``).  Coefficients are reported against n^{-m/2 - k}, m the
     number of integration variables (d, or d-1 after the residue at a
     crossing point).
     """

@@ -232,9 +232,13 @@ def _emit(payload, fmt, out, rows=None):
         raise UsageError(f"unknown format {fmt}")
     if out:
         tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     else:
         sys.stdout.write(text)
 
@@ -288,14 +292,12 @@ def _endpoint(args, s):
 
 
 def _float_count(series, k):
-    """A float count as a plain float; where forming it overflows, as a decimal
+    """A float count as a plain float; past the float range, as a decimal
     mantissa and exponent read off its logarithm (12 significant digits)."""
     try:
         return repr(float(series.value(k)))
     except OverflowError:
         log10 = series.log_value(k) / math.log(10)
-        if log10 == -math.inf:
-            return "0.0"
         exponent = math.floor(log10)
         mantissa, shift = f"{10 ** (log10 - exponent):.11e}".split("e")
         return f"{mantissa}e+{exponent + int(shift)}"
@@ -390,12 +392,14 @@ def _cmd_verify(args, s):
 
 
 def _cmd_catalog(args):
+    modes = tuple(m.strip() for m in args.modes.split(","))
+    if not set(modes) <= {"symbolic", "empirical"}:
+        raise UsageError(f"--modes takes symbolic and/or empirical, got {args.modes!r}")
     if not args.check:
         rows = [{"model": e.name, "class": e.klass, "column": col, "rate": sa.rate,
                  "alpha": str(sa.alpha), "constants": " ; ".join(sa.constants)}
                 for e in catalog_mod.ENTRIES for _, col, sa in catalog_mod.cells(e, args.table)]
         return 0, {"schema_version": SCHEMA_VERSION, "rows": rows}
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     n_max = args.n if args.n is not None else 512
     results = catalog_mod.reproduce_tables(args.table, modes, n_max=n_max,
                                            prec=args.precision_bits,
@@ -438,7 +442,7 @@ def main(argv=None) -> int:
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 3
-    except (StepSetError, ValueError, CapacityError) as ex:
+    except (StepSetError, ValueError, CapacityError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

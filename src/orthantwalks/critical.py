@@ -6,10 +6,11 @@ either square root of B(w)/A(w) on the smooth kernel sheet; on it, the
 coordinate is 1, where that sheet crosses the pole {z_d = 1}.  Positive drift
 takes the crossing, and the smooth sheet serves every other case.  The
 minimal point is the principal point: all signs +1 and the principal root.
-Exact rational filtering is used where the squared moduli are rational;
-everything else is checked at high precision against a 2^-160 residual
-tolerance, which is rigorous here because distinct candidate moduli in this
-family are never that close.
+Which candidates contribute is decided exactly, by rational identities
+between A(w), Q(w), B(w) and their values at w = 1; no tolerance enters the
+selection.  ``check_critical`` reports the numeric residuals of the
+criticality equations at a point, against a 2^-160 tolerance, as an
+independent check.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from orthantwalks.stepset import StepSet, decompose
 SMOOTH = "SmoothV1"
 TRANSVERSE = "TransverseV1V3"
 
-RESIDUAL_TOL_EXP = -160  # residuals compared against 2**-160
+RESIDUAL_TOL_EXP = -160  # check_critical compares residuals against 2**-160
 # Smallest precision (before GUARD_BITS) whose rounding leaves a residual 8 bits
-# below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes.
+# below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes
+# check_critical.
 MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
 
 
@@ -102,48 +104,37 @@ class ContributingPoint:
         return self.rate_exact.to_mp()
 
 
-def _tol():
-    return mp.mpf(2) ** RESIDUAL_TOL_EXP
-
-
 def _sqrt_fraction(q: Fraction):
     """Principal square root of a rational: real for q>0, i*sqrt(|q|) for q<0."""
     mag = mp.sqrt(mp.mpf(abs(q).numerator) / abs(q).denominator)
     return mp.mpc(0, mag) if q < 0 else mp.mpc(mag, 0)
 
 
-def _gradients(s: StepSet, upto):
-    """The first ``upto`` partial derivatives of Sbar."""
-    sbar = s.sbar_poly()
-    return [sbar.deriv(j) for j in range(upto)]
-
-
-def _residuals(gradients, point):
-    return [abs(to_mp(abs(g.eval(point)))) for g in gradients]
-
-
 def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
     """Contributing points over the sign vectors w in {+-1}^(d-1).
 
-    Off the crossing the drift coordinate is w_d = +-sqrt(B(w)/A(w)) on the
-    smooth kernel sheet, kept when |w_d|^2 and |t| match the positive point;
-    at the crossing it is w_d = 1, kept when |S(w,1)| = S(1).  Every kept
-    point must also pass the gradient residual check.
+    A candidate is kept when |Sbar(w)| = Sbar(1), decided exactly.  At the
+    crossing, w_d = 1 and Sbar(w) = S(w,1) is rational.  On the smooth kernel
+    sheet w_d = +-sqrt(B(w)/A(w)) and Sbar(w) = Q(w) + 2*w_d*A(w), where the
+    principal root has w_d*A(w) = sign(A(w))*sqrt(A(w)B(w)).  All weights are
+    positive, so |A(w)| <= A(1), |Q(w)| <= Q(1) and |B(w)| <= B(1), and the
+    modulus reaches Sbar(1) iff all three are equalities and the two terms of
+    Sbar(w) point the same way: Q(w) = 0, or A(w)B(w) > 0 with sign Q(w) the
+    sign of w_d*A(w).  Every kept point is critical by construction: each
+    partial d_j Sbar = (1 - z_j^-2) B_j (j < d) vanishes at z_j = +-1, and
+    d_d Sbar = A - B z_d^-2 vanishes at z_d^2 = B/A; ``check_critical``
+    confirms it numerically.
 
     No kept point lies on the second kernel sheet H2 = 0.  On the smooth sheet
-    H2 = w_d A(w)/Sbar(w), and points with A(w) = 0 or Sbar(w) = 0 are
-    skipped.  At a crossing H2 = B(w)/S(w,1); all weights are positive, so
-    |S(w,1)| = S(1) forces |B(w)| = B(1) > 0 (build_stepset requires a forward
-    step on every axis).
+    H2 = w_d A(w)/Sbar(w), with |A(w)| = A(1) > 0 and |Sbar(w)| = Sbar(1) > 0.
+    At a crossing H2 = B(w)/S(w,1), and |S(w,1)| = S(1) forces |B(w)| = B(1)
+    > 0 (build_stepset requires a forward step on every axis).
     """
     d = s.dim
     ones = (1,) * (d - 1)
-    q_ref = Fraction(dcmp.B.eval(ones), dcmp.A.eval(ones))
-    gradients = _gradients(s, d - 1 if crossing else d)
+    ref = tuple(p.eval(ones) for p in (dcmp.A, dcmp.Q, dcmp.B))
     out = []
     with mp.workprec(prec + GUARD_BITS):
-        tol = _tol()
-        t_ref = None  # |t| at the positive point, which is the first candidate
         for signs in itertools.product((1, -1), repeat=d - 1):
             aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
             prod = math.prod(signs)
@@ -151,31 +142,23 @@ def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
             drifts = []
             if crossing:
                 sw = aw + qw + bw
-                if abs(sw) == dcmp.total_weight:  # exact |t| = 1/S(1) filter
+                if abs(sw) == dcmp.total_weight:
                     drifts.append((0, mp.mpc(1), Fraction(1),
                                    QuadVal(sw, Fraction(0), Fraction(0)),
                                    to_mp(Fraction(1, prod * sw))))
-            elif aw != 0 and bw != 0 and abs(Fraction(bw, aw)) == abs(q_ref):
-                # exact |w_d|^2 filter passed; with w_d^2 = B(w)/A(w),
-                # Sbar(w) = Q(w) + 2*w_d*A(w), and the principal root has
-                # w_d*A(w) = sign(A(w))*sqrt(A(w)B(w)): the rate's exact sign
+            elif (abs(aw), abs(qw), abs(bw)) == ref:
                 q = Fraction(bw, aw)
                 wd0 = _sqrt_fraction(q)
                 sign_a = 1 if aw > 0 else -1
                 for nu, root in ((0, 1), (2, -1)):
+                    if qw != 0 and not (aw * bw > 0 and (qw > 0) == (sign_a * root > 0)):
+                        continue
                     wd = root * wd0
                     sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
-                    if abs(sval) < tol:
-                        continue
-                    t = 1 / (prod * wd * sval)
-                    t_ref = abs(t) if t_ref is None else t_ref
-                    if abs(abs(t) - t_ref) > tol:
-                        continue
                     drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
-                                                      Fraction(aw * bw)), t))
+                                                      Fraction(aw * bw)),
+                                   1 / (prod * wd * sval)))
             for nu, wd, wd_squared, rate, t in drifts:
-                if any(g > tol for g in _residuals(gradients, signs + (wd,))):
-                    continue
                 # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
                 stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
                 out.append(ContributingPoint(tuple(mp.mpc(sg) for sg in signs) + (wd,), t,
@@ -217,28 +200,27 @@ class CriticalityReport:
     ok: bool
 
 
-def check_critical(s: StepSet, point, t=None, stratum=SMOOTH,
+def check_critical(s: StepSet, point: ContributingPoint,
                    prec=DEFAULT_PREC_BITS) -> CriticalityReport:
     """Residuals of the criticality and kernel-membership equations at a point.
 
-    ``point`` may be a ContributingPoint or a coordinate tuple (with ``t``).
+    A numeric check, independent of the exact selection: the gradient of Sbar
+    in the free variables (all d on the smooth sheet, the first d-1 at a
+    crossing, which adds |w_d - 1|), H1, and the distance from H2 = 0.  ``ok``
+    when every residual is below 2^RESIDUAL_TOL_EXP and the distance above it.
     """
-    if isinstance(point, ContributingPoint):
-        coords, tval, stratum = point.w, point.t, point.stratum
-    else:
-        coords, tval = tuple(point), t
     kern = diag_kernel(s)
+    sbar = s.sbar_poly()
     d = s.dim
-    gradients = _gradients(s, d if stratum == SMOOTH else d - 1)
     with mp.workprec(prec + GUARD_BITS):
-        coords = tuple(to_mp(c) for c in coords)
-        tval = to_mp(tval)
-        res = {f"grad_{j + 1}": g for j, g in enumerate(_residuals(gradients, coords))}
-        res["H1"] = abs(kern.H1.eval(coords + (tval,)))
-        if stratum == TRANSVERSE:
+        coords = point.w
+        res = {f"grad_{j + 1}": abs(sbar.deriv(j).eval(coords))
+               for j in range(d if point.stratum == SMOOTH else d - 1)}
+        res["H1"] = abs(kern.H1.eval(point.coords()))
+        if point.stratum == TRANSVERSE:
             res["H3"] = abs(coords[d - 1] - 1)
-        res["H2_distance"] = abs(kern.H2.eval(coords + (tval,)))
-        tol = _tol()
+        res["H2_distance"] = abs(kern.H2.eval(point.coords()))
+        tol = mp.mpf(2) ** RESIDUAL_TOL_EXP
         ok = all(v < tol for k, v in res.items() if k != "H2_distance")
         ok = ok and res["H2_distance"] > tol
         return CriticalityReport(res, ok)

@@ -97,9 +97,14 @@ class CountSeries:
         return len(self.values) - 1
 
     def value(self, n):
+        """s_n; in float mode a float, finite whenever s_n is (else OverflowError)."""
         if self.mode == "exact":
             return self.values[n]
-        return self.values[n] * math.exp(n * self.log_scale)
+        try:
+            return self.values[n] * math.exp(n * self.log_scale)
+        except OverflowError:  # S(1)^n overflows, s_n need not: scale in base 2
+            k, r = divmod(n * self.log_scale / math.log(2), 1)
+            return math.ldexp(self.values[n] * 2.0**r, int(k))
 
     def log_value(self, n):
         if self.mode == "exact":

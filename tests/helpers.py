@@ -1,18 +1,27 @@
-"""Shared test utilities: random model generation, brute-force oracles, and
-the exact helpers only tests use (group action, rational equality, closed-form
-series)."""
+"""Shared test utilities: random model generation, oracles (brute-force counts,
+the operator saddle route, numeric point selection), and the exact helpers
+only tests use (group action, rational equality, closed-form series)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 from mpmath import mp
 
 from orthantwalks.asympt import _saddle_jets
-from orthantwalks.laurent import GUARD_BITS, Jet, LaurentPoly
-from orthantwalks.stepset import build_stepset
+from orthantwalks.critical import (
+    RESIDUAL_TOL_EXP,
+    SMOOTH,
+    TRANSVERSE,
+    ContributingPoint,
+    QuadVal,
+    _sqrt_fraction,
+)
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, Jet, LaurentPoly, to_mp
+from orthantwalks.stepset import build_stepset, decompose
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
 
@@ -150,6 +159,62 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
                 total += jet.constant_term() / denom
             coeffs.append(pref * total)
         return coeffs
+
+
+def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
+    """Oracle: contributing points selected numerically, as before the exact
+    identities of ``critical._sign_vector_points``.
+
+    Off the crossing a sign vector is kept when |B(w)/A(w)| matches the
+    positive point, and each drift root when Sbar(w) is not numerically zero
+    and |t| matches the positive point's within 2^RESIDUAL_TOL_EXP; at the
+    crossing when |S(w,1)| = S(1).  Every kept point must also have gradient
+    residuals of Sbar below 2^RESIDUAL_TOL_EXP.
+    """
+    dcmp = decompose(s)
+    d = s.dim
+    ones = (1,) * (d - 1)
+    q_ref = Fraction(dcmp.B.eval(ones), dcmp.A.eval(ones))
+    sbar = s.sbar_poly()
+    gradients = [sbar.deriv(j) for j in range(d - 1 if crossing else d)]
+    out = []
+    with mp.workprec(prec + GUARD_BITS):
+        tol = mp.mpf(2) ** RESIDUAL_TOL_EXP
+        t_ref = None  # |t| at the positive point, which is the first candidate
+        for signs in itertools.product((1, -1), repeat=d - 1):
+            aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
+            prod = math.prod(signs)
+            drifts = []
+            if crossing:
+                sw = aw + qw + bw
+                if abs(sw) == dcmp.total_weight:
+                    drifts.append((0, mp.mpc(1), Fraction(1),
+                                   QuadVal(sw, Fraction(0), Fraction(0)),
+                                   to_mp(Fraction(1, prod * sw))))
+            elif aw != 0 and bw != 0 and abs(Fraction(bw, aw)) == abs(q_ref):
+                q = Fraction(bw, aw)
+                wd0 = _sqrt_fraction(q)
+                sign_a = 1 if aw > 0 else -1
+                for nu, root in ((0, 1), (2, -1)):
+                    wd = root * wd0
+                    sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
+                    if abs(sval) < tol:
+                        continue
+                    t = 1 / (prod * wd * sval)
+                    t_ref = abs(t) if t_ref is None else t_ref
+                    if abs(abs(t) - t_ref) > tol:
+                        continue
+                    drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
+                                                      Fraction(aw * bw)), t))
+            for nu, wd, wd_squared, rate, t in drifts:
+                point = signs + (wd,)
+                if any(abs(g.eval(point)) > tol for g in gradients):
+                    continue
+                stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
+                out.append(ContributingPoint(tuple(mp.mpc(sg) for sg in signs) + (wd,), t,
+                                             stratum, nu, signs, wd_squared, rate))
+    out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
+    return out
 
 
 def act(el, p, dcmp):

@@ -100,7 +100,7 @@ def test_cli_critical_and_asympt(capsys):
 
 def test_cli_precision_floor(capsys):
     # the working precision must clear critical.RESIDUAL_TOL_EXP, or every
-    # point fails its residual check and the table comes out silently empty
+    # point fails its residual check in check_critical
     for bits in ("8", "96"):
         assert main(["critical", "--model", "N,SE,S,SW", "--precision-bits", bits]) == 3
         assert "usage error: --precision-bits" in capsys.readouterr().err
@@ -161,6 +161,29 @@ def test_cli_float_count_past_the_float_range(capsys):
     rows = json.loads(out)["rows"]
     assert (rows[519]["count"], rows[519]["log_count"]) == ("0.0", "-inf")
     assert Decimal(rows[520]["count"]).adjusted() == 305
+
+
+@pytest.mark.parametrize("modes", ["foo", "", ",", "symbolic,foo", "symbolic,,empirical"])
+def test_cli_catalog_rejects_unknown_modes(capsys, modes):
+    assert main(["catalog", "--check", "--modes", modes]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --modes")
+
+
+def test_cli_file_errors_exit_1_without_traceback(tmp_path, capsys):
+    # a directory as the model, an --out in a missing directory, and an --out
+    # that is a directory: each is an error line and exit 1, leaving no .tmp
+    for argv in (["count", "--model", str(tmp_path), "--n", "3"],
+                 ["count", "--model", "N,S,E,W", "--n", "3",
+                  "--out", str(tmp_path / "missing" / "x.json")],
+                 ["count", "--model", "N,S,E,W", "--n", "3", "--out", str(tmp_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert list(tmp_path.parent.glob("*.tmp")) == []
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_cli_capacity_error(capsys):

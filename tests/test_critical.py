@@ -1,16 +1,18 @@
 """Minimal points, contributing-point enumeration, and criticality residuals."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from mpmath import mp
 
-from helpers import symmetric_models
+from helpers import numeric_sign_vector_points, symmetric_models
 from orthantwalks.asympt import asympt_closed, asympt_full
 from orthantwalks.critical import (
     SMOOTH,
     TRANSVERSE,
+    _sign_vector_points,
     check_critical,
     contributing_points,
     minimal_point,
@@ -137,9 +139,10 @@ def _equal_exponential_order_body():
 
 
 def test_perturbed_point_rejected():
+    p = minimal_point(NSESSW)
     with mp.workprec(260):
-        bad = (mp.mpf(1), 1 / mp.sqrt(3) + mp.mpf(10) ** -3)
-        rep = check_critical(NSESSW, bad, t=mp.mpf(1) / 2, stratum=SMOOTH)
+        bad = replace(p, w=(p.w[0], p.w[1] + mp.mpf(10) ** -3))
+    rep = check_critical(NSESSW, bad)
     assert not rep.ok
     assert rep.residuals["grad_2"] > mp.mpf(10) ** -4
 
@@ -229,3 +232,20 @@ def test_candidate_count_bounds(s):
             for c in p.w:
                 prod *= c
             assert abs(p.rate_exact.to_mp() - 1 / prod) < mp.mpf(2) ** -150
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models())
+def test_exact_selection_matches_numeric_selection(s):
+    # the exact identities keep the same points as the numeric |t| and residual
+    # filters, for every drift class and with or without the crossing
+    dcmp = decompose(s)
+
+    def key(p):
+        return (p.w_signs, p.nu, p.stratum, p.rate_exact, p.wd_squared)
+
+    for crossing in (False, True):
+        exact = _sign_vector_points(s, dcmp, crossing, 192)
+        numeric = numeric_sign_vector_points(s, crossing, 192)
+        assert [key(p) for p in exact] == [key(p) for p in numeric]
+        assert all(check_critical(s, p).ok for p in exact)

@@ -182,6 +182,19 @@ def test_float_matches_exact_to_1e12():
         assert abs(fl.log_value(k) - math.log(exact[k])) < 1e-12
 
 
+def test_float_value_finite_where_only_the_scale_overflows():
+    # at the origin of N,S,E,W, s_2m = C_m C_(m+1) (Catalan numbers): s_520 is
+    # about 8.4e305 although the scale 4^520 passes the float range
+    fl = count_walks(NSEW, 526, "origin", mode="float")
+    exact = math.comb(520, 260) // 261 * (math.comb(522, 261) // 262)
+    assert math.isfinite(fl.value(520))
+    assert abs(fl.value(520) - exact) / exact < 1e-12
+    assert abs(fl.value(520) / math.exp(fl.log_value(520)) - 1) < 1e-12
+    assert fl.value(519) == 0
+    with pytest.raises(OverflowError):  # s_526 = 3.3e309 is past the float range
+        fl.value(526)
+
+
 def test_float_profile_consistency():
     prof = count_profile(NSESSW, 40)
     ex_org = count_walks(NSESSW, 40, "origin").values

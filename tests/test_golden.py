@@ -1,7 +1,8 @@
 """Byte-level golden reports: the JSON each command writes must not change.
 
 The expected files in ``tests/golden`` were written by the same commands
-before the comparison code was merged into one path; a refactor that keeps
+before the refactors they guard (the comparison path; the exact point
+selection and the single integrand constructor); a refactor that keeps
 every number keeps these bytes.  To regenerate one after an intended change,
 run its command with ``--out tests/golden/<name>.json`` and say why in
 CHANGES.md.
@@ -24,6 +25,11 @@ CASES = {
     "asympt_N_SE_SW_axes1": (["asympt", "--model", "N,SE,SW",
                               "--endpoint", "axes=1"], 0),
     "critical_N_SE_S_SW": (["critical", "--model", "N,SE,S,SW"], 0),
+    # the one-factor form of fully symmetric models, and the residue at a crossing
+    "asympt_N_S_E_W_origin": (["asympt", "--model", "N,S,E,W", "--endpoint", "origin"], 0),
+    "asympt_NE_NW_S": (["asympt", "--model", "NE,NW,S"], 0),
+    "critical_NE_NW_S": (["critical", "--model", "NE,NW,S"], 0),
+    "critical_N_S_E_W": (["critical", "--model", "N,S,E,W"], 0),
 }
 
 
