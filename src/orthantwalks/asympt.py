@@ -19,12 +19,14 @@ as an independent check on the engine.
 ``asympt_full`` decides once whether the crossing applies: positive drift
 with the drift axis left free.  Then it expands the crossing points, and
 otherwise the smooth-sheet points, both chosen exactly by ``critical``; the
-base exponent is read off the terms.  Every engine output is folded into a
-periodic normal form (smallest period with real per-residue constants, over
-the periods the growth fitter also tries), which is what verification
-compares.  The engine reports the exact rate of the principal point; the
-closed forms report that of their first term.  Neither route checks support
-itself: ``stepset.decompose`` refuses unsupported models.
+base exponent is read off the terms.  Every output is folded into a periodic
+normal form with real per-residue constants, which is what verification
+compares.  The fold reads exact units: each rate is 1, -1, i or -i
+(``QuadVal.unit``, decided exactly) times one shared modulus, and the period
+is the order of the units of the leading terms.  The folded rate is that of
+the first term with unit 1: the principal point for the engine, the first
+term for the closed forms.  Neither route checks support itself:
+``stepset.decompose`` refuses unsupported models.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from orthantwalks.critical import (
     contributing_points,
     smooth_sheet_points,
 )
-from orthantwalks.fit import PERIOD_CANDIDATES
 from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import (
     DEFAULT_PREC_BITS,
@@ -81,12 +82,6 @@ class ContributionTerm:
     coefficients: list
     order_bound: int
 
-    def lead_index(self, tol):
-        for k, c in enumerate(self.coefficients):
-            if abs(c) > tol:
-                return k
-        return None
-
 
 @dataclass
 class PeriodicForm:
@@ -110,7 +105,7 @@ class AsymptoticExpansion:
 # ------------------------------------------------------------ jet machinery
 
 def _phase_jets(poly, center, order, prec):
-    """S-tilde jet, its log-phase, and the diagonal Hessian entries."""
+    """The log-phase jet of ``poly`` at ``center`` and its diagonal Hessian entries."""
     sj = jet_of_exponential_substitution(poly, center, order, prec)
     s0 = sj.constant_term()
     if abs(s0) == 0:
@@ -128,7 +123,7 @@ def _phase_jets(poly, center, order, prec):
                 raise HessianError("phase Hessian is not diagonal")
     if any(abs(l) < mp.mpf(2) ** (-prec // 2) for l in lam):
         raise HessianError("phase Hessian is singular")
-    return sj, g, lam
+    return g, lam
 
 
 def _saddle_coefficients(u, g, lam, N, prec):
@@ -232,7 +227,7 @@ def _saddle_jets(s, point, variant, phase_order, amplitude_order, prec):
     ``_integrand`` at one contributing point, to the given degrees; call at
     working precision ``prec``."""
     phase, center, num, dens = _integrand(s, point, tuple(variant))
-    _, g, lam = _phase_jets(phase, center, phase_order, prec)
+    g, lam = _phase_jets(phase, center, phase_order, prec)
     u = jet_of_exponential_substitution(num, center, amplitude_order, prec)
     for den in dens:
         u = u * jet_of_exponential_substitution(den, center, amplitude_order, prec).reciprocal()
@@ -341,57 +336,40 @@ def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
 
 # ------------------------------------------------------------------ folding
 
-def _fold(terms, base_alpha, rate_mod_exact, prec):
-    """Fold contribution terms into the periodic normal form at leading order."""
+def _fold(terms, base_alpha, prec):
+    """Fold contribution terms into the periodic normal form at leading order.
+
+    Every rate is an exact unit (1, -1, i or -i) times one shared modulus, so
+    the period is the order of the units of the terms that lead: 4 if any is
+    +-i, 2 if any is -1, else 1.  No fold when a leading term's rate has no
+    unit or a residue sum is not real.
+    """
     with mp.workprec(prec + GUARD_BITS):
         # floored at 1: when every coefficient is rounding noise, the largest
         # of them must not set the scale that decides what counts as zero
         tol_scale = max([max(abs(c) for c in t.coefficients) for t in terms
                          if t.coefficients] + [mp.mpf(1)])
         tol = tol_scale * mp.mpf(2) ** (-(prec // 2))
-        k0 = None
-        for t in terms:
-            lead = t.lead_index(tol)
-            if lead is not None:
-                k0 = lead if k0 is None else min(k0, lead)
+        k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if abs(c) > tol),
+                 default=None)
         if k0 is None:
             return None
-        rate_mod = max(abs(t.rate) for t in terms)
-        live = []
-        for t in terms:
-            if abs(abs(t.rate) - rate_mod) > tol:
-                continue
-            v = t.coefficients[k0] if k0 < len(t.coefficients) else mp.mpc(0)
-            if abs(v) <= tol:
-                continue
-            omega = t.rate / rate_mod
-            # snap to the nearest root of unity of small order for exact powers
-            for cand in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1)):
-                if abs(omega - cand) < mp.mpf(2) ** (-(prec // 2)):
-                    omega = cand
-                    break
-            live.append((omega, v))
-        if not live:
+        live = [(t.rate_exact.unit(), t.coefficients[k0]) for t in terms
+                if k0 < len(t.coefficients) and abs(t.coefficients[k0]) > tol]
+        units = {u for u, _ in live}
+        if None in units:
             return None
-        period = None
-        for p in PERIOD_CANDIDATES:
-            if all(abs(om**p - 1) < mp.mpf(2) ** (-(prec // 3)) for om, _ in live):
-                consts = []
-                ok = True
-                for r in range(p):
-                    tot = mp.mpc(0)
-                    for om, v in live:
-                        tot += v * om**r
-                    if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
-                        ok = False
-                        break
-                    consts.append(mp.re(tot))
-                if ok:
-                    period = p
-                    break
-        if period is None:
-            return None
-        return PeriodicForm(period, consts, base_alpha - k0, rate_mod, rate_mod_exact)
+        period = 4 if units & {1j, -1j} else 2 if -1 in units else 1
+        consts = []
+        for r in range(period):
+            tot = mp.mpc(0)
+            for u, v in live:
+                tot += v * mp.mpc(u) ** r
+            if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
+                return None
+            consts.append(mp.re(tot))
+        ref = next(t for t in terms if t.rate_exact.unit() == 1)
+        return PeriodicForm(period, consts, base_alpha - k0, abs(ref.rate), str(ref.rate_exact))
 
 
 # ------------------------------------------------------------- closed forms
@@ -441,7 +419,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                     None, to_mp(q1) - 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
                     QuadVal(q1, Fraction(-2), Fraction(a1 * b1)),
                     alpha, [c_of(-rho)], 1))
-        periodic = _fold(terms, alpha, str(terms[0].rate_exact), prec)
+        periodic = _fold(terms, alpha, prec)
         return AsymptoticExpansion(terms, alpha, periodic, partial=False, route="closed")
 
 
@@ -476,9 +454,8 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     else:
         pts = smooth_sheet_points(s, prec)
         route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
-    rate_str = str(next(p for p in pts if p.is_principal()).rate_exact)
     terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
     base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
-    periodic = _fold(terms, base_alpha, rate_str, prec)
+    periodic = _fold(terms, base_alpha, prec)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
     return AsymptoticExpansion(terms, base_alpha, periodic, periodic is None, route, notes)

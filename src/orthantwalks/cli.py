@@ -21,7 +21,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from orthantwalks import catalog as catalog_mod
-from orthantwalks.asympt import asympt_full
+from orthantwalks.asympt import HessianError, asympt_full
 from orthantwalks.critical import MIN_PREC_BITS, check_critical, contributing_points
 from orthantwalks.enumeration import (
     CapacityError,
@@ -124,7 +124,7 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
         oracle = count_walks(s, exact_n, flt).values
         match = [Fraction(x) for x in diag] == [Fraction(x) for x in oracle]
         exact_checks["diagonal_vs_oracle"] = {"max_n": exact_n, "pass": match}
-        ppc = positive_part_check(s, min(6, exact_n))
+        ppc = positive_part_check(s)
         exact_checks["positive_part"] = {"max_n": ppc.max_n, "pass": ppc.passed}
         failed = failed or not match or not ppc.passed
     else:
@@ -442,7 +442,8 @@ def main(argv=None) -> int:
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 3
-    except (StepSetError, ValueError, CapacityError, OSError) as ex:
+    except (StepSetError, ValueError, CapacityError, OSError, HessianError,
+            OverflowError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

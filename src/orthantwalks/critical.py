@@ -60,6 +60,23 @@ class QuadVal:
             val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
         return val
 
+    def unit(self):
+        """The phase of a real or purely imaginary nonzero value: 1, -1, 1j or
+        -1j, decided by rational comparisons; None for any other value."""
+        if self.m >= 0 or self.coef == 0:
+            # sign of rat + coef*sqrt(m); parts of opposite signs compare by squares
+            root_sign = (self.coef > 0) - (self.coef < 0) if self.m else 0
+            rat_sign = (self.rat > 0) - (self.rat < 0)
+            if rat_sign * root_sign >= 0:
+                sign = rat_sign or root_sign
+            else:
+                gap = self.rat ** 2 - self.coef ** 2 * self.m
+                sign = rat_sign if gap > 0 else root_sign if gap < 0 else 0
+            return sign or None
+        if self.rat == 0:
+            return 1j if self.coef > 0 else -1j
+        return None
+
     def __str__(self):
         """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9) reads 8."""
         root = _exact_root(abs(self.m))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from orthantwalks.enumeration import CountSeries
 
-# the periods tried, shortest first, by the fitter here and by the engine's
-# fold (asympt._fold); comparisons need one period to divide the other
+# the periods the fitter tries, shortest first; the engine's fold
+# (asympt._fold) reads its period off exact units, which gives 1, 2 or 4, so
+# every folded period is among these; comparisons need one to divide the other
 PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 
 EMP_LOG_RHO_TOL = 1e-2

@@ -35,11 +35,12 @@ class UnsupportedModelError(ValueError):
 
 
 def _integer(value, what):
-    """``value`` as an int when it is integral; StepSetError naming ``what`` otherwise."""
+    """``value`` as an int when it is integral; StepSetError naming ``what``
+    otherwise (a bool, JSON's true or false, is not an integer here)."""
     try:
         if isinstance(value, str):
             return int(value)
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -50,7 +51,7 @@ def parse_weight(w):
     """Exact rational weight from int/Fraction or a string like '3/2' or '0.25'."""
     if isinstance(w, Fraction):
         return w
-    if isinstance(w, int):
+    if isinstance(w, int) and not isinstance(w, bool):
         return Fraction(w)
     if isinstance(w, str):
         return Fraction(w)
@@ -230,7 +231,8 @@ class Decomposition:
 
     Everything is expressed in canonical axis order with the drift axis last:
     S = (1/z_d) A + Q + z_d B, Sbar = (z_k + 1/z_k) B_k + Q_k for k < d,
-    A = (z_j + 1/z_j) A'_j + A''_j and likewise for B.
+    A = (z_j + 1/z_j) A'_j + A''_j and likewise for B.  B_k is b_k with z_d
+    inverted.
     """
 
     dim: int
@@ -241,15 +243,9 @@ class Decomposition:
     total_weight: Fraction
     b_scalars: tuple  # b_k = weight moving forward along canonical axis k < d
     b_polys: tuple  # b_k(z) = [z_k] S, a Laurent poly in the other d-1 variables
-    BQ_pairs: tuple  # (B_k, Q_k) for k < d, in the variables without z_k
     ABprime: tuple  # (A'_j, B'_j, A''_j, B''_j) for j < d, in d-2 variables
 
     # --- evaluation helpers taking full-length canonical points -------------
-
-    def eval_hat(self, poly, drop, point):
-        """Evaluate a poly living in the variables without axis ``drop``."""
-        reduced = tuple(c for i, c in enumerate(point) if i != drop)
-        return poly.eval(reduced)
 
     def eval_A(self, point):
         return self.A.eval(tuple(point[: self.dim - 1]))
@@ -261,7 +257,8 @@ class Decomposition:
         """B_k at a d-point (axis k dropped); B_d is B itself."""
         if k == self.dim - 1:
             return self.eval_B(point)
-        return self.eval_hat(self.BQ_pairs[k][0], k, point)
+        reduced = tuple(c for i, c in enumerate(point) if i != k)
+        return self.b_polys[k].invert_var(self.dim - 2).eval(reduced)
 
 
 def decompose(s: StepSet) -> Decomposition:
@@ -279,18 +276,14 @@ def decompose(s: StepSet) -> Decomposition:
     A = S.coeff_slice(d - 1, -1)
     Q = S.coeff_slice(d - 1, 0)
     B = S.coeff_slice(d - 1, 1)
-    sbar = s.sbar_poly()
     b_scalars = []
     b_polys = []
-    bq_pairs = []
     abprime = []
     ones = (1,) * (d - 1)
     for k in range(d - 1):
         bp = S.coeff_slice(k, 1)
         b_polys.append(bp)
         b_scalars.append(bp.eval(ones))
-        Bk, Qk = _split_symmetric(sbar, k)
-        bq_pairs.append((Bk, Qk))
         Apj, App = _split_symmetric(A, k)
         Bpj, Bpp = _split_symmetric(B, k)
         abprime.append((Apj, Bpj, App, Bpp))
@@ -303,7 +296,6 @@ def decompose(s: StepSet) -> Decomposition:
         total_weight=s.total_weight(),
         b_scalars=tuple(b_scalars),
         b_polys=tuple(b_polys),
-        BQ_pairs=tuple(bq_pairs),
         ABprime=tuple(abprime),
     )
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random model generation, oracles (brute-force counts,
-the operator saddle route, numeric point selection), and the exact helpers
-only tests use (group action, rational equality, closed-form series)."""
+the operator saddle route, numeric point selection, numeric folding), and the
+exact helpers only tests use (group action, rational equality, closed-form
+series)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 from mpmath import mp
 
-from orthantwalks.asympt import _saddle_jets
+from orthantwalks.asympt import PeriodicForm, _saddle_jets
 from orthantwalks.critical import (
     RESIDUAL_TOL_EXP,
     SMOOTH,
@@ -20,6 +21,7 @@ from orthantwalks.critical import (
     QuadVal,
     _sqrt_fraction,
 )
+from orthantwalks.fit import PERIOD_CANDIDATES
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, Jet, LaurentPoly, to_mp
 from orthantwalks.stepset import build_stepset, decompose
 
@@ -215,6 +217,72 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
                                              stratum, nu, signs, wd_squared, rate))
     out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
+
+
+def numeric_fold(terms, base_alpha, rate_mod_exact, prec):
+    """Oracle: the periodic normal form found numerically, as before
+    ``asympt._fold`` read exact units.
+
+    Keeps the terms whose |rate| is the largest within a tolerance, snaps each
+    rate/|rate| to the nearest of 1, -1, i, -i within 2^-(prec/2), and takes
+    the first of the fitter's ``PERIOD_CANDIDATES`` p with omega^p = 1 within
+    2^-(prec/3) whose residue sums are real.
+    """
+    def lead_index(t, tol):
+        for k, c in enumerate(t.coefficients):
+            if abs(c) > tol:
+                return k
+        return None
+
+    with mp.workprec(prec + GUARD_BITS):
+        # floored at 1: when every coefficient is rounding noise, the largest
+        # of them must not set the scale that decides what counts as zero
+        tol_scale = max([max(abs(c) for c in t.coefficients) for t in terms
+                         if t.coefficients] + [mp.mpf(1)])
+        tol = tol_scale * mp.mpf(2) ** (-(prec // 2))
+        k0 = None
+        for t in terms:
+            lead = lead_index(t, tol)
+            if lead is not None:
+                k0 = lead if k0 is None else min(k0, lead)
+        if k0 is None:
+            return None
+        rate_mod = max(abs(t.rate) for t in terms)
+        live = []
+        for t in terms:
+            if abs(abs(t.rate) - rate_mod) > tol:
+                continue
+            v = t.coefficients[k0] if k0 < len(t.coefficients) else mp.mpc(0)
+            if abs(v) <= tol:
+                continue
+            omega = t.rate / rate_mod
+            # snap to the nearest root of unity of small order for exact powers
+            for cand in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1)):
+                if abs(omega - cand) < mp.mpf(2) ** (-(prec // 2)):
+                    omega = cand
+                    break
+            live.append((omega, v))
+        if not live:
+            return None
+        period = None
+        for p in PERIOD_CANDIDATES:
+            if all(abs(om**p - 1) < mp.mpf(2) ** (-(prec // 3)) for om, _ in live):
+                consts = []
+                ok = True
+                for r in range(p):
+                    tot = mp.mpc(0)
+                    for om, v in live:
+                        tot += v * om**r
+                    if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
+                        ok = False
+                        break
+                    consts.append(mp.re(tot))
+                if ok:
+                    period = p
+                    break
+        if period is None:
+            return None
+        return PeriodicForm(period, consts, base_alpha - k0, rate_mod, rate_mod_exact)
 
 
 def act(el, p, dcmp):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from helpers import operator_saddle_coefficients, symmetric_models
+from helpers import numeric_fold, operator_saddle_coefficients, symmetric_models
 from orthantwalks.asympt import (
     ContributionTerm,
     _phase_jets,
@@ -207,7 +207,7 @@ def test_phase_hessian_matches_closed_form():
         for s in (NSGROUP, build_stepset(2, ["N", "E", "W", "SE", "SW"])):
             dcmp = decompose(s)
             for p in contributing_points(s, PREC):
-                _, _, lam = _phase_jets(s.sbar_poly(), p.w, 4, 256)
+                _, lam = _phase_jets(s.sbar_poly(), p.w, 4, 256)
                 sbar = p.rate()
                 for j in range(s.dim - 1):
                     want = 2 * p.w[j] * dcmp.eval_Bk(j, p.w) / sbar
@@ -219,7 +219,7 @@ def test_phase_hessian_matches_closed_form():
 def test_high_order_vanishing_numerator_kills_first_correction():
     # a numerator vanishing to order >= 3 at the saddle forces L_1 = 0
     with mp.workprec(280):
-        _, g, lam = _phase_jets(NSGROUP.sbar_poly(),
+        g, lam = _phase_jets(NSGROUP.sbar_poly(),
                                 minimal_point(NSGROUP, PREC).w, 6, 256)
         lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)}, 256)
         u = lin * lin * lin
@@ -399,3 +399,40 @@ def test_folded_constants_real_nonnegative_random(s):
             return
         for c in exp.periodic.constants:
             assert c >= -mp.mpf(10) ** -25
+
+
+def test_quadval_unit():
+    def unit(rat, coef, m):
+        return QuadVal(Fraction(rat), Fraction(coef), Fraction(m)).unit()
+
+    assert unit(3, -2, 2) == 1  # 3 - 2*sqrt(2): the rational part dominates
+    assert unit(1, -2, 2) == -1  # 1 - 2*sqrt(2): the root dominates
+    assert unit(-1, -2, 2) == -1  # both parts negative
+    assert unit(-3, 0, -5) == -1  # a zero coefficient leaves the rational part
+    assert unit(2, -1, 4) is None  # 2 - sqrt(4) = 0 has no phase
+    assert unit(0, -2, -1) == -1j  # -2i
+    assert unit(0, 3, -4) == 1j
+    assert unit(1, 1, -2) is None  # 1 + i*sqrt(2)
+
+
+def _same_form(got, want):
+    if want is None:
+        return got is None
+    # mp values compare bit for bit
+    return (got is not None and got.period == want.period and got.alpha == want.alpha
+            and got.rate_modulus_exact == want.rate_modulus_exact
+            and got.rate_modulus._mpf_ == want.rate_modulus._mpf_
+            and [c._mpf_ for c in got.constants] == [c._mpf_ for c in want.constants])
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(1, 3), st.data())
+def test_exact_fold_matches_numeric_fold(s, depth, data):
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    exp = asympt_full(s, flt, N=depth, prec=PREC)
+    rate_str = str(next(t for t in exp.terms if t.point.is_principal()).rate_exact)
+    assert _same_form(exp.periodic, numeric_fold(exp.terms, exp.alpha, rate_str, PREC))
+    closed = asympt_closed(s, prec=PREC)
+    assert _same_form(closed.periodic, numeric_fold(
+        closed.terms, closed.alpha, str(closed.terms[0].rate_exact), PREC))

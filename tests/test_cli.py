@@ -186,6 +186,25 @@ def test_cli_file_errors_exit_1_without_traceback(tmp_path, capsys):
     assert list(tmp_path.rglob("*")) == []
 
 
+@pytest.mark.parametrize("weight, argv, message", [
+    ("1e40", ["asympt"], "phase Hessian is singular"),
+    ("1e40", ["verify"], "phase Hessian is singular"),
+    ("1e400", ["count", "--mode", "float"], "too large to convert to float"),
+], ids=["singular Hessian asympt", "singular Hessian verify", "float overflow"])
+def test_cli_numeric_failures_exit_1_without_traceback(tmp_path, capsys, weight, argv,
+                                                       message):
+    # a huge N weight flattens the phase below the Hessian threshold; a weight
+    # past the float range overflows the float DP
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": 2, "steps": [
+        {"vector": "N", "weight": weight}, "S", "E", "W"]}))
+    assert main(argv + ["--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert message in captured.err
+
+
 def test_cli_capacity_error(capsys):
     assert main(["count", "--model", "N,S,E,W", "--n", "9000", "--mode", "float"]) == 1
     captured = capsys.readouterr()
@@ -235,8 +254,14 @@ def test_cli_out_file_and_determinism(tmp_path, capsys):
     ({"dimension": 2, "steps": [{"vector": ["a", 1]}, "S", "E", "W"]}, "step vector ['a', 1]"),
     ({"dimension": 2, "steps": [{"vector": [0.5, 1]}, "S", "E", "W"]}, "step vector [0.5, 1]"),
     ({"dimension": 2.7, "steps": ["N", "S", "E", "W"]}, "'dimension' 2.7"),
+    ({"dimension": 2, "steps": [{"vector": [True, 0]}, "N", "S", "W"]},
+     "step vector [True, 0]"),
+    ({"dimension": 2, "steps": [{"vector": "N", "weight": True}, "S", "E", "W"]},
+     "weight True"),
+    ({"dimension": True, "steps": ["N", "S", "E", "W"]}, "'dimension' True"),
 ], ids=["no dimension", "no steps", "no vector", "list document", "number record",
-        "number vector", "non-integer vector", "fractional vector", "fractional dimension"])
+        "number vector", "non-integer vector", "fractional vector", "fractional dimension",
+        "boolean vector", "boolean weight", "boolean dimension"])
 def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))

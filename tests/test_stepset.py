@@ -51,11 +51,25 @@ def test_negative_drift_example():
 
 
 def test_bq_and_abprime_splits():
-    d = decompose(build_stepset(2, ["N", "SE", "S", "SW"]))
-    B1, Q1 = d.BQ_pairs[0]
-    assert B1 == LaurentPoly(1, {(1,): 1})
-    assert Q1 == LaurentPoly(1, {(1,): 1, (-1,): 1})
-    Ap, Bp, App, Bpp = d.ABprime[0]
+    # eval_Bk is the z_k coefficient of Sbar = (z_k + 1/z_k) B_k + Q_k for
+    # k < d, and B itself for k = d, at rational points
+    models = [build_stepset(2, ["N", "SE", "S", "SW"]),
+              build_stepset(3, [((0, 0, 1), 1)]
+                            + [((a, b, -1), 1) for a in (-1, 1) for b in (-1, 1)]
+                            + [((a, 0, -1), Fraction(3, 2)) for a in (-1, 1)]
+                            + [((0, b, 1), 2) for b in (-1, 1)]),
+              build_stepset(4, [((0, 0, 0, 1), 1)] + [((a, b, c, -1), 1) for a in (-1, 1)
+                                                      for b in (-1, 1) for c in (-1, 0, 1)])]
+    coords = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-2, 5))
+    for s in models:
+        d = decompose(s)
+        sbar = s.sbar_poly()
+        for point in itertools.product(coords, repeat=s.dim):
+            for k in range(s.dim - 1):
+                want = sbar.coeff_slice(k, 1).eval(point[:k] + point[k + 1:])
+                assert d.eval_Bk(k, point) == want
+            assert d.eval_Bk(s.dim - 1, point) == d.B.eval(point[:-1])
+    Ap, Bp, App, Bpp = decompose(models[0]).ABprime[0]
     assert (Ap, App) == (LaurentPoly.const(0, 1), LaurentPoly.const(0, 1))
     assert (Bp, Bpp) == (LaurentPoly.zero(0), LaurentPoly.const(0, 1))
 
@@ -115,6 +129,15 @@ def test_non_integer_step_data_rejected():
     with pytest.raises(StepSetError, match="step vector"):
         stepset_from_document({"dimension": 2, "steps": [{"vector": [0, Fraction(1, 2)]},
                                                          "S", "E", "W"]})
+    # JSON's true and false are not integers or weights
+    with pytest.raises(StepSetError, match=r"step vector \[True, 0\]"):
+        stepset_from_document({"dimension": 2, "steps": [{"vector": [True, 0]},
+                                                         "N", "S", "W"]})
+    with pytest.raises(StepSetError, match="weight True"):
+        stepset_from_document({"dimension": 2, "steps": [{"vector": "N", "weight": True},
+                                                         "S", "E", "W"]})
+    with pytest.raises(StepSetError, match="'dimension' True is not an integer"):
+        stepset_from_document({"dimension": True, "steps": ["N", "S", "E", "W"]})
     # integral values of any numeric type still pass
     nsew = build_stepset(2, ["N", "S", "E", "W"])
     assert build_stepset(2.0, [([0, 1.0], 1), ([Fraction(2, 2), 0], 1), "S", "W"]) == nsew
