@@ -154,8 +154,8 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
 
     Both modes raise CapacityError when the box {0..n_max}^d the walks span
-    has more than ``DEFAULT_STATE_CAP`` cells, although no part of the
-    kernel's state holds more than (n_max//2 + 2)^d of them.
+    has more than ``DEFAULT_STATE_CAP`` cells, although no buffer of the
+    kernel holds more than (n_max//2 + 3)^d of them.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")

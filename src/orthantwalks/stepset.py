@@ -54,7 +54,10 @@ def parse_weight(w):
     if isinstance(w, int) and not isinstance(w, bool):
         return Fraction(w)
     if isinstance(w, str):
-        return Fraction(w)
+        try:
+            return Fraction(w)
+        except (ValueError, ZeroDivisionError):  # e.g. 'abc', 'inf', '1/0'
+            pass
     if isinstance(w, float):
         raise StepSetError("float weights are ambiguous; pass a string or Fraction")
     raise StepSetError(f"cannot parse weight {w!r}")

@@ -1,7 +1,7 @@
 """Shared test utilities: random model generation, oracles (brute-force counts,
-the operator saddle route, numeric point selection, numeric folding), and the
-exact helpers only tests use (group action, rational equality, closed-form
-series)."""
+the shifted-slice DP kernel, the operator saddle route, numeric point
+selection, numeric folding), and the exact helpers only tests use (group
+action, rational equality, closed-form series)."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -118,6 +119,102 @@ def brute_force_counts(steps, n_max, dim, endpoint=None, axes=None):
             tot += w
         totals.append(tot)
     return totals
+
+
+class SlicePart:
+    """The walks whose collapsed axes are all far: an array over the live axes.
+
+    Index tuples start with an Ellipsis so that the part with no live axis is a
+    0-d array that slices, like every other, to a view.
+    """
+
+    __slots__ = ("steps", "cur", "nxt", "scratch")
+
+    def __init__(self, axes, vectors, weights, extent, dtype):
+        merged = {}
+        for v, w in zip(vectors, weights):
+            key = tuple(v[a] for a in axes)
+            merged[key] = merged.get(key, 0) + w
+        if np.dtype(dtype) != np.dtype(object):
+            merged = {v: float(w) for v, w in merged.items()}
+        self.steps = list(merged.items())
+        shape = (extent,) * len(axes)
+        self.cur = np.zeros(shape, dtype=dtype)
+        self.nxt = np.zeros(shape, dtype=dtype)
+        # products for non-unit weights land here, so no step allocates a temporary
+        self.scratch = (np.zeros(shape, dtype=dtype)
+                        if any(w != 1 for _, w in self.steps) else None)
+
+    def step(self, live, reach, total):
+        """Fill nxt on {0..reach-1}^k from cur on {0..live-1}^k; divide by total if given."""
+        box = (...,) + (slice(0, reach),) * self.cur.ndim
+        self.nxt[box] = 0
+        for v, w in self.steps:
+            lo = [max(-s, 0) for s in v]
+            src = (...,) + tuple(slice(a, live) for a in lo)
+            dst = (...,) + tuple(slice(a + s, live + s) for a, s in zip(lo, v))
+            if w == 1:
+                self.nxt[dst] += self.cur[src]
+            else:
+                part = self.scratch[(...,) + tuple(slice(0, live - a) for a in lo)]
+                np.multiply(self.cur[src], w, out=part)
+                self.nxt[dst] += part
+        if total is not None:
+            self.nxt[box] /= total
+
+
+def slice_evolve(vectors, weights, n_max, dtype):
+    """Oracle for ``_dp.evolve``: the state after 0, 1, ..., n_max steps, by
+    shifted slices of one array per part.
+
+    A state maps each tuple of live axes to an array over them: the full tuple
+    holds the walks near every hyperplane, cell by cell, on {0..m}^d with
+    m = min(n, n_max - n); a shorter tuple holds the walks far from each
+    missing axis, summed over it.  ``weights`` are integers.  With
+    ``dtype=object`` the state holds exact integer-weight counts; with a float
+    dtype each step is divided by sum(weights), so the state after n steps is
+    the count over sum(weights)^n.  A yielded state is valid until the
+    generator is resumed.
+    """
+    d = len(vectors[0])
+    total = None if np.dtype(dtype) == np.dtype(object) else float(sum(weights))
+    extent = n_max // 2 + 2  # the widest any live axis gets, just before a cut
+    parts = {}
+
+    def part(axes):
+        if axes not in parts:
+            parts[axes] = SlicePart(axes, vectors, weights, extent, dtype)
+        return parts[axes]
+
+    def state(live):
+        return {axes: p.cur[(...,) + (slice(0, live),) * len(axes)]
+                for axes, p in parts.items()}
+
+    part(tuple(range(d))).cur[(0,) * d] = 1
+    live = 1  # every live axis of the state holds coordinates 0..live-1
+    yield state(live)
+    for n in range(1, n_max + 1):
+        reach = live + 1
+        cut = min(n, n_max - n) + 1
+        for p in parts.values():
+            p.step(live, reach, total)
+        # a walk with x_a >= cut is far from axis a: move it to the part without a,
+        # larger parts first so a walk far on several axes moves on down
+        if reach > cut:
+            for k in range(d, 0, -1):
+                for axes in [axes for axes in parts if len(axes) == k]:
+                    arr = parts[axes].nxt
+                    for i in range(k):
+                        far = (...,) + tuple(slice(0, cut) if j < i else
+                                             slice(cut, reach) if j == i else
+                                             slice(0, reach) for j in range(k))
+                        into = (...,) + tuple(slice(0, cut) if j < i else slice(0, reach)
+                                              for j in range(k - 1))
+                        part(axes[:i] + axes[i + 1:]).nxt[into] += arr[far].sum(axis=i)
+        for p in parts.values():
+            p.cur, p.nxt = p.nxt, p.cur
+        live = min(reach, cut)
+        yield state(live)
 
 
 def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):

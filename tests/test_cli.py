@@ -259,9 +259,16 @@ def test_cli_out_file_and_determinism(tmp_path, capsys):
     ({"dimension": 2, "steps": [{"vector": "N", "weight": True}, "S", "E", "W"]},
      "weight True"),
     ({"dimension": True, "steps": ["N", "S", "E", "W"]}, "'dimension' True"),
+    ({"dimension": 2, "steps": [{"vector": "N", "weight": "abc"}, "S", "E", "W"]},
+     "weight 'abc'"),
+    ({"dimension": 2, "steps": [{"vector": "N", "weight": "inf"}, "S", "E", "W"]},
+     "weight 'inf'"),
+    ({"dimension": 2, "steps": [{"vector": "N", "weight": "1/0"}, "S", "E", "W"]},
+     "weight '1/0'"),
 ], ids=["no dimension", "no steps", "no vector", "list document", "number record",
         "number vector", "non-integer vector", "fractional vector", "fractional dimension",
-        "boolean vector", "boolean weight", "boolean dimension"])
+        "boolean vector", "boolean weight", "boolean dimension", "non-numeric weight",
+        "infinite weight", "zero-denominator weight"])
 def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))

@@ -4,10 +4,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_counts, brute_force_endpoints, symmetric_models
+from helpers import brute_force_counts, brute_force_endpoints, slice_evolve, symmetric_models
 from orthantwalks import _dp
 from orthantwalks.enumeration import (
     ENDPOINT_TABLE_MAX_N,
@@ -122,6 +123,54 @@ def test_evolve_keeps_only_the_light_cone_live():
         assert _dp.restricted_total(state, ()) == count_walks(D3, n).values[n]
     assert set(state) == {axes for r in range(4) for axes in itertools.combinations(range(3), r)}
     assert state[()][()] > 0
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Random step sets as the kernel gets them: vectors of a model that
+    ``build_stepset`` accepts (a forward and a backward step on every axis) and
+    integer weights, some of them not 1."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    nonzero = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    vectors = draw(st.lists(st.sampled_from(nonzero), max_size=4, unique=True))
+    for j in range(d):
+        for sign in (1, -1):
+            if not any(v[j] == sign for v in vectors):
+                vectors.append(tuple(sign if i == j else 0 for i in range(d)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(vectors), max_size=len(vectors)))
+    build_stepset(d, list(zip(vectors, weights)))
+    return vectors, weights
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_inputs(), st.integers(0, 40), st.sampled_from([object, np.float64]))
+def test_evolve_matches_the_slice_kernel(inputs, horizon, dtype):
+    vectors, weights = inputs
+    for n, (got, want) in enumerate(zip(_dp.evolve(vectors, weights, horizon, dtype),
+                                        slice_evolve(vectors, weights, horizon, dtype))):
+        assert list(got) == list(want), n
+        for axes, arr in got.items():
+            assert arr.shape == want[axes].shape, (n, axes)
+            if dtype is object:
+                assert (arr == want[axes]).all(), (n, axes)
+            else:
+                assert arr.tobytes() == want[axes].tobytes(), (n, axes)
+    assert n == horizon
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_evolve_buffers_are_zero_outside_the_live_box(d):
+    # every step of {-1,0,1}^d, so a +-1 move off any face of the box is tried:
+    # a nonzero slot outside the live box would mean a step wrapped into a
+    # neighbouring row or hyperplane of the flat buffer
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=d) if any(v)]
+    weights = [1 + i % 3 for i in range(len(vectors))]
+    for horizon in range(14):
+        for n, state in enumerate(_dp.evolve(vectors, weights, horizon, object)):
+            for axes, arr in state.items():
+                buf = arr.base  # the part's flat buffer, which the view reads
+                assert buf.ndim == 1 and buf.size == (horizon // 2 + 3) ** len(axes)
+                assert np.count_nonzero(buf) == np.count_nonzero(arr), (horizon, n, axes)
 
 
 # ------------------------------------------------------------------ filters
