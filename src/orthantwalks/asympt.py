@@ -5,7 +5,8 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * closed forms for the three drift classes (fully symmetric, one-axis
   positive drift, one-axis negative drift);
 * one saddle engine that expands the phase and amplitude as high-precision
-  jets, each only to the degree it is read, and sums Hörmander's explicit
+  jets, each only to the degree it is read and all at the one working
+  precision ``smooth_contribution`` sets, and sums Hörmander's explicit
   formula to any depth (for the diagonal Hessian it reads u gU^l only at even
   multi-indices).  One constructor, ``_integrand``, gives each point's exact
   phase and amplitude polynomials: the one-factor form for fully symmetric
@@ -63,7 +64,8 @@ from orthantwalks.enumeration import normalize_filter
 
 
 class HessianError(ArithmeticError):
-    """The phase Hessian is singular at a saddle point."""
+    """The phase Hessian is singular, or not diagonal, to working precision
+    at a saddle point."""
 
 
 @dataclass
@@ -104,8 +106,9 @@ class AsymptoticExpansion:
 
 # ------------------------------------------------------------ jet machinery
 
-def _phase_jets(poly, center, order, prec):
+def _phase_jets(poly, center, order):
     """The log-phase jet of ``poly`` at ``center`` and its diagonal Hessian entries."""
+    prec = mp.prec
     sj = jet_of_exponential_substitution(poly, center, order, prec)
     s0 = sj.constant_term()
     if abs(s0) == 0:
@@ -121,12 +124,15 @@ def _phase_jets(poly, center, order, prec):
             e = tuple(1 if j in (a, b) else 0 for j in range(d))
             if abs(g.coefficient(e)) > mp.mpf(2) ** (-prec // 2):
                 raise HessianError("phase Hessian is not diagonal")
+    # at a contributing point every term of the phase has one argument, so each
+    # entry is a positive real: a tiny one is a precision floor, not a zero
     if any(abs(l) < mp.mpf(2) ** (-prec // 2) for l in lam):
-        raise HessianError("phase Hessian is singular")
+        raise HessianError(f"phase Hessian is singular to working precision: an entry fell "
+                           f"below 2^-{prec // 2}; more precision resolves it")
     return g, lam
 
 
-def _saddle_coefficients(u, g, lam, N, prec):
+def _saddle_coefficients(u, g, lam, N):
     """c_k = (2 pi)^{-d/2} det(g'')^{-1/2} L_k for k < N.
 
     Hörmander's explicit formula: with gU the phase g minus its quadratic
@@ -146,43 +152,42 @@ def _saddle_coefficients(u, g, lam, N, prec):
         raise ValueError(f"depth {N} needs the phase jet to degree {2 * N} "
                          f"and the amplitude jet to degree {2 * (N - 1)}")
     d = g.dim
-    with mp.workprec(prec):
-        u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
-                   if sum(e) <= 2 * (N - 1)]
-        gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, prec)
-        weight = [[mp.factorial(2 * j) / (mp.factorial(j) * l**j) for j in range(3 * N)]
-                  for l in lam]
-        totals = [mp.mpc(0)] * N
-        power = Jet.const(d, 0, 1, prec)  # gU^0
-        for l in range(2 * N - 1):
-            if l:
-                # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
-                # so the degrees of gU^(l-1) and gU left out cannot reach it
-                top = 2 * (N - 1 + l)
-                power = Jet(d, top, power.coeffs, prec) * Jet(d, top, gU.coeffs, prec)
-            # a term of u pairs with the terms of gU^l that complete it to an
-            # even multi-index 2b of the degree H^m reads
-            partners = {}
-            for e, c in power.coeffs.items():
-                partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
-            for k in range((l + 1) // 2, N):
-                m = k + l
-                f = {}  # b -> Taylor coefficient of u gU^l at 2b
-                for e1, deg1, par1, c1 in u_terms:
-                    for e2, c2 in partners.get((2 * m - deg1, par1), ()):
-                        b = tuple((x + y) >> 1 for x, y in zip(e1, e2))
-                        p = c1 * c2
-                        f[b] = f[b] + p if b in f else p
-                total = mp.mpc(0)
-                for b, v in f.items():
-                    for a, ba in enumerate(b):
-                        v *= weight[a][ba]
-                    total += v
-                totals[k] += (-1) ** l * total / (2 ** m * mp.factorial(l))
-        pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
-        for l in lam:
-            pref = pref / mp.sqrt(l)
-        return [pref * t for t in totals]
+    u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
+               if sum(e) <= 2 * (N - 1)]
+    gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
+    weight = [[mp.factorial(2 * j) / (mp.factorial(j) * l**j) for j in range(3 * N)]
+              for l in lam]
+    totals = [mp.mpc(0)] * N
+    power = Jet.const(d, 0, 1)  # gU^0
+    for l in range(2 * N - 1):
+        if l:
+            # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
+            # so the degrees of gU^(l-1) and gU left out cannot reach it
+            top = 2 * (N - 1 + l)
+            power = Jet(d, top, power.coeffs) * Jet(d, top, gU.coeffs)
+        # a term of u pairs with the terms of gU^l that complete it to an
+        # even multi-index 2b of the degree H^m reads
+        partners = {}
+        for e, c in power.coeffs.items():
+            partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
+        for k in range((l + 1) // 2, N):
+            m = k + l
+            f = {}  # b -> Taylor coefficient of u gU^l at 2b
+            for e1, deg1, par1, c1 in u_terms:
+                for e2, c2 in partners.get((2 * m - deg1, par1), ()):
+                    b = tuple((x + y) >> 1 for x, y in zip(e1, e2))
+                    p = c1 * c2
+                    f[b] = f[b] + p if b in f else p
+            total = mp.mpc(0)
+            for b, v in f.items():
+                for a, ba in enumerate(b):
+                    v *= weight[a][ba]
+                total += v
+            totals[k] += (-1) ** l * total / (2 ** m * mp.factorial(l))
+    pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
+    for l in lam:
+        pref = pref / mp.sqrt(l)
+    return [pref * t for t in totals]
 
 
 # --------------------------------------------------- point-level expansions
@@ -222,15 +227,16 @@ def _integrand(s, point, variant):
     return s.sbar_poly(), point.w, num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
 
 
-def _saddle_jets(s, point, variant, phase_order, amplitude_order, prec):
+def _saddle_jets(s, point, variant, phase_order, amplitude_order):
     """Amplitude jet u, phase jet g and diagonal Hessian entries of
-    ``_integrand`` at one contributing point, to the given degrees; call at
-    working precision ``prec``."""
+    ``_integrand`` at one contributing point, to the given degrees, at the
+    working precision the caller has set."""
     phase, center, num, dens = _integrand(s, point, tuple(variant))
-    g, lam = _phase_jets(phase, center, phase_order, prec)
-    u = jet_of_exponential_substitution(num, center, amplitude_order, prec)
+    g, lam = _phase_jets(phase, center, phase_order)
+    u = jet_of_exponential_substitution(num, center, amplitude_order, mp.prec)
     for den in dens:
-        u = u * jet_of_exponential_substitution(den, center, amplitude_order, prec).reciprocal()
+        den = jet_of_exponential_substitution(den, center, amplitude_order, mp.prec)
+        u = u * den.reciprocal()
     return u, g, lam
 
 
@@ -246,13 +252,13 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     """
     if N < 1:
         raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    wp = prec + GUARD_BITS
-    with mp.workprec(wp):
+    # the one working precision of the expansion: every jet runs at it
+    with mp.workprec(prec + GUARD_BITS):
         # each jet only to the degree _saddle_coefficients reads
-        u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1), wp)
+        u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1))
         return ContributionTerm(
             point=point, rate=point.rate(), rate_exact=point.rate_exact,
-            alpha=Fraction(-g.dim, 2), coefficients=_saddle_coefficients(u, g, lam, N, wp),
+            alpha=Fraction(-g.dim, 2), coefficients=_saddle_coefficients(u, g, lam, N),
             order_bound=N)
 
 

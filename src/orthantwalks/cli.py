@@ -135,10 +135,15 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     source = "engine"
     partial = not supported
     if supported:
-        exp = asympt_full(s, flt, prec=prec)
-        predicted = _expansion_payload(exp, digits)
-        partial = exp.partial
-        pf = exp.periodic if not exp.partial else None
+        try:
+            exp = asympt_full(s, flt, prec=prec)
+        except HessianError as ex:  # a refused point: go on as for a partial expansion
+            partial = True
+            notes.append(str(ex))
+        else:
+            predicted = _expansion_payload(exp, digits)
+            partial = exp.partial
+            pf = exp.periodic if not exp.partial else None
     if pf is None:
         try:
             stored = catalog_mod.lookup(s).stored(next(

@@ -24,7 +24,7 @@ from mpmath import mp
 
 from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, to_mp
-from orthantwalks.stepset import StepSet, decompose
+from orthantwalks.stepset import StepSet, classify, decompose
 
 SMOOTH = "SmoothV1"
 TRANSVERSE = "TransverseV1V3"
@@ -192,8 +192,7 @@ def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     symmetric): the sign points, the all-ones one lying on the crossing.  For
     drift <= 0 these are exactly the ``smooth_sheet_points``.
     """
-    dcmp = decompose(s)
-    return _sign_vector_points(s, dcmp, dcmp.drift > 0, prec)
+    return _sign_vector_points(s, decompose(s), classify(s).drift_sign > 0, prec)
 
 
 def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):

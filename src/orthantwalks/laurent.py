@@ -4,7 +4,8 @@ Laurent polynomials are sparse dicts mapping integer exponent vectors to
 nonzero Fractions.  Jets are truncated multivariate Taylor expansions in the
 angular variables of the substitution z_j = c_j * exp(i*theta_j); their
 coefficients are arbitrary-precision complex numbers (mpmath), so saddle-point
-data extracted from them stays accurate far below double precision.
+data extracted from them stays accurate far below double precision.  Jet
+arithmetic, like ``LaurentPoly.eval``, runs at the caller's working precision.
 """
 
 from __future__ import annotations
@@ -268,32 +269,23 @@ class Jet:
     """Truncated Taylor expansion at theta = 0, dense up to a total degree.
 
     Coefficients are Taylor coefficients (derivative / factorial), stored as
-    mpmath complex numbers carried at ``prec`` bits.
+    mpmath complex numbers.  A jet carries no precision of its own: its
+    arithmetic runs at the caller's working precision, which the saddle engine
+    sets once per expansion.  Multi-indices are trusted, not re-checked.
     """
 
-    __slots__ = ("dim", "order", "coeffs", "prec")
+    __slots__ = ("dim", "order", "coeffs")
 
-    def __init__(self, dim, order, coeffs=None, prec=DEFAULT_PREC_BITS):
+    def __init__(self, dim, order, coeffs=None):
         if order < 0:
             raise ValueError("order must be non-negative")
         self.dim = dim
         self.order = order
-        self.prec = prec
-        clean = {}
-        for expo, c in (coeffs or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != dim or any(e < 0 for e in expo):
-                raise ValueError("bad jet multi-index")
-            if sum(expo) > order:
-                continue
-            if c != 0:
-                clean[expo] = c
-        self.coeffs = clean
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if sum(e) <= order and c != 0}
 
     @classmethod
-    def const(cls, dim, order, value, prec=DEFAULT_PREC_BITS):
-        with mp.workprec(prec):
-            return cls(dim, order, {(0,) * dim: to_mp(value) + mp.mpc(0)}, prec)
+    def const(cls, dim, order, value):
+        return cls(dim, order, {(0,) * dim: to_mp(value) + mp.mpc(0)})
 
     def coefficient(self, expo):
         return self.coeffs.get(tuple(expo), mp.mpc(0))
@@ -302,47 +294,30 @@ class Jet:
         return self.coefficient((0,) * self.dim)
 
     def _like(self, coeffs, order=None):
-        return Jet(self.dim, self.order if order is None else order, coeffs, self.prec)
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError("jet dimension mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        order = min(self.order, other.order)
-        out = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        for e, c in other.coeffs.items():
-            if sum(e) <= order:
-                out[e] = out.get(e, mp.mpc(0)) + c
-        return self._like(out, order)
+        return Jet(self.dim, self.order if order is None else order, coeffs)
 
     def __neg__(self):
         return self._like({e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            with mp.workprec(self.prec):
-                c = to_mp(other)
-                return self._like({e: v * c for e, v in self.coeffs.items()})
-        self._check(other)
+            c = to_mp(other)
+            return self._like({e: v * c for e, v in self.coeffs.items()})
+        if self.dim != other.dim:
+            raise ValueError("jet dimension mismatch")
         order = min(self.order, other.order)
         # the right factor by total degree, so each row stops at the order
         right = sorted(((sum(e), e, c) for e, c in other.coeffs.items()),
                        key=lambda t: t[0])
         out = {}
-        with mp.workprec(self.prec):
-            for e1, c1 in self.coeffs.items():
-                room = order - sum(e1)
-                for d2, e2, c2 in right:
-                    if d2 > room:
-                        break
-                    e = tuple(map(add, e1, e2))
-                    p = c1 * c2
-                    out[e] = out[e] + p if e in out else p
+        for e1, c1 in self.coeffs.items():
+            room = order - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                p = c1 * c2
+                out[e] = out[e] + p if e in out else p
         return self._like(out, order)
 
     __rmul__ = __mul__
@@ -370,11 +345,10 @@ class Jet:
 
     def reciprocal(self):
         """1/f for a jet with nonzero constant term: f R = 1 degree by degree."""
-        with mp.workprec(self.prec):
-            if self.constant_term() == 0:
-                raise ZeroDivisionError("jet has zero constant term")
-            r0 = 1 / self.constant_term()
-            return self._by_degree(r0, lambda i, deg: -r0)
+        if self.constant_term() == 0:
+            raise ZeroDivisionError("jet has zero constant term")
+        r0 = 1 / self.constant_term()
+        return self._by_degree(r0, lambda i, deg: -r0)
 
     def log(self):
         """Principal log of a jet with nonzero constant term.
@@ -383,17 +357,11 @@ class Jet:
         Euler operator (a term of degree D times D), so
         L_D = g_D - sum_{0<i<D} ((D-i)/D) (g_i L_{D-i})_D.
         """
-        with mp.workprec(self.prec):
-            c0 = self.constant_term()
-            if c0 == 0:
-                raise ZeroDivisionError("jet has zero constant term")
-            return (self * (1 / c0))._by_degree(
-                mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
-
-    def exp(self):
-        """exp(f): E F = F E f, so F_D = sum_{0<i<=D} (i/D) (f_i F_{D-i})_D."""
-        with mp.workprec(self.prec):
-            return self._by_degree(mp.exp(self.constant_term()), lambda i, deg: mp.mpf(i) / deg)
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise ZeroDivisionError("jet has zero constant term")
+        return (self * (1 / c0))._by_degree(
+            mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
 
 
 def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
@@ -401,6 +369,7 @@ def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
 
     Uses exp(i<e,theta>) = prod_j exp(i e_j theta_j), whose Taylor coefficient
     at multi-index m is prod_j (i e_j)^{m_j} / m_j!; no jet products needed.
+    Evaluated at ``prec + GUARD_BITS`` bits whatever the working precision.
     """
     d = p.dim
     if len(center) != d:
@@ -428,4 +397,4 @@ def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
                     if mj:
                         val *= taylor[j][mj]
                 out[m] = out.get(m, mp.mpc(0)) + val
-        return Jet(d, order, out, prec)
+        return Jet(d, order, out)

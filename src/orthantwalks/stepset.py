@@ -242,7 +242,6 @@ class Decomposition:
     A: LaurentPoly  # d-1 variables z_1..z_{d-1}
     Q: LaurentPoly
     B: LaurentPoly
-    drift: Fraction
     total_weight: Fraction
     b_scalars: tuple  # b_k = weight moving forward along canonical axis k < d
     b_polys: tuple  # b_k(z) = [z_k] S, a Laurent poly in the other d-1 variables
@@ -295,7 +294,6 @@ def decompose(s: StepSet) -> Decomposition:
         A=A,
         Q=Q,
         B=B,
-        drift=B.eval(ones) - A.eval(ones),
         total_weight=s.total_weight(),
         b_scalars=tuple(b_scalars),
         b_polys=tuple(b_polys),

@@ -228,7 +228,7 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
     wp = prec + GUARD_BITS
     order = max(2, 6 * (N - 1))
     with mp.workprec(wp):
-        u, g, lam = _saddle_jets(s, point, numerator_variant, order, order, wp)
+        u, g, lam = _saddle_jets(s, point, numerator_variant, order, order)
         d = g.dim
 
         def H(jet):
@@ -238,10 +238,10 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
                     if e[a] >= 2:
                         f = e[:a] + (e[a] - 2,) + e[a + 1:]
                         out[f] = out.get(f, mp.mpc(0)) - c * e[a] * (e[a] - 1) / la
-            return Jet(d, jet.order - 2, out, wp)
+            return Jet(d, jet.order - 2, out)
 
-        gU = Jet(d, order, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, wp)
-        gU_pows = [Jet.const(d, order, 1, wp)]
+        gU = Jet(d, order, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
+        gU_pows = [Jet.const(d, order, 1)]
         for _ in range(2 * (N - 1)):
             gU_pows.append(gU_pows[-1] * gU)
         pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)

@@ -17,7 +17,7 @@ from orthantwalks.asympt import (
     smooth_contribution,
     transverse_contribution,
 )
-from orthantwalks.catalog import lookup
+from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup
 from orthantwalks.critical import QuadVal, contributing_points, minimal_point
 from orthantwalks.enumeration import normalize_filter
 from orthantwalks.laurent import Jet, jet_of_exponential_substitution
@@ -207,7 +207,7 @@ def test_phase_hessian_matches_closed_form():
         for s in (NSGROUP, build_stepset(2, ["N", "E", "W", "SE", "SW"])):
             dcmp = decompose(s)
             for p in contributing_points(s, PREC):
-                _, lam = _phase_jets(s.sbar_poly(), p.w, 4, 256)
+                _, lam = _phase_jets(s.sbar_poly(), p.w, 4)
                 sbar = p.rate()
                 for j in range(s.dim - 1):
                     want = 2 * p.w[j] * dcmp.eval_Bk(j, p.w) / sbar
@@ -219,11 +219,10 @@ def test_phase_hessian_matches_closed_form():
 def test_high_order_vanishing_numerator_kills_first_correction():
     # a numerator vanishing to order >= 3 at the saddle forces L_1 = 0
     with mp.workprec(280):
-        g, lam = _phase_jets(NSGROUP.sbar_poly(),
-                                minimal_point(NSGROUP, PREC).w, 6, 256)
-        lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)}, 256)
+        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP, PREC).w, 6)
+        lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)})
         u = lin * lin * lin
-        coeffs = _saddle_coefficients(u, g, lam, 2, 256)
+        coeffs = _saddle_coefficients(u, g, lam, 2)
         assert abs(coeffs[0]) < mp.mpf(10) ** -40
         assert abs(coeffs[1]) < mp.mpf(10) ** -40
 
@@ -292,6 +291,22 @@ def test_d3_origin_expansion():
             assert pf.period == 4 and pf.alpha == Fraction(-9, 2)
             for got, c in zip(pf.constants, want):
                 assert abs(got - c) < mp.mpf(10) ** -30
+
+
+def test_engine_sets_its_own_working_precision():
+    # smooth_contribution sets the one precision every jet runs at, so the
+    # ambient precision reaches no bit of a term coefficient or folded constant
+    cases = [(e.stepset(), COLUMN_FILTERS[col]) for e in ENTRIES if e.theorem_covered()
+             for col in ("anywhere", "x_axis", "y_axis", "origin")]
+    cases += [(S3, flt) for flt in ("anywhere", "origin", ("axes", (0,)), ("axes", (2,)))]
+    for s, flt in cases:
+        runs = []
+        for ambient in (53, 600):
+            with mp.workprec(ambient):
+                exp = asympt_full(s, flt, 2, prec=192)
+            runs.append(([[c._mpc_ for c in t.coefficients] for t in exp.terms],
+                         exp.periodic and [c._mpf_ for c in exp.periodic.constants]))
+        assert runs[0] == runs[1], (s.describe(), flt)
 
 
 @pytest.mark.parametrize("depth", [0, -1])

@@ -7,10 +7,12 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
+from orthantwalks.asympt import asympt_closed
 from orthantwalks.cli import build_parser, main, verify_model
 from orthantwalks.critical import MIN_PREC_BITS
-from orthantwalks.stepset import build_stepset
+from orthantwalks.stepset import build_stepset, load_stepset
 
 
 # ------------------------------------------------------------ verify_model
@@ -186,23 +188,55 @@ def test_cli_file_errors_exit_1_without_traceback(tmp_path, capsys):
     assert list(tmp_path.rglob("*")) == []
 
 
+def _huge_n_model(tmp_path, weight):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": 2, "steps": [
+        {"vector": "N", "weight": weight}, "S", "E", "W"]}))
+    return path
+
+
 @pytest.mark.parametrize("weight, argv, message", [
     ("1e40", ["asympt"], "phase Hessian is singular"),
-    ("1e40", ["verify"], "phase Hessian is singular"),
     ("1e400", ["count", "--mode", "float"], "too large to convert to float"),
-], ids=["singular Hessian asympt", "singular Hessian verify", "float overflow"])
+], ids=["singular Hessian asympt", "float overflow"])
 def test_cli_numeric_failures_exit_1_without_traceback(tmp_path, capsys, weight, argv,
                                                        message):
     # a huge N weight flattens the phase below the Hessian threshold; a weight
     # past the float range overflows the float DP
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps({"dimension": 2, "steps": [
-        {"vector": "N", "weight": weight}, "S", "E", "W"]}))
-    assert main(argv + ["--model", str(path)]) == 1
+    assert main(argv + ["--model", str(_huge_n_model(tmp_path, weight))]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert message in captured.err
+
+
+def test_cli_verify_keeps_its_report_when_the_engine_refuses_a_point(tmp_path, capsys):
+    # the flat Hessian entry stops the engine, not the report: the exact
+    # identities stay, the engine's message becomes a note, and with no
+    # stored values the empirical fit is reported unchecked
+    code, out = run_cli(capsys, "verify", "--model", str(_huge_n_model(tmp_path, "1e40")))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "partial" and rep["predicted"] is None
+    assert rep["exact_checks"]["diagonal_vs_oracle"]["pass"]
+    assert rep["exact_checks"]["positive_part"]["pass"]
+    assert rep["comparisons"] == {}
+    assert rep["notes"][0].startswith("phase Hessian is singular")
+    assert "more precision resolves it" in rep["notes"][0]
+    assert rep["notes"][1] == "no prediction available; empirical fit reported unchecked"
+
+
+def test_cli_asympt_flat_hessian_resolved_by_precision(tmp_path, capsys):
+    # the entry that is below the floor at the default precision is a
+    # positive real: at 300 bits the engine meets the closed form
+    path = _huge_n_model(tmp_path, "1e40")
+    code, out = run_cli(capsys, "asympt", "--model", str(path), "--precision-bits", "300")
+    assert code == 0
+    rep = json.loads(out)
+    closed = asympt_closed(load_stepset(str(path)), prec=300).periodic
+    assert rep["alpha"] == str(closed.alpha) == "-1/2"
+    assert rep["rate_modulus_exact"] == closed.rate_modulus_exact
+    assert rep["constants"] == [mp.nstr(closed.constants[0], 16)] == ["5.641895835477563e+19"]
 
 
 def test_cli_capacity_error(capsys):

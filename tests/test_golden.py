@@ -2,7 +2,8 @@
 
 The expected files in ``tests/golden`` were written by the same commands
 before the refactors they guard (the comparison path; the exact point
-selection and the single integrand constructor); a refactor that keeps
+selection and the single integrand constructor; one working precision per
+saddle expansion); a refactor that keeps
 every number keeps these bytes.  To regenerate one after an intended change,
 run its command with ``--out tests/golden/<name>.json`` and say why in
 CHANGES.md.
@@ -30,6 +31,11 @@ CASES = {
     "asympt_NE_NW_S": (["asympt", "--model", "NE,NW,S"], 0),
     "critical_NE_NW_S": (["critical", "--model", "NE,NW,S"], 0),
     "critical_N_S_E_W": (["critical", "--model", "N,S,E,W"], 0),
+    # the deepest jets: depth 5 in 2D, and depth 3 over three variables in 3D
+    "asympt_N_S_SE_SW_origin_order5": (["asympt", "--model", "N,S,SE,SW", "--endpoint",
+                                        "origin", "--order", "5", "--digits", "30"], 0),
+    "asympt_3d_axes1": (["asympt", "--model", str(GOLDEN / "model_3d_example.json"),
+                         "--endpoint", "axes=1", "--digits", "30"], 0),
 }
 
 

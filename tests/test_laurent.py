@@ -202,6 +202,28 @@ def test_jet_matches_finite_differences(p, center, axis, k):
         assert abs(fd - jet_deriv) <= mp.mpf(10) ** -8 * scale
 
 
+def _series(h, coeffs):
+    """sum_k coeffs[k] h^k as a coefficient dict, by jet products; h has no
+    constant term, so the sum is exact to the jet's order."""
+    out = {(0,) * h.dim: coeffs[0]}
+    power = Jet.const(h.dim, h.order, 1)
+    for a in coeffs[1:]:
+        power = power * h
+        for e, c in power.coeffs.items():
+            out[e] = out.get(e, 0) + a * c
+    return out
+
+
+def _nonconstant(jet, scale=1):
+    return Jet(jet.dim, jet.order, {e: c * scale for e, c in jet.coeffs.items() if any(e)})
+
+
+def _close(jet, want, bound):
+    """Every coefficient of ``jet`` lies within ``bound`` of the dict ``want``."""
+    return all(abs(jet.coefficient(e) - want.get(e, 0)) < bound
+               for e in set(jet.coeffs) | set(want))
+
+
 def test_jet_mul_reciprocal_log_exp():
     with mp.workprec(220):
         pt = (Fraction(1), Fraction(2))
@@ -210,27 +232,27 @@ def test_jet_mul_reciprocal_log_exp():
         one = jet * jet.reciprocal()
         assert abs(one.constant_term() - 1) < mp.mpf(2) ** -180
         assert all(abs(c) < mp.mpf(2) ** -170 for e, c in one.coeffs.items() if any(e))
-        # log/exp agree with scalar values at the constant term and invert each other
+        # log agrees with the scalar log at the constant term, and the
+        # exponential series of the log gives the jet back
         lg = jet.log()
         assert abs(lg.constant_term() - mp.log(jet.constant_term())) < mp.mpf(2) ** -170
-        back = lg.exp()
-        diff = back - jet
-        assert all(abs(c) < mp.mpf(2) ** -150 for c in diff.coeffs.values())
+        e0 = mp.exp(lg.constant_term())
+        back = _series(_nonconstant(lg), [e0 / mp.factorial(k) for k in range(6)])
+        assert _close(jet, back, mp.mpf(2) ** -150)
 
 
 def test_jet_log_reciprocal_exp_by_degree_in_three_variables():
-    # the degree recurrences against the power series of log, by jet
-    # products, at a depth and dimension the saddle engine reaches
+    # the degree recurrences against the power series of log and exp, by
+    # jet products, at a depth and dimension the saddle engine reaches
     with mp.workprec(300):
         p = LP(3, {(1, 0, 0): 2, (0, -1, 0): 1, (0, 0, 1): 3, (1, 1, -1): 1, (0, 0, 0): 5})
         jet = jet_of_exponential_substitution(p, (Fraction(1), Fraction(2), Fraction(1, 3)), 8, 256)
         assert len(jet.coeffs) == 165
         c0 = jet.constant_term()
-        h = Jet(3, 8, {e: c / c0 for e, c in jet.coeffs.items() if any(e)}, 256)
-        want, power = Jet.const(3, 8, mp.log(c0), 256), Jet.const(3, 8, 1, 256)
-        for k in range(1, 9):
-            power = power * h
-            want = want + power * (mp.mpf((-1) ** (k + 1)) / k)
-        for diff in (jet.log() - want, jet.log().exp() - jet,
-                     jet * jet.reciprocal() - Jet.const(3, 8, 1, 256)):
-            assert all(abs(c) < mp.mpf(2) ** -200 for c in diff.coeffs.values())
+        lg, bound = jet.log(), mp.mpf(2) ** -200
+        log_series = [mp.log(c0)] + [mp.mpf((-1) ** (k + 1)) / k for k in range(1, 9)]
+        assert _close(lg, _series(_nonconstant(jet, 1 / c0), log_series), bound)
+        e0 = mp.exp(lg.constant_term())
+        assert _close(jet, _series(_nonconstant(lg), [e0 / mp.factorial(k) for k in range(9)]),
+                      bound)
+        assert _close(jet * jet.reciprocal(), {(0, 0, 0): 1}, bound)
