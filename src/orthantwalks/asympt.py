@@ -5,7 +5,8 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * closed forms for the three drift classes (fully symmetric, one-axis
   positive drift, one-axis negative drift);
 * one saddle engine that expands the phase and amplitude as high-precision
-  jets, each only to the degree it is read and all at the one working
+  jets at the point's exact coordinates (so vanishing Taylor coefficients are
+  exact zeros), each only to the degree it is read and all at the one working
   precision ``smooth_contribution`` sets, and sums Hörmander's explicit
   formula to any depth (for the diagonal Hessian it reads u gU^l only at even
   multi-indices).  One constructor, ``_integrand``, gives each point's exact
@@ -22,7 +23,8 @@ with the drift axis left free.  Then it expands the crossing points, and
 otherwise the smooth-sheet points, both chosen exactly by ``critical``; the
 base exponent is read off the terms.  Every output is folded into a periodic
 normal form with real per-residue constants, which is what verification
-compares.  The fold reads exact units: each rate is 1, -1, i or -i
+compares.  The fold reads exact zeros and exact units: the leading index is
+the first with a nonzero coefficient, each rate is 1, -1, i or -i
 (``QuadVal.unit``, decided exactly) times one shared modulus, and the period
 is the order of the units of the leading terms.  The folded rate is that of
 the first term with unit 1: the principal point for the engine, the first
@@ -41,7 +43,6 @@ from orthantwalks.critical import (
     SMOOTH,
     TRANSVERSE,
     ContributingPoint,
-    QuadVal,
     contributing_points,
     smooth_sheet_points,
 )
@@ -51,6 +52,7 @@ from orthantwalks.laurent import (
     GUARD_BITS,
     Jet,
     LaurentPoly,
+    QuadVal,
     jet_of_exponential_substitution,
     to_mp,
 )
@@ -61,11 +63,6 @@ from orthantwalks.stepset import (
     decompose,
 )
 from orthantwalks.enumeration import normalize_filter
-
-
-class HessianError(ArithmeticError):
-    """The phase Hessian is singular, or not diagonal, to working precision
-    at a saddle point."""
 
 
 @dataclass
@@ -107,28 +104,15 @@ class AsymptoticExpansion:
 # ------------------------------------------------------------ jet machinery
 
 def _phase_jets(poly, center, order):
-    """The log-phase jet of ``poly`` at ``center`` and its diagonal Hessian entries."""
-    prec = mp.prec
-    sj = jet_of_exponential_substitution(poly, center, order, prec)
-    s0 = sj.constant_term()
-    if abs(s0) == 0:
-        raise HessianError("kernel polynomial vanishes at the expansion point")
-    g = -((sj * (1 / s0)).log())
+    """The log-phase jet of ``poly`` at the exact ``center`` and its diagonal
+    Hessian entries.  At a contributing point each symmetric axis pairs every
+    phase term with its reflection and the drift coordinate is critical, so
+    the jet has no first-order or mixed second-order key; every phase term has
+    one argument there, so each entry is a positive real."""
+    sj = jet_of_exponential_substitution(poly, center, order)
+    g = -((sj * (1 / sj.constant_term())).log())
     d = poly.dim
-    lam = []
-    for a in range(d):
-        e2 = tuple(2 if j == a else 0 for j in range(d))
-        lam.append(2 * g.coefficient(e2))
-    for a in range(d):
-        for b in range(a + 1, d):
-            e = tuple(1 if j in (a, b) else 0 for j in range(d))
-            if abs(g.coefficient(e)) > mp.mpf(2) ** (-prec // 2):
-                raise HessianError("phase Hessian is not diagonal")
-    # at a contributing point every term of the phase has one argument, so each
-    # entry is a positive real: a tiny one is a precision floor, not a zero
-    if any(abs(l) < mp.mpf(2) ** (-prec // 2) for l in lam):
-        raise HessianError(f"phase Hessian is singular to working precision: an entry fell "
-                           f"below 2^-{prec // 2}; more precision resolves it")
+    lam = [2 * g.coefficient(tuple(2 * (j == a) for j in range(d))) for a in range(d)]
     return g, lam
 
 
@@ -194,7 +178,7 @@ def _saddle_coefficients(u, g, lam, N):
 
 def _integrand(s, point, variant):
     """The integrand at one contributing point: its phase polynomial, the
-    centre of the expansion, one exact amplitude numerator and a list of
+    exact centre of the expansion, one exact amplitude numerator and a list of
     amplitude denominator factors.
 
     Fully symmetric models use the one-factor form: phase S, amplitude
@@ -218,13 +202,14 @@ def _integrand(s, point, variant):
     for j in variant:
         if symmetric or residue or j != d - 1:
             num = num * (1 - LaurentPoly.variable(dim, j))
+    center = point.exact_w()
     if symmetric:
-        return s.char_poly(), point.w, num, []
+        return s.char_poly(), center, num, []
     if residue:
-        return dcmp.A + dcmp.Q + dcmp.B, point.w[:d - 1], num * (dcmp.B - dcmp.A), [dcmp.B]
+        return dcmp.A + dcmp.Q + dcmp.B, center[:d - 1], num * (dcmp.B - dcmp.A), [dcmp.B]
     A, B = dcmp.A.insert_var(d - 1), dcmp.B.insert_var(d - 1)
     dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
-    return s.sbar_poly(), point.w, num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
+    return s.sbar_poly(), center, num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
 
 
 def _saddle_jets(s, point, variant, phase_order, amplitude_order):
@@ -233,10 +218,9 @@ def _saddle_jets(s, point, variant, phase_order, amplitude_order):
     working precision the caller has set."""
     phase, center, num, dens = _integrand(s, point, tuple(variant))
     g, lam = _phase_jets(phase, center, phase_order)
-    u = jet_of_exponential_substitution(num, center, amplitude_order, mp.prec)
+    u = jet_of_exponential_substitution(num, center, amplitude_order)
     for den in dens:
-        den = jet_of_exponential_substitution(den, center, amplitude_order, mp.prec)
-        u = u * den.reciprocal()
+        u = u * jet_of_exponential_substitution(den, center, amplitude_order).reciprocal()
     return u, g, lam
 
 
@@ -307,12 +291,9 @@ def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
         raise ValueError("closed constants require a smooth-sheet point")
     d = s.dim
     dcmp = decompose(s)
-    wp = prec + GUARD_BITS
-    with mp.workprec(wp):
+    with mp.workprec(prec + GUARD_BITS):
         w = point.w
-        pd = w[d - 1]
-        if abs(pd - 1) < mp.mpf(2) ** (-wp // 2):
-            raise ZeroDivisionError("drift coordinate equals 1 (crossing point)")
+        pd = w[d - 1]  # not 1: the stratum is decided exactly, and 1 is the crossing
         sbar = point.rate()
         lam = []
         for j in range(d - 1):
@@ -345,23 +326,20 @@ def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
 def _fold(terms, base_alpha, prec):
     """Fold contribution terms into the periodic normal form at leading order.
 
-    Every rate is an exact unit (1, -1, i or -i) times one shared modulus, so
-    the period is the order of the units of the terms that lead: 4 if any is
-    +-i, 2 if any is -1, else 1.  No fold when a leading term's rate has no
-    unit or a residue sum is not real.
+    The leading index is the first with a nonzero coefficient (the engine's
+    zeros are exact).  Every rate is an exact unit (1, -1, i or -i) times one
+    shared modulus, so the period is the order of the units of the terms that
+    lead: 4 if any is +-i, 2 if any is -1, else 1.  No fold when a leading
+    term's rate has no unit or a residue sum is not real (conjugate points are
+    summed numerically, so that test keeps a tolerance).
     """
     with mp.workprec(prec + GUARD_BITS):
-        # floored at 1: when every coefficient is rounding noise, the largest
-        # of them must not set the scale that decides what counts as zero
-        tol_scale = max([max(abs(c) for c in t.coefficients) for t in terms
-                         if t.coefficients] + [mp.mpf(1)])
-        tol = tol_scale * mp.mpf(2) ** (-(prec // 2))
-        k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if abs(c) > tol),
+        k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if c != 0),
                  default=None)
         if k0 is None:
             return None
         live = [(t.rate_exact.unit(), t.coefficients[k0]) for t in terms
-                if k0 < len(t.coefficients) and abs(t.coefficients[k0]) > tol]
+                if k0 < len(t.coefficients) and t.coefficients[k0] != 0]
         units = {u for u, _ in live}
         if None in units:
             return None

@@ -21,7 +21,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from orthantwalks import catalog as catalog_mod
-from orthantwalks.asympt import HessianError, asympt_full
+from orthantwalks.asympt import asympt_full
 from orthantwalks.critical import MIN_PREC_BITS, check_critical, contributing_points
 from orthantwalks.enumeration import (
     CapacityError,
@@ -30,7 +30,7 @@ from orthantwalks.enumeration import (
     normalize_filter,
     parse_filter,
 )
-from orthantwalks.fit import compare_fit, estimate_growth
+from orthantwalks.fit import MIN_FIT_N, compare_fit, estimate_growth
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum, positive_part_check
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import (
@@ -135,15 +135,10 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     source = "engine"
     partial = not supported
     if supported:
-        try:
-            exp = asympt_full(s, flt, prec=prec)
-        except HessianError as ex:  # a refused point: go on as for a partial expansion
-            partial = True
-            notes.append(str(ex))
-        else:
-            predicted = _expansion_payload(exp, digits)
-            partial = exp.partial
-            pf = exp.periodic if not exp.partial else None
+        exp = asympt_full(s, flt, prec=prec)
+        predicted = _expansion_payload(exp, digits)
+        partial = exp.partial
+        pf = exp.periodic if not exp.partial else None
     if pf is None:
         try:
             stored = catalog_mod.lookup(s).stored(next(
@@ -400,12 +395,14 @@ def _cmd_catalog(args):
     modes = tuple(m.strip() for m in args.modes.split(","))
     if not set(modes) <= {"symbolic", "empirical"}:
         raise UsageError(f"--modes takes symbolic and/or empirical, got {args.modes!r}")
+    n_max = args.n if args.n is not None else 512
+    if args.check and "empirical" in modes and n_max < MIN_FIT_N:
+        raise UsageError(f"--n must be at least {MIN_FIT_N}")  # the fitter's shortest series
     if not args.check:
         rows = [{"model": e.name, "class": e.klass, "column": col, "rate": sa.rate,
                  "alpha": str(sa.alpha), "constants": " ; ".join(sa.constants)}
                 for e in catalog_mod.ENTRIES for _, col, sa in catalog_mod.cells(e, args.table)]
         return 0, {"schema_version": SCHEMA_VERSION, "rows": rows}
-    n_max = args.n if args.n is not None else 512
     results = catalog_mod.reproduce_tables(args.table, modes, n_max=n_max,
                                            prec=args.precision_bits,
                                            threads=args.threads)
@@ -424,7 +421,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.precision_bits < MIN_PREC_BITS:
             raise UsageError(f"--precision-bits must be at least {MIN_PREC_BITS}")
-        for flag, least in (("n", 0), ("order", 1), ("digits", 1), ("threads", 1)):
+        # verify fits a series: refused below the fitter's shortest before any work
+        n_least = MIN_FIT_N if args.command == "verify" else 0
+        for flag, least in (("n", n_least), ("order", 1), ("digits", 1), ("threads", 1)):
             value = getattr(args, flag, None)  # absent, or left at a None default
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be at least {least}")
@@ -447,8 +446,7 @@ def main(argv=None) -> int:
     except UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return 3
-    except (StepSetError, ValueError, CapacityError, OSError, HessianError,
-            OverflowError) as ex:
+    except (StepSetError, ValueError, CapacityError, OSError, OverflowError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

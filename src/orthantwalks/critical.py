@@ -8,9 +8,10 @@ takes the crossing, and the smooth sheet serves every other case.  The
 minimal point is the principal point: all signs +1 and the principal root.
 Which candidates contribute is decided exactly, by rational identities
 between A(w), Q(w), B(w) and their values at w = 1; no tolerance enters the
-selection.  ``check_critical`` reports the numeric residuals of the
-criticality equations at a point, against a 2^-160 tolerance, as an
-independent check.
+selection.  Each point also gives its coordinates exactly, in
+Q(sqrt(wd_squared)), for the saddle engine.  ``check_critical`` reports the
+numeric residuals of the criticality equations at a point, against a 2^-160
+tolerance, as an independent check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from orthantwalks.kernel import diag_kernel
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, to_mp
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, QuadVal, to_mp
 from orthantwalks.stepset import StepSet, classify, decompose
 
 SMOOTH = "SmoothV1"
@@ -34,62 +35,6 @@ RESIDUAL_TOL_EXP = -160  # check_critical compares residuals against 2**-160
 # below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes
 # check_critical.
 MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
-
-
-def _exact_root(q: Fraction):
-    """The rational square root of q >= 0, or None when q is not a square."""
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-@dataclass(frozen=True)
-class QuadVal:
-    """Exact value rat + coef*sqrt(m) with rational rat, coef, m (m may be
-    negative, meaning sqrt(m) = i*sqrt(|m|))."""
-
-    rat: Fraction
-    coef: Fraction
-    m: Fraction
-
-    def to_mp(self):
-        val = mp.mpc(mp.mpf(self.rat.numerator) / self.rat.denominator)
-        if self.coef:
-            root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
-            val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
-        return val
-
-    def unit(self):
-        """The phase of a real or purely imaginary nonzero value: 1, -1, 1j or
-        -1j, decided by rational comparisons; None for any other value."""
-        if self.m >= 0 or self.coef == 0:
-            # sign of rat + coef*sqrt(m); parts of opposite signs compare by squares
-            root_sign = (self.coef > 0) - (self.coef < 0) if self.m else 0
-            rat_sign = (self.rat > 0) - (self.rat < 0)
-            if rat_sign * root_sign >= 0:
-                sign = rat_sign or root_sign
-            else:
-                gap = self.rat ** 2 - self.coef ** 2 * self.m
-                sign = rat_sign if gap > 0 else root_sign if gap < 0 else 0
-            return sign or None
-        if self.rat == 0:
-            return 1j if self.coef > 0 else -1j
-        return None
-
-    def __str__(self):
-        """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9) reads 8."""
-        root = _exact_root(abs(self.m))
-        if root is not None and self.m >= 0:
-            return str(self.rat + self.coef * root)
-        if root is None:
-            coef, unit = self.coef, (f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})")
-        else:  # i times a rational
-            coef, unit = self.coef * root, "i"
-        term = unit if abs(coef) == 1 else f"{abs(coef)}*{unit}"
-        if self.rat == 0:
-            return term if coef > 0 else f"-{term}"
-        return f"{self.rat} {'+' if coef > 0 else '-'} {term}"
 
 
 @dataclass(frozen=True)
@@ -116,15 +61,14 @@ class ContributingPoint:
     def coords(self):
         return self.w + (self.t,)
 
+    def exact_w(self):
+        """w exactly: the signs, then i^nu * (principal) sqrt(wd_squared)."""
+        return self.w_signs + (QuadVal(Fraction(0), Fraction((-1) ** (self.nu // 2)),
+                                       self.wd_squared),)
+
     def rate(self):
         """1/(w_1...w_d t), the reciprocal of the point's coordinate product."""
         return self.rate_exact.to_mp()
-
-
-def _sqrt_fraction(q: Fraction):
-    """Principal square root of a rational: real for q>0, i*sqrt(|q|) for q<0."""
-    mag = mp.sqrt(mp.mpf(abs(q).numerator) / abs(q).denominator)
-    return mp.mpc(0, mag) if q < 0 else mp.mpc(mag, 0)
 
 
 def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
@@ -165,12 +109,11 @@ def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
                                    to_mp(Fraction(1, prod * sw))))
             elif (abs(aw), abs(qw), abs(bw)) == ref:
                 q = Fraction(bw, aw)
-                wd0 = _sqrt_fraction(q)
                 sign_a = 1 if aw > 0 else -1
                 for nu, root in ((0, 1), (2, -1)):
                     if qw != 0 and not (aw * bw > 0 and (qw > 0) == (sign_a * root > 0)):
                         continue
-                    wd = root * wd0
+                    wd = QuadVal(Fraction(0), Fraction(root), q).to_mp()
                     sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
                     drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
                                                       Fraction(aw * bw)),

@@ -19,6 +19,8 @@ from orthantwalks.enumeration import CountSeries
 # every folded period is among these; comparisons need one to divide the other
 PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 
+MIN_FIT_N = 64  # the shortest series estimate_growth fits: n_max >= MIN_FIT_N
+
 EMP_LOG_RHO_TOL = 1e-2
 EMP_ALPHA_TOL = 0.05
 EMP_CONST_TOL = 0.10
@@ -92,8 +94,8 @@ def estimate_growth(series: CountSeries) -> GrowthFit:
     these models can carry half-integer steps).
     """
     n_max = series.n_max()
-    if n_max < 64:
-        raise ValueError("series too short for growth estimation (need n_max >= 64)")
+    if n_max < MIN_FIT_N:
+        raise ValueError(f"series too short for growth estimation (need n_max >= {MIN_FIT_N})")
     logs = [series.log_value(n) for n in range(n_max + 1)]
     if all(not math.isfinite(v) for v in logs[1:]):
         raise ValueError("series is identically zero")

@@ -4,12 +4,16 @@ Laurent polynomials are sparse dicts mapping integer exponent vectors to
 nonzero Fractions.  Jets are truncated multivariate Taylor expansions in the
 angular variables of the substitution z_j = c_j * exp(i*theta_j); their
 coefficients are arbitrary-precision complex numbers (mpmath), so saddle-point
-data extracted from them stays accurate far below double precision.  Jet
-arithmetic, like ``LaurentPoly.eval``, runs at the caller's working precision.
+data extracted from them stays accurate far below double precision.  The
+centre c is exact, in one field Q(sqrt(m)) (``QuadVal``), so the substitution
+keeps exact zeros.  Jet arithmetic, like ``LaurentPoly.eval``, runs at the
+caller's working precision.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -364,37 +368,100 @@ class Jet:
             mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
 
 
-def jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
+def _exact_root(q: Fraction):
+    """The rational square root of q >= 0, or None when q is not a square."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+@dataclass(frozen=True)
+class QuadVal:
+    """Exact value rat + coef*sqrt(m) with rational rat, coef, m (m may be
+    negative, meaning sqrt(m) = i*sqrt(|m|))."""
+
+    rat: Fraction
+    coef: Fraction
+    m: Fraction
+
+    def __bool__(self):
+        """False exactly when the value is 0, decided by rational comparisons."""
+        if self.m < 0:  # rat + i*coef*sqrt(-m)
+            return bool(self.rat or self.coef)
+        return self.rat * self.coef > 0 or self.rat ** 2 != self.coef ** 2 * self.m
+
+    def to_mp(self):
+        val = mp.mpc(mp.mpf(self.rat.numerator) / self.rat.denominator)
+        if self.coef:
+            root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
+            val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
+        return val
+
+    def unit(self):
+        """The phase of a real or purely imaginary nonzero value: 1, -1, 1j or
+        -1j, decided by rational comparisons; None for any other value."""
+        if self.m < 0 and self.coef:  # rat + i*coef*sqrt(-m)
+            return None if self.rat else 1j if self.coef > 0 else -1j
+        if not self:
+            return None
+        # a nonzero real has the sign of its larger part, compared by squares
+        lead = self.rat if self.rat ** 2 > self.coef ** 2 * self.m else self.coef
+        return 1 if lead > 0 else -1
+
+    def __str__(self):
+        """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9) reads 8."""
+        root = _exact_root(abs(self.m))
+        if root is not None and self.m >= 0:
+            return str(self.rat + self.coef * root)
+        if root is None:
+            coef, unit = self.coef, (f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})")
+        else:  # i times a rational
+            coef, unit = self.coef * root, "i"
+        term = unit if abs(coef) == 1 else f"{abs(coef)}*{unit}"
+        if self.rat == 0:
+            return term if coef > 0 else f"-{term}"
+        return f"{self.rat} {'+' if coef > 0 else '-'} {term}"
+
+
+def jet_of_exponential_substitution(p, center, order):
     """Taylor jet at theta=0 of theta |-> p(c_1 e^{i theta_1}, ..., c_d e^{i theta_d}).
 
-    Uses exp(i<e,theta>) = prod_j exp(i e_j theta_j), whose Taylor coefficient
-    at multi-index m is prod_j (i e_j)^{m_j} / m_j!; no jet products needed.
-    Evaluated at ``prec + GUARD_BITS`` bits whatever the working precision.
+    Each c_j is a rational or a ``QuadVal`` r*sqrt(m) with one m for all, so
+    each term of p is x or y*sqrt(m) at c, with rational x or y; exp(i<e,theta>)
+    has the Taylor coefficient i^{|k|} e^k / k! at k.  The coefficient at k is
+    i^{|k|}/k! (X_k + Y_k sqrt(m)), with X_k and Y_k exact sums over the terms:
+    exact zeros are dropped, and the rest are rounded to the working precision
+    only at the end.
     """
     d = p.dim
     if len(center) != d:
         raise ValueError("center length does not match dimension")
-    with mp.workprec(prec + GUARD_BITS):
-        coords = [to_mp(c) for c in center]
-        if any(c == 0 for c in coords):
-            raise ZeroDivisionError("zero coordinate in jet center")
-        factorials = [mp.mpf(1)]
-        for k in range(1, order + 1):
-            factorials.append(factorials[-1] * k)
-        indices = list(multi_indices(d, order))
-        out = {}
-        for expo, coeff in p.terms.items():
-            scale = to_mp(coeff)
-            for c, e in zip(coords, expo):
-                scale *= c ** e
-            taylor = [[mp.mpc(0, e) ** k / factorials[k] for k in range(order + 1)]
-                      for e in expo]
-            for m in indices:
-                if any(mj and not e for mj, e in zip(m, expo)):
-                    continue
-                val = scale
-                for j, mj in enumerate(m):
-                    if mj:
-                        val *= taylor[j][mj]
-                out[m] = out.get(m, mp.mpc(0)) + val
-        return Jet(d, order, out)
+    m = next((c.m for c in center if isinstance(c, QuadVal)), Fraction(0))
+    if any(isinstance(c, QuadVal) and (c.rat or c.m != m) for c in center):
+        raise ValueError("center coordinates must be rationals or multiples of one sqrt(m)")
+    # c_j = r_j sqrt(m)^s_j
+    coords = [(c.coef, 1) if isinstance(c, QuadVal) else (_as_fraction(c), 0) for c in center]
+    terms = []  # (e, v, odd): the term's value is v * sqrt(m)^odd
+    for expo, coeff in p.terms.items():
+        half = sum(s * e for (_, s), e in zip(coords, expo))
+        val = coeff * math.prod(r ** e for (r, _), e in zip(coords, expo)) * m ** (half // 2)
+        terms.append((expo, val, half % 2))
+    den = math.lcm(*(v.denominator for _, v, _ in terms))  # X_k, Y_k summed as integers
+    sums = {k: [0, 0] for k in multi_indices(d, order)}
+    for expo, val, odd in terms:
+        val = int(val * den)
+        powers = [[e ** k for k in range(order + 1)] for e in expo]
+        for k, acc in sums.items():
+            w = math.prod(row[kj] for row, kj in zip(powers, k))
+            if w:  # 0 when k differentiates a variable the term lacks
+                acc[odd] += val * w
+    out = {}
+    for k, (x, y) in sums.items():
+        if not (x or y):
+            continue
+        scale = den * math.prod(map(math.factorial, k))
+        value = QuadVal(Fraction(x, scale), Fraction(y, scale), m)
+        if value:
+            out[k] = mp.mpc(0, 1) ** sum(k) * value.to_mp()
+    return Jet(d, order, out)

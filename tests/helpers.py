@@ -1,7 +1,8 @@
 """Shared test utilities: random model generation, oracles (brute-force counts,
-the shifted-slice DP kernel, the operator saddle route, numeric point
-selection, numeric folding), and the exact helpers only tests use (group
-action, rational equality, closed-form series)."""
+the shifted-slice DP kernel, the numeric substitution jet, the operator
+saddle route, numeric point selection, numeric folding), and the exact
+helpers only tests use (group action, rational equality, closed-form
+series)."""
 
 from __future__ import annotations
 
@@ -20,10 +21,16 @@ from orthantwalks.critical import (
     TRANSVERSE,
     ContributingPoint,
     QuadVal,
-    _sqrt_fraction,
 )
 from orthantwalks.fit import PERIOD_CANDIDATES
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, Jet, LaurentPoly, to_mp
+from orthantwalks.laurent import (
+    DEFAULT_PREC_BITS,
+    GUARD_BITS,
+    Jet,
+    LaurentPoly,
+    multi_indices,
+    to_mp,
+)
 from orthantwalks.stepset import build_stepset, decompose
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
@@ -217,6 +224,41 @@ def slice_evolve(vectors, weights, n_max, dtype):
         yield state(live)
 
 
+def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
+    """Oracle: the substitution jet of ``laurent.jet_of_exponential_substitution``
+    evaluated numerically at an mpmath centre, as before that routine took
+    exact centres.
+
+    Uses exp(i<e,theta>) = prod_j exp(i e_j theta_j), whose Taylor coefficient
+    at multi-index m is prod_j (i e_j)^{m_j} / m_j!.  Evaluated at
+    ``prec + GUARD_BITS`` bits whatever the working precision; coefficients
+    that vanish exactly come out as rounding noise.
+    """
+    d = p.dim
+    with mp.workprec(prec + GUARD_BITS):
+        coords = [to_mp(c) for c in center]
+        factorials = [mp.mpf(1)]
+        for k in range(1, order + 1):
+            factorials.append(factorials[-1] * k)
+        indices = list(multi_indices(d, order))
+        out = {}
+        for expo, coeff in p.terms.items():
+            scale = to_mp(coeff)
+            for c, e in zip(coords, expo):
+                scale *= c ** e
+            taylor = [[mp.mpc(0, e) ** k / factorials[k] for k in range(order + 1)]
+                      for e in expo]
+            for m in indices:
+                if any(mj and not e for mj, e in zip(m, expo)):
+                    continue
+                val = scale
+                for j, mj in enumerate(m):
+                    if mj:
+                        val *= taylor[j][mj]
+                out[m] = out.get(m, mp.mpc(0)) + val
+        return Jet(d, order, out)
+
+
 def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
     """Oracle: the depth-N saddle coefficients by the operator route.
 
@@ -292,7 +334,7 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
                                    to_mp(Fraction(1, prod * sw))))
             elif aw != 0 and bw != 0 and abs(Fraction(bw, aw)) == abs(q_ref):
                 q = Fraction(bw, aw)
-                wd0 = _sqrt_fraction(q)
+                wd0 = QuadVal(Fraction(0), Fraction(1), q).to_mp()
                 sign_a = 1 if aw > 0 else -1
                 for nu, root in ((0, 1), (2, -1)):
                     wd = root * wd0

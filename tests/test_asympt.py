@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from helpers import numeric_fold, operator_saddle_coefficients, symmetric_models
+from helpers import (
+    numeric_fold,
+    numeric_jet_of_exponential_substitution,
+    operator_saddle_coefficients,
+    symmetric_models,
+)
 from orthantwalks.asympt import (
     ContributionTerm,
+    _integrand,
     _phase_jets,
     _saddle_coefficients,
     asympt_closed,
@@ -20,7 +26,7 @@ from orthantwalks.asympt import (
 from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup
 from orthantwalks.critical import QuadVal, contributing_points, minimal_point
 from orthantwalks.enumeration import normalize_filter
-from orthantwalks.laurent import Jet, jet_of_exponential_substitution
+from orthantwalks.laurent import GUARD_BITS, Jet, jet_of_exponential_substitution
 from orthantwalks.stepset import (
     UnsupportedModelError,
     build_stepset,
@@ -33,6 +39,9 @@ NNWS = build_stepset(2, ["NE", "NW", "S"])
 NSEW = build_stepset(2, ["N", "S", "E", "W"])
 S3 = build_stepset(
     3, [((0, 0, 1), 1)] + [((sx, sy, -1), 1) for sx in (-1, 1) for sy in (-1, 1)])
+S4 = build_stepset(
+    4, [((0, 0, 0, 1), 1)] + [((sx, sy, sz, -1), 1) for sx in (-1, 1) for sy in (-1, 1)
+                              for sz in (-1, 1)])
 
 PREC = 192
 
@@ -165,19 +174,19 @@ def _lemma_targets(s, dcmp, p):
     """Closed forms for low-order derivatives of the phase polynomial jet."""
     d = s.dim
     with mp.workprec(280):
-        jet = jet_of_exponential_substitution(s.sbar_poly(), p.w, 3, 256)
+        jet = jet_of_exponential_substitution(s.sbar_poly(), p.exact_w(), 3)
         out = []
         for j in range(d - 1):
             e1 = tuple(1 if k == j else 0 for k in range(d))
             e2 = tuple(2 if k == j else 0 for k in range(d))
             bj = dcmp.eval_Bk(j, p.w)
-            out.append((jet.coefficient(e1), mp.mpc(0)))
+            assert e1 not in jet.coeffs  # an exact zero
             out.append((jet.coefficient(e2) * 2, -2 * p.w[j] * bj))
         if p.stratum == "SmoothV1":
             ed1 = tuple(1 if k == d - 1 else 0 for k in range(d))
             ed2 = tuple(2 if k == d - 1 else 0 for k in range(d))
             bd = dcmp.eval_B(p.w)
-            out.append((jet.coefficient(ed1), mp.mpc(0)))
+            assert ed1 not in jet.coeffs
             out.append((jet.coefficient(ed2) * 2, -2 * bd / p.w[d - 1]))
             for j in range(d - 1):
                 e = tuple((2 if k == j else 0) + (1 if k == d - 1 else 0)
@@ -207,7 +216,7 @@ def test_phase_hessian_matches_closed_form():
         for s in (NSGROUP, build_stepset(2, ["N", "E", "W", "SE", "SW"])):
             dcmp = decompose(s)
             for p in contributing_points(s, PREC):
-                _, lam = _phase_jets(s.sbar_poly(), p.w, 4)
+                _, lam = _phase_jets(s.sbar_poly(), p.exact_w(), 4)
                 sbar = p.rate()
                 for j in range(s.dim - 1):
                     want = 2 * p.w[j] * dcmp.eval_Bk(j, p.w) / sbar
@@ -216,10 +225,57 @@ def test_phase_hessian_matches_closed_form():
                 assert abs(lam[s.dim - 1] - want_d) < mp.mpf(10) ** -30
 
 
+def _expanded_integrands(s, axes):
+    """(point, phase, exact centre, [phase, numerator, *denominators]) at every
+    point ``asympt_full`` expands for the filter on ``axes``."""
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    variant = s.canonical_variant(flt)
+    for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:
+        phase, center, num, dens = _integrand(s, p, variant)
+        yield p, phase, center, [phase, num] + dens
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(2, 6), st.data())
+def test_exact_jets_match_numeric_substitution(s, order, data):
+    # the numeric route evaluates at the rounded centre: every coefficient the
+    # exact jet keeps agrees with it, and every one it drops is noise there
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    with mp.workprec(PREC + GUARD_BITS):
+        for p, _, center, polys in _expanded_integrands(s, axes):
+            for poly in polys:
+                exact = jet_of_exponential_substitution(poly, center, order)
+                oracle = numeric_jet_of_exponential_substitution(poly, p.w[:poly.dim], order,
+                                                                 PREC)
+                assert set(exact.coeffs) <= set(oracle.coeffs)
+                # the terms are O(1): where every coefficient vanishes, the
+                # largest is noise and must not set the scale
+                scale = max([abs(c) for c in oracle.coeffs.values()] + [mp.mpf(1)])
+                for e, c in oracle.coeffs.items():
+                    if e in exact.coeffs:
+                        assert abs(exact.coeffs[e] - c) <= mp.mpf(2) ** -200 * abs(c)
+                    else:
+                        assert abs(c) <= mp.mpf(2) ** -(PREC // 2) * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(2, 6), st.data())
+def test_exact_phase_jet_is_diagonal_and_positive(s, order, data):
+    # what the engine no longer checks: no gradient, no mixed second-order
+    # term, and a Hessian with positive real entries
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    with mp.workprec(PREC + GUARD_BITS):
+        for _, phase, center, _ in _expanded_integrands(s, axes):
+            g, lam = _phase_jets(phase, center, order)
+            for jet in (jet_of_exponential_substitution(phase, center, order), g):
+                assert not [e for e in jet.coeffs if sum(e) == 1 or (sum(e) == 2 and max(e) == 1)]
+            assert all(mp.re(l) > 0 for l in lam)
+
+
 def test_high_order_vanishing_numerator_kills_first_correction():
     # a numerator vanishing to order >= 3 at the saddle forces L_1 = 0
     with mp.workprec(280):
-        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP, PREC).w, 6)
+        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP, PREC).exact_w(), 6)
         lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)})
         u = lin * lin * lin
         coeffs = _saddle_coefficients(u, g, lam, 2)
@@ -291,6 +347,20 @@ def test_d3_origin_expansion():
             assert pf.period == 4 and pf.alpha == Fraction(-9, 2)
             for got, c in zip(pf.constants, want):
                 assert abs(got - c) < mp.mpf(10) ** -30
+
+
+def test_d4_expansion_matches_closed_form():
+    # every point's n^-2 coefficient is an exact zero, so depth 2 reaches the
+    # leading n^-3 term of the negative-drift theorem
+    with mp.workprec(260):
+        exp = asympt_full(S4, "anywhere", N=2, prec=PREC)
+        closed = asympt_closed(S4, prec=PREC).periodic
+        pf = exp.periodic
+        assert not exp.partial and pf.alpha == closed.alpha == -3
+        assert pf.period == closed.period == 2
+        assert [mp.nstr(c, 11) for c in pf.constants] == ["3.3687722542", "2.1174059602"]
+        for got, want in zip(pf.constants, closed.constants):
+            assert abs(got - want) < mp.mpf(10) ** -30
 
 
 def test_engine_sets_its_own_working_precision():
@@ -391,11 +461,13 @@ def test_residue_expansion_leads_with_crossing_formula(s):
 
 
 def test_fold_treats_rounding_noise_as_zero():
-    # at depth 2 both coefficients of every point are rounding noise; depth 3
-    # reaches the stored n^-3 term
+    # at depth 2 both coefficients of every point vanish, and are exact zeros
+    # (numeric jets gave rounding noise there); depth 3 reaches the stored
+    # n^-3 term
     s = build_stepset(2, ["N", "SE", "SW"])
     shallow = asympt_full(s, ("axes", (0,)), N=2, prec=PREC)
     assert shallow.partial and shallow.periodic is None
+    assert all(c == 0 for t in shallow.terms for c in t.coefficients)
     with mp.workprec(260):
         pf = asympt_full(s, ("axes", (0,)), N=3, prec=PREC).periodic
         stored = lookup("N,SE,SW").table2["x_axis"]
@@ -446,6 +518,11 @@ def test_exact_fold_matches_numeric_fold(s, depth, data):
     axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
     flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
     exp = asympt_full(s, flt, N=depth, prec=PREC)
+    # the engine's zeros are exact: no coefficient is rounding noise
+    with mp.workprec(PREC):
+        largest = max(abs(c) for t in exp.terms for c in t.coefficients)
+        floor = mp.mpf(2) ** -(PREC // 2) * largest
+        assert all(c == 0 or abs(c) > floor for t in exp.terms for c in t.coefficients)
     rate_str = str(next(t for t in exp.terms if t.point.is_principal()).rate_exact)
     assert _same_form(exp.periodic, numeric_fold(exp.terms, exp.alpha, rate_str, PREC))
     closed = asympt_closed(s, prec=PREC)

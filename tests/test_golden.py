@@ -3,10 +3,13 @@
 The expected files in ``tests/golden`` were written by the same commands
 before the refactors they guard (the comparison path; the exact point
 selection and the single integrand constructor; one working precision per
-saddle expansion); a refactor that keeps
-every number keeps these bytes.  To regenerate one after an intended change,
-run its command with ``--out tests/golden/<name>.json`` and say why in
-CHANGES.md.
+saddle expansion); a refactor that keeps every number keeps these bytes.
+Four were rewritten when the substitution jets became exact
+(``asympt_3d_axes1``, ``asympt_N_SE_SW_axes1``,
+``asympt_N_S_SE_SW_origin_order5``, ``verify_N_SE_S_SW``): only their term
+coefficients that had printed rounding noise (e-77 to e-98) changed, each to
+an exact 0.  To regenerate one after an intended change, run its command with
+``--out tests/golden/<name>.json`` and say why in CHANGES.md.
 """
 
 from pathlib import Path
