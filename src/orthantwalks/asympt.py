@@ -6,12 +6,11 @@ Two routes produce (rate, polynomial order, per-residue constants):
   positive drift, one-axis negative drift);
 * one saddle engine that expands the phase and amplitude as high-precision
   jets at the point's exact coordinates (so vanishing Taylor coefficients are
-  exact zeros), each only to the degree it is read and all at the one working
-  precision ``smooth_contribution`` sets, and sums Hörmander's explicit
-  formula to any depth (for the diagonal Hessian it reads u gU^l only at even
-  multi-indices).  One constructor, ``_integrand``, gives each point's exact
-  phase and amplitude polynomials: the one-factor form for fully symmetric
-  models; the kernel sheet, in z_1..z_d, for smooth points; and at the
+  exact zeros), each only to the degree it is read, and sums Hörmander's
+  explicit formula to any depth (for the diagonal Hessian it reads u gU^l
+  only at even multi-indices).  One constructor, ``_integrand``, gives each
+  point's exact phase and amplitude polynomials: the one-factor form for fully
+  symmetric models; the kernel sheet, in z_1..z_d, for smooth points; and at the
   crossing points, where the sheet meets the pole {z_d = 1}, the residue
   there, leaving a smooth integral in z_1..z_{d-1}.
 
@@ -30,10 +29,14 @@ is the order of the units of the leading terms.  The folded rate is that of
 the first term with unit 1: the principal point for the engine, the first
 term for the closed forms.  Neither route checks support itself:
 ``stepset.decompose`` refuses unsupported models.
+
+``asympt_full`` and ``asympt_closed`` each set the one working precision,
+``prec + GUARD_BITS``; everything else here runs at the precision it is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,16 +73,19 @@ class ContributionTerm:
     """One singularity's asymptotic contribution.
 
     Represents rate^n * n^alpha * (c_0 + c_1/n + ... + c_{N-1}/n^{N-1});
-    ``coefficients`` holds c_k as high-precision complex numbers and
-    ``order_bound`` is N.
+    ``coefficients`` holds c_k as high-precision complex numbers, so N is
+    their number.  The rate is exact; ``rate`` gives it at the caller's
+    working precision.
     """
 
     point: object
-    rate: object  # mpc
     rate_exact: QuadVal
     alpha: Fraction
     coefficients: list
-    order_bound: int
+
+    @property
+    def rate(self):
+        return self.rate_exact.to_mp()
 
 
 @dataclass
@@ -225,8 +231,9 @@ def _saddle_jets(s, point, variant, phase_order, amplitude_order):
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
-                        numerator_variant=(), prec=DEFAULT_PREC_BITS) -> ContributionTerm:
-    """Depth-N saddle expansion at one contributing point.
+                        numerator_variant=()) -> ContributionTerm:
+    """Depth-N saddle expansion at one contributing point, at the caller's
+    working precision (``asympt_full`` sets it once for all its points).
 
     ``numerator_variant`` is a set of canonical axes carrying boundary factors
     (1 - z_j).  The expansion form follows the model and the point (see
@@ -236,19 +243,14 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     """
     if N < 1:
         raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    # the one working precision of the expansion: every jet runs at it
-    with mp.workprec(prec + GUARD_BITS):
-        # each jet only to the degree _saddle_coefficients reads
-        u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1))
-        return ContributionTerm(
-            point=point, rate=point.rate(), rate_exact=point.rate_exact,
-            alpha=Fraction(-g.dim, 2), coefficients=_saddle_coefficients(u, g, lam, N),
-            order_bound=N)
+    # each jet only to the degree _saddle_coefficients reads
+    u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1))
+    return ContributionTerm(point, point.rate_exact, Fraction(-g.dim, 2),
+                            _saddle_coefficients(u, g, lam, N))
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
-                            numerator_variant=(), prec=DEFAULT_PREC_BITS
-                            ) -> ContributionTerm:
+                            numerator_variant=()) -> ContributionTerm:
     """Leading-order contribution at a crossing point (kernel sheet meeting
     {z_d=1}) from the closed crossing formula; a zero coefficient where the
     effective numerator vanishes there.  Kept as an independent check on the
@@ -258,72 +260,57 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     d = s.dim
     dcmp = decompose(s)
     kern = diag_kernel(s)
-    wp = prec + GUARD_BITS
-    with mp.workprec(wp):
-        coords = point.coords()
-        geff = kern.G.eval(coords) / kern.H2.eval(coords)
-        for j in numerator_variant:
-            geff *= 1 - point.w[j]
-        if abs(geff) < mp.mpf(2) ** (-wp // 2):
-            geff = mp.mpc(0)  # the effective numerator vanishes here
-        det_gamma = 1
-        for sg in point.w_signs:
-            det_gamma *= sg
-        sval = point.rate_exact.rat  # S(w, 1), exact
-        hess_root = mp.mpf(1)
-        zcoords = point.w
-        for j in range(d - 1):
-            bj = dcmp.eval_Bk(j, zcoords)
-            entry = 2 * to_mp(point.w_signs[j]) * to_mp(bj) / ((d + 1) * to_mp(sval))
-            hess_root *= mp.sqrt(entry)
-        c0 = (2 * mp.pi) ** (-mp.mpf(d - 1) / 2) * (d + 1) ** (-mp.mpf(d - 1) / 2)
-        c0 = c0 * geff / (det_gamma * hess_root)
-        return ContributionTerm(
-            point=point, rate=point.rate(), rate_exact=point.rate_exact,
-            alpha=Fraction(-(d - 1), 2), coefficients=[c0], order_bound=1)
+    coords = point.coords()
+    geff = kern.G.eval(coords) / kern.H2.eval(coords)
+    for j in numerator_variant:
+        geff *= 1 - coords[j]
+    if abs(geff) < mp.mpf(2) ** (-mp.prec // 2):
+        geff = mp.mpc(0)  # the effective numerator vanishes here
+    det_gamma = math.prod(point.w_signs)
+    sval = point.rate_exact.rat  # S(w, 1), exact
+    hess_root = mp.mpf(1)
+    for j in range(d - 1):
+        bj = dcmp.eval_Bk(j, coords[:d])
+        entry = 2 * to_mp(point.w_signs[j]) * to_mp(bj) / ((d + 1) * to_mp(sval))
+        hess_root *= mp.sqrt(entry)
+    c0 = (2 * mp.pi) ** (-mp.mpf(d - 1) / 2) * (d + 1) ** (-mp.mpf(d - 1) / 2)
+    c0 = c0 * geff / (det_gamma * hess_root)
+    return ContributionTerm(point, point.rate_exact, Fraction(-(d - 1), 2), [c0])
 
 
-def negative_drift_closed_constant(s: StepSet, point: ContributingPoint,
-                                   prec=DEFAULT_PREC_BITS):
+def negative_drift_closed_constant(s: StepSet, point: ContributingPoint):
     """Closed-form (K_p, C_p) for a smooth point; K_p C_p is the n^{-d/2-1}
     leading coefficient, matching the depth-2 engine."""
     if point.stratum != SMOOTH:
         raise ValueError("closed constants require a smooth-sheet point")
     d = s.dim
     dcmp = decompose(s)
-    with mp.workprec(prec + GUARD_BITS):
-        w = point.w
-        pd = w[d - 1]  # not 1: the stratum is decided exactly, and 1 is the crossing
-        sbar = point.rate()
-        lam = []
-        for j in range(d - 1):
-            bj = to_mp(dcmp.eval_Bk(j, w))
-            lam.append(2 * w[j] * bj / sbar)
-        bd = to_mp(dcmp.eval_B(w))
-        lam.append(2 * bd / (pd * sbar))
-        kp = (2 * mp.pi) ** (-mp.mpf(d) / 2)
-        for l in lam:
-            kp = kp / mp.sqrt(l)
-        aval = to_mp(dcmp.eval_A(w))
-        bracket = 1 / (aval * pd * (1 - pd))
-        for j in range(d - 1):
-            apj, bpj, _, _ = dcmp.ABprime[j]
-            zhat = tuple(c for i, c in enumerate(w[: d - 1]) if i != j)
-            apv = to_mp(apj.eval(zhat)) if apj.dim else to_mp(apj.eval(()))
-            bpv = to_mp(bpj.eval(zhat)) if bpj.dim else to_mp(bpj.eval(()))
-            bj = to_mp(dcmp.eval_Bk(j, w))
-            bval = to_mp(dcmp.eval_B(w))
-            bracket += (1 - w[j]) / (2 * w[j] * bj) * (apv / aval - bpv / bval)
-        front = sbar
-        for j in range(d - 1):
-            front *= 1 + w[j]
-        front = front / (1 - pd)
-        return kp, front * bracket
+    w = point.w
+    pd = w[d - 1]  # not 1: the stratum is decided exactly, and 1 is the crossing
+    sbar = point.rate()
+    bks = [to_mp(dcmp.eval_Bk(j, w)) for j in range(d - 1)]
+    bd = to_mp(dcmp.eval_B(w))
+    lam = [2 * w[j] * bks[j] / sbar for j in range(d - 1)] + [2 * bd / (pd * sbar)]
+    kp = (2 * mp.pi) ** (-mp.mpf(d) / 2)
+    for l in lam:
+        kp = kp / mp.sqrt(l)
+    aval = to_mp(dcmp.eval_A(w))
+    bracket = 1 / (aval * pd * (1 - pd))
+    for j in range(d - 1):
+        apj, bpj, _, _ = dcmp.ABprime[j]
+        zhat = tuple(c for i, c in enumerate(w[: d - 1]) if i != j)
+        apv, bpv = to_mp(apj.eval(zhat)), to_mp(bpj.eval(zhat))
+        bracket += (1 - w[j]) / (2 * w[j] * bks[j]) * (apv / aval - bpv / bd)
+    front = sbar
+    for j in range(d - 1):
+        front *= 1 + w[j]
+    front = front / (1 - pd)
+    return kp, front * bracket
 
 
 # ------------------------------------------------------------------ folding
 
-def _fold(terms, base_alpha, prec):
+def _fold(terms, base_alpha):
     """Fold contribution terms into the periodic normal form at leading order.
 
     The leading index is the first with a nonzero coefficient (the engine's
@@ -333,27 +320,26 @@ def _fold(terms, base_alpha, prec):
     term's rate has no unit or a residue sum is not real (conjugate points are
     summed numerically, so that test keeps a tolerance).
     """
-    with mp.workprec(prec + GUARD_BITS):
-        k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if c != 0),
-                 default=None)
-        if k0 is None:
+    k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if c != 0),
+             default=None)
+    if k0 is None:
+        return None
+    live = [(t.rate_exact.unit(), t.coefficients[k0]) for t in terms
+            if k0 < len(t.coefficients) and t.coefficients[k0] != 0]
+    units = {u for u, _ in live}
+    if None in units:
+        return None
+    period = 4 if units & {1j, -1j} else 2 if -1 in units else 1
+    consts = []
+    for r in range(period):
+        tot = mp.mpc(0)
+        for u, v in live:
+            tot += v * mp.mpc(u) ** r
+        if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
             return None
-        live = [(t.rate_exact.unit(), t.coefficients[k0]) for t in terms
-                if k0 < len(t.coefficients) and t.coefficients[k0] != 0]
-        units = {u for u, _ in live}
-        if None in units:
-            return None
-        period = 4 if units & {1j, -1j} else 2 if -1 in units else 1
-        consts = []
-        for r in range(period):
-            tot = mp.mpc(0)
-            for u, v in live:
-                tot += v * mp.mpc(u) ** r
-            if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
-                return None
-            consts.append(mp.re(tot))
-        ref = next(t for t in terms if t.rate_exact.unit() == 1)
-        return PeriodicForm(period, consts, base_alpha - k0, abs(ref.rate), str(ref.rate_exact))
+        consts.append(mp.re(tot))
+    ref = next(t for t in terms if t.rate_exact.unit() == 1)
+    return PeriodicForm(period, consts, base_alpha - k0, abs(ref.rate), str(ref.rate_exact))
 
 
 # ------------------------------------------------------------- closed forms
@@ -366,8 +352,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
     ones = (1,) * (d - 1)
     a1, b1, q1 = dcmp.A.eval(ones), dcmp.B.eval(ones), dcmp.Q.eval(ones)
     s1 = s.total_weight()
-    wp = prec + GUARD_BITS
-    with mp.workprec(wp):
+    with mp.workprec(prec + GUARD_BITS):
         if cls.kind == HIGHLY_SYMMETRIC or cls.drift_sign > 0:
             if cls.kind == HIGHLY_SYMMETRIC:
                 alpha = Fraction(-d, 2)
@@ -379,9 +364,8 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                 prod = mp.mpf(1)
             for b in dcmp.b_scalars:
                 prod *= to_mp(b)
-            terms = [ContributionTerm(None, to_mp(s1) + mp.mpc(0),
-                                      QuadVal(s1, Fraction(0), Fraction(0)),
-                                      alpha, [c0 / mp.sqrt(prod)], 1)]
+            terms = [ContributionTerm(None, QuadVal(s1, Fraction(0), Fraction(0)),
+                                      alpha, [c0 / mp.sqrt(prod)])]
         else:
             alpha = Fraction(-d, 2) - 1
             rho = mp.sqrt(to_mp(a1) / to_mp(b1))
@@ -394,17 +378,12 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                     inner = inner / bp.eval((1,) * (d - 2) + (r,))
                 return val * mp.sqrt(inner)
 
-            terms = [ContributionTerm(
-                None, to_mp(q1) + 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
-                QuadVal(q1, Fraction(2), Fraction(a1 * b1)),
-                alpha, [c_of(rho)], 1)]
-            if dcmp.Q.is_zero():
-                terms.append(ContributionTerm(
-                    None, to_mp(q1) - 2 * mp.sqrt(to_mp(a1) * to_mp(b1)) + mp.mpc(0),
-                    QuadVal(q1, Fraction(-2), Fraction(a1 * b1)),
-                    alpha, [c_of(-rho)], 1))
-        periodic = _fold(terms, alpha, prec)
-        return AsymptoticExpansion(terms, alpha, periodic, partial=False, route="closed")
+            # the point at -rho contributes only when Q = 0 (then |Sbar| matches there)
+            terms = [ContributionTerm(None, QuadVal(q1, Fraction(2 * r), Fraction(a1 * b1)),
+                                      alpha, [c_of(r * rho)])
+                     for r in ((1, -1) if dcmp.Q.is_zero() else (1,))]
+        return AsymptoticExpansion(terms, alpha, _fold(terms, alpha), partial=False,
+                                   route="closed")
 
 
 # ------------------------------------------------------------ full pipeline
@@ -434,12 +413,13 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     # a returning drift axis cancels the crossing factor: smooth sheet only
     crossing = cls.drift_sign > 0 and s.dim - 1 not in variant
     if crossing:
-        pts, route = contributing_points(s, prec), "transverse"
+        pts, route = contributing_points(s), "transverse"
     else:
-        pts = smooth_sheet_points(s, prec)
+        pts = smooth_sheet_points(s)
         route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
-    terms = [smooth_contribution(s, p, N, variant, prec) for p in pts]
-    base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
-    periodic = _fold(terms, base_alpha, prec)
+    with mp.workprec(prec + GUARD_BITS):
+        terms = [smooth_contribution(s, p, N, variant) for p in pts]
+        base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
+        periodic = _fold(terms, base_alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
     return AsymptoticExpansion(terms, base_alpha, periodic, periodic is None, route, notes)

@@ -4,7 +4,8 @@ functions where known, and the reproduction harness comparing stored values
 against the symbolic engine and the enumeration oracle.
 
 Stored constants are exact radical expressions, turned into numbers only by
-``StoredAsymptotics``; ``periodic`` gives them as the engine's
+``StoredAsymptotics``, at the caller's working precision (``reproduce_tables``
+sets it once); ``periodic`` gives them as the engine's
 ``PeriodicForm``, the one prediction record that ``fit.compare_fit`` and the
 engine-vs-stored check both read.  Boundary columns: ``x_axis`` means the
 endpoint has first coordinate 0, ``y_axis`` second coordinate 0, ``origin``
@@ -21,7 +22,7 @@ from mpmath import mp
 from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import count_profile, normalize_filter
 from orthantwalks.fit import common_period, compare_fit, estimate_growth
-from orthantwalks.laurent import GUARD_BITS, DEFAULT_PREC_BITS
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
 
 HS = "HighlySymmetric"
@@ -35,21 +36,20 @@ THEOREM_CLASSES = (HS, POS, NEG)
 SYMBOLIC_REL_TOL = mp.mpf("1e-12")  # engine vs stored rate and constants
 
 
-def eval_const(expr, prec=DEFAULT_PREC_BITS):
-    """Evaluate a stored radical expression at the given binary precision.
+def eval_const(expr):
+    """Evaluate a stored radical expression at the working precision.
 
     Grammar: integers, + - * / ** parentheses, sqrt(x), pi, gamma(x), and
     fr(a,b) for exact rational constants.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        ns = {
-            "sqrt": mp.sqrt,
-            "pi": mp.pi,
-            "gamma": mp.gamma,
-            "fr": lambda a, b: mp.mpf(a) / b,
-            "__builtins__": {},
-        }
-        return mp.mpf(eval(expr, ns))  # closed grammar, data is package-internal
+    ns = {
+        "sqrt": mp.sqrt,
+        "pi": mp.pi,
+        "gamma": mp.gamma,
+        "fr": lambda a, b: mp.mpf(a) / b,
+        "__builtins__": {},
+    }
+    return mp.mpf(eval(expr, ns))  # closed grammar, data is package-internal
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,16 @@ class StoredAsymptotics:
     def period(self):
         return len(self.constants)
 
-    def rate_value(self, prec=DEFAULT_PREC_BITS):
-        return eval_const(self.rate, prec)
+    def rate_value(self):
+        return eval_const(self.rate)
 
-    def constant_values(self, prec=DEFAULT_PREC_BITS):
-        return [eval_const(c, prec) for c in self.constants]
+    def constant_values(self):
+        return [eval_const(c) for c in self.constants]
 
-    def periodic(self, prec=DEFAULT_PREC_BITS):
-        """The stored values as a PeriodicForm, evaluated at ``prec`` bits."""
-        return PeriodicForm(self.period, self.constant_values(prec), self.alpha,
-                            self.rate_value(prec), self.rate)
+    def periodic(self):
+        """The stored values as a PeriodicForm, at the working precision."""
+        return PeriodicForm(self.period, self.constant_values(), self.alpha,
+                            self.rate_value(), self.rate)
 
 
 @dataclass(frozen=True)
@@ -281,28 +281,28 @@ class CellResult:
 
 
 def _compare_symbolic(want, expansion, prec):
-    """Check the engine's expansion against ``want``, the stored PeriodicForm."""
+    """Check the engine's expansion against ``want``, the stored PeriodicForm;
+    ``prec`` sets only the noise threshold."""
     details = {}
     if expansion.partial or expansion.periodic is None:
         return "partial", {"notes": list(expansion.notes)}
     pf = expansion.periodic
-    with mp.workprec(prec + GUARD_BITS):
-        rate_err = abs(pf.rate_modulus - want.rate_modulus) / want.rate_modulus
-        details["rate_rel_err"] = float(rate_err)
-        ok = rate_err < SYMBOLIC_REL_TOL
-        details["alpha"] = str(pf.alpha)
-        ok = ok and pf.alpha == want.alpha
-        span = common_period(pf.period, want.period)
-        ok = ok and span is not None
-        errs = []
-        for r in range(span or 0):
-            got, w = pf.constants[r % pf.period], want.constants[r % want.period]
-            errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
-            ok = ok and errs[-1] < SYMBOLIC_REL_TOL
-        # errors below half the working precision are rounding noise: reported
-        # as 0, so reordering the engine's sums cannot change the report
-        noise = mp.mpf(2) ** (-(prec // 2))
-        details["constant_rel_errs"] = [float(e) if e >= noise else 0.0 for e in errs]
+    rate_err = abs(pf.rate_modulus - want.rate_modulus) / want.rate_modulus
+    details["rate_rel_err"] = float(rate_err)
+    ok = rate_err < SYMBOLIC_REL_TOL
+    details["alpha"] = str(pf.alpha)
+    ok = ok and pf.alpha == want.alpha
+    span = common_period(pf.period, want.period)
+    ok = ok and span is not None
+    errs = []
+    for r in range(span or 0):
+        got, w = pf.constants[r % pf.period], want.constants[r % want.period]
+        errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
+        ok = ok and errs[-1] < SYMBOLIC_REL_TOL
+    # errors below half the requested precision are rounding noise: reported
+    # as 0, so reordering the engine's sums cannot change the report
+    noise = mp.mpf(2) ** (-(prec // 2))
+    details["constant_rel_errs"] = [float(e) if e >= noise else 0.0 for e in errs]
     return ("pass" if ok else "fail"), details
 
 
@@ -337,23 +337,24 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
             futs = {e.name: pool.submit(count_profile, e.stepset(), n_max)
                     for e in chosen if cells(e, which)}
             profiles = {name: f.result() for name, f in futs.items()}
-    for entry in chosen:
-        s = entry.stepset()
-        for table, col, stored in cells(entry, which):
-            flt = COLUMN_FILTERS[col]
-            want = stored.periodic(prec)
-            if "symbolic" in modes:
-                if entry.theorem_covered():
-                    exp = asympt_full(s, flt, prec=prec)
-                    status, details = _compare_symbolic(want, exp, prec)
-                else:
-                    status, details = "skipped", {"reason": entry.klass}
-                results.append(CellResult(entry.name, table, col, "symbolic",
-                                          status, details))
-            if "empirical" in modes:
-                fit = estimate_growth(profiles[entry.name][normalize_filter(flt, s.dim)])
-                ok, details = compare_fit(fit, want.rate_modulus, want.alpha,
-                                          want.constants)
-                results.append(CellResult(entry.name, table, col, "empirical",
-                                          "pass" if ok else "fail", details))
+    with mp.workprec(prec + GUARD_BITS):
+        for entry in chosen:
+            s = entry.stepset()
+            for table, col, stored in cells(entry, which):
+                flt = COLUMN_FILTERS[col]
+                want = stored.periodic()
+                if "symbolic" in modes:
+                    if entry.theorem_covered():
+                        exp = asympt_full(s, flt, prec=prec)
+                        status, details = _compare_symbolic(want, exp, prec)
+                    else:
+                        status, details = "skipped", {"reason": entry.klass}
+                    results.append(CellResult(entry.name, table, col, "symbolic",
+                                              status, details))
+                if "empirical" in modes:
+                    series = profiles[entry.name][normalize_filter(flt, s.dim)]
+                    ok, details = compare_fit(estimate_growth(series), want.rate_modulus,
+                                              want.alpha, want.constants)
+                    results.append(CellResult(entry.name, table, col, "empirical",
+                                              "pass" if ok else "fail", details))
     return results

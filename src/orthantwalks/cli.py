@@ -73,7 +73,7 @@ EXACT_N = {2: 12, 3: 12}
 
 
 def default_nmax(dim):
-    return {2: 512, 3: 160}.get(dim, 64)
+    return {2: 512, 3: 160}.get(dim, MIN_FIT_N)
 
 
 def _expansion_payload(exp, digits=16):
@@ -87,7 +87,7 @@ def _expansion_payload(exp, digits=16):
                 "rate": mp.nstr(t.rate, digits),
                 "rate_exact": str(t.rate_exact),
                 "coefficients": [mp.nstr(c, digits) for c in t.coefficients],
-                "order_bound": t.order_bound,
+                "order_bound": len(t.coefficients),
             }
             for t in exp.terms
         ],
@@ -103,7 +103,8 @@ def _expansion_payload(exp, digits=16):
 
 def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
                  digits=16) -> VerificationReport:
-    """Full verification: exact identities, engine prediction, empirical fit."""
+    """Full verification: exact identities, engine prediction, empirical fit.
+    The prediction and its printed numbers are made at ``prec + GUARD_BITS``."""
     cls = classify(s)
     d = s.dim
     flt = normalize_filter(flt, d)
@@ -134,21 +135,22 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     predicted = pf = None
     source = "engine"
     partial = not supported
-    if supported:
-        exp = asympt_full(s, flt, prec=prec)
-        predicted = _expansion_payload(exp, digits)
-        partial = exp.partial
-        pf = exp.periodic if not exp.partial else None
-    if pf is None:
-        try:
-            stored = catalog_mod.lookup(s).stored(next(
-                col for col, f in catalog_mod.COLUMN_FILTERS.items()
-                if normalize_filter(f, d) == flt))
-        except KeyError:
-            stored = None
-        if stored is not None:
-            pf, source = stored.periodic(prec), "catalog"
-            notes.append("prediction from stored catalog values (empirical-only)")
+    with mp.workprec(prec + GUARD_BITS):
+        if supported:
+            exp = asympt_full(s, flt, prec=prec)
+            predicted = _expansion_payload(exp, digits)
+            partial = exp.partial
+            pf = exp.periodic if not exp.partial else None
+        if pf is None:
+            try:
+                stored = catalog_mod.lookup(s).stored(next(
+                    col for col, f in catalog_mod.COLUMN_FILTERS.items()
+                    if normalize_filter(f, d) == flt))
+            except KeyError:
+                stored = None
+            if stored is not None:
+                pf, source = stored.periodic(), "catalog"
+                notes.append("prediction from stored catalog values (empirical-only)")
 
     fit = estimate_growth(count_walks(s, n_max, flt, mode="float"))
     empirical = {
@@ -346,7 +348,7 @@ def _cmd_orbitsum(args, s):
 
 
 def _cmd_critical(args, s):
-    pts = contributing_points(s, args.precision_bits)
+    pts = contributing_points(s)
     rows = []
     for p in pts:
         rep = check_critical(s, p, prec=args.precision_bits)

@@ -8,10 +8,11 @@ takes the crossing, and the smooth sheet serves every other case.  The
 minimal point is the principal point: all signs +1 and the principal root.
 Which candidates contribute is decided exactly, by rational identities
 between A(w), Q(w), B(w) and their values at w = 1; no tolerance enters the
-selection.  Each point also gives its coordinates exactly, in
-Q(sqrt(wd_squared)), for the saddle engine.  ``check_critical`` reports the
-numeric residuals of the criticality equations at a point, against a 2^-160
-tolerance, as an independent check.
+selection, and a point is only exact data: its coordinates lie in
+Q(sqrt(wd_squared)) and its rate Sbar(w) in Q(sqrt(A(w)B(w))); their numeric
+values are computed at the caller's working precision.  ``check_critical``
+reports the numeric residuals of the criticality equations at a point, at its
+own precision and against a 2^-160 tolerance, as an independent check.
 """
 
 from __future__ import annotations
@@ -39,39 +40,51 @@ MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
 
 @dataclass(frozen=True)
 class ContributingPoint:
-    """A minimal critical point of the diagonal kernel.
+    """A minimal critical point of the diagonal kernel, as exact data.
 
-    Coordinates are in canonical axis order; the first d-1 are exactly +-1,
-    the drift coordinate is i^nu * sqrt(B(w)/A(w)) for smooth points or exactly
-    1 for transverse ones, and t solves H1 = 0.
+    Coordinates are in canonical axis order; the first d-1 are ``w_signs``,
+    the drift coordinate is i^nu * sqrt(wd_squared) (exactly 1 at a crossing),
+    and t solves H1 = 0.  ``w``, ``t``, ``coords()`` and ``rate()`` are
+    computed from these fields at the caller's working precision.
     """
 
-    w: tuple  # d mpmath coordinates
-    t: object  # mpmath
     stratum: str  # SmoothV1 | TransverseV1V3
     nu: int  # power of i applied to the principal root: 0 or 2; 0 for transverse
     w_signs: tuple  # exact +-1 for the first d-1 coordinates
-    wd_squared: object  # Fraction: exact square of the drift coordinate
+    wd_squared: Fraction  # exact square of the drift coordinate
     rate_exact: QuadVal  # exact form of 1/(w_1..w_d t) = Sbar(w)
 
     def is_principal(self):
         """All signs +1 and the principal root: the point with positive coordinates."""
         return self.nu == 0 and all(sg == 1 for sg in self.w_signs)
 
-    def coords(self):
-        return self.w + (self.t,)
-
     def exact_w(self):
         """w exactly: the signs, then i^nu * (principal) sqrt(wd_squared)."""
         return self.w_signs + (QuadVal(Fraction(0), Fraction((-1) ** (self.nu // 2)),
                                        self.wd_squared),)
+
+    @property
+    def w(self):
+        return tuple(mp.mpc(sg) for sg in self.w_signs) + (self.exact_w()[-1].to_mp(),)
+
+    @property
+    def t(self):
+        """1/(w_1...w_d Sbar(w)); a real where the crossing search stores the
+        rate as the rational S(w,1), since w_d = 1 there."""
+        prod = math.prod(self.w_signs)
+        if not self.rate_exact.coef:
+            return to_mp(1 / (prod * self.rate_exact.rat))
+        return 1 / (prod * self.w[-1] * self.rate())
+
+    def coords(self):
+        return self.w + (self.t,)
 
     def rate(self):
         """1/(w_1...w_d t), the reciprocal of the point's coordinate product."""
         return self.rate_exact.to_mp()
 
 
-def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
+def _sign_vector_points(s: StepSet, dcmp, crossing):
     """Contributing points over the sign vectors w in {+-1}^(d-1).
 
     A candidate is kept when |Sbar(w)| = Sbar(1), decided exactly.  At the
@@ -95,39 +108,29 @@ def _sign_vector_points(s: StepSet, dcmp, crossing, prec):
     ones = (1,) * (d - 1)
     ref = tuple(p.eval(ones) for p in (dcmp.A, dcmp.Q, dcmp.B))
     out = []
-    with mp.workprec(prec + GUARD_BITS):
-        for signs in itertools.product((1, -1), repeat=d - 1):
-            aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
-            prod = math.prod(signs)
-            # (nu, w_d, w_d^2, exact rate Sbar(w), t) for each drift coordinate
-            drifts = []
-            if crossing:
-                sw = aw + qw + bw
-                if abs(sw) == dcmp.total_weight:
-                    drifts.append((0, mp.mpc(1), Fraction(1),
-                                   QuadVal(sw, Fraction(0), Fraction(0)),
-                                   to_mp(Fraction(1, prod * sw))))
-            elif (abs(aw), abs(qw), abs(bw)) == ref:
-                q = Fraction(bw, aw)
-                sign_a = 1 if aw > 0 else -1
-                for nu, root in ((0, 1), (2, -1)):
-                    if qw != 0 and not (aw * bw > 0 and (qw > 0) == (sign_a * root > 0)):
-                        continue
-                    wd = QuadVal(Fraction(0), Fraction(root), q).to_mp()
-                    sval = wd * to_mp(aw) + to_mp(qw) + to_mp(bw) / wd
-                    drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
-                                                      Fraction(aw * bw)),
-                                   1 / (prod * wd * sval)))
-            for nu, wd, wd_squared, rate, t in drifts:
-                # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
-                stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
-                out.append(ContributingPoint(tuple(mp.mpc(sg) for sg in signs) + (wd,), t,
-                                             stratum, nu, signs, wd_squared, rate))
+    for signs in itertools.product((1, -1), repeat=d - 1):
+        aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
+        drifts = []  # (nu, w_d^2, exact rate Sbar(w)) for each drift coordinate
+        if crossing:
+            sw = aw + qw + bw
+            if abs(sw) == dcmp.total_weight:
+                drifts.append((0, Fraction(1), QuadVal(sw, Fraction(0), Fraction(0))))
+        elif (abs(aw), abs(qw), abs(bw)) == ref:
+            sign_a = 1 if aw > 0 else -1
+            for nu, root in ((0, 1), (2, -1)):
+                if qw != 0 and not (aw * bw > 0 and (qw > 0) == (sign_a * root > 0)):
+                    continue
+                drifts.append((nu, Fraction(bw, aw),
+                               QuadVal(qw, Fraction(2 * sign_a * root), Fraction(aw * bw))))
+        for nu, wd_squared, rate in drifts:
+            # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
+            stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
+            out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate))
     out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
 
 
-def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
+def contributing_points(s: StepSet):
     """All contributing singularities for the length diagonal, per drift class.
 
     Positive drift: crossing points (w, 1, t) with |S(w,1)| = S(1).  Negative
@@ -135,22 +138,22 @@ def contributing_points(s: StepSet, prec=DEFAULT_PREC_BITS):
     symmetric): the sign points, the all-ones one lying on the crossing.  For
     drift <= 0 these are exactly the ``smooth_sheet_points``.
     """
-    return _sign_vector_points(s, decompose(s), classify(s).drift_sign > 0, prec)
+    return _sign_vector_points(s, decompose(s), classify(s).drift_sign > 0)
 
 
-def smooth_sheet_points(s: StepSet, prec=DEFAULT_PREC_BITS):
+def smooth_sheet_points(s: StepSet):
     """Smooth-sheet critical points regardless of drift sign.
 
     These drive boundary-return asymptotics when the returning set includes
     the drift axis (the 1 - z_d factor cancels and the crossing disappears).
     """
-    return _sign_vector_points(s, decompose(s), False, prec)
+    return _sign_vector_points(s, decompose(s), False)
 
 
-def minimal_point(s: StepSet, prec=DEFAULT_PREC_BITS) -> ContributingPoint:
+def minimal_point(s: StepSet) -> ContributingPoint:
     """The unique minimal kernel zero with positive coordinates: the principal
     contributing point."""
-    return next(p for p in contributing_points(s, prec) if p.is_principal())
+    return next(p for p in contributing_points(s) if p.is_principal())
 
 
 @dataclass(frozen=True)
@@ -172,13 +175,13 @@ def check_critical(s: StepSet, point: ContributingPoint,
     sbar = s.sbar_poly()
     d = s.dim
     with mp.workprec(prec + GUARD_BITS):
-        coords = point.w
-        res = {f"grad_{j + 1}": abs(sbar.deriv(j).eval(coords))
+        coords = point.coords()
+        res = {f"grad_{j + 1}": abs(sbar.deriv(j).eval(coords[:d]))
                for j in range(d if point.stratum == SMOOTH else d - 1)}
-        res["H1"] = abs(kern.H1.eval(point.coords()))
+        res["H1"] = abs(kern.H1.eval(coords))
         if point.stratum == TRANSVERSE:
             res["H3"] = abs(coords[d - 1] - 1)
-        res["H2_distance"] = abs(kern.H2.eval(point.coords()))
+        res["H2_distance"] = abs(kern.H2.eval(coords))
         tol = mp.mpf(2) ** RESIDUAL_TOL_EXP
         ok = all(v < tol for k, v in res.items() if k != "H2_distance")
         ok = ok and res["H2_distance"] > tol

@@ -19,7 +19,9 @@ from orthantwalks.enumeration import CountSeries
 # every folded period is among these; comparisons need one to divide the other
 PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 
-MIN_FIT_N = 64  # the shortest series estimate_growth fits: n_max >= MIN_FIT_N
+# the shortest series estimate_growth fits (n_max >= MIN_FIT_N); at 64..71 the
+# stride-4 ladder left 11 to 13 of the 92 catalog series with no fitted class
+MIN_FIT_N = 72
 
 EMP_LOG_RHO_TOL = 1e-2
 EMP_ALPHA_TOL = 0.05
@@ -50,14 +52,12 @@ def _neville(xs, ys):
 
 def _stride(n_max, p):
     """Difference stride: a multiple of the period that also kills the phase
-    oscillation of subdominant terms (roots of unity of small order).  Short
-    series use stride 12 so the node ladder keeps enough headroom; 12 is a
-    multiple of every phase order arising here (1, 2, 3, 4, 6)."""
+    oscillation of subdominant terms (roots of unity of small order).  Series
+    shorter than 320 use stride 12 so the node ladder keeps enough headroom;
+    12 is a multiple of every phase order arising here (1, 2, 3, 4, 6)."""
     if n_max >= 320 and 24 % p == 0:
         return 24
-    if n_max >= 72 and 12 % p == 0:
-        return 12
-    return math.lcm(p, 4)
+    return 12 if 12 % p == 0 else math.lcm(p, 4)
 
 
 CHAIN_FACTORS = (1, 0.87, 0.76, 0.66, 0.57, 0.5, 0.43, 0.37, 0.32, 0.28, 0.24, 0.21)

@@ -274,8 +274,8 @@ class Jet:
 
     Coefficients are Taylor coefficients (derivative / factorial), stored as
     mpmath complex numbers.  A jet carries no precision of its own: its
-    arithmetic runs at the caller's working precision, which the saddle engine
-    sets once per expansion.  Multi-indices are trusted, not re-checked.
+    arithmetic runs at the caller's working precision, which ``asympt_full``
+    sets once per call.  Multi-indices are trusted, not re-checked.
     """
 
     __slots__ = ("dim", "order", "coeffs")
@@ -391,10 +391,12 @@ class QuadVal:
             return bool(self.rat or self.coef)
         return self.rat * self.coef > 0 or self.rat ** 2 != self.coef ** 2 * self.m
 
-    def to_mp(self):
+    def to_mp(self, root=None):
+        """The value at the working precision; ``root`` is sqrt(m), if known."""
         val = mp.mpc(mp.mpf(self.rat.numerator) / self.rat.denominator)
         if self.coef:
-            root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
+            if root is None:
+                root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
             val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
         return val
 
@@ -432,7 +434,7 @@ def jet_of_exponential_substitution(p, center, order):
     has the Taylor coefficient i^{|k|} e^k / k! at k.  The coefficient at k is
     i^{|k|}/k! (X_k + Y_k sqrt(m)), with X_k and Y_k exact sums over the terms:
     exact zeros are dropped, and the rest are rounded to the working precision
-    only at the end.
+    only at the end, with sqrt(m) and the powers of i computed once.
     """
     d = p.dim
     if len(center) != d:
@@ -456,6 +458,8 @@ def jet_of_exponential_substitution(p, center, order):
             w = math.prod(row[kj] for row, kj in zip(powers, k))
             if w:  # 0 when k differentiates a variable the term lacks
                 acc[odd] += val * w
+    root = QuadVal(Fraction(0), Fraction(1), m).to_mp()  # sqrt(m), bit for bit as in to_mp
+    i_powers = [mp.mpc(0, 1) ** j for j in range(4)]
     out = {}
     for k, (x, y) in sums.items():
         if not (x or y):
@@ -463,5 +467,5 @@ def jet_of_exponential_substitution(p, center, order):
         scale = den * math.prod(map(math.factorial, k))
         value = QuadVal(Fraction(x, scale), Fraction(y, scale), m)
         if value:
-            out[k] = mp.mpc(0, 1) ** sum(k) * value.to_mp()
+            out[k] = i_powers[sum(k) % 4] * value.to_mp(root)
     return Jet(d, order, out)

@@ -310,7 +310,8 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
     positive point, and each drift root when Sbar(w) is not numerically zero
     and |t| matches the positive point's within 2^RESIDUAL_TOL_EXP; at the
     crossing when |S(w,1)| = S(1).  Every kept point must also have gradient
-    residuals of Sbar below 2^RESIDUAL_TOL_EXP.
+    residuals of Sbar below 2^RESIDUAL_TOL_EXP.  The kept points are built
+    as the same exact records.
     """
     dcmp = decompose(s)
     d = s.dim
@@ -330,8 +331,7 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
                 sw = aw + qw + bw
                 if abs(sw) == dcmp.total_weight:
                     drifts.append((0, mp.mpc(1), Fraction(1),
-                                   QuadVal(sw, Fraction(0), Fraction(0)),
-                                   to_mp(Fraction(1, prod * sw))))
+                                   QuadVal(sw, Fraction(0), Fraction(0))))
             elif aw != 0 and bw != 0 and abs(Fraction(bw, aw)) == abs(q_ref):
                 q = Fraction(bw, aw)
                 wd0 = QuadVal(Fraction(0), Fraction(1), q).to_mp()
@@ -346,14 +346,13 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
                     if abs(abs(t) - t_ref) > tol:
                         continue
                     drifts.append((nu, wd, q, QuadVal(qw, Fraction(2 * sign_a * root),
-                                                      Fraction(aw * bw)), t))
-            for nu, wd, wd_squared, rate, t in drifts:
+                                                      Fraction(aw * bw))))
+            for nu, wd, wd_squared, rate in drifts:
                 point = signs + (wd,)
                 if any(abs(g.eval(point)) > tol for g in gradients):
                     continue
                 stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
-                out.append(ContributingPoint(tuple(mp.mpc(sg) for sg in signs) + (wd,), t,
-                                             stratum, nu, signs, wd_squared, rate))
+                out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate))
     out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
 
@@ -386,15 +385,16 @@ def numeric_fold(terms, base_alpha, rate_mod_exact, prec):
                 k0 = lead if k0 is None else min(k0, lead)
         if k0 is None:
             return None
-        rate_mod = max(abs(t.rate) for t in terms)
+        rates = [t.rate_exact.to_mp() for t in terms]
+        rate_mod = max(abs(r) for r in rates)
         live = []
-        for t in terms:
-            if abs(abs(t.rate) - rate_mod) > tol:
+        for t, rate in zip(terms, rates):
+            if abs(abs(rate) - rate_mod) > tol:
                 continue
             v = t.coefficients[k0] if k0 < len(t.coefficients) else mp.mpc(0)
             if abs(v) <= tol:
                 continue
-            omega = t.rate / rate_mod
+            omega = rate / rate_mod
             # snap to the nearest root of unity of small order for exact powers
             for cand in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1)):
                 if abs(omega - cand) < mp.mpf(2) ** (-(prec // 2)):

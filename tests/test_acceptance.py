@@ -104,7 +104,7 @@ def test_criterion_04_positive_part_identity():
 def test_criterion_05_contributing_points_example():
     s = build_stepset(2, ["N", "SE", "S", "SW"])
     with mp.workprec(PREC + 64):
-        pts = contributing_points(s, PREC)
+        pts = contributing_points(s)
         ok = len(pts) == 2
         tol_res = mp.mpf(2) ** -160
         want = {1: 3 * mp.sqrt(3) * (2 + mp.sqrt(3)) / mp.pi,
@@ -117,7 +117,7 @@ def test_criterion_05_contributing_points_example():
             ok = ok and abs(p.t - mp.mpf(1) / 2) < tol_res
             rep = check_critical(s, p, prec=PREC)
             ok = ok and rep.ok
-            term = smooth_contribution(s, p, N=2, prec=PREC)
+            term = smooth_contribution(s, p, N=2)
             ok = ok and abs(term.coefficients[1] - want[sign]) < mp.mpf(10) ** -10
     report(5, ok, "exactly the two points (1, +-1/sqrt(3), 1/2); residuals "
                   "< 2^-160; engine leads 3*sqrt(3)*(2+-sqrt(3))/pi to 1e-10")
@@ -128,9 +128,9 @@ def test_criterion_06_engine_closed_cross_checks():
     with mp.workprec(PREC + 64):
         neg_models = [e.stepset() for e in ENTRIES if e.klass == NEG] + [D3_EXAMPLE]
         for s in neg_models:
-            for p in contributing_points(s, PREC):
-                term = smooth_contribution(s, p, N=2, prec=PREC)
-                kp, cp = negative_drift_closed_constant(s, p, prec=PREC)
+            for p in contributing_points(s):
+                term = smooth_contribution(s, p, N=2)
+                kp, cp = negative_drift_closed_constant(s, p)
                 lead = term.coefficients[1]
                 if abs(cp) < mp.mpf(10) ** -20:
                     ok = ok and abs(lead) < mp.mpf(10) ** -10
@@ -140,8 +140,8 @@ def test_criterion_06_engine_closed_cross_checks():
             if e.klass != POS:
                 continue
             s = e.stepset()
-            p2 = minimal_point(s, PREC)
-            term = transverse_contribution(s, p2, prec=PREC)
+            p2 = minimal_point(s)
+            term = transverse_contribution(s, p2)
             closed = asympt_closed(s, PREC).periodic.constants[0]
             ok = ok and abs(term.coefficients[0] - closed) / closed < mp.mpf(10) ** -10
     report(6, ok, "depth-2 engine equals closed K_p*C_p on negative-drift models "
@@ -163,7 +163,7 @@ def test_criterion_07_derivative_identities():
             d = s.dim
             dcmp = decompose(s)
             sbar = s.sbar_poly()
-            for p in contributing_points(s, PREC):
+            for p in contributing_points(s):
                 jet = jet_of_exponential_substitution(sbar, p.exact_w(), 3)
                 for j in range(d - 1):
                     e1 = tuple(1 if k == j else 0 for k in range(d))

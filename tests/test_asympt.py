@@ -1,5 +1,6 @@
 """Saddle-point engine vs closed forms, derivative identities, and folding."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,9 @@ from orthantwalks.asympt import (
     smooth_contribution,
     transverse_contribution,
 )
-from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup
-from orthantwalks.critical import QuadVal, contributing_points, minimal_point
+from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup, reproduce_tables
+from orthantwalks.cli import main, verify_model
+from orthantwalks.critical import QuadVal, check_critical, contributing_points, minimal_point
 from orthantwalks.enumeration import normalize_filter
 from orthantwalks.laurent import GUARD_BITS, Jet, jet_of_exponential_substitution
 from orthantwalks.stepset import (
@@ -112,11 +114,11 @@ def test_weighted_family_positive_and_negative():
 
 def test_engine_matches_example_constants():
     with mp.workprec(260):
-        pts = contributing_points(NSGROUP, PREC)
+        pts = contributing_points(NSGROUP)
         want = {1: 3 * mp.sqrt(3) * (2 + mp.sqrt(3)) / mp.pi,
                 -1: 3 * mp.sqrt(3) * (2 - mp.sqrt(3)) / mp.pi}
         for p in pts:
-            term = smooth_contribution(NSGROUP, p, N=2, prec=PREC)
+            term = smooth_contribution(NSGROUP, p, N=2)
             sign = 1 if mp.re(p.w[1]) > 0 else -1
             assert abs(term.coefficients[0]) < mp.mpf(10) ** -30
             assert abs(term.coefficients[1] - want[sign]) < mp.mpf(10) ** -30
@@ -126,9 +128,9 @@ def test_engine_equals_closed_constants_negative_drift():
     with mp.workprec(260):
         for s in (NSGROUP, build_stepset(2, ["N", "SE", "SW"]),
                   build_stepset(2, ["N", "E", "W", "SE", "SW"])):
-            for p in contributing_points(s, PREC):
-                term = smooth_contribution(s, p, N=2, prec=PREC)
-                kp, cp = negative_drift_closed_constant(s, p, prec=PREC)
+            for p in contributing_points(s):
+                term = smooth_contribution(s, p, N=2)
+                kp, cp = negative_drift_closed_constant(s, p)
                 lead = term.coefficients[1]
                 if abs(cp) < mp.mpf(10) ** -30:
                     assert abs(lead) < mp.mpf(10) ** -30
@@ -141,16 +143,16 @@ def test_crossing_evaluation_matches_closed_positive():
         for steps in (["NE", "NW", "S"], ["N", "NW", "NE", "S"],
                       ["NE", "NW", "E", "W", "S"]):
             s = build_stepset(2, steps)
-            p2 = minimal_point(s, PREC)
-            term = transverse_contribution(s, p2, prec=PREC)
+            p2 = minimal_point(s)
+            term = transverse_contribution(s, p2)
             closed = asympt_closed(s, PREC).periodic.constants[0]
             assert abs(term.coefficients[0] - closed) / closed < mp.mpf(10) ** -30
 
 
 def test_closed_constant_rejects_crossing_point():
-    p2 = minimal_point(NNWS, PREC)
+    p2 = minimal_point(NNWS)
     with pytest.raises((ZeroDivisionError, ValueError)):
-        negative_drift_closed_constant(NNWS, p2, prec=PREC)
+        negative_drift_closed_constant(NNWS, p2)
 
 
 def test_d3_example_constants():
@@ -205,7 +207,7 @@ def test_jet_derivative_identities_at_contributing_points():
                   ["N", "S", "E", "W"]):
         s = build_stepset(2, steps)
         dcmp = decompose(s)
-        for p in contributing_points(s, PREC):
+        for p in contributing_points(s):
             with mp.workprec(280):
                 for got, want in _lemma_targets(s, dcmp, p):
                     assert abs(got - want) < mp.mpf(10) ** -30
@@ -215,7 +217,7 @@ def test_phase_hessian_matches_closed_form():
     with mp.workprec(280):
         for s in (NSGROUP, build_stepset(2, ["N", "E", "W", "SE", "SW"])):
             dcmp = decompose(s)
-            for p in contributing_points(s, PREC):
+            for p in contributing_points(s):
                 _, lam = _phase_jets(s.sbar_poly(), p.exact_w(), 4)
                 sbar = p.rate()
                 for j in range(s.dim - 1):
@@ -275,7 +277,7 @@ def test_exact_phase_jet_is_diagonal_and_positive(s, order, data):
 def test_high_order_vanishing_numerator_kills_first_correction():
     # a numerator vanishing to order >= 3 at the saddle forces L_1 = 0
     with mp.workprec(280):
-        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP, PREC).exact_w(), 6)
+        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP).exact_w(), 6)
         lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)})
         u = lin * lin * lin
         coeffs = _saddle_coefficients(u, g, lam, 2)
@@ -303,13 +305,12 @@ def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
     # forms read it to degree 2N.
     variant = s.canonical_variant(normalize_filter(("axes", axes), s.dim))
     with mp.workprec(280):
-        pts = contributing_points(s, PREC)
+        pts = contributing_points(s)
         want = [operator_saddle_coefficients(s, p, depth, variant, PREC) for p in pts]
         scale = max(abs(c) for cs in want for c in cs)
         for p, cs in zip(pts, want):
             for n in range(1, depth + 1):
-                got = smooth_contribution(s, p, N=n, numerator_variant=variant,
-                                          prec=PREC).coefficients
+                got = smooth_contribution(s, p, N=n, numerator_variant=variant).coefficients
                 assert len(got) == n
                 for g, w in zip(got, cs):
                     assert abs(g - w) <= mp.mpf(10) ** -60 * scale
@@ -324,10 +325,8 @@ def test_deeper_expansion_extends_shallower(s, depth, data):
     with mp.workprec(260):
         # the points asympt_full expands for this filter
         for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:
-            shallow = smooth_contribution(s, p, N=depth, numerator_variant=variant,
-                                          prec=PREC).coefficients
-            deep = smooth_contribution(s, p, N=depth + 1, numerator_variant=variant,
-                                       prec=PREC).coefficients
+            shallow = smooth_contribution(s, p, N=depth, numerator_variant=variant).coefficients
+            deep = smooth_contribution(s, p, N=depth + 1, numerator_variant=variant).coefficients
             scale = max([abs(c) for c in deep] + [mp.mpf(1)])
             assert len(deep) == depth + 1
             for a, b in zip(shallow, deep):
@@ -364,7 +363,7 @@ def test_d4_expansion_matches_closed_form():
 
 
 def test_engine_sets_its_own_working_precision():
-    # smooth_contribution sets the one precision every jet runs at, so the
+    # asympt_full sets the one precision every jet and the fold run at, so the
     # ambient precision reaches no bit of a term coefficient or folded constant
     cases = [(e.stepset(), COLUMN_FILTERS[col]) for e in ENTRIES if e.theorem_covered()
              for col in ("anywhere", "x_axis", "y_axis", "origin")]
@@ -379,12 +378,43 @@ def test_engine_sets_its_own_working_precision():
         assert runs[0] == runs[1], (s.describe(), flt)
 
 
+def _bits(form):
+    return form and (form.period, form.alpha, form.rate_modulus._mpf_,
+                     [c._mpf_ for c in form.constants])
+
+
+def test_public_calls_set_their_own_working_precision(tmp_path):
+    # each public call that returns numbers sets prec + GUARD_BITS once; the
+    # points are exact data, the same at any precision
+    theorem = [e.stepset() for e in ENTRIES if e.theorem_covered()]
+    sel = [lookup(name) for name in ("N,S,E,W", "NE,NW,S", "N,SE,SW")]
+    runs = []
+    for ambient in (53, 600):
+        with mp.workprec(ambient):
+            closed = [asympt_closed(s, prec=192) for s in theorem]
+            points = [contributing_points(s) for s in theorem + [S3]]
+            residuals = [{k: v._mpf_ for k, v in check_critical(s, p, prec=192).residuals.items()}
+                         for s, pts in zip(theorem + [S3], points) for p in pts]
+            reports = [verify_model(build_stepset(2, m.split(",")), n_max=128, prec=192,
+                                    digits=30).to_dict() for m in ("N,SE,S,SW", "N,W,SE")]
+            cells = reproduce_tables("both", ("symbolic",), prec=192, entries=sel)
+        runs.append(([([getattr(c, "_mpc_", None) or c._mpf_ for t in e.terms
+                        for c in t.coefficients], _bits(e.periodic)) for e in closed],
+                     points, residuals, reports, cells))
+    assert runs[0] == runs[1]
+    # under ambient 53 bits the library prints each term's rate as the CLI does
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--n", "128", "--digits", "30", "--model", "N,SE,S,SW",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["predicted"] == runs[0][3][0]["predicted"]
+
+
 @pytest.mark.parametrize("depth", [0, -1])
 def test_expansion_depth_must_be_positive(depth):
     with pytest.raises(ValueError, match="depth"):
         asympt_full(NSGROUP, N=depth)
     with pytest.raises(ValueError, match="depth"):
-        smooth_contribution(NSGROUP, minimal_point(NSGROUP, PREC), N=depth)
+        smooth_contribution(NSGROUP, minimal_point(NSGROUP), N=depth)
 
 
 # ----------------------------------------------------------- folding rules
@@ -454,9 +484,9 @@ def test_periodic_crossing_model_with_vanishing_numerator():
 @given(symmetric_models(dims=(2, 3), want=("pos",)))
 def test_residue_expansion_leads_with_crossing_formula(s):
     with mp.workprec(260):
-        for p in contributing_points(s, PREC):
-            c0 = smooth_contribution(s, p, N=1, prec=PREC).coefficients[0]
-            want = transverse_contribution(s, p, prec=PREC).coefficients[0]
+        for p in contributing_points(s):
+            c0 = smooth_contribution(s, p, N=1).coefficients[0]
+            want = transverse_contribution(s, p).coefficients[0]
             assert abs(c0 - want) < mp.mpf(10) ** -30 * max(1, abs(want))
 
 

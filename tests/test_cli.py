@@ -129,6 +129,7 @@ def test_cli_precision_floor(capsys):
     ["verify", "--model", "N,SE,S,SW", "--n", "-1"],
     # the fitter's shortest series, refused before any exact or engine work
     ["verify", "--model", "N,SE,S,SW", "--n", "63"],
+    ["verify", "--model", "N,SE,S,SW", "--n", "71"],
     ["catalog", "--check", "--n", "10"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_cli_numeric_flag_floors(capsys, argv):

@@ -1,15 +1,17 @@
 """Empirical growth fitting and its comparison with predictions."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from orthantwalks.catalog import ENTRIES
 from orthantwalks.cli import verify_model
-from orthantwalks.enumeration import CountSeries, count_walks
-from orthantwalks.fit import GrowthFit, common_period, compare_fit, estimate_growth
+from orthantwalks.enumeration import CountSeries, count_profile, count_walks
+from orthantwalks.fit import MIN_FIT_N, GrowthFit, common_period, compare_fit, estimate_growth
 from orthantwalks.stepset import build_stepset
 
 
@@ -50,6 +52,17 @@ def test_fit_periodic_with_structural_zeros():
 def test_fit_requires_length():
     with pytest.raises(ValueError):
         estimate_growth(synth([1.0] * 32))
+
+
+def test_every_catalog_series_fits_from_the_floor():
+    # 23 models x 4 standard filters: each fits at every length from MIN_FIT_N up
+    # (below 72, the stride-4 ladder left some of them without a fittable class)
+    top = MIN_FIT_N + 12
+    for e in ENTRIES:
+        for flt, series in count_profile(e.stepset(), top).items():
+            for n_max in range(MIN_FIT_N, top + 1):
+                fit = estimate_growth(replace(series, values=series.values[:n_max + 1]))
+                assert fit.constants, (e.name, flt, n_max)
 
 
 def test_fit_alternating_constants():
