@@ -4,15 +4,18 @@ Two routes produce (rate, polynomial order, per-residue constants):
 
 * closed forms for the three drift classes (fully symmetric, one-axis
   positive drift, one-axis negative drift);
-* one saddle engine that expands the phase and amplitude as high-precision
-  jets at the point's exact coordinates (so vanishing Taylor coefficients are
+* one saddle engine that expands the phase and amplitude as exact jets over
+  Q(sqrt(q)) at the point's exact coordinates (so vanishing coefficients are
   exact zeros), each only to the degree it is read, and sums Hörmander's
-  explicit formula to any depth (for the diagonal Hessian it reads u gU^l
-  only at even multi-indices).  One constructor, ``_integrand``, gives each
-  point's exact phase and amplitude polynomials: the one-factor form for fully
-  symmetric models; the kernel sheet, in z_1..z_d, for smooth points; and at the
-  crossing points, where the sheet meets the pole {z_d = 1}, the residue
-  there, leaving a smooth integral in z_1..z_{d-1}.
+  explicit formula to any depth exactly in the same field (for the diagonal
+  Hessian it reads u gU^l only at even multi-indices); only the prefactor
+  (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
+  rounded once.  One constructor, ``_Integrand``, built once per
+  ``asympt_full`` call, gives the exact phase and amplitude polynomials: the
+  one-factor form for fully symmetric models; the kernel sheet, in z_1..z_d,
+  for smooth points; and at the crossing points, where the sheet meets the
+  pole {z_d = 1}, the residue there, leaving a smooth integral in
+  z_1..z_{d-1}.
 
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
@@ -56,6 +59,7 @@ from orthantwalks.laurent import (
     Jet,
     LaurentPoly,
     QuadVal,
+    _mul_into,
     jet_of_exponential_substitution,
     to_mp,
 )
@@ -110,15 +114,19 @@ class AsymptoticExpansion:
 # ------------------------------------------------------------ jet machinery
 
 def _phase_jets(poly, center, order):
-    """The log-phase jet of ``poly`` at the exact ``center`` and its diagonal
-    Hessian entries.  At a contributing point each symmetric axis pairs every
-    phase term with its reflection and the drift coordinate is critical, so
-    the jet has no first-order or mixed second-order key; every phase term has
-    one argument there, so each entry is a positive real."""
-    sj = jet_of_exponential_substitution(poly, center, order)
-    g = -((sj * (1 / sj.constant_term())).log())
-    d = poly.dim
-    lam = [2 * g.coefficient(tuple(2 * (j == a) for j in range(d))) for a in range(d)]
+    """The log-phase jet -log(poly/poly(c)) of ``poly`` at the exact centre c,
+    and its diagonal Hessian entries, exact in the jet's field (``QuadVal``s).
+    At a contributing point each symmetric axis pairs every phase term with
+    its reflection and the drift coordinate is critical, so the jet has no
+    first-order or mixed second-order key; every phase term has one argument
+    there, so each entry is a positive real."""
+    g = -jet_of_exponential_substitution(poly, center, order).log()
+    lam = []
+    for a in range(g.dim):
+        # 2 i^2 (x + y sqrt(r)) / (scale 2! base^2)
+        x, y = g.coeffs.get(tuple(2 * (j == a) for j in range(g.dim)), (0, 0))
+        den = g.scale * g.base ** 2
+        lam.append(QuadVal(Fraction(-x, den), Fraction(-y, den), Fraction(g.r)))
     return g, lam
 
 
@@ -134,6 +142,13 @@ def _saddle_coefficients(u, g, lam, N):
     degree 2k and gU^l only at degrees 3l..2(k+l): u is needed to degree
     2(N-1), g to degree 2N, and gU^l to degree 2(N-1+l).
 
+    Each L_k is summed exactly in the jets' field Q(sqrt(r)): f_{2b} is
+    (-1)^m times a pair over the divided powers, and
+    prod_a lam_a^{-b_a} = delta^m prod_a conj(lam_a)^{b_a} N(lam_a)^{m-b_a} / prod_a N(lam_a)^m
+    with lam_a = (X_a + Y_a sqrt(r)) / delta and N(lam_a) = X_a^2 - r Y_a^2,
+    so each (k, l) sums integer pairs over one denominator.  Only the
+    prefactor is rounded, and each c_k once, at the working precision.
+
     The determinant root is the product of principal square roots of the
     diagonal Hessian entries, which is the branch the saddle-point theorem
     prescribes for minimal points (each entry has non-negative real part).
@@ -141,20 +156,45 @@ def _saddle_coefficients(u, g, lam, N):
     if g.order < 2 * N or u.order < 2 * (N - 1):
         raise ValueError(f"depth {N} needs the phase jet to degree {2 * N} "
                          f"and the amplitude jet to degree {2 * (N - 1)}")
-    d = g.dim
+    d, r = g.dim, u.r or g.r
+    base = math.lcm(u.base, g.base)
+    u, g = u.rebased(base), g.rebased(base)
     u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
                if sum(e) <= 2 * (N - 1)]
-    gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
-    weight = [[mp.factorial(2 * j) / (mp.factorial(j) * l**j) for j in range(3 * N)]
-              for l in lam]
-    totals = [mp.mpc(0)] * N
+    gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, r, g.scale, base)
+    delta = math.lcm(*(v.denominator for l in lam for v in (l.rat, l.coef)))
+    conj = [(int(l.rat * delta), -int(l.coef * delta)) for l in lam]
+    norm = [x * x - r * y * y for x, y in conj]
+    # (2j)!/j! conj(lam_a)^j, for every j a multi-index 2b can need
+    conj_pows = []
+    for x, y in conj:
+        row, px, py = [], 1, 0
+        for j in range(3 * N):
+            row.append((px * math.factorial(2 * j) // math.factorial(j),
+                        py * math.factorial(2 * j) // math.factorial(j)))
+            px, py = px * x + r * py * y, px * y + py * x
+        conj_pows.append(row)
+    weights = {}  # b -> prod_a (2 b_a)!/b_a! conj(lam_a)^{b_a} N(lam_a)^{m - b_a}
+
+    def weight(b):
+        m = sum(b)
+        wx, wy = 1, 0
+        for row, n, ba in zip(conj_pows, norm, b):
+            px, py = row[ba]
+            c = n ** (m - ba)
+            wx, wy = (wx * px + r * wy * py) * c, (wx * py + wy * px) * c
+        weights[b] = wx, wy
+        return wx, wy
+
+    norm_all = math.prod(norm)
+    totals = [(Fraction(0), Fraction(0))] * N
     power = Jet.const(d, 0, 1)  # gU^0
     for l in range(2 * N - 1):
         if l:
             # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
             # so the degrees of gU^(l-1) and gU left out cannot reach it
             top = 2 * (N - 1 + l)
-            power = Jet(d, top, power.coeffs) * Jet(d, top, gU.coeffs)
+            power = power.truncated(top) * gU.truncated(top)
         # a term of u pairs with the terms of gU^l that complete it to an
         # even multi-index 2b of the degree H^m reads
         partners = {}
@@ -162,34 +202,41 @@ def _saddle_coefficients(u, g, lam, N):
             partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
         for k in range((l + 1) // 2, N):
             m = k + l
-            f = {}  # b -> Taylor coefficient of u gU^l at 2b
-            for e1, deg1, par1, c1 in u_terms:
-                for e2, c2 in partners.get((2 * m - deg1, par1), ()):
-                    b = tuple((x + y) >> 1 for x, y in zip(e1, e2))
-                    p = c1 * c2
-                    f[b] = f[b] + p if b in f else p
-            total = mp.mpc(0)
-            for b, v in f.items():
-                for a, ba in enumerate(b):
-                    v *= weight[a][ba]
-                total += v
-            totals[k] += (-1) ** l * total / (2 ** m * mp.factorial(l))
+            f = {}  # 2b -> u gU^l at 2b, over scale (2m)! base^(2m)
+            for e1, deg1, par1, (x1, y1) in u_terms:
+                row = partners.get((2 * m - deg1, par1))
+                if row:
+                    c = math.comb(2 * m, deg1)
+                    _mul_into(f, r, e1, c * x1, c * y1, row)
+            sx = sy = 0
+            for e, (fx, fy) in f.items():
+                b = tuple(x >> 1 for x in e)
+                wx, wy = weights.get(b) or weight(b)
+                sx += fx * wx + r * fy * wy
+                sy += fx * wy + fy * wx
+            if sx or sy:
+                num = (-1) ** k * delta ** m
+                den = (2 ** m * math.factorial(l) * math.factorial(2 * m) * u.scale
+                       * power.scale * base ** (2 * m) * norm_all ** m)
+                tx, ty = totals[k]
+                totals[k] = (tx + Fraction(num * sx, den), ty + Fraction(num * sy, den))
     pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
     for l in lam:
-        pref = pref / mp.sqrt(l)
-    return [pref * t for t in totals]
+        pref = pref / mp.sqrt(l.to_mp())
+    return [pref * QuadVal(x, y, Fraction(r)).to_mp() for x, y in totals]
 
 
 # --------------------------------------------------- point-level expansions
 
-def _integrand(s, point, variant):
-    """The integrand at one contributing point: its phase polynomial, the
-    exact centre of the expansion, one exact amplitude numerator and a list of
-    amplitude denominator factors.
+class _Integrand:
+    """The integrand of one expansion form: its phase polynomial, one exact
+    amplitude numerator and a list of amplitude denominator factors.  They
+    depend on the model, the filter and the form, not on the point, whose
+    exact coordinates are only the centre each jet is taken at.
 
     Fully symmetric models use the one-factor form: phase S, amplitude
-    prod_j (1+z_j).  A crossing point (stratum TRANSVERSE) is expanded after
-    the residue at z_d = 1, in z_1..z_{d-1}: phase S(z', 1) = A + Q + B,
+    prod_j (1+z_j).  A crossing point (``residue``) is expanded after the
+    residue at z_d = 1, in z_1..z_{d-1}: phase S(z', 1) = A + Q + B,
     amplitude prod_{j<d} (1+z_j) (B - A) / B.  Every other point lies on the
     kernel sheet of the three-factor form: phase Sbar, amplitude
     prod_{j<d} (1+z_j) (B - z_d^2 A) / (B (1-z_d)).  Each axis in ``variant``
@@ -197,37 +244,61 @@ def _integrand(s, point, variant):
     1/(1-z_d).  Denominator factors stay apart: each one's jet is sparse, so
     its reciprocal is cheap.
     """
-    d = s.dim
-    dcmp = decompose(s)
-    symmetric = classify(s).kind == HIGHLY_SYMMETRIC
-    residue = not symmetric and point.stratum == TRANSVERSE
-    dim = d - 1 if residue else d
-    num = LaurentPoly.const(dim, 1)
-    for j in range(d if symmetric else d - 1):
-        num = num * (1 + LaurentPoly.variable(dim, j))
-    for j in variant:
-        if symmetric or residue or j != d - 1:
-            num = num * (1 - LaurentPoly.variable(dim, j))
-    center = point.exact_w()
-    if symmetric:
-        return s.char_poly(), center, num, []
-    if residue:
-        return dcmp.A + dcmp.Q + dcmp.B, center[:d - 1], num * (dcmp.B - dcmp.A), [dcmp.B]
-    A, B = dcmp.A.insert_var(d - 1), dcmp.B.insert_var(d - 1)
-    dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
-    return s.sbar_poly(), center, num * (B - LaurentPoly.variable(d, d - 1, 2) * A), dens
+
+    def __init__(self, s, variant, residue):
+        d = s.dim
+        symmetric = classify(s).kind == HIGHLY_SYMMETRIC
+        residue = residue and not symmetric
+        self.dim = dim = d - 1 if residue else d
+        num = LaurentPoly.const(dim, 1)
+        for j in range(d if symmetric else d - 1):
+            num = num * (1 + LaurentPoly.variable(dim, j))
+        for j in variant:
+            if symmetric or residue or j != d - 1:
+                num = num * (1 - LaurentPoly.variable(dim, j))
+        if symmetric:
+            self.phase, self.num, self.dens = s.char_poly(), num, []
+            return
+        dcmp = decompose(s)
+        if residue:
+            self.phase, self.dens = dcmp.A + dcmp.Q + dcmp.B, [dcmp.B]
+            self.num = num * (dcmp.B - dcmp.A)
+            return
+        A, B = dcmp.A.insert_var(d - 1), dcmp.B.insert_var(d - 1)
+        self.phase = s.sbar_poly()
+        self.num = num * (B - LaurentPoly.variable(d, d - 1, 2) * A)
+        self.dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
+
+    def jets(self, point, phase_order, amplitude_order):
+        """Amplitude jet u, phase jet g and diagonal Hessian entries at one
+        contributing point, to the given degrees."""
+        center = point.exact_w()[:self.dim]
+        g, lam = _phase_jets(self.phase, center, phase_order)
+        u = jet_of_exponential_substitution(self.num, center, amplitude_order)
+        for den in self.dens:
+            u = u * jet_of_exponential_substitution(den, center, amplitude_order).reciprocal()
+        return u, g, lam
+
+    def expand(self, point, N):
+        """The depth-N expansion at one contributing point; each jet only to
+        the degree ``_saddle_coefficients`` reads."""
+        u, g, lam = self.jets(point, 2 * N, 2 * (N - 1))
+        return ContributionTerm(point, point.rate_exact, Fraction(-g.dim, 2),
+                                _saddle_coefficients(u, g, lam, N))
+
+
+def _integrand(s, point, variant):
+    """The phase polynomial, exact centre, amplitude numerator and
+    denominator factors at one contributing point (see ``_Integrand``)."""
+    f = _Integrand(s, tuple(variant), point.stratum == TRANSVERSE)
+    return f.phase, point.exact_w()[:f.dim], f.num, f.dens
 
 
 def _saddle_jets(s, point, variant, phase_order, amplitude_order):
     """Amplitude jet u, phase jet g and diagonal Hessian entries of
-    ``_integrand`` at one contributing point, to the given degrees, at the
-    working precision the caller has set."""
-    phase, center, num, dens = _integrand(s, point, tuple(variant))
-    g, lam = _phase_jets(phase, center, phase_order)
-    u = jet_of_exponential_substitution(num, center, amplitude_order)
-    for den in dens:
-        u = u * jet_of_exponential_substitution(den, center, amplitude_order).reciprocal()
-    return u, g, lam
+    ``_integrand`` at one contributing point, to the given degrees."""
+    return _Integrand(s, tuple(variant), point.stratum == TRANSVERSE).jets(
+        point, phase_order, amplitude_order)
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
@@ -243,10 +314,7 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     """
     if N < 1:
         raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    # each jet only to the degree _saddle_coefficients reads
-    u, g, lam = _saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1))
-    return ContributionTerm(point, point.rate_exact, Fraction(-g.dim, 2),
-                            _saddle_coefficients(u, g, lam, N))
+    return _Integrand(s, tuple(numerator_variant), point.stratum == TRANSVERSE).expand(point, N)
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
@@ -254,8 +322,10 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     """Leading-order contribution at a crossing point (kernel sheet meeting
     {z_d=1}) from the closed crossing formula; a zero coefficient where the
     effective numerator vanishes there.  Kept as an independent check on the
-    residue expansion of ``smooth_contribution``."""
-    if point.stratum != TRANSVERSE:
+    residue expansion of ``smooth_contribution``.  A crossing point stores its
+    rate as the rational S(w, 1); the zero-drift all-ones point, which the
+    smooth-sheet search also labels transverse, stores Sbar(w) and is refused."""
+    if point.stratum != TRANSVERSE or point.rate_exact.coef:
         raise ValueError("transverse_contribution requires a crossing point")
     d = s.dim
     dcmp = decompose(s)
@@ -418,7 +488,8 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
         pts = smooth_sheet_points(s)
         route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
     with mp.workprec(prec + GUARD_BITS):
-        terms = [smooth_contribution(s, p, N, variant) for p in pts]
+        integrand = _Integrand(s, variant, crossing)
+        terms = [integrand.expand(p, N) for p in pts]
         base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
         periodic = _fold(terms, base_alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)

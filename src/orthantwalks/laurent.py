@@ -1,13 +1,14 @@
-"""Exact multivariate Laurent polynomials over Q, and truncated complex jets.
+"""Exact multivariate Laurent polynomials over Q, and exact truncated jets.
 
 Laurent polynomials are sparse dicts mapping integer exponent vectors to
 nonzero Fractions.  Jets are truncated multivariate Taylor expansions in the
-angular variables of the substitution z_j = c_j * exp(i*theta_j); their
-coefficients are arbitrary-precision complex numbers (mpmath), so saddle-point
-data extracted from them stays accurate far below double precision.  The
-centre c is exact, in one field Q(sqrt(m)) (``QuadVal``), so the substitution
-keeps exact zeros.  Jet arithmetic, like ``LaurentPoly.eval``, runs at the
-caller's working precision.
+angular variables of the substitution z_j = c_j * exp(i*theta_j) at an exact
+centre c in one field Q(sqrt(m)) (``QuadVal``).  Every coefficient is
+i^{|e|} times an element of Q(sqrt(r)), r = m's numerator times its
+denominator, held as a pair of Python integers over divided powers, so
+products, reciprocals and logarithms are exact and zeros are exact zeros.
+Only ``Jet.coefficient`` and ``LaurentPoly.eval`` round, at the caller's
+working precision.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from mpmath import mp
 
@@ -270,102 +271,185 @@ class LaurentPoly:
 
 
 class Jet:
-    """Truncated Taylor expansion at theta = 0, dense up to a total degree.
+    """Truncated Taylor expansion at theta = 0, dense up to a total degree,
+    exact over one field Q(sqrt(r)).
 
-    Coefficients are Taylor coefficients (derivative / factorial), stored as
-    mpmath complex numbers.  A jet carries no precision of its own: its
-    arithmetic runs at the caller's working precision, which ``asympt_full``
-    sets once per call.  Multi-indices are trusted, not re-checked.
+    The coefficient at the multi-index e is
+    i^{|e|} (x_e + y_e sqrt(r)) / (scale * |e|! * base^{|e|}), with integers
+    x_e, y_e, scale > 0 and base > 0, and one integer radicand r that is 0 (a
+    rational jet: every y_e is 0) or no perfect square, so a coefficient is 0
+    exactly when x_e = y_e = 0.  The powers of i multiply as the multi-indices
+    add, so the pairs multiply as a power series over Q(sqrt(r)); the divided
+    powers |e|! base^{|e|} keep products, and the reciprocal and logarithm of
+    1 + h, integral over one base: a product of degrees k1 and k2 only takes
+    the binomial C(k1 + k2, k1).  ``coeffs`` maps each multi-index with a
+    nonzero coefficient to its pair (x_e, y_e).  Only ``coefficient`` rounds,
+    at the caller's working precision.  Multi-indices are trusted, not
+    re-checked.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "r", "scale", "base", "coeffs")
 
-    def __init__(self, dim, order, coeffs=None):
+    def __init__(self, dim, order, coeffs=None, r=0, scale=1, base=1):
         if order < 0:
             raise ValueError("order must be non-negative")
-        self.dim = dim
-        self.order = order
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if sum(e) <= order and c != 0}
+        self.dim, self.order, self.r, self.scale, self.base = dim, order, r, scale, base
+        self.coeffs = {e: c for e, c in (coeffs or {}).items()
+                       if sum(e) <= order and (c[0] or c[1])}
 
     @classmethod
     def const(cls, dim, order, value):
-        return cls(dim, order, {(0,) * dim: to_mp(value) + mp.mpc(0)})
+        value = _as_fraction(value)
+        return cls(dim, order, {(0,) * dim: (value.numerator, 0)}, scale=value.denominator)
+
+    def values(self):
+        """Each coefficient exactly, as Fractions (X, Y): i^{|e|} (X + Y sqrt(r))."""
+        out = {}
+        for e, (x, y) in self.coeffs.items():
+            k = sum(e)
+            den = self.scale * math.factorial(k) * self.base ** k
+            out[e] = (Fraction(x, den), Fraction(y, den))
+        return out
 
     def coefficient(self, expo):
-        return self.coeffs.get(tuple(expo), mp.mpc(0))
+        """The coefficient at ``expo`` at the working precision."""
+        expo = tuple(expo)
+        if expo not in self.coeffs:
+            return mp.mpc(0)
+        x, y = self.coeffs[expo]
+        k = sum(expo)
+        den = self.scale * math.factorial(k) * self.base ** k
+        value = QuadVal(Fraction(x, den), Fraction(y, den), Fraction(self.r)).to_mp()
+        return value * (1, 1j, -1, -1j)[k % 4]
 
     def constant_term(self):
         return self.coefficient((0,) * self.dim)
 
-    def _like(self, coeffs, order=None):
-        return Jet(self.dim, self.order if order is None else order, coeffs)
+    def truncated(self, order):
+        return Jet(self.dim, order, self.coeffs, self.r, self.scale, self.base)
+
+    def rebased(self, base):
+        """The same jet over ``base``, a multiple of its own."""
+        if base == self.base:
+            return self
+        step = [(base // self.base) ** k for k in range(self.order + 1)]
+        return Jet(self.dim, self.order,
+                   {e: (x * step[sum(e)], y * step[sum(e)]) for e, (x, y) in self.coeffs.items()},
+                   self.r, self.scale, base)
+
+    def _reduced(self):
+        """The same jet with scale and numerators divided by their gcd."""
+        g = math.gcd(self.scale, *(v for c in self.coeffs.values() for v in c))
+        if g == 1:
+            return self
+        return Jet(self.dim, self.order,
+                   {e: (x // g, y // g) for e, (x, y) in self.coeffs.items()},
+                   self.r, self.scale // g, self.base)
 
     def __neg__(self):
-        return self._like({e: -c for e, c in self.coeffs.items()})
+        return Jet(self.dim, self.order, {e: (-x, -y) for e, (x, y) in self.coeffs.items()},
+                   self.r, self.scale, self.base)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = to_mp(other)
-            return self._like({e: v * c for e, v in self.coeffs.items()})
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("jet dimension mismatch")
+        if self.r and other.r and self.r != other.r:
+            raise ValueError("jets over different fields")
+        r = self.r or other.r
         order = min(self.order, other.order)
+        base = math.lcm(self.base, other.base)
         # the right factor by total degree, so each row stops at the order
-        right = sorted(((sum(e), e, c) for e, c in other.coeffs.items()),
-                       key=lambda t: t[0])
+        rows = [[] for _ in range(order + 1)]
+        for e, c in other.rebased(base).coeffs.items():
+            if sum(e) <= order:
+                rows[sum(e)].append((e, c))
         out = {}
-        for e1, c1 in self.coeffs.items():
-            room = order - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
-                e = tuple(map(add, e1, e2))
-                p = c1 * c2
-                out[e] = out[e] + p if e in out else p
-        return self._like(out, order)
+        for e1, (x1, y1) in self.rebased(base).coeffs.items():
+            d1 = sum(e1)
+            for d2 in range(order - d1 + 1):
+                if rows[d2]:
+                    c = math.comb(d1 + d2, d2)
+                    _mul_into(out, r, e1, c * x1, c * y1, rows[d2])
+        return Jet(self.dim, order, out, r, self.scale * other.scale, base)
 
     __rmul__ = __mul__
 
-    def _by_degree(self, x0, weight, plus_self=False):
-        """Solve X_0 = x0, X_D = p_D + sum_{0<i<=D} weight(i, D) (f_i X_{D-i})_D
-        for D = 1..order, f_i the degree-i part of this jet and p_D = f_D if
+    def _unit_part(self):
+        """h = f / f(0) - 1 by degree, integral over the base returned with it,
+        and the pair of f(0) with its norm (a nonzero integer, as r is 0 or no
+        square): f_e / f(0) = f_e conj(f(0)) / norm with the scales cancelled."""
+        zero = (0,) * self.dim
+        if zero not in self.coeffs:
+            raise ZeroDivisionError("jet has zero constant term")
+        r = self.r
+        x0, y0 = self.coeffs[zero]
+        norm = x0 * x0 - r * y0 * y0
+        num = {e: (x * x0 - r * y * y0, y * x0 - x * y0)
+               for e, (x, y) in self.coeffs.items() if any(e)}
+        # h_e = (num_e / g) nu^{|e|-1} / (|e|! (base nu)^{|e|}), nu = norm / g
+        g = math.gcd(norm, *(v for c in num.values() for v in c))
+        nu = abs(norm) // g
+        step = [(1 if norm > 0 else -1) * nu ** (k - 1) for k in range(1, self.order + 1)]
+        parts = [{} for _ in range(self.order + 1)]
+        for e, (x, y) in num.items():
+            k = sum(e)
+            parts[k][e] = (x // g * step[k - 1], y // g * step[k - 1])
+        return parts, self.base * nu, (x0, y0, norm)
+
+    def _by_degree(self, h, first, weight, plus_self=False):
+        """Solve X_0 = first, X_D = p_D + sum_{0<i<=D} weight(i, D) (h_i X_{D-i})_D
+        for D = 1..order, h_i the degree-i part of ``h`` and p_D = h_D if
         ``plus_self`` else 0: one triangular product in all."""
-        f = [{} for _ in range(self.order + 1)]
-        for e, c in self.coeffs.items():
-            if any(e):
-                f[sum(e)][e] = c
-        parts = [{(0,) * self.dim: x0}]
+        parts = [first]
         for deg in range(1, self.order + 1):
-            acc = dict(f[deg]) if plus_self else {}
+            acc = dict(h[deg]) if plus_self else {}
             for i in range(1, deg + 1):
                 w = weight(i, deg)
-                for e1, c1 in f[i].items():
-                    c1 = c1 * w
-                    for e2, c2 in parts[deg - i].items():
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+                if w and parts[deg - i]:
+                    items = parts[deg - i].items()
+                    for e1, (x1, y1) in h[i].items():
+                        _mul_into(acc, self.r, e1, w * x1, w * y1, items)
             parts.append(acc)
-        return self._like({e: c for part in parts for e, c in part.items()})
+        return {e: c for part in parts for e, c in part.items()}
 
     def reciprocal(self):
-        """1/f for a jet with nonzero constant term: f R = 1 degree by degree."""
-        if self.constant_term() == 0:
-            raise ZeroDivisionError("jet has zero constant term")
-        r0 = 1 / self.constant_term()
-        return self._by_degree(r0, lambda i, deg: -r0)
+        """1/f for a jet with nonzero constant term: 1/f(0) times the
+        reciprocal R of 1 + h, h = f/f(0) - 1, which solves (1 + h) R = 1
+        degree by degree as R_D = -sum_{0<i<=D} C(D, i) h_i R_{D-i}."""
+        h, base, (x0, y0, norm) = self._unit_part()
+        parts = self._by_degree(h, {(0,) * self.dim: (1, 0)}, lambda i, deg: -math.comb(deg, i))
+        # 1/f(0) = scale conj(f(0)) / norm
+        sign = 1 if norm > 0 else -1
+        a, b = sign * self.scale * x0, -sign * self.scale * y0
+        out = {}
+        _mul_into(out, self.r, (0,) * self.dim, a, b, parts.items())
+        return Jet(self.dim, self.order, out, self.r, abs(norm), base)._reduced()
 
     def log(self):
-        """Principal log of a jet with nonzero constant term.
+        """log(f / f(0)) for a jet with nonzero constant term: the logarithm
+        with constant term 0, exact.
 
-        For f = c0 (1 + g), L = log(1 + g) solves E L = E g - g E L, E the
-        Euler operator (a term of degree D times D), so
-        L_D = g_D - sum_{0<i<D} ((D-i)/D) (g_i L_{D-i})_D.
+        L = log(1 + h) solves E L = E h - h E L, E the Euler operator (a term
+        of degree D times D), so in divided powers
+        L_D = h_D - sum_{0<i<D} C(D-1, i) h_i L_{D-i}.
         """
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ZeroDivisionError("jet has zero constant term")
-        return (self * (1 / c0))._by_degree(
-            mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
+        h, base, _ = self._unit_part()
+        parts = self._by_degree(h, {}, lambda i, deg: -math.comb(deg - 1, i), plus_self=True)
+        return Jet(self.dim, self.order, parts, self.r, 1, base)
+
+
+def _mul_into(out, r, e1, x1, y1, row):
+    """out += (x1 + y1 sqrt(r)) z^e1 * row, ``row`` an iterable of (e2, (x2, y2))."""
+    for e2, (x2, y2) in row:
+        e = tuple(map(add, e1, e2))
+        px, py = x1 * x2 + r * y1 * y2, x1 * y2 + y1 * x2
+        if e in out:
+            ox, oy = out[e]
+            out[e] = (ox + px, oy + py)
+        else:
+            out[e] = (px, py)
 
 
 def _exact_root(q: Fraction):
@@ -391,12 +475,11 @@ class QuadVal:
             return bool(self.rat or self.coef)
         return self.rat * self.coef > 0 or self.rat ** 2 != self.coef ** 2 * self.m
 
-    def to_mp(self, root=None):
-        """The value at the working precision; ``root`` is sqrt(m), if known."""
+    def to_mp(self):
+        """The value at the working precision."""
         val = mp.mpc(mp.mpf(self.rat.numerator) / self.rat.denominator)
         if self.coef:
-            if root is None:
-                root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
+            root = mp.sqrt(mp.mpc(self.m.numerator) / self.m.denominator)
             val = val + (mp.mpf(self.coef.numerator) / self.coef.denominator) * root
         return val
 
@@ -432,9 +515,9 @@ def jet_of_exponential_substitution(p, center, order):
     Each c_j is a rational or a ``QuadVal`` r*sqrt(m) with one m for all, so
     each term of p is x or y*sqrt(m) at c, with rational x or y; exp(i<e,theta>)
     has the Taylor coefficient i^{|k|} e^k / k! at k.  The coefficient at k is
-    i^{|k|}/k! (X_k + Y_k sqrt(m)), with X_k and Y_k exact sums over the terms:
-    exact zeros are dropped, and the rest are rounded to the working precision
-    only at the end, with sqrt(m) and the powers of i computed once.
+    i^{|k|}/k! (X_k + Y_k sqrt(m)), with X_k and Y_k exact sums over the terms.
+    With m = a/b in lowest terms, sqrt(m) = sqrt(ab)/b, so the jet lies over
+    Q(sqrt(ab)); a perfect square ab folds its root into the rationals.
     """
     d = p.dim
     if len(center) != d:
@@ -444,28 +527,37 @@ def jet_of_exponential_substitution(p, center, order):
         raise ValueError("center coordinates must be rationals or multiples of one sqrt(m)")
     # c_j = r_j sqrt(m)^s_j
     coords = [(c.coef, 1) if isinstance(c, QuadVal) else (_as_fraction(c), 0) for c in center]
-    terms = []  # (e, v, odd): the term's value is v * sqrt(m)^odd
+    terms = []  # (e, a, b, odd): the term's value is a/b * sqrt(m)^odd, in integers
     for expo, coeff in p.terms.items():
         half = sum(s * e for (_, s), e in zip(coords, expo))
-        val = coeff * math.prod(r ** e for (r, _), e in zip(coords, expo)) * m ** (half // 2)
-        terms.append((expo, val, half % 2))
-    den = math.lcm(*(v.denominator for _, v, _ in terms))  # X_k, Y_k summed as integers
-    sums = {k: [0, 0] for k in multi_indices(d, order)}
-    for expo, val, odd in terms:
-        val = int(val * den)
-        powers = [[e ** k for k in range(order + 1)] for e in expo]
-        for k, acc in sums.items():
-            w = math.prod(row[kj] for row, kj in zip(powers, k))
-            if w:  # 0 when k differentiates a variable the term lacks
-                acc[odd] += val * w
-    root = QuadVal(Fraction(0), Fraction(1), m).to_mp()  # sqrt(m), bit for bit as in to_mp
-    i_powers = [mp.mpc(0, 1) ** j for j in range(4)]
+        a, b = coeff.numerator, coeff.denominator
+        for x, e in [(r, e) for (r, _), e in zip(coords, expo)] + [(m, half // 2)]:
+            up, down = (x.numerator, x.denominator) if e > 0 else (x.denominator, x.numerator)
+            a, b = a * up ** abs(e), b * down ** abs(e)
+        terms.append((expo, a, b, half % 2) if b > 0 else (expo, -a, -b, half % 2))
+    den = math.lcm(*(b for _, _, b, _ in terms))  # X_k, Y_k summed as integers
+    index = list(multi_indices(d, order))
+    # each k past the first is a smaller one plus 1 at its first nonzero place j
+    pos = {k: i for i, k in enumerate(index)}
+    steps = []
+    for k in index[1:]:
+        j = next(j for j, kj in enumerate(k) if kj)
+        steps.append((pos[k[:j] + (k[j] - 1,) + k[j + 1:]], j))
+    sums = []  # [X_k, Y_k] for k in index: sum over the terms of value * e^k
+    for odd in (0, 1):
+        part = [(expo, a * (den // b)) for expo, a, b, o in terms if o == odd]
+        rows = [[v for _, v in part]]
+        cols = [[expo[j] for expo, _ in part] for j in range(d)]
+        for parent, j in steps:
+            rows.append(list(map(mul, rows[parent], cols[j])))
+        sums.append([sum(row) for row in rows])
+    q = m.denominator
+    r = m.numerator * q
+    root = math.isqrt(r) if r >= 0 else -1  # a negative r is no square
+    fold = root * root == r
     out = {}
-    for k, (x, y) in sums.items():
-        if not (x or y):
-            continue
-        scale = den * math.prod(map(math.factorial, k))
-        value = QuadVal(Fraction(x, scale), Fraction(y, scale), m)
-        if value:
-            out[k] = i_powers[sum(k) % 4] * value.to_mp(root)
-    return Jet(d, order, out)
+    for k, x, y in zip(index, *sums):
+        # divided powers: 1/k! = (|k|!/k!) / |k|!
+        mult = math.factorial(sum(k)) // math.prod(map(math.factorial, k))
+        out[k] = ((q * x + root * y) * mult, 0) if fold else (q * x * mult, y * mult)
+    return Jet(d, order, out, 0 if fold else r, q * den)._reduced()

@@ -1,6 +1,7 @@
 """Shared test utilities: random model generation, oracles (brute-force counts,
-the shifted-slice DP kernel, the numeric substitution jet, the operator
-saddle route, numeric point selection, numeric folding), and the exact
+the shifted-slice DP kernel, the mpmath jets with the numeric substitution
+and the engine's explicit formula on them, the operator saddle route, numeric
+point selection, numeric folding), and the exact
 helpers only tests use (group action, rational equality, closed-form
 series)."""
 
@@ -9,12 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from orthantwalks.asympt import PeriodicForm, _saddle_jets
+from orthantwalks.asympt import PeriodicForm, _integrand
 from orthantwalks.critical import (
     RESIDUAL_TOL_EXP,
     SMOOTH,
@@ -26,7 +28,6 @@ from orthantwalks.fit import PERIOD_CANDIDATES
 from orthantwalks.laurent import (
     DEFAULT_PREC_BITS,
     GUARD_BITS,
-    Jet,
     LaurentPoly,
     multi_indices,
     to_mp,
@@ -224,6 +225,105 @@ def slice_evolve(vectors, weights, n_max, dtype):
         yield state(live)
 
 
+class MpcJet:
+    """Oracle: the truncated Taylor jet of ``laurent.Jet`` in mpmath complex
+    numbers, as the engine computed before its jets became exact.
+
+    Coefficients are Taylor coefficients (derivative / factorial), rounded
+    at the caller's working precision by every operation.  Multi-indices are
+    trusted, not re-checked.
+    """
+
+    __slots__ = ("dim", "order", "coeffs")
+
+    def __init__(self, dim, order, coeffs=None):
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        self.dim = dim
+        self.order = order
+        self.coeffs = {e: c for e, c in (coeffs or {}).items() if sum(e) <= order and c != 0}
+
+    @classmethod
+    def const(cls, dim, order, value):
+        return cls(dim, order, {(0,) * dim: to_mp(value) + mp.mpc(0)})
+
+    def coefficient(self, expo):
+        return self.coeffs.get(tuple(expo), mp.mpc(0))
+
+    def constant_term(self):
+        return self.coefficient((0,) * self.dim)
+
+    def _like(self, coeffs, order=None):
+        return MpcJet(self.dim, self.order if order is None else order, coeffs)
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, MpcJet):
+            c = to_mp(other)
+            return self._like({e: v * c for e, v in self.coeffs.items()})
+        if self.dim != other.dim:
+            raise ValueError("jet dimension mismatch")
+        order = min(self.order, other.order)
+        # the right factor by total degree, so each row stops at the order
+        right = sorted(((sum(e), e, c) for e, c in other.coeffs.items()),
+                       key=lambda t: t[0])
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            room = order - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                p = c1 * c2
+                out[e] = out[e] + p if e in out else p
+        return self._like(out, order)
+
+    __rmul__ = __mul__
+
+    def _by_degree(self, x0, weight, plus_self=False):
+        """Solve X_0 = x0, X_D = p_D + sum_{0<i<=D} weight(i, D) (f_i X_{D-i})_D
+        for D = 1..order, f_i the degree-i part of this jet and p_D = f_D if
+        ``plus_self`` else 0: one triangular product in all."""
+        f = [{} for _ in range(self.order + 1)]
+        for e, c in self.coeffs.items():
+            if any(e):
+                f[sum(e)][e] = c
+        parts = [{(0,) * self.dim: x0}]
+        for deg in range(1, self.order + 1):
+            acc = dict(f[deg]) if plus_self else {}
+            for i in range(1, deg + 1):
+                w = weight(i, deg)
+                for e1, c1 in f[i].items():
+                    c1 = c1 * w
+                    for e2, c2 in parts[deg - i].items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+            parts.append(acc)
+        return self._like({e: c for part in parts for e, c in part.items()})
+
+    def reciprocal(self):
+        """1/f for a jet with nonzero constant term: f R = 1 degree by degree."""
+        if self.constant_term() == 0:
+            raise ZeroDivisionError("jet has zero constant term")
+        r0 = 1 / self.constant_term()
+        return self._by_degree(r0, lambda i, deg: -r0)
+
+    def log(self):
+        """Principal log of a jet with nonzero constant term.
+
+        For f = c0 (1 + g), L = log(1 + g) solves E L = E g - g E L, E the
+        Euler operator (a term of degree D times D), so
+        L_D = g_D - sum_{0<i<D} ((D-i)/D) (g_i L_{D-i})_D.
+        """
+        c0 = self.constant_term()
+        if c0 == 0:
+            raise ZeroDivisionError("jet has zero constant term")
+        return (self * (1 / c0))._by_degree(
+            mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
+
+
 def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
     """Oracle: the substitution jet of ``laurent.jet_of_exponential_substitution``
     evaluated numerically at an mpmath centre, as before that routine took
@@ -256,7 +356,65 @@ def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_
                     if mj:
                         val *= taylor[j][mj]
                 out[m] = out.get(m, mp.mpc(0)) + val
-        return Jet(d, order, out)
+        return MpcJet(d, order, out)
+
+
+def numeric_saddle_jets(s, point, variant, phase_order, amplitude_order, prec=DEFAULT_PREC_BITS):
+    """Oracle: the amplitude jet, the phase jet and its diagonal Hessian
+    entries of ``asympt._saddle_jets`` as ``MpcJet``s, from the numeric
+    substitution at the rounded centre; shares only ``asympt._integrand``'s
+    polynomials with the engine."""
+    phase, _, num, dens = _integrand(s, point, variant)
+    with mp.workprec(prec + GUARD_BITS):
+        w = point.w[:phase.dim]
+        sj = numeric_jet_of_exponential_substitution(phase, w, phase_order, prec)
+        g = -((sj * (1 / sj.constant_term())).log())
+        d = phase.dim
+        lam = [2 * g.coefficient(tuple(2 * (j == a) for j in range(d))) for a in range(d)]
+        u = numeric_jet_of_exponential_substitution(num, w, amplitude_order, prec)
+        for den in dens:
+            u = u * numeric_jet_of_exponential_substitution(den, w, amplitude_order,
+                                                            prec).reciprocal()
+        return u, g, lam
+
+
+def numeric_saddle_coefficients(s, point, N, numerator_variant=(), prec=DEFAULT_PREC_BITS):
+    """Oracle: ``asympt.smooth_contribution``'s coefficients by the engine's
+    explicit formula in ``MpcJet`` arithmetic, as before the exact jets."""
+    u, g, lam = numeric_saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1), prec)
+    with mp.workprec(prec + GUARD_BITS):
+        d = g.dim
+        u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
+                   if sum(e) <= 2 * (N - 1)]
+        gU = MpcJet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
+        weight = [[mp.factorial(2 * j) / (mp.factorial(j) * l**j) for j in range(3 * N)]
+                  for l in lam]
+        totals = [mp.mpc(0)] * N
+        power = MpcJet.const(d, 0, 1)  # gU^0
+        for l in range(2 * N - 1):
+            if l:
+                top = 2 * (N - 1 + l)
+                power = MpcJet(d, top, power.coeffs) * MpcJet(d, top, gU.coeffs)
+            partners = {}
+            for e, c in power.coeffs.items():
+                partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
+            for k in range((l + 1) // 2, N):
+                m = k + l
+                f = {}  # b -> Taylor coefficient of u gU^l at 2b
+                for e1, deg1, par1, c1 in u_terms:
+                    for e2, c2 in partners.get((2 * m - deg1, par1), ()):
+                        b = tuple((x + y) >> 1 for x, y in zip(e1, e2))
+                        f[b] = f.get(b, 0) + c1 * c2
+                total = mp.mpc(0)
+                for b, v in f.items():
+                    for a, ba in enumerate(b):
+                        v *= weight[a][ba]
+                    total += v
+                totals[k] += (-1) ** l * total / (2 ** m * mp.factorial(l))
+        pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
+        for l in lam:
+            pref = pref / mp.sqrt(l)
+        return [pref * t for t in totals]
 
 
 def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
@@ -265,12 +423,13 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
     Builds every jet to degree 6(N-1) and applies H = -sum_a lam_a^{-1} d_a^2
     k+l times to the full jet u gU^l before reading its constant term, for
     L_k = sum_{l <= 2k} H^{k+l}(u gU^l)(0) / ((-1)^k 2^{k+l} l! (k+l)!).
-    Shares only the jet construction with ``asympt.smooth_contribution``.
+    Shares only ``asympt._integrand``'s polynomials with the engine: its
+    jets are ``MpcJet``s from the numeric substitution.
     """
     wp = prec + GUARD_BITS
     order = max(2, 6 * (N - 1))
     with mp.workprec(wp):
-        u, g, lam = _saddle_jets(s, point, numerator_variant, order, order)
+        u, g, lam = numeric_saddle_jets(s, point, numerator_variant, order, order, prec)
         d = g.dim
 
         def H(jet):
@@ -280,10 +439,10 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
                     if e[a] >= 2:
                         f = e[:a] + (e[a] - 2,) + e[a + 1:]
                         out[f] = out.get(f, mp.mpc(0)) - c * e[a] * (e[a] - 1) / la
-            return Jet(d, jet.order - 2, out)
+            return MpcJet(d, jet.order - 2, out)
 
-        gU = Jet(d, order, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
-        gU_pows = [Jet.const(d, order, 1)]
+        gU = MpcJet(d, order, {e: c for e, c in g.coeffs.items() if sum(e) >= 3})
+        gU_pows = [MpcJet.const(d, order, 1)]
         for _ in range(2 * (N - 1)):
             gU_pows.append(gU_pows[-1] * gU)
         pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)

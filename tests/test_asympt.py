@@ -10,6 +10,8 @@ from mpmath import mp
 from helpers import (
     numeric_fold,
     numeric_jet_of_exponential_substitution,
+    numeric_saddle_coefficients,
+    numeric_saddle_jets,
     operator_saddle_coefficients,
     symmetric_models,
 )
@@ -18,6 +20,7 @@ from orthantwalks.asympt import (
     _integrand,
     _phase_jets,
     _saddle_coefficients,
+    _saddle_jets,
     asympt_closed,
     asympt_full,
     negative_drift_closed_constant,
@@ -26,9 +29,16 @@ from orthantwalks.asympt import (
 )
 from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup, reproduce_tables
 from orthantwalks.cli import main, verify_model
-from orthantwalks.critical import QuadVal, check_critical, contributing_points, minimal_point
+from orthantwalks.critical import (
+    TRANSVERSE,
+    QuadVal,
+    check_critical,
+    contributing_points,
+    minimal_point,
+    smooth_sheet_points,
+)
 from orthantwalks.enumeration import normalize_filter
-from orthantwalks.laurent import GUARD_BITS, Jet, jet_of_exponential_substitution
+from orthantwalks.laurent import GUARD_BITS, LaurentPoly, jet_of_exponential_substitution
 from orthantwalks.stepset import (
     UnsupportedModelError,
     build_stepset,
@@ -149,6 +159,21 @@ def test_crossing_evaluation_matches_closed_positive():
             assert abs(term.coefficients[0] - closed) / closed < mp.mpf(10) ** -30
 
 
+@pytest.mark.parametrize("steps", [["NE", "SE", "NW", "SW"], ["N", "S", "E", "W"]])
+def test_crossing_formula_rejects_zero_drift_point(steps):
+    # the smooth-sheet search labels the zero-drift points with w_d = 1
+    # transverse, but their rate is Sbar(w), not S(w, 1): the crossing formula
+    # must refuse them (it raised ZeroDivisionError on the first model and
+    # used 2 for S(1) = 4 on the second)
+    s = build_stepset(2, steps)
+    labelled = [p for p in smooth_sheet_points(s) if p.stratum == TRANSVERSE]
+    assert labelled
+    with mp.workprec(260):
+        for p in labelled:
+            with pytest.raises(ValueError, match="crossing point"):
+                transverse_contribution(s, p)
+
+
 def test_closed_constant_rejects_crossing_point():
     p2 = minimal_point(NNWS)
     with pytest.raises((ZeroDivisionError, ValueError)):
@@ -222,9 +247,9 @@ def test_phase_hessian_matches_closed_form():
                 sbar = p.rate()
                 for j in range(s.dim - 1):
                     want = 2 * p.w[j] * dcmp.eval_Bk(j, p.w) / sbar
-                    assert abs(lam[j] - want) < mp.mpf(10) ** -30
+                    assert abs(lam[j].to_mp() - want) < mp.mpf(10) ** -30
                 want_d = 2 * dcmp.eval_B(p.w) / (p.w[s.dim - 1] * sbar)
-                assert abs(lam[s.dim - 1] - want_d) < mp.mpf(10) ** -30
+                assert abs(lam[s.dim - 1].to_mp() - want_d) < mp.mpf(10) ** -30
 
 
 def _expanded_integrands(s, axes):
@@ -255,7 +280,7 @@ def test_exact_jets_match_numeric_substitution(s, order, data):
                 scale = max([abs(c) for c in oracle.coeffs.values()] + [mp.mpf(1)])
                 for e, c in oracle.coeffs.items():
                     if e in exact.coeffs:
-                        assert abs(exact.coeffs[e] - c) <= mp.mpf(2) ** -200 * abs(c)
+                        assert abs(exact.coefficient(e) - c) <= mp.mpf(2) ** -200 * abs(c)
                     else:
                         assert abs(c) <= mp.mpf(2) ** -(PREC // 2) * scale
 
@@ -263,26 +288,33 @@ def test_exact_jets_match_numeric_substitution(s, order, data):
 @settings(max_examples=25, deadline=None)
 @given(symmetric_models(dims=(2, 3)), st.integers(2, 6), st.data())
 def test_exact_phase_jet_is_diagonal_and_positive(s, order, data):
-    # what the engine no longer checks: no gradient, no mixed second-order
-    # term, and a Hessian with positive real entries
+    # what the engine does not check: no gradient, no mixed second-order
+    # term, and a Hessian with positive real entries, decided exactly
     axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
     with mp.workprec(PREC + GUARD_BITS):
         for _, phase, center, _ in _expanded_integrands(s, axes):
             g, lam = _phase_jets(phase, center, order)
             for jet in (jet_of_exponential_substitution(phase, center, order), g):
                 assert not [e for e in jet.coeffs if sum(e) == 1 or (sum(e) == 2 and max(e) == 1)]
-            assert all(mp.re(l) > 0 for l in lam)
+            assert all(l.unit() == 1 for l in lam)
 
 
 def test_high_order_vanishing_numerator_kills_first_correction():
-    # a numerator vanishing to order >= 3 at the saddle forces L_1 = 0
+    # a numerator vanishing to order >= 3 at the saddle forces L_0 = L_1 = 0:
+    # (1 - z_1)^2 (1 - 3 z_2^2) vanishes to order 3 at (1, 1/sqrt(3)), and a
+    # product of two such jets to order 6 (L_2 = 0 too)
+    w = minimal_point(NSGROUP).exact_w()
     with mp.workprec(280):
-        g, lam = _phase_jets(NSGROUP.sbar_poly(), minimal_point(NSGROUP).exact_w(), 6)
-        lin = Jet(2, 6, {(1, 0): mp.mpc(1, 0.5), (0, 1): mp.mpc(0.25, -1)})
-        u = lin * lin * lin
-        coeffs = _saddle_coefficients(u, g, lam, 2)
-        assert abs(coeffs[0]) < mp.mpf(10) ** -40
-        assert abs(coeffs[1]) < mp.mpf(10) ** -40
+        g, lam = _phase_jets(NSGROUP.sbar_poly(), w, 6)
+        x, y = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+        cubic = jet_of_exponential_substitution((1 - x) * (1 - x) * (1 - 3 * y * y), w, 6)
+        assert min(sum(e) for e in cubic.coeffs) == 3
+        assert _saddle_coefficients(cubic, g, lam, 2) == [0, 0]
+        sixth = _saddle_coefficients(cubic * cubic, g, lam, 3)
+        assert sixth == [0, 0, 0]
+        # one vanishing to order 2 keeps L_1
+        lin = jet_of_exponential_substitution(1 - x, w, 6)
+        assert [c == 0 for c in _saddle_coefficients(lin * lin, g, lam, 2)] == [True, False]
 
 
 # ------------------------------------------- explicit formula vs operator
@@ -314,6 +346,50 @@ def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
                 assert len(got) == n
                 for g, w in zip(got, cs):
                     assert abs(g - w) <= mp.mpf(10) ** -60 * scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(1, 4), st.data())
+def test_exact_engine_matches_mpc_oracle(s, depth, data):
+    # the mpc jets on the rounded centre share no arithmetic with the engine;
+    # where an exact coefficient is 0 the oracle's is noise
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    variant = s.canonical_variant(flt)
+    oracle_prec = 2 * PREC
+    for t in asympt_full(s, flt, N=depth, prec=PREC).terms:
+        with mp.workprec(oracle_prec + GUARD_BITS):
+            want = numeric_saddle_coefficients(s, t.point, depth, variant, oracle_prec)
+            # floored at 1: where every coefficient vanishes, the largest is
+            # noise and must not set the scale
+            floor = mp.mpf(2) ** -(oracle_prec // 2) * max([abs(c) for c in want] + [1])
+            for got, c in zip(t.coefficients, want):
+                if got == 0:
+                    assert abs(c) <= floor
+                else:
+                    assert abs(got - c) <= mp.mpf(2) ** -200 * abs(got)
+
+
+@settings(max_examples=10, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(2, 6), st.data())
+def test_exact_saddle_jets_match_mpc_oracle(s, order, data):
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    variant = s.canonical_variant(flt)
+    with mp.workprec(PREC + GUARD_BITS):
+        for t in asympt_full(s, flt, N=1, prec=PREC).terms:
+            u, g, lam = _saddle_jets(s, t.point, variant, order, order)
+            nu, ng, nlam = numeric_saddle_jets(s, t.point, variant, order, order, PREC)
+            for l, nl in zip(lam, nlam):
+                assert abs(l.to_mp() - nl) <= mp.mpf(2) ** -200 * abs(nl)
+            for exact, oracle in ((u, nu), (g, ng)):
+                scale = max([abs(c) for c in oracle.coeffs.values()] + [mp.mpf(1)])
+                for e in set(exact.coeffs) | set(oracle.coeffs):
+                    c = oracle.coefficient(e)
+                    if e in exact.coeffs:
+                        assert abs(exact.coefficient(e) - c) <= mp.mpf(2) ** -180 * scale
+                    else:
+                        assert abs(c) <= mp.mpf(2) ** -(PREC // 2) * scale
 
 
 @settings(max_examples=12, deadline=None)

@@ -39,6 +39,9 @@ CASES = {
                                         "origin", "--order", "5", "--digits", "30"], 0),
     "asympt_3d_axes1": (["asympt", "--model", str(GOLDEN / "model_3d_example.json"),
                          "--endpoint", "axes=1", "--digits", "30"], 0),
+    # depth 6 over three variables: the deepest jets and the longest L_k sums
+    "asympt_3d_origin_order6": (["asympt", "--model", str(GOLDEN / "model_3d_example.json"),
+                                 "--endpoint", "origin", "--order", "6", "--digits", "30"], 0),
 }
 
 

@@ -1,9 +1,10 @@
 """Laurent polynomial ring ops, exact evaluation, and jet arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from orthantwalks.laurent import (
@@ -141,8 +142,8 @@ def test_slice_reconstruction(p):
 def test_jet_constant_poly():
     p = LaurentPoly.const(2, 5)
     jet = jet_of_exponential_substitution(p, (2, 3), 3)
-    assert jet.coeffs == {(0, 0): jet.constant_term()}
-    assert abs(jet.constant_term() - 5) == 0
+    assert jet.values() == {(0, 0): (5, 0)}
+    assert jet.constant_term() == 5
 
 
 def test_jet_constant_term_matches_eval():
@@ -203,57 +204,107 @@ def test_jet_matches_finite_differences(p, center, axis, k):
         assert abs(fd - jet_deriv) <= mp.mpf(10) ** -8 * scale
 
 
+def _jet(dim, order, r, values):
+    """The exact jet with coefficient i^{|e|} (X + Y sqrt(r)) at e, from
+    Fraction pairs (X, Y)."""
+    scaled = {e: (x * math.factorial(sum(e)), y * math.factorial(sum(e)))
+              for e, (x, y) in values.items()}
+    scale = math.lcm(*(v.denominator for c in scaled.values() for v in c))
+    return Jet(dim, order, {e: (int(x * scale), int(y * scale)) for e, (x, y) in scaled.items()},
+               r, scale)
+
+
+def _combine(weighted):
+    """sum_j a_j F_j over pairs (a_j, F_j.values()) of one field, a_j rational.
+    The powers of i are shared, so coefficients add as pairs."""
+    out = {}
+    for a, values in weighted:
+        for e, (x, y) in values.items():
+            ox, oy = out.get(e, (0, 0))
+            out[e] = (ox + a * x, oy + a * y)
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def _unit_part(jet):
+    """The values of f / f(0) - 1, divided in the field by the conjugate."""
+    x0, y0 = jet.values()[(0,) * jet.dim]
+    r, norm = jet.r, x0 * x0 - jet.r * y0 * y0
+    return {e: ((x * x0 - r * y * y0) / norm, (y * x0 - x * y0) / norm)
+            for e, (x, y) in jet.values().items() if any(e)}
+
+
 def _series(h, coeffs):
-    """sum_k coeffs[k] h^k as a coefficient dict, by jet products; h has no
-    constant term, so the sum is exact to the jet's order."""
-    out = {(0,) * h.dim: coeffs[0]}
-    power = Jet.const(h.dim, h.order, 1)
-    for a in coeffs[1:]:
+    """sum_k coeffs[k] h^k as values, by exact jet products; h has no constant
+    term, so the sum is exact to the jet's order."""
+    power, terms = Jet.const(h.dim, h.order, 1), []
+    for a in coeffs:
+        terms.append((a, power.values()))
         power = power * h
-        for e, c in power.coeffs.items():
-            out[e] = out.get(e, 0) + a * c
-    return out
-
-
-def _nonconstant(jet, scale=1):
-    return Jet(jet.dim, jet.order, {e: c * scale for e, c in jet.coeffs.items() if any(e)})
-
-
-def _close(jet, want, bound):
-    """Every coefficient of ``jet`` lies within ``bound`` of the dict ``want``."""
-    return all(abs(jet.coefficient(e) - want.get(e, 0)) < bound
-               for e in set(jet.coeffs) | set(want))
-
-
-def test_jet_mul_reciprocal_log_exp():
-    with mp.workprec(220):
-        pt = (Fraction(1), Fraction(2))
-        p = LP(2, {(1, 0): 1, (0, 1): 2, (0, 0): 3})
-        jet = jet_of_exponential_substitution(p, pt, 5)
-        one = jet * jet.reciprocal()
-        assert abs(one.constant_term() - 1) < mp.mpf(2) ** -180
-        assert all(abs(c) < mp.mpf(2) ** -170 for e, c in one.coeffs.items() if any(e))
-        # log agrees with the scalar log at the constant term, and the
-        # exponential series of the log gives the jet back
-        lg = jet.log()
-        assert abs(lg.constant_term() - mp.log(jet.constant_term())) < mp.mpf(2) ** -170
-        e0 = mp.exp(lg.constant_term())
-        back = _series(_nonconstant(lg), [e0 / mp.factorial(k) for k in range(6)])
-        assert _close(jet, back, mp.mpf(2) ** -150)
+    return _combine(terms)
 
 
 def test_jet_log_reciprocal_exp_by_degree_in_three_variables():
     # the degree recurrences against the power series of log and exp, by
-    # jet products, at a depth and dimension the saddle engine reaches
-    with mp.workprec(300):
-        p = LP(3, {(1, 0, 0): 2, (0, -1, 0): 1, (0, 0, 1): 3, (1, 1, -1): 1, (0, 0, 0): 5})
-        jet = jet_of_exponential_substitution(p, (Fraction(1), Fraction(2), Fraction(1, 3)), 8)
-        assert len(jet.coeffs) == 165
-        c0 = jet.constant_term()
-        lg, bound = jet.log(), mp.mpf(2) ** -200
-        log_series = [mp.log(c0)] + [mp.mpf((-1) ** (k + 1)) / k for k in range(1, 9)]
-        assert _close(lg, _series(_nonconstant(jet, 1 / c0), log_series), bound)
-        e0 = mp.exp(lg.constant_term())
-        assert _close(jet, _series(_nonconstant(lg), [e0 / mp.factorial(k) for k in range(9)]),
-                      bound)
-        assert _close(jet * jet.reciprocal(), {(0, 0, 0): 1}, bound)
+    # exact jet products, at a depth and dimension the saddle engine reaches
+    p = LP(3, {(1, 0, 0): 2, (0, -1, 0): 1, (0, 0, 1): 3, (1, 1, -1): 1, (0, 0, 0): 5})
+    centre = (Fraction(1), QuadVal(Fraction(0), Fraction(1), Fraction(2, 3)), Fraction(1, 3))
+    jet = jet_of_exponential_substitution(p, centre, 8)
+    assert len(jet.coeffs) == 165 and jet.r == 6
+    h = _jet(3, 8, jet.r, _unit_part(jet))
+    lg = jet.log()
+    assert (0, 0, 0) not in lg.coeffs  # log(f / f(0))
+    log_series = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, 9)]
+    assert lg.values() == _series(h, log_series)
+    exp_series = [Fraction(1, math.factorial(k)) for k in range(9)]
+    assert _series(lg, exp_series) == _combine([(1, h.values()), (1, {(0, 0, 0): (1, 0)})])
+    assert (jet * jet.reciprocal()).values() == {(0, 0, 0): (1, 0)}
+
+
+def test_jet_mul_reciprocal_log_exp():
+    pt = (Fraction(1), Fraction(2))
+    jet = jet_of_exponential_substitution(LP(2, {(1, 0): 1, (0, 1): 2, (0, 0): 3}), pt, 5)
+    # e^{i t1} + 4 e^{i t2} + 3: the t1^a t2^b coefficient is i^(a+b)/(a! b!)
+    # times 1 (b = 0), 4 (a = 0), 8 (a = b = 0) or 0
+    values = jet.values()
+    assert values[(0, 0)] == (8, 0) and values[(3, 0)] == (Fraction(1, 6), 0)
+    assert values[(0, 2)] == (2, 0) and (1, 1) not in values
+    with mp.workprec(220):
+        assert jet.coefficient((3, 0)) == mp.mpc(0, -1) / 6 and jet.coefficient((0, 2)) == -2
+    assert (jet * jet.reciprocal()).values() == {(0, 0): (1, 0)}
+    # the exponential series of log(f / f(0)) gives f / f(0) back
+    lg = jet.log()
+    exp_series = [Fraction(1, math.factorial(k)) for k in range(6)]
+    assert _series(lg, exp_series) == _combine([(Fraction(1, 8), values)])
+
+
+# random centres with one radicand m: not a square, negative, a square, none
+RADICANDS = [Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(-4), Fraction(9, 4),
+             Fraction(1, 4), None]
+
+
+@st.composite
+def exact_jet_pairs(draw):
+    """Two substitution jets of random polynomials over one field."""
+    m = draw(st.sampled_from(RADICANDS))
+    order = draw(st.integers(1, 5))
+    jets = []
+    for _ in range(2):
+        centre = (draw(nonzero_rationals),
+                  draw(nonzero_rationals) if m is None
+                  else QuadVal(Fraction(0), draw(nonzero_rationals), m))
+        jets.append(jet_of_exponential_substitution(draw(laurent_polys(dim=2)), centre, order))
+    return jets
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_jet_pairs())
+def test_exact_field_identities(pair):
+    f, g = pair
+    assume(f.coeffs.get((0, 0)) and g.coeffs.get((0, 0)))
+    one = {(0, 0): (1, 0)}
+    assert (f * f.reciprocal()).values() == one
+    assert (f.reciprocal() * f).values() == one
+    assert (f * g).log().values() == _combine([(1, f.log().values()), (1, g.log().values())])
+    # a square radicand folds into the rationals, so zero tests stay exact
+    root = math.isqrt(max(f.r, 0))
+    assert f.r == 0 or root * root != f.r
