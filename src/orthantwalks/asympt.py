@@ -10,20 +10,20 @@ Two routes produce (rate, polynomial order, per-residue constants):
   explicit formula to any depth exactly in the same field (for the diagonal
   Hessian it reads u gU^l only at even multi-indices); only the prefactor
   (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
-  rounded once.  One constructor, ``_Integrand``, built once per
-  ``asympt_full`` call, gives the exact phase and amplitude polynomials: the
-  one-factor form for fully symmetric models; the kernel sheet, in z_1..z_d,
-  for smooth points; and at the crossing points, where the sheet meets the
-  pole {z_d = 1}, the residue there, leaving a smooth integral in
-  z_1..z_{d-1}.
+  rounded once.  One expansion plan, ``_Integrand``, built once per
+  ``asympt_full`` call from the model and the filter, decides the form and
+  gives its exact phase and amplitude polynomials: the one-factor form for
+  fully symmetric models; the kernel sheet, in z_1..z_d, for smooth points;
+  and with positive drift and the drift axis left free, the crossing points,
+  where the sheet meets the pole {z_d = 1}, expanded after the residue there
+  in z_1..z_{d-1}.
 
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
-``asympt_full`` decides once whether the crossing applies: positive drift
-with the drift axis left free.  Then it expands the crossing points, and
-otherwise the smooth-sheet points, both chosen exactly by ``critical``; the
-base exponent is read off the terms.  Every output is folded into a periodic
+``asympt_full`` translates the filter, builds the plan, takes the points of
+its form (crossing or smooth-sheet, both chosen exactly by ``critical``),
+expands each and folds: every output is folded into a periodic
 normal form with real per-residue constants, which is what verification
 compares.  The fold reads exact zeros and exact units: the leading index is
 the first with a nonzero coefficient, each rate is 1, -1, i or -i
@@ -47,7 +47,6 @@ from mpmath import mp
 
 from orthantwalks.critical import (
     SMOOTH,
-    TRANSVERSE,
     ContributingPoint,
     contributing_points,
     smooth_sheet_points,
@@ -229,38 +228,48 @@ def _saddle_coefficients(u, g, lam, N):
 # --------------------------------------------------- point-level expansions
 
 class _Integrand:
-    """The integrand of one expansion form: its phase polynomial, one exact
-    amplitude numerator and a list of amplitude denominator factors.  They
-    depend on the model, the filter and the form, not on the point, whose
-    exact coordinates are only the centre each jet is taken at.
+    """The expansion plan of one model and endpoint filter: its form, the
+    integrand's phase polynomial, one exact amplitude numerator and a list of
+    amplitude denominator factors.  They depend on the model and the filter,
+    not on the point, whose exact coordinates are only the centre each jet is
+    taken at.
 
+    The plan decides the form once: ``crossing`` when the drift is positive
+    and the drift axis is left free (fully symmetric models have zero drift).
     Fully symmetric models use the one-factor form: phase S, amplitude
-    prod_j (1+z_j).  A crossing point (``residue``) is expanded after the
-    residue at z_d = 1, in z_1..z_{d-1}: phase S(z', 1) = A + Q + B,
-    amplitude prod_{j<d} (1+z_j) (B - A) / B.  Every other point lies on the
-    kernel sheet of the three-factor form: phase Sbar, amplitude
+    prod_j (1+z_j).  The crossing points are expanded after the residue at
+    z_d = 1, in z_1..z_{d-1}: phase S(z', 1) = A + Q + B, amplitude
+    prod_{j<d} (1+z_j) (B - A) / B.  Every other point lies on the kernel
+    sheet of the three-factor form: phase Sbar, amplitude
     prod_{j<d} (1+z_j) (B - z_d^2 A) / (B (1-z_d)).  Each axis in ``variant``
     adds a factor (1 - z_j); on the kernel sheet the drift-axis one cancels
-    1/(1-z_d).  Denominator factors stay apart: each one's jet is sparse, so
-    its reciprocal is cheap.
+    1/(1-z_d), which is why a returning drift axis leaves no crossing.
+    Denominator factors stay apart: each one's jet is sparse, so its
+    reciprocal is cheap.  ``alpha`` is -(integration variables)/2, and
+    ``depth`` the default depth: 2, plus one per axis in ``variant`` other
+    than the drift axis.
     """
 
-    def __init__(self, s, variant, residue):
+    def __init__(self, s, variant):
         d = s.dim
-        symmetric = classify(s).kind == HIGHLY_SYMMETRIC
-        residue = residue and not symmetric
-        self.dim = dim = d - 1 if residue else d
+        cls = classify(s)
+        symmetric = cls.kind == HIGHLY_SYMMETRIC
+        self.crossing = crossing = cls.drift_sign > 0 and d - 1 not in variant
+        self.route = "transverse" if crossing else "plain-smooth" if symmetric else "smooth"
+        self.dim = dim = d - 1 if crossing else d
+        self.alpha = Fraction(-dim, 2)
+        self.depth = 2 + len([j for j in variant if j != d - 1])
         num = LaurentPoly.const(dim, 1)
         for j in range(d if symmetric else d - 1):
             num = num * (1 + LaurentPoly.variable(dim, j))
         for j in variant:
-            if symmetric or residue or j != d - 1:
+            if symmetric or j != d - 1:
                 num = num * (1 - LaurentPoly.variable(dim, j))
         if symmetric:
             self.phase, self.num, self.dens = s.char_poly(), num, []
             return
         dcmp = decompose(s)
-        if residue:
+        if crossing:
             self.phase, self.dens = dcmp.A + dcmp.Q + dcmp.B, [dcmp.B]
             self.num = num * (dcmp.B - dcmp.A)
             return
@@ -280,25 +289,16 @@ class _Integrand:
         return u, g, lam
 
     def expand(self, point, N):
-        """The depth-N expansion at one contributing point; each jet only to
-        the degree ``_saddle_coefficients`` reads."""
+        """The depth-N expansion at one point of this plan's form; each jet
+        only to the degree ``_saddle_coefficients`` reads."""
+        if N < 1:
+            raise ValueError(f"expansion depth N must be at least 1, got {N}")
+        if point.is_crossing() != self.crossing:
+            kind = "a crossing point" if point.is_crossing() else "a smooth-sheet point"
+            raise ValueError(f"the {self.route} expansion does not take {kind}")
         u, g, lam = self.jets(point, 2 * N, 2 * (N - 1))
-        return ContributionTerm(point, point.rate_exact, Fraction(-g.dim, 2),
+        return ContributionTerm(point, point.rate_exact, self.alpha,
                                 _saddle_coefficients(u, g, lam, N))
-
-
-def _integrand(s, point, variant):
-    """The phase polynomial, exact centre, amplitude numerator and
-    denominator factors at one contributing point (see ``_Integrand``)."""
-    f = _Integrand(s, tuple(variant), point.stratum == TRANSVERSE)
-    return f.phase, point.exact_w()[:f.dim], f.num, f.dens
-
-
-def _saddle_jets(s, point, variant, phase_order, amplitude_order):
-    """Amplitude jet u, phase jet g and diagonal Hessian entries of
-    ``_integrand`` at one contributing point, to the given degrees."""
-    return _Integrand(s, tuple(variant), point.stratum == TRANSVERSE).jets(
-        point, phase_order, amplitude_order)
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
@@ -307,14 +307,14 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     working precision (``asympt_full`` sets it once for all its points).
 
     ``numerator_variant`` is a set of canonical axes carrying boundary factors
-    (1 - z_j).  The expansion form follows the model and the point (see
-    ``_integrand``).  Coefficients are reported against n^{-m/2 - k}, m the
+    (1 - z_j).  The expansion plan of the model and ``numerator_variant``
+    (see ``_Integrand``) fixes the form; a point that plan does not expand
+    (a crossing point where it takes the smooth sheet, or the reverse) raises
+    ``ValueError``.  Coefficients are reported against n^{-m/2 - k}, m the
     number of integration variables (d, or d-1 after the residue at a
     crossing point).
     """
-    if N < 1:
-        raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    return _Integrand(s, tuple(numerator_variant), point.stratum == TRANSVERSE).expand(point, N)
+    return _Integrand(s, numerator_variant).expand(point, N)
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
@@ -322,10 +322,10 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     """Leading-order contribution at a crossing point (kernel sheet meeting
     {z_d=1}) from the closed crossing formula; a zero coefficient where the
     effective numerator vanishes there.  Kept as an independent check on the
-    residue expansion of ``smooth_contribution``.  A crossing point stores its
-    rate as the rational S(w, 1); the zero-drift all-ones point, which the
-    smooth-sheet search also labels transverse, stores Sbar(w) and is refused."""
-    if point.stratum != TRANSVERSE or point.rate_exact.coef:
+    residue expansion of ``smooth_contribution``.  Only points from the
+    crossing search are taken (``ContributingPoint.is_crossing``): the
+    zero-drift all-ones point, which lies on z_d = 1 too, is refused."""
+    if not point.is_crossing():
         raise ValueError("transverse_contribution requires a crossing point")
     d = s.dim
     dcmp = decompose(s)
@@ -367,7 +367,8 @@ def negative_drift_closed_constant(s: StepSet, point: ContributingPoint):
     aval = to_mp(dcmp.eval_A(w))
     bracket = 1 / (aval * pd * (1 - pd))
     for j in range(d - 1):
-        apj, bpj, _, _ = dcmp.ABprime[j]
+        # A = (z_j + 1/z_j) A'_j + A''_j, and likewise for B
+        apj, bpj = dcmp.A.coeff_slice(j, 1), dcmp.B.coeff_slice(j, 1)
         zhat = tuple(c for i, c in enumerate(w[: d - 1]) if i != j)
         apv, bpv = to_mp(apj.eval(zhat)), to_mp(bpj.eval(zhat))
         bracket += (1 - w[j]) / (2 * w[j] * bks[j]) * (apv / aval - bpv / bd)
@@ -458,11 +459,6 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
 
 # ------------------------------------------------------------ full pipeline
 
-def default_depth(s: StepSet, variant):
-    drift_axis = s.dim - 1
-    return 2 + len([j for j in variant if j != drift_axis])
-
-
 def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
                 ) -> AsymptoticExpansion:
     """Sum point contributions for the requested endpoint filter and fold.
@@ -472,25 +468,13 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     through the one-factor symmetric representation, which keeps every
     contributing point on a smooth sheet for any filter.  The folded rate
     string is the exact rate of the principal point; unsupported models are
-    refused by ``decompose`` when the points are sought.
+    refused by ``decompose`` when the plan or the points are built.
     """
-    cls = classify(s)
-    variant = s.canonical_variant(normalize_filter(flt, s.dim))
-    if N is None:
-        N = default_depth(s, variant)
-    if N < 1:
-        raise ValueError(f"expansion depth N must be at least 1, got {N}")
-    # a returning drift axis cancels the crossing factor: smooth sheet only
-    crossing = cls.drift_sign > 0 and s.dim - 1 not in variant
-    if crossing:
-        pts, route = contributing_points(s), "transverse"
-    else:
-        pts = smooth_sheet_points(s)
-        route = "plain-smooth" if cls.kind == HIGHLY_SYMMETRIC else "smooth"
+    plan = _Integrand(s, s.canonical_variant(normalize_filter(flt, s.dim)))
+    pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
     with mp.workprec(prec + GUARD_BITS):
-        integrand = _Integrand(s, variant, crossing)
-        terms = [integrand.expand(p, N) for p in pts]
-        base_alpha = terms[0].alpha  # -(integration variables)/2, the same for every term
-        periodic = _fold(terms, base_alpha)
+        terms = [plan.expand(p, plan.depth if N is None else N) for p in pts]
+        periodic = _fold(terms, plan.alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
-    return AsymptoticExpansion(terms, base_alpha, periodic, periodic is None, route, notes)
+    return AsymptoticExpansion(terms, plan.alpha, periodic, periodic is None, plan.route,
+                               notes)

@@ -329,8 +329,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     profiles = {}
     if "empirical" in modes:
         # fits and comparisons stay sequential (same output for any ``threads``); the
-        # DP holds the GIL between short numpy calls, so on 2 cores 2 threads ran the
-        # 23 catalog passes at n = 512 no faster than 1 (2.6 s vs 2.4 s)
+        # DP holds the GIL between short numpy calls, so threads overlap little of it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(threads) as pool:

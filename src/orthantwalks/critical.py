@@ -46,6 +46,10 @@ class ContributingPoint:
     the drift coordinate is i^nu * sqrt(wd_squared) (exactly 1 at a crossing),
     and t solves H1 = 0.  ``w``, ``t``, ``coords()`` and ``rate()`` are
     computed from these fields at the caller's working precision.
+
+    ``stratum`` is geometry: TransverseV1V3 marks a point on z_d = 1, which
+    with zero drift includes the all-ones smooth-sheet point.  Which search
+    found the point is ``is_crossing()``.
     """
 
     stratum: str  # SmoothV1 | TransverseV1V3
@@ -67,12 +71,18 @@ class ContributingPoint:
     def w(self):
         return tuple(mp.mpc(sg) for sg in self.w_signs) + (self.exact_w()[-1].to_mp(),)
 
+    def is_crossing(self):
+        """A point of the crossing search: only that search stores the rate
+        as a rational, S(w, 1); the smooth sheet's Sbar(w) always has a
+        nonzero root part."""
+        return not self.rate_exact.coef
+
     @property
     def t(self):
-        """1/(w_1...w_d Sbar(w)); a real where the crossing search stores the
-        rate as the rational S(w,1), since w_d = 1 there."""
+        """1/(w_1...w_d Sbar(w)); a real at a crossing point, since w_d = 1
+        and the rate is the rational S(w,1) there."""
         prod = math.prod(self.w_signs)
-        if not self.rate_exact.coef:
+        if self.is_crossing():
             return to_mp(1 / (prod * self.rate_exact.rat))
         return 1 / (prod * self.w[-1] * self.rate())
 

@@ -374,8 +374,6 @@ class Jet:
                     _mul_into(out, r, e1, c * x1, c * y1, rows[d2])
         return Jet(self.dim, order, out, r, self.scale * other.scale, base)
 
-    __rmul__ = __mul__
-
     def _unit_part(self):
         """h = f / f(0) - 1 by degree, integral over the base returned with it,
         and the pair of f(0) with its norm (a nonzero integer, as r is 0 or no

@@ -217,25 +217,13 @@ def classify(s: StepSet) -> SymmetryClass:
     return SymmetryClass(UNSUPPORTED, None, sign)
 
 
-def _split_symmetric(p: LaurentPoly, j: int):
-    """Write p = (z_j + 1/z_j) * P1 + P0 for p symmetric in z_j with exponents in {-1,0,1}."""
-    if any(abs(e) > 1 for e in p.var_exponents(j)):
-        raise StepSetError("degree in the split axis exceeds one")
-    up = p.coeff_slice(j, 1)
-    down = p.coeff_slice(j, -1)
-    if up != down:
-        raise StepSetError("polynomial is not symmetric in the split axis")
-    return up, p.coeff_slice(j, 0)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """All exact splittings of S used downstream.
 
     Everything is expressed in canonical axis order with the drift axis last:
-    S = (1/z_d) A + Q + z_d B, Sbar = (z_k + 1/z_k) B_k + Q_k for k < d,
-    A = (z_j + 1/z_j) A'_j + A''_j and likewise for B.  B_k is b_k with z_d
-    inverted.
+    S = (1/z_d) A + Q + z_d B and Sbar = (z_k + 1/z_k) B_k + Q_k for k < d.
+    B_k is b_k with z_d inverted.
     """
 
     dim: int
@@ -245,7 +233,6 @@ class Decomposition:
     total_weight: Fraction
     b_scalars: tuple  # b_k = weight moving forward along canonical axis k < d
     b_polys: tuple  # b_k(z) = [z_k] S, a Laurent poly in the other d-1 variables
-    ABprime: tuple  # (A'_j, B'_j, A''_j, B''_j) for j < d, in d-2 variables
 
     # --- evaluation helpers taking full-length canonical points -------------
 
@@ -280,15 +267,11 @@ def decompose(s: StepSet) -> Decomposition:
     B = S.coeff_slice(d - 1, 1)
     b_scalars = []
     b_polys = []
-    abprime = []
     ones = (1,) * (d - 1)
     for k in range(d - 1):
         bp = S.coeff_slice(k, 1)
         b_polys.append(bp)
         b_scalars.append(bp.eval(ones))
-        Apj, App = _split_symmetric(A, k)
-        Bpj, Bpp = _split_symmetric(B, k)
-        abprime.append((Apj, Bpj, App, Bpp))
     return Decomposition(
         dim=d,
         A=A,
@@ -297,7 +280,6 @@ def decompose(s: StepSet) -> Decomposition:
         total_weight=s.total_weight(),
         b_scalars=tuple(b_scalars),
         b_polys=tuple(b_polys),
-        ABprime=tuple(abprime),
     )
 
 

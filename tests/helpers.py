@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
-from orthantwalks.asympt import PeriodicForm, _integrand
+from orthantwalks.asympt import PeriodicForm, _Integrand
 from orthantwalks.critical import (
     RESIDUAL_TOL_EXP,
     SMOOTH,
@@ -361,18 +361,18 @@ def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_
 
 def numeric_saddle_jets(s, point, variant, phase_order, amplitude_order, prec=DEFAULT_PREC_BITS):
     """Oracle: the amplitude jet, the phase jet and its diagonal Hessian
-    entries of ``asympt._saddle_jets`` as ``MpcJet``s, from the numeric
-    substitution at the rounded centre; shares only ``asympt._integrand``'s
-    polynomials with the engine."""
-    phase, _, num, dens = _integrand(s, point, variant)
+    entries of ``asympt._Integrand.jets`` as ``MpcJet``s, from the numeric
+    substitution at the rounded centre; shares only the plan's polynomials
+    with the engine."""
+    f = _Integrand(s, variant)
     with mp.workprec(prec + GUARD_BITS):
-        w = point.w[:phase.dim]
-        sj = numeric_jet_of_exponential_substitution(phase, w, phase_order, prec)
+        w = point.w[:f.dim]
+        sj = numeric_jet_of_exponential_substitution(f.phase, w, phase_order, prec)
         g = -((sj * (1 / sj.constant_term())).log())
-        d = phase.dim
+        d = f.dim
         lam = [2 * g.coefficient(tuple(2 * (j == a) for j in range(d))) for a in range(d)]
-        u = numeric_jet_of_exponential_substitution(num, w, amplitude_order, prec)
-        for den in dens:
+        u = numeric_jet_of_exponential_substitution(f.num, w, amplitude_order, prec)
+        for den in f.dens:
             u = u * numeric_jet_of_exponential_substitution(den, w, amplitude_order,
                                                             prec).reciprocal()
         return u, g, lam
@@ -423,7 +423,7 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
     Builds every jet to degree 6(N-1) and applies H = -sum_a lam_a^{-1} d_a^2
     k+l times to the full jet u gU^l before reading its constant term, for
     L_k = sum_{l <= 2k} H^{k+l}(u gU^l)(0) / ((-1)^k 2^{k+l} l! (k+l)!).
-    Shares only ``asympt._integrand``'s polynomials with the engine: its
+    Shares only ``asympt._Integrand``'s polynomials with the engine: its
     jets are ``MpcJet``s from the numeric substitution.
     """
     wp = prec + GUARD_BITS

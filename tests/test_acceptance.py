@@ -178,7 +178,7 @@ def test_criterion_07_derivative_identities():
                     ok = ok and abs(jet.coefficient(ed) * 2 + 2 * bd / p.w[d - 1]) \
                         < mp.mpf(10) ** -30
                     em = (2, 1)
-                    apj, bpj = dcmp.ABprime[0][0], dcmp.ABprime[0][1]
+                    apj, bpj = dcmp.A.coeff_slice(0, 1), dcmp.B.coeff_slice(0, 1)
                     apv = apj.eval(()) if apj.dim == 0 else apj.eval(p.w[1:d - 1])
                     bpv = bpj.eval(()) if bpj.dim == 0 else bpj.eval(p.w[1:d - 1])
                     want = -2j * p.w[0] * (p.w[d - 1] * apv - bpv / p.w[d - 1])

@@ -17,10 +17,9 @@ from helpers import (
 )
 from orthantwalks.asympt import (
     ContributionTerm,
-    _integrand,
+    _Integrand,
     _phase_jets,
     _saddle_coefficients,
-    _saddle_jets,
     asympt_closed,
     asympt_full,
     negative_drift_closed_constant,
@@ -218,7 +217,7 @@ def _lemma_targets(s, dcmp, p):
             for j in range(d - 1):
                 e = tuple((2 if k == j else 0) + (1 if k == d - 1 else 0)
                           for k in range(d))
-                apj, bpj = dcmp.ABprime[j][0], dcmp.ABprime[j][1]
+                apj, bpj = dcmp.A.coeff_slice(j, 1), dcmp.B.coeff_slice(j, 1)
                 zhat = tuple(c for i, c in enumerate(p.w[: d - 1]) if i != j)
                 apv = apj.eval(zhat) if apj.dim else apj.eval(())
                 bpv = bpj.eval(zhat) if bpj.dim else bpj.eval(())
@@ -256,10 +255,9 @@ def _expanded_integrands(s, axes):
     """(point, phase, exact centre, [phase, numerator, *denominators]) at every
     point ``asympt_full`` expands for the filter on ``axes``."""
     flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
-    variant = s.canonical_variant(flt)
+    f = _Integrand(s, s.canonical_variant(flt))
     for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:
-        phase, center, num, dens = _integrand(s, p, variant)
-        yield p, phase, center, [phase, num] + dens
+        yield p, f.phase, p.exact_w()[:f.dim], [f.phase, f.num] + f.dens
 
 
 @settings(max_examples=25, deadline=None)
@@ -378,7 +376,7 @@ def test_exact_saddle_jets_match_mpc_oracle(s, order, data):
     variant = s.canonical_variant(flt)
     with mp.workprec(PREC + GUARD_BITS):
         for t in asympt_full(s, flt, N=1, prec=PREC).terms:
-            u, g, lam = _saddle_jets(s, t.point, variant, order, order)
+            u, g, lam = _Integrand(s, variant).jets(t.point, order, order)
             nu, ng, nlam = numeric_saddle_jets(s, t.point, variant, order, order, PREC)
             for l, nl in zip(lam, nlam):
                 assert abs(l.to_mp() - nl) <= mp.mpf(2) ** -200 * abs(nl)
@@ -407,6 +405,38 @@ def test_deeper_expansion_extends_shallower(s, depth, data):
             assert len(deep) == depth + 1
             for a, b in zip(shallow, deep):
                 assert abs(a - b) <= mp.mpf(10) ** -60 * scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(symmetric_models(dims=(2, 3)), st.integers(1, 3), st.data())
+def test_smooth_contribution_takes_the_asympt_full_path(s, depth, data):
+    # one plan decides the form: the per-point call reproduces every term of
+    # asympt_full bit for bit at its working precision
+    axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
+    flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
+    variant = s.canonical_variant(flt)
+    exp = asympt_full(s, flt, N=depth, prec=PREC)
+    with mp.workprec(PREC + GUARD_BITS):
+        for t in exp.terms:
+            got = smooth_contribution(s, t.point, depth, variant)
+            assert (got.rate_exact, got.alpha) == (t.rate_exact, t.alpha)
+            assert [c._mpc_ for c in got.coefficients] == [c._mpc_ for c in t.coefficients]
+
+
+def test_smooth_contribution_refuses_points_of_the_other_form():
+    # positive drift: a free drift axis takes the crossing points, a returning
+    # one the smooth-sheet points; the other search's points are refused, not
+    # expanded in another form
+    drift_axis = (NNWS.dim - 1,)
+    with mp.workprec(PREC + GUARD_BITS):
+        for p in contributing_points(NNWS):
+            smooth_contribution(NNWS, p, 2, ())
+            with pytest.raises(ValueError, match="does not take a crossing point"):
+                smooth_contribution(NNWS, p, 2, drift_axis)
+        for p in smooth_sheet_points(NNWS):
+            smooth_contribution(NNWS, p, 2, drift_axis)
+            with pytest.raises(ValueError, match="does not take a smooth-sheet point"):
+                smooth_contribution(NNWS, p, 2, ())
 
 
 def test_d3_origin_expansion():

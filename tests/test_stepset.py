@@ -50,7 +50,7 @@ def test_negative_drift_example():
     assert classify(s).drift_sign == -1
 
 
-def test_bq_and_abprime_splits():
+def test_bk_splits():
     # eval_Bk is the z_k coefficient of Sbar = (z_k + 1/z_k) B_k + Q_k for
     # k < d, and B itself for k = d, at rational points
     models = [build_stepset(2, ["N", "SE", "S", "SW"]),
@@ -69,9 +69,6 @@ def test_bq_and_abprime_splits():
                 want = sbar.coeff_slice(k, 1).eval(point[:k] + point[k + 1:])
                 assert d.eval_Bk(k, point) == want
             assert d.eval_Bk(s.dim - 1, point) == d.B.eval(point[:-1])
-    Ap, Bp, App, Bpp = decompose(models[0]).ABprime[0]
-    assert (Ap, App) == (LaurentPoly.const(0, 1), LaurentPoly.const(0, 1))
-    assert (Bp, Bpp) == (LaurentPoly.zero(0), LaurentPoly.const(0, 1))
 
 
 def test_no_symmetry_model_is_unsupported():
