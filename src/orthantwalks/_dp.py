@@ -12,21 +12,48 @@ it nor put it on hyperplane a.  Such cells are summed over axis a and carried on
 in a *part* over the remaining (live) axes, which evolves under the step set
 projected off a, the weights of steps that share their live components added.
 A walk far on every axis becomes a scalar.  Every live coordinate stays within
-min(n, H - n), and the work is about 2^-d of a pass over {0..n}^d per step.  A
-part over k axes keeps two flat buffers (three with non-unit weights) of
-(H//2 + 3)^k cells, and a step moves its live box by one contiguous add.
+min(n, H - n), and the work is about 2^-d of a pass over {0..n}^d per step.
+
+A part over k axes keeps two flat buffers (three with non-unit weights) of
+(H//2 + 3)^k cells, allocated once, and a step moves its live box by one
+contiguous add per merged step.  The stride tracks the live box: a part uses
+only the first w^k cells of each buffer, w slots per axis, with w a little
+wider than the box; about every ``SLACK`` steps the box is copied to a new
+stride inside the same buffers, so a step spans about live^k cells rather
+than live rows of the widest stride.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+
+SLACK = 16  # spare slots per axis while the box grows: a re-stride every ~SLACK steps
+_sum = np.add.reduce  # ndarray.sum without its Python wrapper: the same reduction
 
 
 def kernel_backend():
     """Name of the array library the kernel runs on."""
     return "numpy"
+
+
+def _box(k, m):
+    """Index of the slots of {0..m-1}^k; the Ellipsis makes the 0-d part a view too."""
+    return (...,) + (slice(1, m + 1),) * k
+
+
+class _Buffer:
+    """One flat buffer of a part, with its views under the part's stride."""
+
+    __slots__ = ("flat", "nd", "faces")
+
+    def __init__(self, size, dtype):
+        self.flat = np.zeros(size, dtype=dtype)
+
+    def layout(self, k, width):
+        """Read the first width^k cells as k axes of ``width`` slots each."""
+        self.nd = self.flat[:width**k].reshape((width,) * k)
+        # slot 0 of each axis, which catches the walks that step off it
+        self.faces = [self.nd[(slice(None),) * j + (0, ...)] for j in range(k)]
 
 
 class _Part:
@@ -37,45 +64,79 @@ class _Part:
     box, so no ±1 step of a nonzero cell wraps into the next row or hyperplane.
     """
 
-    __slots__ = ("steps", "shape", "unit", "cur", "nxt", "scratch")
+    __slots__ = ("k", "children", "projected", "width", "unit", "steps",
+                 "cur", "nxt", "scratch")
 
-    def __init__(self, axes, vectors, weights, width, dtype):
+    def __init__(self, axes, vectors, weights, size, width, dtype):
         merged = {}
         for v, w in zip(vectors, weights):
-            off = sum(v[a] * width**j for j, a in enumerate(reversed(axes)))
-            merged[off] = merged.get(off, 0) + w
+            key = tuple(v[a] for a in axes)
+            merged[key] = merged.get(key, 0) + w
         if np.dtype(dtype) != np.dtype(object):
-            merged = {off: float(w) for off, w in merged.items()}
-        self.steps = list(merged.items())
-        self.shape = (width,) * len(axes)
-        self.unit = sum(width**j for j in range(len(axes)))  # from (c,..,c) to (c+1,..,c+1)
-        self.cur = np.zeros(width ** len(axes), dtype=dtype)
-        self.nxt = np.zeros(width ** len(axes), dtype=dtype)
-        # products for non-unit weights land here, so no step allocates a temporary
-        self.scratch = (np.zeros(width ** len(axes), dtype=dtype)
-                        if any(w != 1 for _, w in self.steps) else None)
+            merged = {key: float(w) for key, w in merged.items()}
+        self.k = len(axes)
+        self.children = [axes[:i] + axes[i + 1:] for i in range(self.k)]
+        self.projected = list(merged.items())
+        self.cur = _Buffer(size**self.k, dtype)
+        self.nxt = _Buffer(size**self.k, dtype)
+        # the first merged step writes its span, and the products of the others
+        # land here, so no step allocates a temporary
+        self.scratch = (np.zeros(size**self.k, dtype=dtype)
+                        if any(w != 1 for _, w in self.projected[1:]) else None)
+        self._set_width(width)
+
+    def _set_width(self, width):
+        k = self.k
+        self.width = width
+        self.unit = sum(width**j for j in range(k))  # from (c,..,c) to (c+1,..,c+1)
+        self.steps = [(sum(c * width**j for j, c in enumerate(reversed(v))), w)
+                      for v, w in self.projected]
+        self.cur.layout(k, width)
+        self.nxt.layout(k, width)
+
+    def restride(self, width, live):
+        """Move the live box {0..live-1}^k of cur to ``width`` slots per axis."""
+        used = self.width**self.k
+        box = _box(self.k, live)
+        old = self.cur.nd[box]
+        self.nxt.flat[:used] = 0
+        self.cur, self.nxt = self.nxt, self.cur
+        self._set_width(width)
+        self.cur.nd[box] = old
+        self.nxt.flat[:used] = 0
 
     def box(self, m):
-        """View of cur on {0..m-1}^k; the Ellipsis makes the 0-d part a view too."""
-        return self.cur.reshape(self.shape)[(...,) + (slice(1, m + 1),) * len(self.shape)]
+        """View of cur on {0..m-1}^k."""
+        return self.cur.nd[_box(self.k, m)]
 
     def step(self, live, reach, total):
         """Advance cur from {0..live-1}^k to {0..reach-1}^k; divide by total if given."""
-        lo, hi = self.unit, live * self.unit + 1  # the flat span of {0..live-1}^k
-        # nxt holds the state of two steps back, zero outside {0..reach-1}^k
-        self.nxt[:hi + self.unit] = 0
-        for off, w in self.steps:
-            dst = self.nxt[lo + off:hi + off]
+        cur, nxt = self.cur.flat, self.nxt.flat
+        unit = self.unit
+        lo, hi = unit, live * unit + 1  # the flat span of {0..live-1}^k
+        src = cur[lo:hi]
+        # nxt holds the state of two steps back, zero past the span of
+        # {0..reach-1}^k: the first merged step writes its span, so only the
+        # slivers of that span it misses need zeroing
+        (off, w), *rest = self.steps
+        nxt[:lo + off] = 0
+        nxt[hi + off:hi + unit] = 0
+        if w == 1:
+            nxt[lo + off:hi + off] = src
+        else:
+            np.multiply(src, w, out=nxt[lo + off:hi + off])
+        for off, w in rest:
+            dst = nxt[lo + off:hi + off]
             if w == 1:
-                dst += self.cur[lo:hi]
+                dst += src
             else:
                 part = self.scratch[:hi - lo]
-                np.multiply(self.cur[lo:hi], w, out=part)
+                np.multiply(src, w, out=part)
                 dst += part
-        for j in range(len(self.shape)):  # drop the walks that stepped off axis j
-            self.nxt.reshape(self.shape)[(slice(None),) * j + (0,)] = 0
+        for face in self.nxt.faces:  # drop the walks that stepped off an axis
+            face.fill(0)
         if total is not None:
-            self.nxt[lo:hi + self.unit] /= total
+            nxt[lo:hi + unit] /= total
         self.cur, self.nxt = self.nxt, self.cur
 
 
@@ -93,12 +154,13 @@ def evolve(vectors, weights, n_max, dtype):
     """
     d = len(vectors[0])
     total = None if np.dtype(dtype) == np.dtype(object) else float(sum(weights))
-    width = n_max // 2 + 3  # the widest a live axis gets, plus the off-orthant slot
+    size = n_max // 2 + 3  # the widest a live axis gets, plus the off-orthant slot
+    width = min(3 + SLACK, size)  # the stride of every part
     parts = {}
 
     def part(axes):
         if axes not in parts:
-            parts[axes] = _Part(axes, vectors, weights, width, dtype)
+            parts[axes] = _Part(axes, vectors, weights, size, width, dtype)
         return parts[axes]
 
     def state(live):
@@ -110,42 +172,57 @@ def evolve(vectors, weights, n_max, dtype):
     for n in range(1, n_max + 1):
         reach = live + 1
         cut = min(n, n_max - n) + 1
+        # a step needs reach + 1 slots per axis; the box grows up to the middle
+        # of the horizon and shrinks after it
+        if not live + 2 <= width <= live + 2 + SLACK:
+            width = min(live + 2 + (SLACK if 2 * n <= n_max else 0), size)
+            for p in parts.values():
+                p.restride(width, live)
         for p in parts.values():
             p.step(live, reach, total)
         # a walk with x_a >= cut is far from axis a: move it to the part without a,
         # larger parts first so a walk far on several axes moves on down
         if reach > cut:
+            near, beyond, whole = slice(0, cut), slice(cut, reach), slice(0, reach)
             for k in range(d, 0, -1):
-                for axes in [axes for axes in parts if len(axes) == k]:
-                    arr = parts[axes].box(reach)
-                    for i in range(k):
-                        far = (...,) + tuple(slice(0, cut) if j < i else
-                                             slice(cut, reach) if j == i else
-                                             slice(0, reach) for j in range(k))
-                        into = (...,) + tuple(slice(0, cut) if j < i else slice(0, reach)
-                                              for j in range(k - 1))
-                        part(axes[:i] + axes[i + 1:]).box(reach)[into] += arr[far].sum(axis=i)
+                for p in [p for p in parts.values() if p.k == k]:
+                    arr = p.box(reach)
+                    for i, child in enumerate(p.children):
+                        # the axes before i are already cut to {0..cut-1}
+                        far = (...,) + (near,) * i + (beyond,) + (whole,) * (k - 1 - i)
+                        into = (...,) + (near,) * i + (whole,) * (k - 1 - i)
+                        part(child).box(reach)[into] += _sum(arr[far], i)
                         arr[far] = 0  # keeps cur zero outside {0..cut-1}^k
         live = min(reach, cut)
         yield state(live)
 
 
-def restricted_total(state, axes):
-    """Total weight in ``state`` of the walks ending with x_j = 0 for every j in ``axes``.
+def totals_reader(filters):
+    """A function from a state to the total weight of the walks of each filter.
 
-    A part without some axis in ``axes`` holds only walks far from it, so it
-    adds nothing.
+    A filter is a tuple of axes, and its walks are those ending with x_j = 0
+    for every j in it.  A part without some axis of a filter holds only walks
+    far from it, so it adds nothing; each filter adds up the others in the
+    state's order.
     """
-    total = 0
-    for live, arr in state.items():
-        index = _restricted_index(live, axes)
-        if index is not None:
-            total += arr[index].sum()
-    return total
+    plans = {}
 
+    def plan(live):
+        reads = []
+        for i, axes in enumerate(filters):
+            if all(a in live for a in axes):
+                index = tuple(0 if a in axes else slice(None) for a in live)
+                reads.append((i, index, len(axes) == len(live)))  # one cell: no sum
+        return reads
 
-@functools.cache
-def _restricted_index(live, axes):
-    """Index of the walks on x_j = 0 (j in ``axes``) in the part over ``live``, or None."""
-    if all(a in live for a in axes):
-        return (...,) + tuple(0 if a in axes else slice(None) for a in live)
+    def read(state):
+        totals = [0] * len(filters)
+        for live, arr in state.items():
+            reads = plans.get(live)
+            if reads is None:
+                reads = plans[live] = plan(live)
+            for i, index, cell in reads:
+                totals[i] += arr[index] if cell else _sum(arr[index], None)
+        return totals
+
+    return read

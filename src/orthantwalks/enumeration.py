@@ -146,8 +146,14 @@ def _exact(count, denom, n):
     return count if denom == 1 or not count else Fraction(count, denom**n)
 
 
-def _reduce(state, flt):
-    return _dp.restricted_total(state, () if flt == "anywhere" else flt[1])
+def _check_length(n_max):
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+
+
+def _axes(flt):
+    """The axes a normalized filter pins to 0."""
+    return () if flt == "anywhere" else flt[1]
 
 
 def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
@@ -157,37 +163,44 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     has more than ``DEFAULT_STATE_CAP`` cells, although no buffer of the
     kernel holds more than (n_max//2 + 3)^d of them.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _check_length(n_max)
     flt = normalize_filter(flt, s.dim)
     if mode == "float":
-        return count_profile(s, n_max)[flt]
+        return count_profile(s, n_max, filters=[flt])[flt]
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'float'")
     _check_box(s, n_max, "exact DP")
     vectors, weights, denom = _integer_weights(s)
-    values = [_exact(_reduce(state, flt), denom, n)
+    read = _dp.totals_reader([_axes(flt)])
+    values = [_exact(read(state)[0], denom, n)
               for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object))]
     return CountSeries("exact", flt, values)
 
 
-def count_profile(s: StepSet, n_max):
-    """One float DP pass returning CountSeries for every standard filter.
+def count_profile(s: StepSet, n_max, filters=None):
+    """One float DP pass returning CountSeries for every standard filter, or for
+    the given ones only.
 
     Standard filters: anywhere and every non-empty axis subset (the full
-    subset being the origin).
+    subset being the origin).  ``filters`` lists filters in any form
+    ``normalize_filter`` takes; the result is keyed by their normal forms.
     """
+    _check_length(n_max)
     _check_box(s, n_max, "float DP")
     vectors, weights, _ = _integer_weights(s)
-    keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
-                           for mask in range(1, 2**s.dim)]
-    raw = {key: np.zeros(n_max + 1) for key in keys}
+    if filters is None:
+        keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
+                               for mask in range(1, 2**s.dim)]
+    else:
+        keys = list(dict.fromkeys(normalize_filter(flt, s.dim) for flt in filters))
+    read = _dp.totals_reader([_axes(key) for key in keys])
+    raw = [np.zeros(n_max + 1) for _ in keys]
     for n, state in enumerate(_dp.evolve(vectors, weights, n_max, np.float64)):
-        for key, arr in raw.items():
-            arr[n] = _reduce(state, key)
+        for arr, total in zip(raw, read(state)):
+            arr[n] = total
     log_scale = math.log(float(s.total_weight()))
     out = {}
-    for flt, arr in raw.items():
+    for flt, arr in zip(keys, raw):
         positive = arr[arr > 0]
         underflow = bool(positive.size and positive.min() < 1e-290)
         out[flt] = CountSeries("float", flt, arr, log_scale, underflow)
@@ -196,6 +209,7 @@ def count_profile(s: StepSet, n_max):
 
 def endpoint_table(s: StepSet, n):
     """Exact coefficients of the length-n slice of the full endpoint generating function."""
+    _check_length(n)
     if n > ENDPOINT_TABLE_MAX_N:
         raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
     _check_box(s, n, "exact DP")

@@ -1,5 +1,6 @@
 """DP oracle: exact counts vs brute force, float mode, filters, invariants."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_counts, brute_force_endpoints, slice_evolve, symmetric_models
-from orthantwalks import _dp
+from orthantwalks import _dp, catalog
 from orthantwalks.enumeration import (
     ENDPOINT_TABLE_MAX_N,
     CapacityError,
@@ -120,7 +121,7 @@ def test_evolve_keeps_only_the_light_cone_live():
     horizon = 12
     for n, state in enumerate(_dp.evolve(vectors, weights, horizon, object)):
         assert state[(0, 1, 2)].shape == (min(n, horizon - n) + 1,) * 3
-        assert _dp.restricted_total(state, ()) == count_walks(D3, n).values[n]
+        assert _dp.totals_reader([()])(state) == [count_walks(D3, n).values[n]]
     assert set(state) == {axes for r in range(4) for axes in itertools.combinations(range(3), r)}
     assert state[()][()] > 0
 
@@ -171,6 +172,79 @@ def test_evolve_buffers_are_zero_outside_the_live_box(d):
                 buf = arr.base  # the part's flat buffer, which the view reads
                 assert buf.ndim == 1 and buf.size == (horizon // 2 + 3) ** len(axes)
                 assert np.count_nonzero(buf) == np.count_nonzero(arr), (horizon, n, axes)
+
+
+# kernels whose horizons cross several re-strides: every step of {-1,0,1}^2 with
+# weights 1, 2, 3 in turn; the 3D example with one weight 2; and WEIGHTED, whose
+# projections onto one axis merge into weights 3 and 9
+RESTRIDE_CASES = {
+    "2D": ([v for v in itertools.product((-1, 0, 1), repeat=2) if any(v)],
+           [1 + i % 3 for i in range(8)], 200),
+    "3D": ([v for v, _ in D3.steps], [2, 1, 1, 1, 1], 80),
+    "merged": ([v for v, _ in WEIGHTED.steps], [1, 3, 2, 4], 150),
+}
+
+
+@pytest.mark.parametrize("dtype", [object, np.float64], ids=["exact", "float"])
+@pytest.mark.parametrize("case", list(RESTRIDE_CASES))
+def test_evolve_matches_the_slice_kernel_across_restrides(case, dtype):
+    # the flat kernel copies each live box to a narrower or wider stride as it
+    # grows and shrinks; every state must stay what the slice kernel computes
+    vectors, weights, horizon = RESTRIDE_CASES[case]
+    full = tuple(range(len(vectors[0])))
+    strides = set()
+    for n, (got, want) in enumerate(zip(_dp.evolve(vectors, weights, horizon, dtype),
+                                        slice_evolve(vectors, weights, horizon, dtype))):
+        assert list(got) == list(want), n
+        strides.add(got[full].strides)
+        for axes, arr in got.items():
+            assert arr.shape == want[axes].shape, (n, axes)
+            if dtype is object:
+                assert (arr == want[axes]).all(), (n, axes)
+            else:
+                assert arr.tobytes() == want[axes].tobytes(), (n, axes)
+            # no cell of an earlier stride is left behind in the part's buffer
+            assert np.count_nonzero(arr.base) == np.count_nonzero(arr), (n, axes)
+    assert n == horizon
+    assert len(strides) >= 4  # the horizon crosses several re-strides
+
+
+# sha256 over count_profile(s, 160)[flt].values.tobytes() for each standard
+# filter in order, frozen from the kernel before its stride tracked the live box
+PROFILE_DIGESTS_160 = {
+    "N,S,E,W": "a5c5c665e271392c8d9165b7f259dcf25f7bffb44f5daaa68800cef21a0b232e",
+    "NE,SE,NW,SW": "a90e04f9542660db48811b9e16488c175d34320f4f337c790c65df13123ba40a",
+    "N,S,NE,SE,NW,SW": "4aa3b250990a92a2eebf0bb89b802e1f8b9c2bf2b296dab5424f33a9eb8e90bc",
+    "N,S,E,W,NW,SW,SE,NE": "20668cafe48a188d1ff1a69a417c7d7af5d1c6fc70f5aa264202d62aa420fc13",
+    "NE,NW,S": "4d5214843ad6ec22bdd2a68ae33081b45e4fba1fc2d6db120011caa023676fc5",
+    "N,NW,NE,S": "8e17d396f653cf5643ccde962c28dda56330a90e02a2b9b2af6107c3af407030",
+    "NE,NW,E,W,S": "98c71de52a915b4219d9c26e72376134a747834bfc5ba6a6066b3c1b01c50d2a",
+    "N,NE,NW,SE,SW": "342e4e39c1793aa29c8e0edcd4810cb78801a78193edaa374e0079f49c70bdf7",
+    "N,NW,NE,E,W,S": "613d84b31ae84df63fbe191eceed35a50bf62bbb0ce7aa04ed14744a9f368f9f",
+    "N,E,W,NE,NW,SE,SW": "52ca4a9125b6540222516c1fdba501ce99bec92d593995f50c7e9c5c4acc7461",
+    "N,SE,SW": "63f06e15e290aa638b11329f2e8c3068590142d1dcd074ff539716a160a886d5",
+    "N,S,SE,SW": "01d477a4b152e2956c1ce39483698813edcd271c1446546b4b72d1086900f623",
+    "NE,NW,SE,SW,S": "057de202853ed93eaf66de3b1e00713ccb9d1e144b4fecd97c5dc2b3fafaf492",
+    "N,E,W,SE,SW": "398a66ecac89c433ddabfd68752b1a16a92a6532dd9b15574dff2f026a03a6f5",
+    "N,E,W,S,SW,SE": "b4620a36cf8368dfdeac4a26ff07b61651769b17a43889732dc0d435f9efc3ff",
+    "NE,NW,E,W,SE,SW,S": "a9ac8b8eb33119d7a19bddd1ea7f9a50e7733803b64c9de52c9422e0a5f24905",
+    "NE,W,S": "96b5516192124c20566cd7f39122f2a9557707a823d9190774679636118dc648",
+    "N,E,SW": "728c5c649dc11ecbe0cd07d694cf9ce165324405b3cb7d20c1887b3a1e56623b",
+    "N,NE,E,S,SW,W": "133e2a325a0288446421fc0f41fb498592c53425b2328b2b7f137bf6b5e9f5b0",
+    "NE,E,SW,W": "9797339ce6982881370414b3624213f1d327f659879ae8756a3fa2c34438cd23",
+    "N,W,SE": "f1d5b620d7a9e0f849c9ef5f4b849024ddc810d20345c292bfeb2c53c78e551f",
+    "NW,SE,N,S,E,W": "95a8ed88fb0c21a66b090c0273237c6ba1ff400750c969710d978a5b0dac9a48",
+    "E,SE,W,NW": "4544880c8525f5be7f068e9260d438b3d5baaabed5a355610eab78df42d6bc22",
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE_DIGESTS_160))
+def test_float_profiles_are_frozen_bit_for_bit(name):
+    (entry,) = [e for e in catalog.ENTRIES if e.name == name]
+    h = hashlib.sha256()
+    for series in count_profile(entry.stepset(), 160).values():
+        h.update(series.values.tobytes())
+    assert h.hexdigest() == PROFILE_DIGESTS_160[name]
 
 
 # ------------------------------------------------------------------ filters
@@ -295,6 +369,24 @@ def test_capacity_errors():
         endpoint_table(NSEW, 20)
     with pytest.raises(CapacityError):
         count_profile(NSEW, 10_000)
+
+
+@pytest.mark.parametrize("count, n", [(count_profile, -1), (count_profile, -3),
+                                      (endpoint_table, -1), (count_walks, -1)])
+def test_negative_lengths_are_refused(count, n):
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        count(NSEW, n)
+
+
+def test_profile_of_chosen_filters_matches_the_full_profile():
+    full = count_profile(D3, 40)
+    chosen = count_profile(D3, 40, filters=["origin", ("axes", (2, 0)), "origin"])
+    assert list(chosen) == [("axes", (0, 1, 2)), ("axes", (0, 2))]
+    for flt, series in chosen.items():
+        assert series.values.tobytes() == full[flt].values.tobytes()
+        assert series.underflow == full[flt].underflow
+    assert (count_walks(D3, 40, "origin", mode="float").values.tobytes()
+            == full[("axes", (0, 1, 2))].values.tobytes())
 
 
 def test_monotone_bound_integer_weights():
