@@ -32,7 +32,13 @@ from orthantwalks.laurent import (
     multi_indices,
     to_mp,
 )
-from orthantwalks.stepset import build_stepset, decompose
+from orthantwalks.stepset import (
+    StepSetError,
+    UnsupportedModelError,
+    build_stepset,
+    classify,
+    decompose,
+)
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
 
@@ -88,6 +94,27 @@ def symmetric_models(draw, dims=(2, 3), want=("pos", "neg", "hs")):
             for pattern in itertools.product(*signs):
                 steps.append((pattern + (zd,), w))
     return build_stepset(d, steps)
+
+
+def symmetric_3d_corpus():
+    """Every unit-weight 3D model symmetric over x and y: each nonempty union
+    of the 11 reflection orbits of {-1,0,1}^3 \\ {0} under the sign flips of x
+    and y, in the order of its bit mask over the orbits, kept when
+    ``build_stepset``, ``classify`` and ``decompose`` accept it."""
+    reps = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (-1, 0, 1) if (a, b, c) != (0, 0, 0)]
+    orbits = [sorted({(sa * a, sb * b, c) for sa in (1, -1) for sb in (1, -1)})
+              for a, b, c in reps]
+    corpus = []
+    for mask in range(1, 2 ** len(orbits)):
+        steps = [(v, 1) for i, orbit in enumerate(orbits) if mask >> i & 1 for v in orbit]
+        try:
+            s = build_stepset(3, steps)
+            classify(s)
+            decompose(s)
+        except (StepSetError, UnsupportedModelError):
+            continue
+        corpus.append(s)
+    return corpus
 
 
 def brute_force_endpoints(steps, n_max, dim):

@@ -1,6 +1,7 @@
 """Saddle-point engine vs closed forms, derivative identities, and folding."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     numeric_saddle_coefficients,
     numeric_saddle_jets,
     operator_saddle_coefficients,
+    symmetric_3d_corpus,
     symmetric_models,
 )
 from orthantwalks.asympt import (
@@ -622,6 +624,32 @@ def test_folded_constants_real_nonnegative_random(s):
             return
         for c in exp.periodic.constants:
             assert c >= -mp.mpf(10) ** -25
+
+
+@pytest.fixture(scope="module")
+def corpus_3d():
+    return symmetric_3d_corpus()
+
+
+def test_symmetric_3d_corpus_by_drift_class(corpus_3d):
+    # the subsets of the 11 orbits that are supported models, by drift class
+    classes = Counter((classify(s).kind, classify(s).drift_sign) for s in corpus_3d)
+    assert len(corpus_3d) == 1669
+    assert classes == {("MissingOneAxis", -1): 780, ("MissingOneAxis", 1): 780,
+                       ("HighlySymmetric", 0): 109}
+
+
+def test_engine_matches_closed_forms_on_the_3d_corpus(corpus_3d):
+    # every 8th model of the corpus, in its own order: 209 models of all
+    # three drift classes, each a different field Q(sqrt(A(w)B(w)))
+    stride = corpus_3d[::8]
+    assert len(stride) == 209
+    for s in stride:
+        full, closed = asympt_full(s, prec=PREC).periodic, asympt_closed(s, prec=PREC).periodic
+        assert (full.period, full.alpha, full.rate_modulus_exact) == (
+            closed.period, closed.alpha, closed.rate_modulus_exact), s
+        for got, want in zip(full.constants, closed.constants):
+            assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want), s
 
 
 def test_quadval_unit():
