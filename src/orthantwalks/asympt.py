@@ -7,8 +7,10 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * one saddle engine that expands the phase and amplitude as exact jets over
   Q(sqrt(q)) at the point's exact coordinates (so vanishing coefficients are
   exact zeros), each only to the degree it is read, and sums Hörmander's
-  explicit formula to any depth exactly in the same field (for the diagonal
-  Hessian it reads u gU^l only at even multi-indices); only the prefactor
+  explicit formula to any depth exactly in the same field, in ``QuadVal``
+  arithmetic on the Hessian entries and on the values the jets give out (for
+  the diagonal Hessian it reads u gU^l only at even multi-indices,
+  ``Jet.even_part``); only the prefactor
   (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
   rounded once.  One expansion plan, ``_Integrand``, built once per
   ``asympt_full`` call from the model and the filter, decides the form and
@@ -26,8 +28,8 @@ its form (crossing or smooth-sheet, both chosen exactly by ``critical``),
 expands each and folds: every output is folded into a periodic
 normal form with real per-residue constants, which is what verification
 compares.  The fold reads exact zeros and exact units: the leading index is
-the first with a nonzero coefficient, each rate is 1, -1, i or -i
-(``QuadVal.unit``, decided exactly) times one shared modulus, and the period
+the first with a nonzero coefficient, each rate is 1, -1, i or -i (the
+exact ``QuadVal.unit`` of the rate) times one shared modulus, and the period
 is the order of the units of the leading terms.  The folded rate is that of
 the first term with unit 1: the principal point for the engine, the first
 term for the closed forms.  Neither route checks support itself:
@@ -58,7 +60,6 @@ from orthantwalks.laurent import (
     Jet,
     LaurentPoly,
     QuadVal,
-    _mul_into,
     jet_of_exponential_substitution,
     to_mp,
 )
@@ -114,18 +115,14 @@ class AsymptoticExpansion:
 
 def _phase_jets(poly, center, order):
     """The log-phase jet -log(poly/poly(c)) of ``poly`` at the exact centre c,
-    and its diagonal Hessian entries, exact in the jet's field (``QuadVal``s).
+    and its diagonal Hessian entries lam_a = 2! i^2 times the exact value at
+    2 e_a, as ``QuadVal``s of the jet's field.
     At a contributing point each symmetric axis pairs every phase term with
     its reflection and the drift coordinate is critical, so the jet has no
     first-order or mixed second-order key; every phase term has one argument
     there, so each entry is a positive real."""
     g = -jet_of_exponential_substitution(poly, center, order).log()
-    lam = []
-    for a in range(g.dim):
-        # 2 i^2 (x + y sqrt(r)) / (scale 2! base^2)
-        x, y = g.coeffs.get(tuple(2 * (j == a) for j in range(g.dim)), (0, 0))
-        den = g.scale * g.base ** 2
-        lam.append(QuadVal(Fraction(-x, den), Fraction(-y, den), Fraction(g.r)))
+    lam = [-2 * g.value(tuple(2 * (j == a) for j in range(g.dim))) for a in range(g.dim)]
     return g, lam
 
 
@@ -141,12 +138,11 @@ def _saddle_coefficients(u, g, lam, N):
     degree 2k and gU^l only at degrees 3l..2(k+l): u is needed to degree
     2(N-1), g to degree 2N, and gU^l to degree 2(N-1+l).
 
-    Each L_k is summed exactly in the jets' field Q(sqrt(r)): f_{2b} is
-    (-1)^m times a pair over the divided powers, and
-    prod_a lam_a^{-b_a} = delta^m prod_a conj(lam_a)^{b_a} N(lam_a)^{m-b_a} / prod_a N(lam_a)^m
-    with lam_a = (X_a + Y_a sqrt(r)) / delta and N(lam_a) = X_a^2 - r Y_a^2,
-    so each (k, l) sums integer pairs over one denominator.  Only the
-    prefactor is rounded, and each c_k once, at the working precision.
+    Each L_k is summed exactly in the jets' field, in ``QuadVal``s: f_{2b} is
+    (-1)^m times the exact value v_{2b} (``Jet.even_part``), so
+    L_k = sum_l (-1)^l / l! sum_{|b| = k+l} w_b v_{2b} with
+    w_b = prod_a (2 b_a)! / (b_a! (-2 lam_a)^{b_a}).  Only the prefactor is
+    rounded, and each c_k once, at the working precision.
 
     The determinant root is the product of principal square roots of the
     diagonal Hessian entries, which is the branch the saddle-point theorem
@@ -155,74 +151,38 @@ def _saddle_coefficients(u, g, lam, N):
     if g.order < 2 * N or u.order < 2 * (N - 1):
         raise ValueError(f"depth {N} needs the phase jet to degree {2 * N} "
                          f"and the amplitude jet to degree {2 * (N - 1)}")
-    d, r = g.dim, u.r or g.r
-    base = math.lcm(u.base, g.base)
-    u, g = u.rebased(base), g.rebased(base)
-    u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
-               if sum(e) <= 2 * (N - 1)]
-    gU = Jet(d, 2 * N, {e: c for e, c in g.coeffs.items() if sum(e) >= 3}, r, g.scale, base)
-    delta = math.lcm(*(v.denominator for l in lam for v in (l.rat, l.coef)))
-    conj = [(int(l.rat * delta), -int(l.coef * delta)) for l in lam]
-    norm = [x * x - r * y * y for x, y in conj]
-    # (2j)!/j! conj(lam_a)^j, for every j a multi-index 2b can need
-    conj_pows = []
-    for x, y in conj:
-        row, px, py = [], 1, 0
-        for j in range(3 * N):
-            row.append((px * math.factorial(2 * j) // math.factorial(j),
-                        py * math.factorial(2 * j) // math.factorial(j)))
-            px, py = px * x + r * py * y, px * y + py * x
-        conj_pows.append(row)
-    weights = {}  # b -> prod_a (2 b_a)!/b_a! conj(lam_a)^{b_a} N(lam_a)^{m - b_a}
-
-    def weight(b):
-        m = sum(b)
-        wx, wy = 1, 0
-        for row, n, ba in zip(conj_pows, norm, b):
-            px, py = row[ba]
-            c = n ** (m - ba)
-            wx, wy = (wx * px + r * wy * py) * c, (wx * py + wy * px) * c
-        weights[b] = wx, wy
-        return wx, wy
-
-    norm_all = math.prod(norm)
-    totals = [(Fraction(0), Fraction(0))] * N
-    power = Jet.const(d, 0, 1)  # gU^0
+    gU = g.tail(3)
+    inv = [1 / (-2 * a) for a in lam]
+    pows = [[QuadVal(1)] for _ in lam]  # (2j)!/j! (-2 lam_a)^{-j}, as far as some 2b reads
+    weights = {}  # b -> w_b; the same b recurs across l
+    totals = [QuadVal(0)] * N
+    power = Jet.const(g.dim, 2 * (N - 1), 1)  # gU^0
+    # gU^l is read to degree top = 2(N-1+l) and starts at degree 3l, so u
+    # gU^l is fixed to top by u to degree top - 3l <= 2(N-1): u may claim
+    # every top, and its terms above 2(N-1) meet no term of gU^l below it
+    u = u.truncated(2 * (3 * N - 2))
     for l in range(2 * N - 1):
+        # gU^l to degree top; its l factors each have degree >= 3, so the
+        # degrees of gU^(l-1) and gU left out cannot reach it
+        top = 2 * (N - 1 + l)
         if l:
-            # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
-            # so the degrees of gU^(l-1) and gU left out cannot reach it
-            top = 2 * (N - 1 + l)
             power = power.truncated(top) * gU.truncated(top)
-        # a term of u pairs with the terms of gU^l that complete it to an
-        # even multi-index 2b of the degree H^m reads
-        partners = {}
-        for e, c in power.coeffs.items():
-            partners.setdefault((sum(e), tuple(x & 1 for x in e)), []).append((e, c))
-        for k in range((l + 1) // 2, N):
-            m = k + l
-            f = {}  # 2b -> u gU^l at 2b, over scale (2m)! base^(2m)
-            for e1, deg1, par1, (x1, y1) in u_terms:
-                row = partners.get((2 * m - deg1, par1))
-                if row:
-                    c = math.comb(2 * m, deg1)
-                    _mul_into(f, r, e1, c * x1, c * y1, row)
-            sx = sy = 0
-            for e, (fx, fy) in f.items():
-                b = tuple(x >> 1 for x in e)
-                wx, wy = weights.get(b) or weight(b)
-                sx += fx * wx + r * fy * wy
-                sy += fx * wy + fy * wx
-            if sx or sy:
-                num = (-1) ** k * delta ** m
-                den = (2 ** m * math.factorial(l) * math.factorial(2 * m) * u.scale
-                       * power.scale * base ** (2 * m) * norm_all ** m)
-                tx, ty = totals[k]
-                totals[k] = (tx + Fraction(num * sx, den), ty + Fraction(num * sy, den))
-    pref = (2 * mp.pi) ** (-mp.mpf(d) / 2)
-    for l in lam:
-        pref = pref / mp.sqrt(l.to_mp())
-    return [pref * QuadVal(x, y, Fraction(r)).to_mp() for x, y in totals]
+        sums = {}  # m -> sum_{|b| = m} w_b v_{2b}
+        for b, v in u.even_part(power).items():
+            if b not in weights:
+                for row, i, j in zip(pows, inv, b):
+                    for n in range(len(row), j + 1):  # (2n)!/n! = (2n-2)!/(n-1)! 2(2n-1)
+                        row.append(row[-1] * i * (4 * n - 2))
+                weights[b] = math.prod(row[j] for row, j in zip(pows, b))
+            m = sum(b)
+            sums[m] = weights[b] * v + sums.get(m, 0)
+        scale = Fraction((-1) ** l, math.factorial(l))
+        for m, total in sums.items():
+            totals[m - l] += scale * total
+    pref = (2 * mp.pi) ** (-mp.mpf(g.dim) / 2)
+    for a in lam:
+        pref = pref / mp.sqrt(a.to_mp())
+    return [pref * total.to_mp() for total in totals]
 
 
 # --------------------------------------------------- point-level expansions
@@ -337,11 +297,11 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     if abs(geff) < mp.mpf(2) ** (-mp.prec // 2):
         geff = mp.mpc(0)  # the effective numerator vanishes here
     det_gamma = math.prod(point.w_signs)
-    sval = point.rate_exact.rat  # S(w, 1), exact
+    sval = mp.re(point.rate())  # S(w, 1), rational
     hess_root = mp.mpf(1)
     for j in range(d - 1):
         bj = dcmp.eval_Bk(j, coords[:d])
-        entry = 2 * to_mp(point.w_signs[j]) * to_mp(bj) / ((d + 1) * to_mp(sval))
+        entry = 2 * to_mp(point.w_signs[j]) * to_mp(bj) / ((d + 1) * sval)
         hess_root *= mp.sqrt(entry)
     c0 = (2 * mp.pi) ** (-mp.mpf(d - 1) / 2) * (d + 1) ** (-mp.mpf(d - 1) / 2)
     c0 = c0 * geff / (det_gamma * hess_root)
@@ -435,7 +395,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                 prod = mp.mpf(1)
             for b in dcmp.b_scalars:
                 prod *= to_mp(b)
-            terms = [ContributionTerm(None, QuadVal(s1, Fraction(0), Fraction(0)),
+            terms = [ContributionTerm(None, QuadVal(s1),
                                       alpha, [c0 / mp.sqrt(prod)])]
         else:
             alpha = Fraction(-d, 2) - 1
@@ -450,7 +410,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
                 return val * mp.sqrt(inner)
 
             # the point at -rho contributes only when Q = 0 (then |Sbar| matches there)
-            terms = [ContributionTerm(None, QuadVal(q1, Fraction(2 * r), Fraction(a1 * b1)),
+            terms = [ContributionTerm(None, QuadVal(q1, 2 * r, a1 * b1),
                                       alpha, [c_of(r * rho)])
                      for r in ((1, -1) if dcmp.Q.is_zero() else (1,))]
         return AsymptoticExpansion(terms, alpha, _fold(terms, alpha), partial=False,

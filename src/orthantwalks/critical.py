@@ -9,10 +9,12 @@ minimal point is the principal point: all signs +1 and the principal root.
 Which candidates contribute is decided exactly, by rational identities
 between A(w), Q(w), B(w) and their values at w = 1; no tolerance enters the
 selection, and a point is only exact data: its coordinates lie in
-Q(sqrt(wd_squared)) and its rate Sbar(w) in Q(sqrt(A(w)B(w))); their numeric
-values are computed at the caller's working precision.  ``check_critical``
-reports the numeric residuals of the criticality equations at a point, at its
-own precision and against a 2^-160 tolerance, as an independent check.
+Q(sqrt(wd_squared)) and its rate Sbar(w) in Q(sqrt(A(w)B(w))), as
+``QuadVal``s, which this module builds and combines but never takes apart;
+their numeric values are computed at the caller's working precision.
+``check_critical`` reports the numeric residuals of the criticality equations
+at a point, at its own precision and against a 2^-160 tolerance, as an
+independent check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from orthantwalks.kernel import diag_kernel
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, QuadVal, to_mp
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, QuadVal
 from orthantwalks.stepset import StepSet, classify, decompose
 
 SMOOTH = "SmoothV1"
@@ -64,8 +66,7 @@ class ContributingPoint:
 
     def exact_w(self):
         """w exactly: the signs, then i^nu * (principal) sqrt(wd_squared)."""
-        return self.w_signs + (QuadVal(Fraction(0), Fraction((-1) ** (self.nu // 2)),
-                                       self.wd_squared),)
+        return self.w_signs + (QuadVal(0, (-1) ** (self.nu // 2), self.wd_squared),)
 
     @property
     def w(self):
@@ -74,8 +75,8 @@ class ContributingPoint:
     def is_crossing(self):
         """A point of the crossing search: only that search stores the rate
         as a rational, S(w, 1); the smooth sheet's Sbar(w) always has a
-        nonzero root part."""
-        return not self.rate_exact.coef
+        root part, even where its radicand is a perfect square."""
+        return self.rate_exact.is_rational()
 
     @property
     def t(self):
@@ -83,7 +84,7 @@ class ContributingPoint:
         and the rate is the rational S(w,1) there."""
         prod = math.prod(self.w_signs)
         if self.is_crossing():
-            return to_mp(1 / (prod * self.rate_exact.rat))
+            return mp.re((1 / (prod * self.rate_exact)).to_mp())
         return 1 / (prod * self.w[-1] * self.rate())
 
     def coords(self):
@@ -124,14 +125,14 @@ def _sign_vector_points(s: StepSet, dcmp, crossing):
         if crossing:
             sw = aw + qw + bw
             if abs(sw) == dcmp.total_weight:
-                drifts.append((0, Fraction(1), QuadVal(sw, Fraction(0), Fraction(0))))
+                drifts.append((0, Fraction(1), QuadVal(sw)))
         elif (abs(aw), abs(qw), abs(bw)) == ref:
             sign_a = 1 if aw > 0 else -1
             for nu, root in ((0, 1), (2, -1)):
                 if qw != 0 and not (aw * bw > 0 and (qw > 0) == (sign_a * root > 0)):
                     continue
                 drifts.append((nu, Fraction(bw, aw),
-                               QuadVal(qw, Fraction(2 * sign_a * root), Fraction(aw * bw))))
+                               QuadVal(qw, 2 * sign_a * root, aw * bw)))
         for nu, wd_squared, rate in drifts:
             # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
             stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH

@@ -13,6 +13,7 @@ from orthantwalks.laurent import (
     LaurentPoly,
     QuadVal,
     jet_of_exponential_substitution,
+    to_mp,
 )
 from orthantwalks.stepset import build_stepset, decompose
 
@@ -142,7 +143,7 @@ def test_slice_reconstruction(p):
 def test_jet_constant_poly():
     p = LaurentPoly.const(2, 5)
     jet = jet_of_exponential_substitution(p, (2, 3), 3)
-    assert jet.values() == {(0, 0): (5, 0)}
+    assert jet.values() == {(0, 0): 5}
     assert jet.constant_term() == 5
 
 
@@ -157,7 +158,7 @@ def test_jet_gradient_vanishes_at_interior_critical_point():
     # the gradient vanishes exactly, so the jet has no degree-1 key
     with mp.workprec(220):
         jet = jet_of_exponential_substitution(NSESSW.sbar_poly(), NSESSW_POINT, 4)
-        assert (1, 0) not in jet.coeffs and (0, 1) not in jet.coeffs
+        assert not jet.value((1, 0)) and not jet.value((0, 1))
 
 
 def test_jet_second_derivative_along_drift_axis():
@@ -205,10 +206,10 @@ def test_jet_matches_finite_differences(p, center, axis, k):
 
 
 def _jet(dim, order, r, values):
-    """The exact jet with coefficient i^{|e|} (X + Y sqrt(r)) at e, from
-    Fraction pairs (X, Y)."""
-    scaled = {e: (x * math.factorial(sum(e)), y * math.factorial(sum(e)))
-              for e, (x, y) in values.items()}
+    """The exact jet with coefficient i^{|e|} X at e, from QuadVals X over
+    sqrt(r)."""
+    scaled = {e: (v.rat * math.factorial(sum(e)), v.coef * math.factorial(sum(e)))
+              for e, v in values.items()}
     scale = math.lcm(*(v.denominator for c in scaled.values() for v in c))
     return Jet(dim, order, {e: (int(x * scale), int(y * scale)) for e, (x, y) in scaled.items()},
                r, scale)
@@ -216,21 +217,18 @@ def _jet(dim, order, r, values):
 
 def _combine(weighted):
     """sum_j a_j F_j over pairs (a_j, F_j.values()) of one field, a_j rational.
-    The powers of i are shared, so coefficients add as pairs."""
+    The powers of i are shared, so the values add."""
     out = {}
     for a, values in weighted:
-        for e, (x, y) in values.items():
-            ox, oy = out.get(e, (0, 0))
-            out[e] = (ox + a * x, oy + a * y)
-    return {e: c for e, c in out.items() if c != (0, 0)}
+        for e, v in values.items():
+            out[e] = out.get(e, 0) + a * v
+    return {e: c for e, c in out.items() if c}
 
 
 def _unit_part(jet):
-    """The values of f / f(0) - 1, divided in the field by the conjugate."""
-    x0, y0 = jet.values()[(0,) * jet.dim]
-    r, norm = jet.r, x0 * x0 - jet.r * y0 * y0
-    return {e: ((x * x0 - r * y * y0) / norm, (y * x0 - x * y0) / norm)
-            for e, (x, y) in jet.values().items() if any(e)}
+    """The values of f / f(0) - 1, divided in the field."""
+    v0 = jet.value((0,) * jet.dim)
+    return {e: v / v0 for e, v in jet.values().items() if any(e)}
 
 
 def _series(h, coeffs):
@@ -249,15 +247,15 @@ def test_jet_log_reciprocal_exp_by_degree_in_three_variables():
     p = LP(3, {(1, 0, 0): 2, (0, -1, 0): 1, (0, 0, 1): 3, (1, 1, -1): 1, (0, 0, 0): 5})
     centre = (Fraction(1), QuadVal(Fraction(0), Fraction(1), Fraction(2, 3)), Fraction(1, 3))
     jet = jet_of_exponential_substitution(p, centre, 8)
-    assert len(jet.coeffs) == 165 and jet.r == 6
+    assert len(jet.values()) == 165 and jet.r == 6
     h = _jet(3, 8, jet.r, _unit_part(jet))
     lg = jet.log()
-    assert (0, 0, 0) not in lg.coeffs  # log(f / f(0))
+    assert not lg.value((0, 0, 0))  # log(f / f(0))
     log_series = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, 9)]
     assert lg.values() == _series(h, log_series)
     exp_series = [Fraction(1, math.factorial(k)) for k in range(9)]
-    assert _series(lg, exp_series) == _combine([(1, h.values()), (1, {(0, 0, 0): (1, 0)})])
-    assert (jet * jet.reciprocal()).values() == {(0, 0, 0): (1, 0)}
+    assert _series(lg, exp_series) == _combine([(1, h.values()), (1, {(0, 0, 0): 1})])
+    assert (jet * jet.reciprocal()).values() == {(0, 0, 0): 1}
 
 
 def test_jet_mul_reciprocal_log_exp():
@@ -266,11 +264,11 @@ def test_jet_mul_reciprocal_log_exp():
     # e^{i t1} + 4 e^{i t2} + 3: the t1^a t2^b coefficient is i^(a+b)/(a! b!)
     # times 1 (b = 0), 4 (a = 0), 8 (a = b = 0) or 0
     values = jet.values()
-    assert values[(0, 0)] == (8, 0) and values[(3, 0)] == (Fraction(1, 6), 0)
-    assert values[(0, 2)] == (2, 0) and (1, 1) not in values
+    assert values[(0, 0)] == 8 and values[(3, 0)] == Fraction(1, 6)
+    assert values[(0, 2)] == 2 and (1, 1) not in values
     with mp.workprec(220):
         assert jet.coefficient((3, 0)) == mp.mpc(0, -1) / 6 and jet.coefficient((0, 2)) == -2
-    assert (jet * jet.reciprocal()).values() == {(0, 0): (1, 0)}
+    assert (jet * jet.reciprocal()).values() == {(0, 0): 1}
     # the exponential series of log(f / f(0)) gives f / f(0) back
     lg = jet.log()
     exp_series = [Fraction(1, math.factorial(k)) for k in range(6)]
@@ -300,11 +298,89 @@ def exact_jet_pairs(draw):
 @given(exact_jet_pairs())
 def test_exact_field_identities(pair):
     f, g = pair
-    assume(f.coeffs.get((0, 0)) and g.coeffs.get((0, 0)))
-    one = {(0, 0): (1, 0)}
+    assume(f.value((0, 0)) and g.value((0, 0)))
+    one = {(0, 0): 1}
     assert (f * f.reciprocal()).values() == one
     assert (f.reciprocal() * f).values() == one
     assert (f * g).log().values() == _combine([(1, f.log().values()), (1, g.log().values())])
     # a square radicand folds into the rationals, so zero tests stay exact
     root = math.isqrt(max(f.r, 0))
     assert f.r == 0 or root * root != f.r
+
+
+# ------------------------------------------------------- the field Q(sqrt(m))
+
+# radicands positive, negative, fractional and perfect squares
+QUAD_RADICANDS = [Fraction(2), Fraction(8), Fraction(-1), Fraction(-5), Fraction(1, 3),
+                  Fraction(-3, 2), Fraction(9), Fraction(9, 4), Fraction(-4)]
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def quad_pairs(draw):
+    """Two values of one field, and the radicand."""
+    m = draw(st.sampled_from(QUAD_RADICANDS) | nonzero_rationals)
+    return tuple(QuadVal(draw(rationals), draw(rationals), m) for _ in range(2)) + (m,)
+
+
+def _close(got, want):
+    return abs(got - want) <= mp.mpf(2) ** -280 * max(1, abs(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_pairs())
+def test_quadval_field_operations_match_mpmath(pair):
+    x, y, m = pair
+    with mp.workprec(300):
+        nx, ny = x.to_mp(), y.to_mp()
+        root = mp.sqrt(mp.mpc(m.numerator) / m.denominator)
+        assert _close((x + y).to_mp(), nx + ny) and _close((x - y).to_mp(), nx - ny)
+        assert _close((x * y).to_mp(), nx * ny) and _close((-x).to_mp(), -nx)
+        assert _close((x + 3).to_mp(), nx + 3) and _close((2 - x).to_mp(), 2 - nx)
+        assert _close((Fraction(2, 7) * x).to_mp(), nx * 2 / 7)
+        assert _close(x.conj().to_mp(), to_mp(x.rat) - to_mp(x.coef) * root)
+        assert _close(to_mp(x.norm()), nx * x.conj().to_mp())
+        if y:
+            assert _close((x / y).to_mp(), nx / ny) and _close((1 / y).to_mp(), 1 / ny)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_pairs())
+def test_quadval_identities_are_exact(pair):
+    x, y, _ = pair
+    assert x * x.conj() == x.norm()
+    assert (x + y) - y == x and x * y == y * x
+    if x:
+        assert x * (1 / x) == 1 and (x * y) / x == y
+    with pytest.raises(ZeroDivisionError):
+        x / (y - y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_pairs())
+def test_quadval_zero_and_unit_agree_with_the_value(pair):
+    x, _, _ = pair
+    with mp.workprec(300):
+        v, tiny = x.to_mp(), mp.mpf(2) ** -250
+        assert bool(x) == (abs(v) > tiny)
+        u = x.unit()
+        if u is not None:  # a nonzero real or purely imaginary value
+            assert abs(v - mp.mpc(u) * abs(v)) <= tiny * abs(v)
+        elif x:
+            assert abs(mp.re(v)) > tiny and abs(mp.im(v)) > tiny
+
+
+def test_quadval_prints_its_form():
+    def q(rat, coef, m):
+        return str(QuadVal(Fraction(rat), Fraction(coef), Fraction(m)))
+
+    assert q(0, 1, 8) == "sqrt(8)" and q(0, 1, Fraction(1, 3)) == "sqrt(1/3)"
+    assert q(0, -1, Fraction(3, 2)) == "-sqrt(3/2)" and q(0, 2, -5) == "2*i*sqrt(5)"
+    assert q(1, 2, -1) == "1 + 2*i" and q(0, -2, -2) == "-2*i*sqrt(2)"
+    assert q(0, 2, Fraction(2, 3)) == "2*sqrt(2/3)"  # the rate of N:1/3, SE, SW
+    assert q(2, 2, 9) == "8"  # a perfect-square radicand prints its root
+
+
+def test_quadval_with_no_root_part_prints_its_rational():
+    assert str(QuadVal(3, 0, 5)) == "3" and str(QuadVal(0, 0, 5)) == "0"
+    assert str(QuadVal(Fraction(-7, 2), Fraction(0), Fraction(2))) == "-7/2"
