@@ -7,11 +7,9 @@ Two routes produce (rate, polynomial order, per-residue constants):
 * one saddle engine that expands the phase and amplitude as exact jets over
   Q(sqrt(q)) at the point's exact coordinates (so vanishing coefficients are
   exact zeros), each only to the degree it is read, and sums Hörmander's
-  explicit formula to any depth exactly in the same field, in ``QuadVal``
-  arithmetic on the Hessian entries and on the values the jets give out (for
-  the diagonal Hessian it reads u gU^l only at even multi-indices,
-  ``Jet.even_part``); only the prefactor
-  (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
+  explicit formula to any depth exactly in ``QuadVal`` arithmetic (for the
+  diagonal Hessian it reads u gU^l only at even multi-indices); only the
+  prefactor (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
   rounded once.  One expansion plan, ``_Integrand``, built once per
   ``asympt_full`` call from the model and the filter, decides the form and
   gives its exact phase and amplitude polynomials: the one-factor form for
@@ -41,6 +39,7 @@ term for the closed forms.  Neither route checks support itself:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,28 +153,27 @@ def _saddle_coefficients(u, g, lam, N):
     gU = g.tail(3)
     inv = [1 / (-2 * a) for a in lam]
     pows = [[QuadVal(1)] for _ in lam]  # (2j)!/j! (-2 lam_a)^{-j}, as far as some 2b reads
-    weights = {}  # b -> w_b; the same b recurs across l
+
+    @functools.cache  # the same b recurs across l
+    def weight(b):
+        for row, i, j in zip(pows, inv, b):
+            for n in range(len(row), j + 1):  # (2n)!/n! = (2n-2)!/(n-1)! 2(2n-1)
+                row.append(row[-1] * i * (4 * n - 2))
+        return math.prod(row[j] for row, j in zip(pows, b))
+
     totals = [QuadVal(0)] * N
     power = Jet.const(g.dim, 2 * (N - 1), 1)  # gU^0
-    # gU^l is read to degree top = 2(N-1+l) and starts at degree 3l, so u
-    # gU^l is fixed to top by u to degree top - 3l <= 2(N-1): u may claim
-    # every top, and its terms above 2(N-1) meet no term of gU^l below it
-    u = u.truncated(2 * (3 * N - 2))
+    u = u.truncated(2 * (N - 1))
     for l in range(2 * N - 1):
-        # gU^l to degree top; its l factors each have degree >= 3, so the
-        # degrees of gU^(l-1) and gU left out cannot reach it
-        top = 2 * (N - 1 + l)
         if l:
+            # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
+            # so the degrees of gU^(l-1) and gU left out cannot reach it
+            top = 2 * (N - 1 + l)
             power = power.truncated(top) * gU.truncated(top)
-        sums = {}  # m -> sum_{|b| = m} w_b v_{2b}
+        sums = {}  # m -> sum_{|b| = m} w_b v_{2b}; gU^l starts at degree 3l,
+        # so u to degree 2(N-1) fixes u gU^l to the order of gU^l
         for b, v in u.even_part(power).items():
-            if b not in weights:
-                for row, i, j in zip(pows, inv, b):
-                    for n in range(len(row), j + 1):  # (2n)!/n! = (2n-2)!/(n-1)! 2(2n-1)
-                        row.append(row[-1] * i * (4 * n - 2))
-                weights[b] = math.prod(row[j] for row, j in zip(pows, b))
-            m = sum(b)
-            sums[m] = weights[b] * v + sums.get(m, 0)
+            sums[sum(b)] = weight(b) * v + sums.get(sum(b), 0)
         scale = Fraction((-1) ** l, math.factorial(l))
         for m, total in sums.items():
             totals[m - l] += scale * total

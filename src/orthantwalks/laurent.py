@@ -1,23 +1,18 @@
-"""Exact multivariate Laurent polynomials over Q, exact values in Q(sqrt(m)),
-and exact truncated jets.
+"""Exact Laurent polynomials over Q, exact values in Q(sqrt(m)), and exact jets.
 
 Laurent polynomials are sparse dicts mapping integer exponent vectors to
-nonzero Fractions.  ``QuadVal`` is the one exact number type of a field
-Q(sqrt(m)): points, rates, Hessian entries and Hörmander sums are QuadVals,
-combined by + - * / and compared exactly.  Jets are truncated multivariate
-Taylor expansions in the angular variables of the substitution
-z_j = c_j * exp(i*theta_j) at an exact centre c in one field Q(sqrt(m)).
-Every coefficient is i^{|e|} times an element of Q(sqrt(r)), r = m's
-numerator times its denominator, held inside the jet as a pair of Python
-integers over divided powers, so products, reciprocals and logarithms are
-exact and zeros are exact zeros; ``Jet.value`` and ``Jet.even_part`` give
-coefficients out as QuadVals.  Only ``to_mp``, ``Jet.coefficient`` and
-``LaurentPoly.eval`` round, at the caller's working precision.
+nonzero Fractions.  ``QuadVal`` is the exact number type of a field
+Q(sqrt(m)).  Jets are truncated multivariate Taylor expansions in the angular
+variables of the substitution z_j = c_j * exp(i*theta_j) at an exact centre
+c in one field.  Every coefficient is i^{|e|} times an element of
+Q(sqrt(r)), r = m's numerator times its denominator, held as a pair of
+Python integers over divided powers, so products, reciprocals and logarithms
+are exact and zeros are exact zeros; outside the jet it is a QuadVal.  Only
+``to_mp``, ``Jet.coefficient`` and ``LaurentPoly.eval`` round.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -283,146 +278,111 @@ def _exact_root(q: Fraction):
 
 
 class QuadVal:
-    """Exact value rat + coef*sqrt(m) with rational rat, coef, m (m may be
-    negative, meaning sqrt(m) = i*sqrt(|m|)), held as integers
-    (x + y sqrt(m)) / d in lowest terms, d > 0; with no root part, m = 0.
+    """Exact value rat + coef*sqrt(m), rat, coef and m rational (a negative m
+    means sqrt(m) = i*sqrt(|m|)), held as integers (x + y*sqrt(m)) / d in
+    lowest terms, d > 0, with y = m = 0 when there is no root part.
 
-    Values over one m, and rationals with any, combine exactly by + - * /;
-    ``==``, ``bool``, ``unit``, ``conj`` and ``norm`` are exact, and only
-    ``to_mp`` rounds.  A perfect-square m keeps its root part (``is_rational``
-    reads the form), and ``to_mp`` rounds that root like any other.
+    Values over one m, and rationals with any, combine exactly by + - * /,
+    one gcd each; a quotient goes through the conjugate over the norm, so a
+    divisor of norm 0 raises ``ZeroDivisionError`` (3 + sqrt(9) too).  Values
+    compare and hash by their held form.
     """
 
-    __slots__ = ("_x", "_y", "_d", "m")
+    __slots__ = ("_k",)  # (x, y, d, m)
 
-    def __init__(self, rat, coef=0, m=0):
+    def __new__(cls, rat, coef=0, m=0):
         rat, coef = _as_fraction(rat), _as_fraction(coef)
-        self._d = math.lcm(rat.denominator, coef.denominator)  # so x, y and d are coprime
-        self._x = rat.numerator * self._d // rat.denominator
-        self._y = coef.numerator * self._d // coef.denominator
-        self.m = _as_fraction(m) if coef else 0
+        d = math.lcm(rat.denominator, coef.denominator)
+        return cls._of(rat.numerator * (d // rat.denominator),
+                       coef.numerator * (d // coef.denominator), d, _as_fraction(m))
 
-    @staticmethod
-    def _of(x, y, d, m):
-        """(x + y sqrt(m)) / d for integers x, y and d > 0, and rational m."""
-        g, val = math.gcd(x, y, d), object.__new__(QuadVal)
-        if g != 1:
-            x, y, d = x // g, y // g, d // g
-        val._x, val._y, val._d, val.m = x, y, d, m if y else 0
+    @classmethod
+    def _of(cls, x, y, d, m):
+        """(x + y*sqrt(m)) / d for integers x, y and d > 0, and rational m."""
+        if not (y and m):
+            y, m = 0, 0
+        val, g = object.__new__(cls), math.gcd(x, y, d)
+        val._k = (x // g, y // g, d // g, m)
         return val
 
-    @property
-    def rat(self):
-        return Fraction(self._x, self._d)
-
-    @property
-    def coef(self):
-        return Fraction(self._y, self._d)
+    rat = property(lambda self: Fraction(self._k[0], self._k[2]))
+    coef = property(lambda self: Fraction(self._k[1], self._k[2]))
+    m = property(lambda self: self._k[3])
 
     def __repr__(self):
         return f"QuadVal({self.rat!r}, {self.coef!r}, {self.m!r})"
 
+    def __eq__(self, other):
+        return type(other) is QuadVal and self._k == other._k
+
+    def __hash__(self):
+        return hash(self._k)
+
     def _with(self, other):
-        """The integers (x, y, d) of ``other`` and the m both lie over; None
-        for an operand that is no exact number."""
-        if type(other) is QuadVal:
-            if self._y and other._y and self.m != other.m:
-                raise ValueError(f"values over sqrt({self.m}) and sqrt({other.m}) do not combine")
-            return other._x, other._y, other._d, self.m if self._y else other.m
+        """The integers x, y, d of ``other`` and the m of the field both lie
+        in; None for no exact number."""
+        m = self._k[3]
         if isinstance(other, (int, Fraction)):
-            return other.numerator, 0, other.denominator, self.m
-        return None
+            return other.numerator, 0, other.denominator, m
+        if type(other) is not QuadVal:
+            return None
+        x, y, d, n = other._k
+        if m and n and m != n:
+            raise ValueError(f"values over sqrt({m}) and sqrt({n}) do not combine")
+        return x, y, d, m or n
 
     def __add__(self, other):
         if (o := self._with(other)) is None:
             return NotImplemented
-        x, y, d, m = o
-        return QuadVal._of(self._x * d + x * self._d, self._y * d + y * self._d, self._d * d, m)
+        (x1, y1, d1, _), (x2, y2, d2, m) = self._k, o
+        return QuadVal._of(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadVal._of(-self._x, -self._y, self._d, self.m)
+        x, y, d, m = self._k
+        return QuadVal._of(-x, -y, d, m)
 
     def __sub__(self, other):
-        return self + -other if isinstance(other, (int, Fraction, QuadVal)) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
+        return self + -other
 
     def __mul__(self, other):
         if (o := self._with(other)) is None:
             return NotImplemented
-        x, y, d, m = o
+        (x1, y1, d1, _), (x2, y2, d2, m) = self._k, o
         p, q = m.numerator, m.denominator
-        return QuadVal._of(q * self._x * x + p * self._y * y, q * (self._x * y + self._y * x),
-                           q * self._d * d, m)
+        return QuadVal._of(q * x1 * x2 + p * y1 * y2, q * (x1 * y2 + y1 * x2), q * d1 * d2, m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if (o := self._with(other)) is None:
             return NotImplemented
-        return self * QuadVal._of(*o)._inverse()
+        other = QuadVal._of(*o)
+        return self * other.conj() * (1 / other.norm())  # norm 0 raises
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return QuadVal._of(other.numerator, 0, other.denominator, 0) / self
-
-    def _inverse(self):
-        """d q conj / (q x^2 - p y^2), m = p/q; a perfect-square m is folded
-        into the rationals first, since its norm vanishes at nonzero values
-        such as 3 + sqrt(9)."""
-        x, y, d, m = self._x, self._y, self._d, self.m
-        root = _exact_root(m) if m > 0 else None
-        if root is not None:
-            x, y, d, m = x * root.denominator + y * root.numerator, 0, d * root.denominator, 0
-        p, q = m.numerator, m.denominator
-        norm = q * x * x - p * y * y
-        if not norm:
-            raise ZeroDivisionError("QuadVal division by zero")
-        sign = 1 if norm > 0 else -1
-        return QuadVal._of(sign * d * q * x, -sign * d * q * y, abs(norm), m)
+        return QuadVal(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
 
     def conj(self):
         """rat - coef*sqrt(m)."""
-        return QuadVal._of(self._x, -self._y, self._d, self.m)
+        x, y, d, m = self._k
+        return QuadVal._of(x, -y, d, m)
 
     def norm(self):
         """The rational value * conj(value) = rat^2 - coef^2 m."""
-        return self.rat ** 2 - self.coef ** 2 * self.m
+        x, y, d, m = self._k
+        return Fraction(x * x * m.denominator - y * y * m.numerator, d * d * m.denominator)
 
     def is_rational(self):
-        """True when the value is held with no root part."""
-        return not self._y
-
-    def _key(self):
-        """Equal values have equal keys: the value when it is rational, else
-        (rat, coef^2 m, sign of coef), since with irrational roots
-        a + b sqrt(m) = c + d sqrt(n) holds exactly when a = c and
-        b sqrt(m) = d sqrt(n)."""
-        root = _exact_root(self.m) if self.m >= 0 else None
-        if root is not None:
-            return self.rat + self.coef * root
-        return self.rat, self.coef ** 2 * self.m, self._y > 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadVal(other)
-        if not isinstance(other, QuadVal):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        """True when the value has no root part."""
+        return not self._k[1]
 
     def __bool__(self):
-        """False exactly when the value is 0, decided by integer comparisons."""
-        x, y, m = self._x, self._y, self.m
-        if m < 0:  # rat + i*coef*sqrt(-m)
-            return bool(x or y)
-        return x * y > 0 or x * x * m.denominator != y * y * m.numerator
+        """False exactly when the value is 0, decided by rational comparisons."""
+        if self.m < 0:  # rat + i*coef*sqrt(-m)
+            return bool(self.rat or self.coef)
+        return self.rat * self.coef > 0 or self.rat ** 2 != self.coef ** 2 * self.m
 
     def to_mp(self):
         """The value at the working precision."""
@@ -435,31 +395,29 @@ class QuadVal:
 
     def unit(self):
         """The phase of a real or purely imaginary nonzero value: 1, -1, 1j or
-        -1j, decided by integer comparisons; None for any other value."""
-        x, y, m = self._x, self._y, self.m
-        if m < 0 and y:  # rat + i*coef*sqrt(-m)
-            return None if x else 1j if y > 0 else -1j
+        -1j, decided by rational comparisons; None for any other value."""
+        if self.m < 0 and self.coef:  # rat + i*coef*sqrt(-m)
+            return None if self.rat else 1j if self.coef > 0 else -1j
         if not self:
             return None
         # a nonzero real has the sign of its larger part, compared by squares
-        lead = x if x * x * m.denominator > y * y * m.numerator else y
+        lead = self.rat if self.rat ** 2 > self.coef ** 2 * self.m else self.coef
         return 1 if lead > 0 else -1
 
     def __str__(self):
         """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9)
         reads 8; a value with no root part reads as its rational."""
-        rat, coef, m = self.rat, self.coef, self.m
-        root = _exact_root(abs(m))
-        if root is not None and m >= 0:
-            return str(rat + coef * root)
+        root = _exact_root(abs(self.m))
+        if root is not None and self.m >= 0:
+            return str(self.rat + self.coef * root)
         if root is None:
-            coef, unit = coef, (f"i*sqrt({-m})" if m < 0 else f"sqrt({m})")
+            coef, unit = self.coef, (f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})")
         else:  # i times a rational
-            coef, unit = coef * root, "i"
+            coef, unit = self.coef * root, "i"
         term = unit if abs(coef) == 1 else f"{abs(coef)}*{unit}"
-        if rat == 0:
+        if self.rat == 0:
             return term if coef > 0 else f"-{term}"
-        return f"{rat} {'+' if coef > 0 else '-'} {term}"
+        return f"{self.rat} {'+' if coef > 0 else '-'} {term}"
 
 
 class Jet:
@@ -475,10 +433,8 @@ class Jet:
     powers |e|! base^{|e|} keep products, and the reciprocal and logarithm of
     1 + h, integral over one base: a product of degrees k1 and k2 only takes
     the binomial C(k1 + k2, k1).  ``coeffs`` maps each multi-index with a
-    nonzero coefficient to its pair (x_e, y_e); outside this module a
-    coefficient is read as a ``QuadVal`` (``value``, ``values``,
-    ``even_part``) or rounded (``coefficient``, at the caller's working
-    precision).  Multi-indices are trusted, not re-checked.
+    nonzero coefficient to its pair (x_e, y_e), read outside as a ``QuadVal``
+    (``value``) or rounded (``coefficient``).  Multi-indices are trusted.
     """
 
     __slots__ = ("dim", "order", "r", "scale", "base", "coeffs")
@@ -538,29 +494,30 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return self._product(other, even=False)
+        return self._product(other, False, min(self.order, other.order))
 
     def even_part(self, other):
         """``value`` of self * other at its even multi-indices 2b, keyed by b,
-        without forming the rest of the product."""
-        even = self._product(other, even=True)
+        to other's order, without forming the rest: self must fix the product
+        that far, its order plus the lowest degree of other reaching it."""
+        if self.order + min(map(sum, other.coeffs), default=other.order) < other.order:
+            raise ValueError(f"a jet of order {self.order} does not fix the product "
+                             f"to degree {other.order}")
+        even = self._product(other, True, other.order)
         return {tuple(x >> 1 for x in e): even.value(e) for e in even.coeffs}
 
-    def _product(self, other, even):
-        """self * other, or with ``even`` its terms at even multi-indices, where
-        a term pairs only with the terms of other of its parities.  The right
-        factor is taken by parity class and total degree, so each term meets
-        only the rows it pairs with up to the order, and each pair moves to the
-        common base by one integer factor per pair of degrees."""
+    def _product(self, other, even, order):
+        """self * other to ``order``, or with ``even`` only at even multi-indices,
+        where a term pairs only with the terms of other of its parities; each
+        pair moves to the common base by one integer factor per degree pair."""
         if self.dim != other.dim:
             raise ValueError("jet dimension mismatch")
         if self.r and other.r and self.r != other.r:
             raise ValueError("jets over different fields")
-        r, order = self.r or other.r, min(self.order, other.order)
-        base = math.lcm(self.base, other.base)
+        r, base = self.r or other.r, math.lcm(self.base, other.base)
         s1, s2 = base // self.base, base // other.base
         parity = (1).__and__  # x & 1
-        groups = {}
+        groups = {}  # (parity class, degree) -> terms
         for e, c in other.coeffs.items():
             groups.setdefault((tuple(map(parity, e)) if even else (), sum(e)), []).append((e, c))
         rows = {}  # parity class -> [(degree, terms)] by degree
@@ -578,9 +535,9 @@ class Jet:
         return Jet(self.dim, order, out, r, self.scale * other.scale, base)
 
     def _unit_part(self):
-        """h = f / f(0) - 1 by degree, integral over the base returned with it:
-        f_e / f(0) = f_e conj(f(0)) / norm with the scales cancelled, the norm
-        a nonzero integer as r is 0 or no square."""
+        """h = f / f(0) - 1 by degree, integral over the base returned with it,
+        and the pair of f(0) with its norm (a nonzero integer, as r is 0 or no
+        square): f_e / f(0) = f_e conj(f(0)) / norm with the scales cancelled."""
         zero = (0,) * self.dim
         if zero not in self.coeffs:
             raise ZeroDivisionError("jet has zero constant term")
@@ -597,7 +554,7 @@ class Jet:
         for e, (x, y) in num.items():
             k = sum(e)
             parts[k][e] = (x // g * step[k - 1], y // g * step[k - 1])
-        return parts, self.base * nu
+        return parts, self.base * nu, (x0, y0, norm)
 
     def _by_degree(self, h, first, weight, plus_self=False):
         """Solve X_0 = first, X_D = p_D + sum_{0<i<=D} weight(i, D) (h_i X_{D-i})_D
@@ -619,12 +576,14 @@ class Jet:
         """1/f for a jet with nonzero constant term: 1/f(0) times the
         reciprocal R of 1 + h, h = f/f(0) - 1, which solves (1 + h) R = 1
         degree by degree as R_D = -sum_{0<i<=D} C(D, i) h_i R_{D-i}."""
-        h, base = self._unit_part()
+        h, base, (x0, y0, norm) = self._unit_part()
         parts = self._by_degree(h, {(0,) * self.dim: (1, 0)}, lambda i, deg: -math.comb(deg, i))
-        inv = 1 / self.value((0,) * self.dim)
+        # 1/f(0) = scale conj(f(0)) / norm
+        sign = 1 if norm > 0 else -1
+        a, b = sign * self.scale * x0, -sign * self.scale * y0
         out = {}
-        _mul_into(out, self.r, (0,) * self.dim, inv._x, inv._y, parts.items())
-        return Jet(self.dim, self.order, out, self.r, inv._d, base)._reduced()
+        _mul_into(out, self.r, (0,) * self.dim, a, b, parts.items())
+        return Jet(self.dim, self.order, out, self.r, abs(norm), base)._reduced()
 
     def log(self):
         """log(f / f(0)) for a jet with nonzero constant term: the logarithm
@@ -634,7 +593,7 @@ class Jet:
         of degree D times D), so in divided powers
         L_D = h_D - sum_{0<i<D} C(D-1, i) h_i L_{D-i}.
         """
-        h, base = self._unit_part()
+        h, base, _ = self._unit_part()
         parts = self._by_degree(h, {}, lambda i, deg: -math.comb(deg - 1, i), plus_self=True)
         return Jet(self.dim, self.order, parts, self.r, 1, base)
 
@@ -649,22 +608,6 @@ def _mul_into(out, r, e1, x1, y1, row):
             out[e] = (ox + px, oy + py)
         else:
             out[e] = (px, py)
-
-
-@functools.cache
-def _index_plan(dim, order):
-    """The multi-indices k of total degree <= order, in ``multi_indices``
-    order; for each k past the first, the position of the smaller one it
-    steps from and the axis j of the step (+1 at its first nonzero place);
-    and the multinomials |k|!/k!, which turn 1/k! into divided powers."""
-    index = tuple(multi_indices(dim, order))
-    pos = {k: i for i, k in enumerate(index)}
-    steps = []
-    for k in index[1:]:
-        j = next(j for j, kj in enumerate(k) if kj)
-        steps.append((pos[k[:j] + (k[j] - 1,) + k[j + 1:]], j))
-    mults = tuple(math.factorial(sum(k)) // math.prod(map(math.factorial, k)) for k in index)
-    return index, tuple(steps), mults
 
 
 def jet_of_exponential_substitution(p, center, order):
@@ -694,7 +637,13 @@ def jet_of_exponential_substitution(p, center, order):
             a, b = a * up ** abs(e), b * down ** abs(e)
         terms.append((expo, a, b, half % 2) if b > 0 else (expo, -a, -b, half % 2))
     den = math.lcm(*(b for _, _, b, _ in terms))  # X_k, Y_k summed as integers
-    index, steps, mults = _index_plan(d, order)
+    index = list(multi_indices(d, order))
+    # each k past the first is a smaller one plus 1 at its first nonzero place j
+    pos = {k: i for i, k in enumerate(index)}
+    steps = []
+    for k in index[1:]:
+        j = next(j for j, kj in enumerate(k) if kj)
+        steps.append((pos[k[:j] + (k[j] - 1,) + k[j + 1:]], j))
     sums = []  # [X_k, Y_k] for k in index: sum over the terms of value * e^k
     for odd in (0, 1):
         part = [(expo, a * (den // b)) for expo, a, b, o in terms if o == odd]
@@ -708,6 +657,8 @@ def jet_of_exponential_substitution(p, center, order):
     root = math.isqrt(r) if r >= 0 else -1  # a negative r is no square
     fold = root * root == r
     out = {}
-    for k, mult, x, y in zip(index, mults, *sums):
+    for k, x, y in zip(index, *sums):
+        # divided powers: 1/k! = (|k|!/k!) / |k|!
+        mult = math.factorial(sum(k)) // math.prod(map(math.factorial, k))
         out[k] = ((q * x + root * y) * mult, 0) if fold else (q * x * mult, y * mult)
     return Jet(d, order, out, 0 if fold else r, q * den)._reduced()

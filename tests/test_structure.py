@@ -6,23 +6,58 @@ from pathlib import Path
 import orthantwalks
 
 PACKAGE = Path(orthantwalks.__file__).parent
+LAURENT = "orthantwalks.laurent"
+# the coordinates of a Q(sqrt(m)) value and a jet's integer pairs
+VALUE_INTERNALS = {"coeffs", "scale", "base", "r", "rat", "coef"}
 
 
-def _private_laurent_imports(path):
-    """(line, name) of each _-prefixed name the module imports from laurent."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom) and (
-                node.module == "orthantwalks.laurent"
-                or (node.level == 1 and node.module == "laurent")):
-            found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+def _laurent_leaks(source, fields=frozenset()):
+    """(line, name) of each _-prefixed laurent name the source reaches, by
+    import or as an attribute of the module, and of each read of an
+    attribute named in ``fields``, whatever its object."""
+    tree = ast.parse(source)
+    found, aliases = [], set()  # aliases: the expressions bound to the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == LAURENT or (node.level == 1 and node.module == "laurent"):
+                found += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+            elif node.module == "orthantwalks" or (node.level == 1 and node.module is None):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "laurent"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == LAURENT}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                (node.attr.startswith("_") and ast.unparse(node.value) in aliases)
+                or (node.attr in fields and isinstance(node.ctx, ast.Load))):
+            found.append((node.lineno, node.attr))
     return found
 
 
-def test_no_module_imports_laurent_internals():
+def test_the_guard_sees_every_way_in():
+    assert _laurent_leaks("from orthantwalks.laurent import Jet, _mul_into") == [(1, "_mul_into")]
+    assert _laurent_leaks("from .laurent import _exact_root") == [(1, "_exact_root")]
+    assert _laurent_leaks("import orthantwalks.laurent as L\nL._mul_into(o)") == [(2, "_mul_into")]
+    assert _laurent_leaks("import orthantwalks.laurent\northantwalks.laurent._x") == [(2, "_x")]
+    assert _laurent_leaks("from orthantwalks import laurent\nlaurent._mul_into") == [
+        (2, "_mul_into")]
+    assert _laurent_leaks("from . import laurent as lp\nlp._exact_root(q)") == [(2, "_exact_root")]
+    assert _laurent_leaks("x = v.rat + jet.coeffs[e]", VALUE_INTERNALS) == [
+        (1, "rat"), (1, "coeffs")]
+    assert _laurent_leaks("import orthantwalks.laurent as L\nL.Jet\nself._cache\nv.rat") == []
+
+
+def test_no_module_reaches_laurent_internals():
     # the Q(sqrt(m)) format and the jets' integer pairs stay behind laurent's
     # public names: QuadVal and the Jet accessors
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "laurent.py")
     assert len(modules) >= 9
-    offenders = {p.name: found for p in modules if (found := _private_laurent_imports(p))}
+    offenders = {p.name: found for p in modules if (found := _laurent_leaks(p.read_text()))}
+    assert not offenders
+
+
+def test_engine_and_point_search_take_no_value_apart():
+    # asympt and critical build and combine values and read jets through
+    # value/values/even_part/coefficient, never their coordinates
+    offenders = {name: found for name in ("asympt.py", "critical.py")
+                 if (found := _laurent_leaks((PACKAGE / name).read_text(), VALUE_INTERNALS))}
     assert not offenders
