@@ -60,6 +60,7 @@ from orthantwalks.laurent import (
     LaurentPoly,
     QuadVal,
     jet_of_exponential_substitution,
+    noise_floor,
     to_mp,
 )
 from orthantwalks.stepset import (
@@ -135,7 +136,9 @@ def _saddle_coefficients(u, g, lam, N):
     H^m f(0) = (-1)^m m! sum_{|b| = m} prod_a (2 b_a)! / (b_a! lam_a^{b_a}) f_{2b},
     f_{2b} the Taylor coefficient at the multi-index 2b.  So L_k reads u to
     degree 2k and gU^l only at degrees 3l..2(k+l): u is needed to degree
-    2(N-1), g to degree 2N, and gU^l to degree 2(N-1+l).
+    2(N-1), g to degree 2N, and gU^l to degree 2(N-1+l).  The jets check
+    that their orders fix each product that far (``Jet.times``,
+    ``Jet.even_part``), so shorter jets raise ``ValueError``.
 
     Each L_k is summed exactly in the jets' field, in ``QuadVal``s: f_{2b} is
     (-1)^m times the exact value v_{2b} (``Jet.even_part``), so
@@ -147,9 +150,6 @@ def _saddle_coefficients(u, g, lam, N):
     diagonal Hessian entries, which is the branch the saddle-point theorem
     prescribes for minimal points (each entry has non-negative real part).
     """
-    if g.order < 2 * N or u.order < 2 * (N - 1):
-        raise ValueError(f"depth {N} needs the phase jet to degree {2 * N} "
-                         f"and the amplitude jet to degree {2 * (N - 1)}")
     gU = g.tail(3)
     inv = [1 / (-2 * a) for a in lam]
     pows = [[QuadVal(1)] for _ in lam]  # (2j)!/j! (-2 lam_a)^{-j}, as far as some 2b reads
@@ -163,16 +163,12 @@ def _saddle_coefficients(u, g, lam, N):
 
     totals = [QuadVal(0)] * N
     power = Jet.const(g.dim, 2 * (N - 1), 1)  # gU^0
-    u = u.truncated(2 * (N - 1))
     for l in range(2 * N - 1):
+        top = 2 * (N - 1 + l)
         if l:
-            # gU^l to degree 2(N-1+l); its l factors each have degree >= 3,
-            # so the degrees of gU^(l-1) and gU left out cannot reach it
-            top = 2 * (N - 1 + l)
-            power = power.truncated(top) * gU.truncated(top)
-        sums = {}  # m -> sum_{|b| = m} w_b v_{2b}; gU^l starts at degree 3l,
-        # so u to degree 2(N-1) fixes u gU^l to the order of gU^l
-        for b, v in u.even_part(power).items():
+            power = power.times(gU, top)  # gU^l
+        sums = {}  # m -> sum_{|b| = m} w_b v_{2b}
+        for b, v in u.even_part(power, top).items():
             sums[sum(b)] = weight(b) * v + sums.get(sum(b), 0)
         scale = Fraction((-1) ** l, math.factorial(l))
         for m, total in sums.items():
@@ -292,7 +288,7 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     geff = kern.G.eval(coords) / kern.H2.eval(coords)
     for j in numerator_variant:
         geff *= 1 - coords[j]
-    if abs(geff) < mp.mpf(2) ** (-mp.prec // 2):
+    if abs(geff) < noise_floor():
         geff = mp.mpc(0)  # the effective numerator vanishes here
     det_gamma = math.prod(point.w_signs)
     sval = mp.re(point.rate())  # S(w, 1), rational
@@ -346,8 +342,8 @@ def _fold(terms, base_alpha):
     zeros are exact).  Every rate is an exact unit (1, -1, i or -i) times one
     shared modulus, so the period is the order of the units of the terms that
     lead: 4 if any is +-i, 2 if any is -1, else 1.  No fold when a leading
-    term's rate has no unit or a residue sum is not real (conjugate points are
-    summed numerically, so that test keeps a tolerance).
+    term's rate has no unit or a residue sum is not real, its imaginary part
+    above ``noise_floor`` times max(1, |sum|) (the terms are summed numerically).
     """
     k0 = min((k for t in terms for k, c in enumerate(t.coefficients) if c != 0),
              default=None)
@@ -364,7 +360,7 @@ def _fold(terms, base_alpha):
         tot = mp.mpc(0)
         for u, v in live:
             tot += v * mp.mpc(u) ** r
-        if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
+        if abs(mp.im(tot)) > noise_floor() * max(1, abs(tot)):
             return None
         consts.append(mp.re(tot))
     ref = next(t for t in terms if t.rate_exact.unit() == 1)

@@ -22,7 +22,7 @@ from mpmath import mp
 from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import count_profile, normalize_filter
 from orthantwalks.fit import common_period, compare_fit, estimate_growth
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, noise_floor
 from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
 
 HS = "HighlySymmetric"
@@ -280,9 +280,10 @@ class CellResult:
     details: dict
 
 
-def _compare_symbolic(want, expansion, prec):
+def _compare_symbolic(want, expansion):
     """Check the engine's expansion against ``want``, the stored PeriodicForm;
-    ``prec`` sets only the noise threshold."""
+    errors below ``noise_floor`` are reported as 0, so reordering the
+    engine's sums cannot change the report."""
     details = {}
     if expansion.partial or expansion.periodic is None:
         return "partial", {"notes": list(expansion.notes)}
@@ -299,10 +300,7 @@ def _compare_symbolic(want, expansion, prec):
         got, w = pf.constants[r % pf.period], want.constants[r % want.period]
         errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
         ok = ok and errs[-1] < SYMBOLIC_REL_TOL
-    # errors below half the requested precision are rounding noise: reported
-    # as 0, so reordering the engine's sums cannot change the report
-    noise = mp.mpf(2) ** (-(prec // 2))
-    details["constant_rel_errs"] = [float(e) if e >= noise else 0.0 for e in errs]
+    details["constant_rel_errs"] = [float(e) if e >= noise_floor() else 0.0 for e in errs]
     return ("pass" if ok else "fail"), details
 
 
@@ -346,7 +344,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                 if "symbolic" in modes:
                     if entry.theorem_covered():
                         exp = asympt_full(s, flt, prec=prec)
-                        status, details = _compare_symbolic(want, exp, prec)
+                        status, details = _compare_symbolic(want, exp)
                     else:
                         status, details = "skipped", {"reason": entry.klass}
                     results.append(CellResult(entry.name, table, col, "symbolic",

@@ -22,7 +22,7 @@ from mpmath import mp
 
 from orthantwalks import catalog as catalog_mod
 from orthantwalks.asympt import asympt_full
-from orthantwalks.critical import MIN_PREC_BITS, check_critical, contributing_points
+from orthantwalks.critical import check_critical, contributing_points
 from orthantwalks.enumeration import (
     CapacityError,
     count_walks,
@@ -421,12 +421,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.precision_bits < MIN_PREC_BITS:
-            raise UsageError(f"--precision-bits must be at least {MIN_PREC_BITS}")
         # verify fits a series: refused below the fitter's shortest before any work
         n_least = MIN_FIT_N if args.command == "verify" else 0
-        for flag, least in (("n", n_least), ("order", 1), ("digits", 1), ("threads", 1)):
-            value = getattr(args, flag, None)  # absent, or left at a None default
+        for flag, least in (("n", n_least), ("order", 1), ("digits", 1), ("threads", 1),
+                            ("precision-bits", 1)):
+            value = getattr(args, flag.replace("-", "_"), None)  # absent, or a None default
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be at least {least}")
         with mp.workprec(args.precision_bits + GUARD_BITS):

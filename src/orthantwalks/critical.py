@@ -13,8 +13,8 @@ Q(sqrt(wd_squared)) and its rate Sbar(w) in Q(sqrt(A(w)B(w))), as
 ``QuadVal``s, which this module builds and combines but never takes apart;
 their numeric values are computed at the caller's working precision.
 ``check_critical`` reports the numeric residuals of the criticality equations
-at a point, at its own precision and against a 2^-160 tolerance, as an
-independent check.
+at a point, at its own precision and against ``laurent.noise_floor`` there, as
+an independent check.
 """
 
 from __future__ import annotations
@@ -27,17 +27,11 @@ from fractions import Fraction
 from mpmath import mp
 
 from orthantwalks.kernel import diag_kernel
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, QuadVal
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, QuadVal, noise_floor
 from orthantwalks.stepset import StepSet, classify, decompose
 
 SMOOTH = "SmoothV1"
 TRANSVERSE = "TransverseV1V3"
-
-RESIDUAL_TOL_EXP = -160  # check_critical compares residuals against 2**-160
-# Smallest precision (before GUARD_BITS) whose rounding leaves a residual 8 bits
-# below the tolerance; at prec + GUARD_BITS == -RESIDUAL_TOL_EXP no point passes
-# check_critical.
-MIN_PREC_BITS = -RESIDUAL_TOL_EXP - GUARD_BITS + 8
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,7 @@ def check_critical(s: StepSet, point: ContributingPoint,
     A numeric check, independent of the exact selection: the gradient of Sbar
     in the free variables (all d on the smooth sheet, the first d-1 at a
     crossing, which adds |w_d - 1|), H1, and the distance from H2 = 0.  ``ok``
-    when every residual is below 2^RESIDUAL_TOL_EXP and the distance above it.
+    when every residual is below ``noise_floor`` and the distance above it.
     """
     kern = diag_kernel(s)
     sbar = s.sbar_poly()
@@ -193,7 +187,7 @@ def check_critical(s: StepSet, point: ContributingPoint,
         if point.stratum == TRANSVERSE:
             res["H3"] = abs(coords[d - 1] - 1)
         res["H2_distance"] = abs(kern.H2.eval(coords))
-        tol = mp.mpf(2) ** RESIDUAL_TOL_EXP
+        tol = noise_floor()
         ok = all(v < tol for k, v in res.items() if k != "H2_distance")
         ok = ok and res["H2_distance"] > tol
         return CriticalityReport(res, ok)

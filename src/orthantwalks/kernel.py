@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from orthantwalks.enumeration import endpoint_table
 from orthantwalks.laurent import LaurentPoly
-from orthantwalks.stepset import Decomposition, StepSet, decompose
+from orthantwalks.stepset import StepSet, decompose
 
 COPRIMALITY_SAMPLES = 4  # rational points tried on each factor's zero set
 
@@ -100,7 +100,6 @@ class DiagonalKernel:
     """
 
     stepset: StepSet
-    dcmp: Decomposition
     G: LaurentPoly
     H1: LaurentPoly
     H2: LaurentPoly
@@ -130,7 +129,7 @@ def diag_kernel(s: StepSet) -> DiagonalKernel:
     G = 1 - t * zprod * (Q + 2 * zd * A)
     for j in range(d - 1):
         G = G * (1 + LaurentPoly.variable(nv, j))
-    return DiagonalKernel(s, dcmp, G, H1, H2, H3)
+    return DiagonalKernel(s, G, H1, H2, H3)
 
 
 def coprimality_spotcheck(kern: DiagonalKernel):

@@ -8,7 +8,9 @@ c in one field.  Every coefficient is i^{|e|} times an element of
 Q(sqrt(r)), r = m's numerator times its denominator, held as a pair of
 Python integers over divided powers, so products, reciprocals and logarithms
 are exact and zeros are exact zeros; outside the jet it is a QuadVal.  Only
-``to_mp``, ``Jet.coefficient`` and ``LaurentPoly.eval`` round.
+``to_mp``, ``Jet.coefficient`` and ``LaurentPoly.eval`` round.  A jet claims
+no degree past its order, so a product is read only as far as its factors
+fix it.  ``noise_floor`` is the one test for rounding noise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from mpmath import mp
 MAX_EXPONENT = 2**31
 DEFAULT_PREC_BITS = 192
 GUARD_BITS = 64
+
+
+def noise_floor():
+    """2^-(p//2) at the working precision p: a number below it is rounding noise."""
+    return mp.mpf(2) ** (-(mp.prec // 2))
 
 
 class ExponentOverflowError(OverflowError):
@@ -471,6 +478,9 @@ class Jet:
         return self.coefficient((0,) * self.dim)
 
     def truncated(self, order):
+        """The terms to degree ``order``, at most the jet's own order."""
+        if order > self.order:
+            raise ValueError(f"a jet of order {self.order} does not know degree {order}")
         return Jet(self.dim, order, self.coeffs, self.r, self.scale, self.base)
 
     def tail(self, degree):
@@ -496,14 +506,26 @@ class Jet:
             return NotImplemented
         return self._product(other, False, min(self.order, other.order))
 
-    def even_part(self, other):
+    def _fixes(self, other, degree):
+        """Refuse a product with other to ``degree`` unless each factor fixes
+        it: its order plus the other's lowest degree reaches ``degree``."""
+        for f, g in ((self, other), (other, self)):
+            if f.order + min(map(sum, g.coeffs), default=g.order) < degree:
+                raise ValueError(f"a jet of order {f.order} does not fix the product "
+                                 f"to degree {degree}")
+
+    def times(self, other, degree):
+        """self * other to ``degree``, which the factors must fix; the degrees
+        a factor does not know then meet only degrees of the other past it."""
+        self._fixes(other, degree)
+        return (Jet(self.dim, degree, self.coeffs, self.r, self.scale, self.base)
+                * Jet(other.dim, degree, other.coeffs, other.r, other.scale, other.base))
+
+    def even_part(self, other, degree):
         """``value`` of self * other at its even multi-indices 2b, keyed by b,
-        to other's order, without forming the rest: self must fix the product
-        that far, its order plus the lowest degree of other reaching it."""
-        if self.order + min(map(sum, other.coeffs), default=other.order) < other.order:
-            raise ValueError(f"a jet of order {self.order} does not fix the product "
-                             f"to degree {other.order}")
-        even = self._product(other, True, other.order)
+        to ``degree``, which the factors must fix, without forming the rest."""
+        self._fixes(other, degree)
+        even = self._product(other, True, degree)
         return {tuple(x >> 1 for x in e): even.value(e) for e in even.coeffs}
 
     def _product(self, other, even, order):

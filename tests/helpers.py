@@ -18,7 +18,6 @@ from mpmath import mp
 
 from orthantwalks.asympt import PeriodicForm, _Integrand
 from orthantwalks.critical import (
-    RESIDUAL_TOL_EXP,
     SMOOTH,
     TRANSVERSE,
     ContributingPoint,
@@ -41,6 +40,10 @@ from orthantwalks.stepset import (
 )
 
 WEIGHT_CHOICES = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(3, 2)]
+# the numeric oracles' own tolerances, fixed whatever the working precision
+# (at least 192 bits there): point residuals and the realness of residue sums
+ORACLE_RESIDUAL_TOL = mp.mpf(2) ** -160
+ORACLE_REALNESS_TOL = mp.mpf(2) ** -100
 
 
 @st.composite
@@ -494,9 +497,9 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
 
     Off the crossing a sign vector is kept when |B(w)/A(w)| matches the
     positive point, and each drift root when Sbar(w) is not numerically zero
-    and |t| matches the positive point's within 2^RESIDUAL_TOL_EXP; at the
+    and |t| matches the positive point's within ORACLE_RESIDUAL_TOL; at the
     crossing when |S(w,1)| = S(1).  Every kept point must also have gradient
-    residuals of Sbar below 2^RESIDUAL_TOL_EXP.  The kept points are built
+    residuals of Sbar below ORACLE_RESIDUAL_TOL.  The kept points are built
     as the same exact records.
     """
     dcmp = decompose(s)
@@ -507,7 +510,7 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
     gradients = [sbar.deriv(j) for j in range(d - 1 if crossing else d)]
     out = []
     with mp.workprec(prec + GUARD_BITS):
-        tol = mp.mpf(2) ** RESIDUAL_TOL_EXP
+        tol = ORACLE_RESIDUAL_TOL
         t_ref = None  # |t| at the positive point, which is the first candidate
         for signs in itertools.product((1, -1), repeat=d - 1):
             aw, qw, bw = (p.eval(signs) for p in (dcmp.A, dcmp.Q, dcmp.B))
@@ -598,7 +601,7 @@ def numeric_fold(terms, base_alpha, rate_mod_exact, prec):
                     tot = mp.mpc(0)
                     for om, v in live:
                         tot += v * om**r
-                    if abs(mp.im(tot)) > mp.mpf(2) ** -100 * max(1, abs(tot)):
+                    if abs(mp.im(tot)) > ORACLE_REALNESS_TOL * max(1, abs(tot)):
                         ok = False
                         break
                     consts.append(mp.re(tot))

@@ -11,7 +11,6 @@ from mpmath import mp
 
 from orthantwalks.asympt import asympt_closed
 from orthantwalks.cli import build_parser, main, verify_model
-from orthantwalks.critical import MIN_PREC_BITS
 from orthantwalks.stepset import build_stepset, load_stepset
 
 
@@ -100,20 +99,34 @@ def test_cli_critical_and_asympt(capsys):
     assert doc["period"] == 2 and doc["rate_modulus_exact"] == "2*sqrt(3)"
 
 
-def test_cli_precision_floor(capsys):
-    # the working precision must clear critical.RESIDUAL_TOL_EXP, or every
-    # point fails its residual check in check_critical
-    for bits in ("8", "96"):
-        assert main(["critical", "--model", "N,SE,S,SW", "--precision-bits", bits]) == 3
-        assert "usage error: --precision-bits" in capsys.readouterr().err
-    code, default = run_cli(capsys, "critical", "--model", "N,SE,S,SW")
-    assert code == 0
-    code, out = run_cli(capsys, "critical", "--model", "N,SE,S,SW", "--precision-bits", "192")
-    assert code == 0 and out == default
-    code, out = run_cli(capsys, "critical", "--model", "N,SE,S,SW",
-                        "--precision-bits", str(MIN_PREC_BITS))
-    rows = json.loads(out)["rows"]
-    assert code == 0 and len(rows) == 2 and all(r["critical_ok"] for r in rows)
+def _points(doc):
+    return [(r["stratum"], r["rate_exact"], r["critical_ok"]) for r in doc["rows"]]
+
+
+# what each subcommand decides, apart from the digits it prints
+LOW_PRECISION_VERDICTS = [
+    (["count", "--model", "N,SE,S,SW", "--n", "30"], lambda doc: doc),
+    (["critical", "--model", "N,SE,S,SW"], _points),
+    (["critical", "--model", "NE,NW,S"], _points),
+    (["asympt", "--model", "N,SE,S,SW", "--endpoint", "origin"],
+     lambda doc: [doc[k] for k in ("period", "alpha", "rate_modulus_exact", "partial")]
+     + [len(doc["terms"])]),
+    (["catalog", "--check", "--table", "both", "--modes", "symbolic"],
+     lambda doc: doc["rows"]),
+]
+
+
+@pytest.mark.parametrize("bits", ["8", "64"])
+def test_cli_low_precision_keeps_the_verdicts(capsys, bits):
+    # every numeric zero test follows the working precision, so a low one
+    # finds every point critical and folds every expansion as 192 bits do
+    for argv, verdict in LOW_PRECISION_VERDICTS:
+        code, want = run_cli(capsys, *argv)
+        assert code == 0 and run_cli(capsys, *argv, "--precision-bits", "192") == (0, want)
+        code, got = run_cli(capsys, *argv, "--precision-bits", bits)
+        assert code == 0 and verdict(json.loads(got)) == verdict(json.loads(want)), argv
+        if verdict is _points:
+            assert all(ok for _, _, ok in _points(json.loads(got)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,6 +135,8 @@ def test_cli_precision_floor(capsys):
     ["asympt", "--model", "N,SE,S,SW", "--digits", "0"],
     ["asympt", "--model", "N,SE,S,SW", "--digits", "-5"],
     ["critical", "--model", "N,SE,S,SW", "--digits", "0"],
+    ["critical", "--model", "N,SE,S,SW", "--precision-bits", "0"],
+    ["count", "--model", "N,S,E,W", "--precision-bits", "-5"],
     ["catalog", "--check", "--modes", "symbolic", "--threads", "0"],
     ["catalog", "--check", "--modes", "symbolic", "--n", "-1"],
     ["diagonal", "--model", "NE,NW,S", "--n", "-3"],

@@ -317,9 +317,76 @@ def test_even_part_reads_the_product_to_the_right_factor_order():
     assert min(sum(e) for e in g.values()) == 2
     full = {tuple(a // 2 for a in e): v for e, v in (f * g).values().items()
             if not any(a % 2 for a in e)}
-    assert f.truncated(2).even_part(g) == full and f.even_part(g) == full
+    assert f.truncated(2).even_part(g, 4) == full and f.even_part(g, 4) == full
     with pytest.raises(ValueError):
-        f.truncated(1).even_part(g)
+        f.truncated(1).even_part(g, 4)
+
+
+def test_a_jet_claims_no_degree_past_its_order():
+    one = Jet.const(2, 0, 1)
+    assert one.truncated(0).values() == one.values()
+    with pytest.raises(ValueError):
+        one.truncated(6)
+    x = LaurentPoly.variable(2, 0)
+    f = jet_of_exponential_substitution(1 + x, (2, 1), 3)
+    with pytest.raises(ValueError):
+        f.truncated(4)
+
+
+def test_times_and_even_part_refuse_degrees_their_factors_do_not_fix():
+    # g = (1 - x)^2 starts at degree 2 and f is known to degree 3, so they
+    # fix f * g to degree 5 (and g, of order 6, to 6 from f's degree 0)
+    x, y = LaurentPoly.variable(2, 0), LaurentPoly.variable(2, 1)
+    f = jet_of_exponential_substitution(2 + x + y, (1, 1), 3)
+    g = jet_of_exponential_substitution((1 - x) * (1 - x), (1, 1), 6)
+    assert min(sum(e) for e in g.values()) == 2
+    f.times(g, 5), f.even_part(g, 5), g.times(f, 5)
+    for degree in (6, 7):
+        with pytest.raises(ValueError):
+            f.times(g, degree)
+        with pytest.raises(ValueError):
+            g.times(f, degree)
+        with pytest.raises(ValueError):
+            f.even_part(g, degree)
+    # the constant 1 of order 0 fixes nothing past degree 0 on either side
+    with pytest.raises(ValueError):
+        Jet.const(2, 0, 1).times(f, 1)
+
+
+@st.composite
+def fixed_products(draw):
+    """Two exact jets of order 8 cut to lowest degrees vf, vg, then each
+    truncated to a lower order."""
+    m = draw(st.sampled_from(RADICANDS))
+    jets = []
+    for _ in range(2):
+        centre = (draw(nonzero_rationals),
+                  draw(nonzero_rationals) if m is None
+                  else QuadVal(Fraction(0), draw(nonzero_rationals), m))
+        full = jet_of_exponential_substitution(draw(laurent_polys(dim=2)), centre, 8)
+        jets.append(full.tail(draw(st.integers(0, 3))))
+    return jets, draw(st.integers(0, 4)), draw(st.integers(0, 4))
+
+
+def _lowest(jet, order):
+    return min(map(sum, jet.values()), default=order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fixed_products())
+def test_times_agrees_with_the_full_product_to_the_degree_it_returns(case):
+    (f, g), a, b = case
+    fa, gb = f.truncated(a), g.truncated(b)
+    degree = min(a + _lowest(gb, b), b + _lowest(fa, a))
+    got = fa.times(gb, degree).values()
+    want = (f * g).values()  # exact to degree 8 >= 4 + 3
+    assert got == {e: v for e, v in want.items() if sum(e) <= degree}
+    even = {e: v for e, v in got.items() if not any(x % 2 for x in e)}
+    assert fa.even_part(gb, degree) == {tuple(x // 2 for x in e): v for e, v in even.items()}
+    with pytest.raises(ValueError):
+        fa.times(gb, degree + 1)
+    with pytest.raises(ValueError):
+        fa.even_part(gb, degree + 1)
 
 
 # ------------------------------------------------------- the field Q(sqrt(m))

@@ -61,3 +61,38 @@ def test_engine_and_point_search_take_no_value_apart():
     offenders = {name: found for name in ("asympt.py", "critical.py")
                  if (found := _laurent_leaks((PACKAGE / name).read_text(), VALUE_INTERNALS))}
     assert not offenders
+
+
+def _powers_of_two(source):
+    """(line, expression) of each power of mpf(2) the source writes, by any
+    name of mpf: a tolerance written by hand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+            if (isinstance(base, ast.Call) and ast.unparse(base.func).split(".")[-1] == "mpf"
+                    and [ast.unparse(a) for a in base.args] in (["2"], ["2.0"], ["'2'"])):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_the_tolerance_guard_sees_every_spelling():
+    assert _powers_of_two("tol = mp.mpf(2) ** -160") == [(1, "mp.mpf(2) ** (-160)")]
+    assert _powers_of_two("x\nt = mpmath.mpf('2') ** (-(mp.prec // 2)) * y") == [
+        (2, "mpmath.mpf('2') ** (-(mp.prec // 2))")]
+    assert _powers_of_two("from mpmath import mpf\nt = mpf(2.0) ** k") == [(2, "mpf(2.0) ** k")]
+    assert _powers_of_two("mp.mpf(10) ** -30\nmp.mpf(2) * 3\n2 ** -8\nmath.ldexp(1.0, 3)") == []
+
+
+def test_rounding_noise_has_one_rule():
+    # every numeric zero test reads laurent.noise_floor at the working precision
+    offenders = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name != "laurent.py" and (found := _powers_of_two(p.read_text()))}
+    assert not offenders
+
+
+def test_engine_asks_the_jets_for_degrees():
+    # the jets check that their orders fix each product (Jet.times,
+    # Jet.even_part); the engine reads no order to decide it
+    assert _laurent_leaks((PACKAGE / "asympt.py").read_text(), {"order"}) == []
+    assert _laurent_leaks("if g.order < 2 * N:\n    pass", {"order"}) == [(1, "order")]
