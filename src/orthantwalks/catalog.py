@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp
 
@@ -314,6 +315,13 @@ def cells(entry, which):
             for col in columns]
 
 
+def _profile(name, n_max):
+    """The float DP profile of catalog entry ``name``.  A process pool is handed
+    this function by reference, never ``count_profile``, which a tracer may
+    have rebound to a closure that cannot be pickled."""
+    return count_profile(lookup(name).stepset(), n_max)
+
+
 def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                      prec=DEFAULT_PREC_BITS, entries=None, threads=1):
     """Reproduce the stored asymptotics tables; returns a list of CellResult.
@@ -321,38 +329,51 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     Symbolic mode runs the engine only on theorem-covered entries, every
     column of them, and reports the other entries' cells as skipped; empirical
     mode fits the float enumeration oracle on all entries and all columns.
+    With ``threads`` > 1 the float DP passes run in that many worker
+    processes (at most one per pass) while this process runs the engine and
+    the fits; the cells do not depend on ``threads``.
     """
     results = []
     chosen = entries if entries is not None else ENTRIES
-    profiles = {}
-    if "empirical" in modes:
-        # fits and comparisons stay sequential (same output for any ``threads``); the
-        # DP holds the GIL between short numpy calls, so on 2 cores 2 threads run
-        # the 23 passes at n = 512 no faster than 1 (1.72 s vs 1.61 s, best of 6)
-        from concurrent.futures import ThreadPoolExecutor
+    passes = [e.name for e in chosen if cells(e, which)] if "empirical" in modes else []
+    pool = None
+    if threads > 1 and passes:
+        # processes, not threads: a DP step is many short numpy calls with the
+        # GIL held between them; imported here, as the import would add about
+        # 35 ms to every start of the CLI
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ThreadPoolExecutor(threads) as pool:
-            futs = {e.name: pool.submit(count_profile, e.stepset(), n_max)
-                    for e in chosen if cells(e, which)}
-            profiles = {name: f.result() for name, f in futs.items()}
-    with mp.workprec(prec + GUARD_BITS):
-        for entry in chosen:
-            s = entry.stepset()
-            for table, col, stored in cells(entry, which):
-                flt = COLUMN_FILTERS[col]
-                want = stored.periodic()
-                if "symbolic" in modes:
-                    if entry.theorem_covered():
-                        exp = asympt_full(s, flt, prec=prec)
-                        status, details = _compare_symbolic(want, exp)
-                    else:
-                        status, details = "skipped", {"reason": entry.klass}
-                    results.append(CellResult(entry.name, table, col, "symbolic",
-                                              status, details))
-                if "empirical" in modes:
-                    series = profiles[entry.name][normalize_filter(flt, s.dim)]
-                    ok, details = compare_fit(estimate_growth(series), want.rate_modulus,
-                                              want.alpha, want.constants)
-                    results.append(CellResult(entry.name, table, col, "empirical",
-                                              "pass" if ok else "fail", details))
+        pool = ProcessPoolExecutor(min(threads, len(passes)))
+    try:
+        if pool:
+            pending = {name: pool.submit(_profile, name, n_max).result for name in passes}
+        else:
+            pending = {name: partial(_profile, name, n_max) for name in passes}
+        with mp.workprec(prec + GUARD_BITS):
+            for entry in chosen:
+                s = entry.stepset()
+                profile = None
+                for table, col, stored in cells(entry, which):
+                    flt = COLUMN_FILTERS[col]
+                    want = stored.periodic()
+                    if "symbolic" in modes:
+                        if entry.theorem_covered():
+                            exp = asympt_full(s, flt, prec=prec)
+                            status, details = _compare_symbolic(want, exp)
+                        else:
+                            status, details = "skipped", {"reason": entry.klass}
+                        results.append(CellResult(entry.name, table, col, "symbolic",
+                                                  status, details))
+                    if "empirical" in modes:
+                        if profile is None:
+                            profile = pending[entry.name]()
+                        series = profile[normalize_filter(flt, s.dim)]
+                        ok, details = compare_fit(estimate_growth(series),
+                                                  want.rate_modulus, want.alpha,
+                                                  want.constants)
+                        results.append(CellResult(entry.name, table, col, "empirical",
+                                                  "pass" if ok else "fail", details))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return results

@@ -1,12 +1,16 @@
 """Catalog data integrity, lookup, closed-form series, and reproduction."""
 
+import concurrent.futures
+import multiprocessing
 from collections import Counter
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from helpers import gf_series
+from orthantwalks import catalog
 from orthantwalks.catalog import (
     ENTRIES,
     HS,
@@ -22,7 +26,7 @@ from orthantwalks.catalog import (
     reproduce_tables,
 )
 from orthantwalks.asympt import AsymptoticExpansion, PeriodicForm
-from orthantwalks.enumeration import count_walks
+from orthantwalks.enumeration import CapacityError, count_walks
 from orthantwalks.stepset import build_stepset, classify
 
 
@@ -119,12 +123,81 @@ def test_reproduce_empirical_subset():
     assert all(r.status == "pass" for r in res)
 
 
+SMALL = [e for e in ENTRIES if e.name in ("N,S,E,W", "N,SE,SW", "NE,W,S")]
+
+
 def test_reproduce_same_cells_for_any_thread_count():
-    # the enumeration passes run in one pool whatever its size
-    sel = [e for e in ENTRIES if e.name in ("N,S,E,W", "N,SE,SW", "NE,W,S")]
-    one, two = (reproduce_tables("both", entries=sel, n_max=128, threads=t) for t in (1, 2))
+    # the passes run in worker processes, the cells in entry order here
+    one, two, three = (reproduce_tables("both", entries=SMALL, n_max=128, threads=t)
+                       for t in (1, 2, 3))
     assert len(one) == 2 * (1 + 3 + 1 + 3 + 1)
-    assert one == two
+    assert one == two == three
+    assert multiprocessing.active_children() == []
+
+
+def test_reproduce_pools_a_wrapped_count_profile(monkeypatch):
+    # a tracer may rebind count_profile to a closure, which cannot be pickled;
+    # the pool is handed a catalog function by reference, so the closure runs
+    # in the worker
+    original = catalog.count_profile
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    one = reproduce_tables("both", entries=SMALL, n_max=128, threads=1)
+    monkeypatch.setattr(catalog, "count_profile", wrapper)
+    assert reproduce_tables("both", entries=SMALL, n_max=128, threads=2) == one
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: runs each submit at once, starts no
+    process, and records its size and shutdown."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.max_workers, self.shutdowns = max_workers, []
+        FakePool.built.append(self)
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, **kwargs):
+        self.shutdowns.append(kwargs)
+
+
+@pytest.mark.parametrize("threads, modes, entries, workers", [
+    (5000, ("empirical",), None, 23),
+    (5000, ("symbolic", "empirical"), SMALL, 3),
+    (2, ("empirical",), SMALL, 2),
+    (1, ("empirical",), SMALL, None),
+    (5000, ("symbolic",), SMALL, None),
+])
+def test_reproduce_pool_never_outnumbers_its_passes(monkeypatch, threads, modes,
+                                                     entries, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "built", [])
+    res = reproduce_tables("table1", modes, n_max=80, entries=entries, threads=threads)
+    assert len(res) == len(entries or ENTRIES) * len(modes)
+    if workers is None:
+        assert FakePool.built == []
+    else:
+        [pool] = FakePool.built
+        assert pool.max_workers == workers
+        assert pool.shutdowns == [{"cancel_futures": True}]
+
+
+def test_reproduce_raises_the_pass_error_for_any_thread_count():
+    errors = []
+    for t in (1, 2):
+        with pytest.raises(CapacityError) as info:
+            reproduce_tables("both", ("empirical",), n_max=9000, threads=t)
+        errors.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert errors[0] == errors[1]
+    assert "exceeds the limit" in errors[0][1]
 
 
 @pytest.mark.parametrize("engine_period, stored_period, status", [

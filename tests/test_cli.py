@@ -184,6 +184,19 @@ def test_cli_float_count_past_the_float_range(capsys):
     assert Decimal(rows[520]["count"]).adjusted() == 305
 
 
+def test_cli_catalog_pass_error_for_any_thread_count(capsys):
+    # a pass that a worker process refuses ends the check as one in-process does
+    outcomes = []
+    for threads in ("1", "2"):
+        code = main(["catalog", "--check", "--n", "9000", "--modes", "empirical",
+                     "--threads", threads])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (1, "")
+    assert "exceeds the limit" in outcomes[0][2]
+
+
 @pytest.mark.parametrize("modes", ["foo", "", ",", "symbolic,foo", "symbolic,,empirical"])
 def test_cli_catalog_rejects_unknown_modes(capsys, modes):
     assert main(["catalog", "--check", "--modes", modes]) == 3

@@ -1,6 +1,9 @@
 """Module boundaries the package keeps, checked on its source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orthantwalks
@@ -96,3 +99,15 @@ def test_engine_asks_the_jets_for_degrees():
     # Jet.even_part); the engine reads no order to decide it
     assert _laurent_leaks((PACKAGE / "asympt.py").read_text(), {"order"}) == []
     assert _laurent_leaks("if g.order < 2 * N:\n    pass", {"order"}) == [(1, "order")]
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # concurrent.futures.process costs about 35 ms to import, a sizeable share
+    # of the CLI's start-up; only a catalog run with threads > 1 needs it
+    probe = ("import sys, orthantwalks.cli\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
