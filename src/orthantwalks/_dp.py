@@ -25,6 +25,9 @@ than live rows of the widest stride.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 SLACK = 16  # spare slots per axis while the box grows: a re-stride every ~SLACK steps
@@ -109,8 +112,9 @@ class _Part:
         """View of cur on {0..m-1}^k."""
         return self.cur.nd[_box(self.k, m)]
 
-    def step(self, live, reach, total):
-        """Advance cur from {0..live-1}^k to {0..reach-1}^k; divide by total if given."""
+    def step(self, live, reach, scale):
+        """Advance cur from {0..live-1}^k to {0..reach-1}^k, then apply ``scale``,
+        a ufunc and its operand, if given."""
         cur, nxt = self.cur.flat, self.nxt.flat
         unit = self.unit
         lo, hi = unit, live * unit + 1  # the flat span of {0..live-1}^k
@@ -135,12 +139,14 @@ class _Part:
                 dst += part
         for face in self.nxt.faces:  # drop the walks that stepped off an axis
             face.fill(0)
-        if total is not None:
-            nxt[lo:hi + unit] /= total
+        if scale is not None:
+            op, by = scale
+            out = nxt[lo:hi + unit]
+            op(out, by, out=out)
         self.cur, self.nxt = self.nxt, self.cur
 
 
-def evolve(vectors, weights, n_max, dtype):
+def evolve(vectors, weights, n_max, dtype, filters=None):
     """Yield the state after 0, 1, ..., n_max steps.
 
     A state maps each tuple of live axes to an array over them: the full tuple
@@ -151,12 +157,28 @@ def evolve(vectors, weights, n_max, dtype):
     dtype each step is divided by sum(weights), so the state after n steps is
     the count over sum(weights)^n.  A yielded state is valid until the
     generator is resumed.
+
+    ``filters``, tuples of axes as ``totals_reader`` takes them, keeps only
+    the parts over a superset of some filter's axes, the only ones it reads;
+    the walks that move on to no kept part are dropped.  A part is fed only by
+    larger parts, so every kept part holds what it holds without ``filters``.
     """
     d = len(vectors[0])
-    total = None if np.dtype(dtype) == np.dtype(object) else float(sum(weights))
+    scale = None
+    if np.dtype(dtype) != np.dtype(object):
+        total = float(sum(weights))
+        # x / 2^k and x * 2^-k are the same correctly rounded number; a
+        # product is several times cheaper than a quotient
+        scale = ((np.multiply, 1 / total) if math.frexp(total)[0] == 0.5
+                 else (np.true_divide, total))
     size = n_max // 2 + 3  # the widest a live axis gets, plus the off-orthant slot
     width = min(3 + SLACK, size)  # the stride of every part
     parts = {}
+
+    @functools.cache
+    def needed(axes):
+        """Whether some filter reads the part over ``axes``."""
+        return filters is None or any(set(f) <= set(axes) for f in filters)
 
     def part(axes):
         if axes not in parts:
@@ -179,7 +201,7 @@ def evolve(vectors, weights, n_max, dtype):
             for p in parts.values():
                 p.restride(width, live)
         for p in parts.values():
-            p.step(live, reach, total)
+            p.step(live, reach, scale)
         # a walk with x_a >= cut is far from axis a: move it to the part without a,
         # larger parts first so a walk far on several axes moves on down
         if reach > cut:
@@ -190,8 +212,9 @@ def evolve(vectors, weights, n_max, dtype):
                     for i, child in enumerate(p.children):
                         # the axes before i are already cut to {0..cut-1}
                         far = (...,) + (near,) * i + (beyond,) + (whole,) * (k - 1 - i)
-                        into = (...,) + (near,) * i + (whole,) * (k - 1 - i)
-                        part(child).box(reach)[into] += _sum(arr[far], i)
+                        if needed(child):
+                            into = (...,) + (near,) * i + (whole,) * (k - 1 - i)
+                            part(child).box(reach)[into] += _sum(arr[far], i)
                         arr[far] = 0  # keeps cur zero outside {0..cut-1}^k
         live = min(reach, cut)
         yield state(live)

@@ -6,10 +6,11 @@ against the symbolic engine and the enumeration oracle.
 Stored constants are exact radical expressions, turned into numbers only by
 ``StoredAsymptotics``, at the caller's working precision (``reproduce_tables``
 sets it once); ``periodic`` gives them as the engine's
-``PeriodicForm``, the one prediction record that ``fit.compare_fit`` and the
-engine-vs-stored check both read.  Boundary columns: ``x_axis`` means the
-endpoint has first coordinate 0, ``y_axis`` second coordinate 0, ``origin``
-both.
+``PeriodicForm``, the one prediction record that ``fit.compare`` checks
+against the engine's and against a growth fit.  ``stored_cell`` finds the
+stored cell of a model and endpoint filter.  Boundary columns: ``x_axis``
+means the endpoint has first coordinate 0, ``y_axis`` second coordinate 0,
+``origin`` both.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from mpmath import mp
 
 from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import count_profile, normalize_filter
-from orthantwalks.fit import common_period, compare_fit, estimate_growth
-from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS, noise_floor
+from orthantwalks.fit import compare, estimate_growth
+from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
 
 HS = "HighlySymmetric"
@@ -33,8 +34,6 @@ ALG = "AlgebraicExceptional"
 NOSYM = "NoSymmetryDFinite"
 
 THEOREM_CLASSES = (HS, POS, NEG)
-
-SYMBOLIC_REL_TOL = mp.mpf("1e-12")  # engine vs stored rate and constants
 
 
 def eval_const(expr):
@@ -89,10 +88,6 @@ class CatalogEntry:
 
     def theorem_covered(self):
         return self.klass in THEOREM_CLASSES
-
-    def stored(self, column):
-        """The stored asymptotics of one column (a key of COLUMN_FILTERS), or None."""
-        return self.table1 if column == "anywhere" else (self.table2 or {}).get(column)
 
 
 def _sa(rate, alpha, *constants):
@@ -281,38 +276,24 @@ class CellResult:
     details: dict
 
 
-def _compare_symbolic(want, expansion):
-    """Check the engine's expansion against ``want``, the stored PeriodicForm;
-    errors below ``noise_floor`` are reported as 0, so reordering the
-    engine's sums cannot change the report."""
-    details = {}
-    if expansion.partial or expansion.periodic is None:
-        return "partial", {"notes": list(expansion.notes)}
-    pf = expansion.periodic
-    rate_err = abs(pf.rate_modulus - want.rate_modulus) / want.rate_modulus
-    details["rate_rel_err"] = float(rate_err)
-    ok = rate_err < SYMBOLIC_REL_TOL
-    details["alpha"] = str(pf.alpha)
-    ok = ok and pf.alpha == want.alpha
-    span = common_period(pf.period, want.period)
-    ok = ok and span is not None
-    errs = []
-    for r in range(span or 0):
-        got, w = pf.constants[r % pf.period], want.constants[r % want.period]
-        errs.append(abs(got) if w == 0 else abs(got - w) / abs(w))
-        ok = ok and errs[-1] < SYMBOLIC_REL_TOL
-    details["constant_rel_errs"] = [float(e) if e >= noise_floor() else 0.0 for e in errs]
-    return ("pass" if ok else "fail"), details
-
-
 def cells(entry, which):
     """(table, column, stored) for each cell of ``entry`` in ``which``: table1,
     table2 or both."""
     columns = ["anywhere"] if which in ("table1", "both") else []
     if which in ("table2", "both") and entry.table2:
         columns += list(entry.table2)
-    return [("table1" if col == "anywhere" else "table2", col, entry.stored(col))
-            for col in columns]
+    return [("table1", col, entry.table1) if col == "anywhere" else
+            ("table2", col, entry.table2[col]) for col in columns]
+
+
+def stored_cell(model, flt):
+    """The stored asymptotics of ``model`` (anything ``lookup`` takes) under the
+    normalized endpoint filter ``flt``, or None where the catalog has none."""
+    try:
+        entry = lookup(model)
+    except KeyError:
+        return None
+    return next((sa for _, col, sa in cells(entry, "both") if COLUMN_FILTERS[col] == flt), None)
 
 
 def _profile(name, n_max):
@@ -357,20 +338,21 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                     flt = COLUMN_FILTERS[col]
                     want = stored.periodic()
                     if "symbolic" in modes:
-                        if entry.theorem_covered():
-                            exp = asympt_full(s, flt, prec=prec)
-                            status, details = _compare_symbolic(want, exp)
-                        else:
+                        if not entry.theorem_covered():
                             status, details = "skipped", {"reason": entry.klass}
+                        elif (exp := asympt_full(s, flt, prec=prec)).partial \
+                                or exp.periodic is None:
+                            status, details = "partial", {"notes": list(exp.notes)}
+                        else:
+                            ok, details = compare(want, exp.periodic)
+                            status = "pass" if ok else "fail"
                         results.append(CellResult(entry.name, table, col, "symbolic",
                                                   status, details))
                     if "empirical" in modes:
                         if profile is None:
                             profile = pending[entry.name]()
                         series = profile[normalize_filter(flt, s.dim)]
-                        ok, details = compare_fit(estimate_growth(series),
-                                                  want.rate_modulus, want.alpha,
-                                                  want.constants)
+                        ok, details = compare(want, estimate_growth(series))
                         results.append(CellResult(entry.name, table, col, "empirical",
                                                   "pass" if ok else "fail", details))
     finally:

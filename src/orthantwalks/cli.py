@@ -1,9 +1,8 @@
-"""Verification reports and the command-line surface.
+"""The command-line surface: parsing, dispatch and output.
 
-``verify_model`` runs a model's exact identities, predicts its asymptotics
-with the engine (or takes stored catalog values), and checks the prediction
-against an empirical growth fit (``orthantwalks.fit``), reporting structured
-pass/fail/partial results.  Exit codes: 0 pass, 1 fail, 2 partial, 3 usage.
+Each subcommand runs the library (``verify`` runs
+``orthantwalks.verify.verify_model``) and writes its report as JSON, CSV or
+Markdown.  Exit codes: 0 pass, 1 fail, 2 partial, 3 usage.
 """
 
 from __future__ import annotations
@@ -15,178 +14,26 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import asdict
 
 from mpmath import mp
 
 from orthantwalks import catalog as catalog_mod
 from orthantwalks.asympt import asympt_full
 from orthantwalks.critical import check_critical, contributing_points
-from orthantwalks.enumeration import (
-    CapacityError,
-    count_walks,
-    filter_name,
-    normalize_filter,
-    parse_filter,
-)
-from orthantwalks.fit import MIN_FIT_N, compare_fit, estimate_growth
-from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum, positive_part_check
+from orthantwalks.enumeration import CapacityError, count_walks, filter_name, parse_filter
+# perfbench/instrument.py wraps cli.estimate_growth and cli.verify_model by name,
+# and perfbench/workloads.py calls cli.verify_model
+from orthantwalks.fit import MIN_FIT_N, estimate_growth  # noqa: F401
+from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
-from orthantwalks.stepset import (
-    StepSet,
-    StepSetError,
-    UnsupportedModelError,
-    classify,
-    load_stepset,
-    stepset_from_document,
-)
-
-SCHEMA_VERSION = "2"
+from orthantwalks.stepset import StepSet, StepSetError, load_stepset, stepset_from_document
+from orthantwalks.verify import SCHEMA_VERSION, expansion_payload, verify_model
 
 
 class UsageError(ValueError):
     pass
 
-
-# ----------------------------------------------------------- verification
-
-@dataclass
-class VerificationReport:
-    model: str
-    symmetry_class: str
-    drift_sign: int
-    endpoint: str
-    predicted: dict | None
-    empirical: dict
-    exact_checks: dict
-    comparisons: dict
-    status: str  # pass | fail | partial
-    notes: tuple
-
-    def to_dict(self):
-        return {"schema_version": SCHEMA_VERSION, **asdict(self), "notes": list(self.notes)}
-
-
-# n up to which verify checks the exact identities, by dimension (8 above 3D)
-EXACT_N = {2: 12, 3: 12}
-
-
-def default_nmax(dim):
-    return {2: 512, 3: 160}.get(dim, MIN_FIT_N)
-
-
-def _expansion_payload(exp, digits=16):
-    pf = exp.periodic
-    payload = {
-        "partial": exp.partial,
-        "route": exp.route,
-        "alpha_base": str(exp.alpha),
-        "terms": [
-            {
-                "rate": mp.nstr(t.rate, digits),
-                "rate_exact": str(t.rate_exact),
-                "coefficients": [mp.nstr(c, digits) for c in t.coefficients],
-                "order_bound": len(t.coefficients),
-            }
-            for t in exp.terms
-        ],
-    }
-    if pf is not None:
-        payload["rate_modulus"] = mp.nstr(pf.rate_modulus, digits)
-        payload["rate_modulus_exact"] = pf.rate_modulus_exact
-        payload["alpha"] = str(pf.alpha)
-        payload["period"] = pf.period
-        payload["constants"] = [mp.nstr(c, digits) for c in pf.constants]
-    return payload
-
-
-def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
-                 digits=16) -> VerificationReport:
-    """Full verification: exact identities, engine prediction, empirical fit.
-    The prediction and its printed numbers are made at ``prec + GUARD_BITS``."""
-    cls = classify(s)
-    d = s.dim
-    flt = normalize_filter(flt, d)
-    n_max = n_max if n_max is not None else default_nmax(d)
-    exact_n = EXACT_N.get(d, 8)
-    notes = []
-    exact_checks = {}
-    failed = False
-    try:
-        kern = diag_kernel(s)  # runs the support gate, decompose
-    except UnsupportedModelError as ex:
-        kern = None
-        notes.append(str(ex))
-    supported = kern is not None
-
-    if supported:
-        diag = diagonal_coeffs(kern, exact_n, boundary_axes=s.canonical_variant(flt))
-        oracle = count_walks(s, exact_n, flt).values
-        match = [Fraction(x) for x in diag] == [Fraction(x) for x in oracle]
-        exact_checks["diagonal_vs_oracle"] = {"max_n": exact_n, "pass": match}
-        ppc = positive_part_check(s)
-        exact_checks["positive_part"] = {"max_n": ppc.max_n, "pass": ppc.passed}
-        failed = failed or not match or not ppc.passed
-    else:
-        exact_checks["note"] = "kernel identities skipped: unsupported symmetry class"
-
-    # the prediction: the engine's, or else the stored catalog values
-    predicted = pf = None
-    source = "engine"
-    partial = not supported
-    with mp.workprec(prec + GUARD_BITS):
-        if supported:
-            exp = asympt_full(s, flt, prec=prec)
-            predicted = _expansion_payload(exp, digits)
-            partial = exp.partial
-            pf = exp.periodic if not exp.partial else None
-        if pf is None:
-            try:
-                stored = catalog_mod.lookup(s).stored(next(
-                    col for col, f in catalog_mod.COLUMN_FILTERS.items()
-                    if normalize_filter(f, d) == flt))
-            except KeyError:
-                stored = None
-            if stored is not None:
-                pf, source = stored.periodic(), "catalog"
-                notes.append("prediction from stored catalog values (empirical-only)")
-
-    fit = estimate_growth(count_walks(s, n_max, flt, mode="float"))
-    empirical = {
-        "rho": fit.rho,
-        "alpha": fit.alpha,
-        "period": fit.period,
-        "constants": {str(r): c for r, c in sorted(fit.constants.items())},
-        "structural_zeros": list(fit.structural_zeros),
-        "converged": fit.converged,
-        "n_max": n_max,
-    }
-
-    comparisons = {}
-    if pf is not None:
-        ok, comp = compare_fit(fit, pf.rate_modulus, pf.alpha, pf.constants)
-        comparisons[f"{source}_vs_empirical"] = comp
-        failed = failed or not ok
-    else:
-        notes.append("no prediction available; empirical fit reported unchecked")
-
-    status = "fail" if failed else ("partial" if partial else "pass")
-    return VerificationReport(
-        model=s.describe(),
-        symmetry_class=cls.kind,
-        drift_sign=cls.drift_sign,
-        endpoint=filter_name(flt, d),
-        predicted=predicted,
-        empirical=empirical,
-        exact_checks=exact_checks,
-        comparisons=comparisons,
-        status=status,
-        notes=tuple(notes),
-    )
-
-
-# ------------------------------------------------------------------ the CLI
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -372,7 +219,7 @@ def _cmd_asympt(args, s):
     exp = asympt_full(s, flt, N=args.order, prec=args.precision_bits)
     payload = {"schema_version": SCHEMA_VERSION, "model": s.describe(),
                "endpoint": filter_name(flt, s.dim)}
-    payload.update(_expansion_payload(exp, args.digits))
+    payload.update(expansion_payload(exp, args.digits))
     pf = exp.periodic
     rows = []
     if pf is not None:

@@ -107,9 +107,9 @@ class CountSeries:
             return math.ldexp(self.values[n] * 2.0**r, int(k))
 
     def log_value(self, n):
-        if self.mode == "exact":
+        if self.mode == "exact":  # an int or Fraction: its logarithm without a float of it
             v = self.values[n]
-            return math.log(v) if v > 0 else -math.inf
+            return math.log(v.numerator) - math.log(v.denominator) if v > 0 else -math.inf
         u = self.values[n]
         return (math.log(u) + n * self.log_scale) if u > 0 else -math.inf
 
@@ -171,9 +171,10 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
         raise ValueError("mode must be 'exact' or 'float'")
     _check_box(s, n_max, "exact DP")
     vectors, weights, denom = _integer_weights(s)
-    read = _dp.totals_reader([_axes(flt)])
+    axes = [_axes(flt)]
+    read = _dp.totals_reader(axes)
     values = [_exact(read(state)[0], denom, n)
-              for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object))]
+              for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object, axes))]
     return CountSeries("exact", flt, values)
 
 
@@ -193,9 +194,10 @@ def count_profile(s: StepSet, n_max, filters=None):
                                for mask in range(1, 2**s.dim)]
     else:
         keys = list(dict.fromkeys(normalize_filter(flt, s.dim) for flt in filters))
-    read = _dp.totals_reader([_axes(key) for key in keys])
+    axes = [_axes(key) for key in keys]
+    read = _dp.totals_reader(axes)
     raw = [np.zeros(n_max + 1) for _ in keys]
-    for n, state in enumerate(_dp.evolve(vectors, weights, n_max, np.float64)):
+    for n, state in enumerate(_dp.evolve(vectors, weights, n_max, np.float64, axes)):
         for arr, total in zip(raw, read(state)):
             arr[n] = total
     log_scale = math.log(float(s.total_weight()))
@@ -207,16 +209,25 @@ def count_profile(s: StepSet, n_max, filters=None):
     return out
 
 
+def endpoint_tables(s: StepSet, n_max):
+    """Exact coefficients of the length-n slices of the full endpoint generating
+    function for n = 0..n_max, one table per n, from one DP pass."""
+    _check_length(n_max)
+    if n_max > ENDPOINT_TABLE_MAX_N:
+        raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
+    _check_box(s, n_max, "exact DP")
+    vectors, weights, denom = _integer_weights(s)
+    # n <= n_max steps before a horizon of 2 n_max no walk is far from any axis
+    # yet, so each state is one part holding every endpoint
+    states = _dp.evolve(vectors, weights, 2 * n_max, object)
+    tables = []
+    for n, state in enumerate(itertools.islice(states, n_max + 1)):
+        (box,) = state.values()
+        tables.append(EndpointTable(n, {tuple(pos): _exact(box[tuple(pos)], denom, n)
+                                        for pos in np.argwhere(box != 0).tolist()}))
+    return tables
+
+
 def endpoint_table(s: StepSet, n):
     """Exact coefficients of the length-n slice of the full endpoint generating function."""
-    _check_length(n)
-    if n > ENDPOINT_TABLE_MAX_N:
-        raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
-    _check_box(s, n, "exact DP")
-    vectors, weights, denom = _integer_weights(s)
-    # n steps before a horizon of 2n no walk is far from any axis yet, so the
-    # state is one part holding every endpoint
-    states = _dp.evolve(vectors, weights, 2 * n, object)
-    (box,) = next(itertools.islice(states, n, None)).values()
-    return EndpointTable(n, {tuple(pos): _exact(box[tuple(pos)], denom, n)
-                             for pos in np.argwhere(box != 0).tolist()})
+    return endpoint_tables(s, n)[n]

@@ -1,10 +1,12 @@
-"""Empirical growth fitting and its comparison with predicted asymptotics.
+"""Empirical growth fitting, and the one comparison of a prediction with
+another record.
 
-``estimate_growth`` estimates (rate, polynomial order, per-residue constants)
-from an enumeration series by residue-class-local Richardson extrapolation;
-``compare_fit`` checks it against a prediction (an ``asympt.PeriodicForm``
-from the engine or from ``StoredAsymptotics.periodic``) with the one set of
-empirical tolerances.  ``common_period`` aligns periods for every comparison.
+``estimate_growth`` fits (rate, polynomial order, per-residue constants) to an
+enumeration series by residue-class-local Richardson extrapolation.
+``compare`` checks a prediction, an ``asympt.PeriodicForm`` from the engine or
+from ``StoredAsymptotics.periodic``, against a second record with the rule of
+the weaker one: ``SYMBOLIC_REL_TOL`` for another PeriodicForm, the ``EMP_*``
+tolerances for a ``GrowthFit``.  Only this module reads those tolerances.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from mpmath import mp
+
 from orthantwalks.enumeration import CountSeries
+from orthantwalks.laurent import noise_floor
 
 # the periods the fitter tries, shortest first; the engine's fold
 # (asympt._fold) reads its period off exact units, which gives 1, 2 or 4, so
@@ -23,6 +28,7 @@ PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8)
 # stride-4 ladder left 11 to 13 of the 92 catalog series with no fitted class
 MIN_FIT_N = 72
 
+SYMBOLIC_REL_TOL = mp.mpf("1e-12")  # engine vs stored rate and constants
 EMP_LOG_RHO_TOL = 1e-2
 EMP_ALPHA_TOL = 0.05
 EMP_CONST_TOL = 0.10
@@ -184,29 +190,44 @@ def common_period(p, q):
     return None if span % p or span % q else span
 
 
-def compare_fit(fit: GrowthFit, rate, alpha, constants):
-    """Check a fit against predicted (rate, alpha, per-residue constants),
-    given as numbers of any type and compared in float.
+def compare(prediction, other):
+    """Check ``other`` against ``prediction``, a PeriodicForm, over their
+    ``common_period``, with errors relative to the prediction; returns
+    ``(ok, details)``.
 
-    The predicted period is ``len(constants)``.  Passes when |log rho_fit -
-    log rate| < EMP_LOG_RHO_TOL, |alpha_fit - alpha| < EMP_ALPHA_TOL and
-    |C_fit/C - 1| < EMP_CONST_TOL on every nonzero predicted residue class,
-    with no fitted constant above 1e-6 of the largest one where the prediction
-    is zero, over the ``common_period``.  Returns ``(ok, details)``.
+    Another PeriodicForm, at the working precision, passes with an equal
+    alpha and the rate and every residue constant within SYMBOLIC_REL_TOL
+    (absolute where the prediction is 0); errors below ``noise_floor`` are
+    reported as 0, so reordering the engine's sums cannot change the report.
+    A GrowthFit passes with |log rho_fit - log rate| < EMP_LOG_RHO_TOL,
+    |alpha_fit - alpha| < EMP_ALPHA_TOL and |C_fit/C - 1| < EMP_CONST_TOL on
+    every nonzero predicted class, and no fitted constant above 1e-6 of the
+    largest one where the prediction is 0; the prediction is read in float.
     """
-    constants = [float(c) for c in constants]
-    period = len(constants)
-    comp = {"log_rho_err": abs(math.log(fit.rho) - math.log(float(rate))),
-            "alpha_err": abs(fit.alpha - float(alpha))}
+    p, q = prediction.period, other.period
+    span = common_period(p, q)
+    if not isinstance(other, GrowthFit):
+        rate_err = abs(other.rate_modulus - prediction.rate_modulus) / prediction.rate_modulus
+        ok = rate_err < SYMBOLIC_REL_TOL and other.alpha == prediction.alpha and span is not None
+        errs = []
+        for r in range(span or 0):
+            got, want = other.constants[r % q], prediction.constants[r % p]
+            errs.append(abs(got) if want == 0 else abs(got - want) / abs(want))
+            ok = ok and errs[-1] < SYMBOLIC_REL_TOL
+        return ok, {"rate_rel_err": float(rate_err), "alpha": str(other.alpha),
+                    "constant_rel_errs": [float(e) if e >= noise_floor() else 0.0
+                                          for e in errs]}
+    comp = {"log_rho_err": abs(math.log(other.rho) - math.log(float(prediction.rate_modulus))),
+            "alpha_err": abs(other.alpha - float(prediction.alpha))}
     ok = comp["log_rho_err"] < EMP_LOG_RHO_TOL and comp["alpha_err"] < EMP_ALPHA_TOL
-    span = common_period(period, fit.period)
     if span is None:
-        return False, {"reason": f"fit period {fit.period} incompatible with {period}"}
-    cerrs = {}
+        return False, {"reason": f"fit period {q} incompatible with {p}"}
+    constants = [float(c) for c in prediction.constants]
     scale = max([abs(c) for c in constants] or [1.0])
+    cerrs = {}
     for r in range(span):
-        want = constants[r % period]
-        got = fit.constants.get(r % fit.period)
+        want = constants[r % p]
+        got = other.constants.get(r % q)
         if abs(want) < 1e-9 * scale:
             if got is not None and abs(got) > 1e-6 * scale:
                 cerrs[str(r)] = math.inf

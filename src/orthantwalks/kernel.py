@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orthantwalks.enumeration import endpoint_table
+from orthantwalks.enumeration import endpoint_tables
 from orthantwalks.laurent import LaurentPoly
 from orthantwalks.stepset import StepSet, decompose
 
@@ -159,55 +159,59 @@ def coprimality_spotcheck(kern: DiagonalKernel):
 # ------------------------------------------------------------ t-expansion
 
 def _series_pieces(kern: DiagonalKernel, boundary_axes):
-    """a, b, g0, g1 in z_1..z_d with H1 = 1 - t a, H2 = 1 - t b and
-    g0 + t g1 = G * prod_{j in boundary_axes} (1 - z_j)."""
+    """D and the integer polynomials D*a, D*b, D*g0, D*g1 in z_1..z_d, as
+    exponent -> coefficient dicts, where H1 = 1 - t a, H2 = 1 - t b,
+    g0 + t g1 = G * prod_{j in boundary_axes} (1 - z_j) and D is the lcm of
+    the denominators of a, b, g0 and g1."""
     d = kern.stepset.dim
     edge = LaurentPoly.const(d, 1)
     for j in set(boundary_axes):
         edge = edge * (1 - LaurentPoly.variable(d, j))
-    return (-kern.H1.coeff_slice(d, 1), -kern.H2.coeff_slice(d, 1),
-            edge * kern.G.coeff_slice(d, 0), edge * kern.G.coeff_slice(d, 1))
+    polys = (-kern.H1.coeff_slice(d, 1), -kern.H2.coeff_slice(d, 1),
+             edge * kern.G.coeff_slice(d, 0), edge * kern.G.coeff_slice(d, 1))
+    denom = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return denom, [{e: int(c * denom) for e, c in p.terms.items()} for p in polys]
 
 
-def _t_series(a: LaurentPoly, b: LaurentPoly, n_max, bound):
-    """The t-coefficients f_0..f_{n_max} of 1/((1 - t a)(1 - t b)), by
-    f_n = a f_{n-1} + b^n, keeping the terms with every exponent <= bound.
+def _product(p, q, bound):
+    """The product of two integer polynomials (exponent -> coefficient dicts),
+    keeping the terms with every exponent <= bound."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(operator.add, e1, e2))
+            if max(e) <= bound:
+                out[e] = out.get(e, 0) + c1 * c2
+    return out
 
-    a and b have exponents in 0..2, so exponents only grow along the
+
+def _t_series(a, b, n_max, bound):
+    """F_0..F_{n_max}, with F_n = D^n f_n for the t-coefficients f_n of
+    1/((1 - t a)(1 - t b)), by F_n = A F_{n-1} + B^n on the integer
+    polynomials A = D a and B = D b, keeping the terms with every exponent
+    <= bound.
+
+    A and B have exponents in 0..2, so exponents only grow along the
     recurrence: a term dropped here cannot reach a kept one later, and the
-    products skip such terms instead of forming them.  The recurrence runs on
-    the integer polynomials F_n = D^n f_n, with D the lcm of the denominators
-    of a and b.
+    products skip such terms instead of forming them.
     """
-    denom = math.lcm(*(c.denominator for p in (a, b) for c in p.terms.values()))
-    ai, bi = ({e: int(c * denom) for e, c in p.terms.items()} for p in (a, b))
-
-    def product(p, q):
-        out = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = tuple(map(operator.add, e1, e2))
-                if max(e) <= bound:
-                    out[e] = out.get(e, 0) + c1 * c2
-        return out
-
-    f = bpow = {(0,) * a.dim: 1}
-    yield LaurentPoly(a.dim, f)
-    for n in range(1, n_max + 1):
-        bpow = product(bpow, bi)
-        f = product(ai, f)
+    f = bpow = {(0,) * len(next(iter(a))): 1}
+    yield f
+    for _ in range(n_max):
+        bpow = _product(bpow, b, bound)
+        f = _product(a, f, bound)
         for e, c in bpow.items():
             f[e] = f.get(e, 0) + c
-        yield LaurentPoly(a.dim, {e: Fraction(c, denom**n) for e, c in f.items()})
+        yield f
 
 
-def _diagonal_term(g: LaurentPoly, f: LaurentPoly, n):
+def _diagonal_term(g, f, n):
     """Sum of the coefficients of g*f at (n, ..., n, k) for 0 <= k <= n."""
-    total = Fraction(0)
-    for e, c in g.terms.items():
+    total = 0
+    for e, c in g.items():
         head = tuple(n - x for x in e[:-1])
         for k in range(n + 1):
-            total += c * f.terms.get(head + (k - e[-1],), 0)
+            total += c * f.get(head + (k - e[-1],), 0)
     return total
 
 
@@ -217,12 +221,14 @@ def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=()):
     ``boundary_axes`` multiplies the numerator by prod (1 - z_j) over the given
     canonical axes, giving the boundary-return diagonals.  The geometric
     expansion of 1/H3 in z_d is folded in by summing the z_d-exponents <= n.
+    The sums run in integers, D^(n+1) times the coefficient, divided once.
     """
-    a, b, g0, g1 = _series_pieces(kern, boundary_axes)
+    denom, (a, b, g0, g1) = _series_pieces(kern, boundary_axes)
     out = []
-    prev = LaurentPoly.zero(kern.stepset.dim)
+    prev = {}
     for n, f in enumerate(_t_series(a, b, n_max, n_max)):
-        out.append(_diagonal_term(g0, f, n) + _diagonal_term(g1, prev, n))
+        total = _diagonal_term(g0, f, n) + denom * _diagonal_term(g1, prev, n)
+        out.append(Fraction(total, denom ** (n + 1)))
         prev = f
     return out
 
@@ -248,13 +254,16 @@ def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
     checkable exactly.
     """
     d = s.dim
-    a, b, g0, g1 = _series_pieces(diag_kernel(s), range(d - 1))
+    denom, (a, b, g0, g1) = _series_pieces(diag_kernel(s), range(d - 1))
     results = []
-    prev = LaurentPoly.zero(d)
-    for n, f in enumerate(_t_series(a, b, n_max, n_max)):
-        got = {e: c for e, c in (g0 * f + g1 * prev).terms.items() if max(e) <= n}
+    prev = {}
+    series = _t_series(a, b, n_max, n_max)
+    for n, (f, table) in enumerate(zip(series, endpoint_tables(s, n_max))):
+        got = _product(g0, f, n)
+        for e, c in _product(g1, prev, n).items():
+            got[e] = got.get(e, 0) + denom * c
+        got = {e: Fraction(c, denom ** (n + 1)) for e, c in got.items() if c}
         prev = f
-        table = endpoint_table(s, n)
         want = {tuple(n - x for x in s.canonical_vector(pt)): w
                 for pt, w in table.counts.items()}
         results.append((n, got == want))
@@ -263,6 +272,6 @@ def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
 
 def series_nonnegative(kern: DiagonalKernel, n_max=8):
     """All t-coefficients of 1/(H1*H2) have non-negative coefficients."""
-    a, b, _, _ = _series_pieces(kern, ())
+    _, (a, b, _, _) = _series_pieces(kern, ())
     # f_n has no exponent above 2n, so the bound 2 * n_max keeps every term
-    return all(c >= 0 for f in _t_series(a, b, n_max, 2 * n_max) for c in f.terms.values())
+    return all(c >= 0 for f in _t_series(a, b, n_max, 2 * n_max) for c in f.values())

@@ -29,7 +29,7 @@ from orthantwalks.asympt import (
     transverse_contribution,
 )
 from orthantwalks.catalog import COLUMN_FILTERS, ENTRIES, lookup, reproduce_tables
-from orthantwalks.cli import main, verify_model
+from orthantwalks.cli import main
 from orthantwalks.critical import (
     TRANSVERSE,
     QuadVal,
@@ -46,6 +46,7 @@ from orthantwalks.stepset import (
     classify,
     decompose,
 )
+from orthantwalks.verify import verify_model
 
 NSGROUP = build_stepset(2, ["N", "SE", "S", "SW"])
 NNWS = build_stepset(2, ["NE", "NW", "S"])

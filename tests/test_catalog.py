@@ -20,13 +20,15 @@ from orthantwalks.catalog import (
     NOSYM,
     CatalogEntry,
     StoredAsymptotics,
-    _compare_symbolic,
+    cells,
     eval_const,
     lookup,
     reproduce_tables,
+    stored_cell,
 )
-from orthantwalks.asympt import AsymptoticExpansion, PeriodicForm
+from orthantwalks.asympt import PeriodicForm
 from orthantwalks.enumeration import CapacityError, count_walks
+from orthantwalks.fit import compare
 from orthantwalks.stepset import build_stepset, classify
 
 
@@ -89,6 +91,18 @@ def test_eval_const_grammar():
             < mp.mpf(10) ** -40
         assert abs(eval_const("2*sqrt(2)/gamma(fr(1,4))")
                    - 2 * mp.sqrt(2) / mp.gamma(mp.mpf(1) / 4)) < mp.mpf(10) ** -40
+
+
+def test_stored_cell_by_model_and_filter():
+    for e in ENTRIES:
+        s = e.stepset()
+        for _, col, stored in cells(e, "both"):
+            assert stored_cell(s, catalog.COLUMN_FILTERS[col]) is stored
+            assert stored_cell(e.name, catalog.COLUMN_FILTERS[col]) is stored
+    assert stored_cell("NE,W,S", ("axes", (0,))) is None  # no table2
+    assert stored_cell(build_stepset(2, [("N", 2), "S", "E", "W"]), "anywhere") is None
+    steps_3d = [((0, 0, 1), 1)] + [((x, y, -1), 1) for x in (-1, 1) for y in (-1, 1)]
+    assert stored_cell(build_stepset(3, steps_3d), "anywhere") is None
 
 
 def test_gf_series_match_oracle():
@@ -210,10 +224,9 @@ def test_compare_symbolic_aligns_periods_both_ways(engine_period, stored_period,
     engine = StoredAsymptotics("2*sqrt(3)", Fraction(-2),
                                tuple(pattern[r % 2] for r in range(engine_period)))
     with mp.workprec(256):
-        expansion = AsymptoticExpansion([], Fraction(-2), engine.periodic())
-        got, details = _compare_symbolic(stored.periodic(), expansion)
-    assert got == status
-    assert details["constant_rel_errs"] == ([0.0] * 4 if status == "pass" else [])
+        ok, details = compare(stored.periodic(), engine.periodic())
+    assert ok is (status == "pass")
+    assert details["constant_rel_errs"] == ([0.0] * 4 if ok else [])
 
 
 def test_stored_periodic_form():

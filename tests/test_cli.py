@@ -10,8 +10,9 @@ import pytest
 from mpmath import mp
 
 from orthantwalks.asympt import asympt_closed
-from orthantwalks.cli import build_parser, main, verify_model
+from orthantwalks.cli import build_parser, main
 from orthantwalks.stepset import build_stepset, load_stepset
+from orthantwalks.verify import verify_model
 
 
 # ------------------------------------------------------------ verify_model

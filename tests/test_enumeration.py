@@ -14,9 +14,11 @@ from orthantwalks import _dp, catalog
 from orthantwalks.enumeration import (
     ENDPOINT_TABLE_MAX_N,
     CapacityError,
+    CountSeries,
     count_profile,
     count_walks,
     endpoint_table,
+    endpoint_tables,
     normalize_filter,
     parse_filter,
 )
@@ -98,8 +100,11 @@ def test_exact_counts_match_brute_force_at_every_horizon(s, horizon):
 
 @pytest.mark.parametrize("s", [WEIGHTED, D3], ids=["rational weights", "3D"])
 def test_endpoint_tables_match_brute_force(s):
+    # one pass gives every table up to n_max, each as endpoint_table gives it
+    tables = endpoint_tables(s, ENDPOINT_TABLE_MAX_N)
     for n, frontier in enumerate(brute_force_endpoints(s.steps, ENDPOINT_TABLE_MAX_N, s.dim)):
-        assert endpoint_table(s, n).counts == frontier
+        assert tables[n].n == n
+        assert tables[n].counts == endpoint_table(s, n).counts == frontier
 
 
 @pytest.mark.parametrize("s, n_max", [(NSESSW, 81), (D3, 30), (D4, 16)], ids=["2D", "3D", "4D"])
@@ -305,6 +310,14 @@ def test_float_matches_exact_to_1e12():
         assert abs(fl.log_value(k) - math.log(exact[k])) < 1e-12
 
 
+def test_exact_log_value_past_the_float_range():
+    # a Fraction past the float range takes log(numerator) - log(denominator)
+    series = CountSeries("exact", "anywhere", [Fraction(3**700, 32), 0, 3**700])
+    assert series.log_value(0) == pytest.approx(700 * math.log(3) - 5 * math.log(2), rel=1e-15)
+    assert series.log_value(1) == -math.inf
+    assert series.log_value(2) == math.log(3**700)
+
+
 def test_float_value_finite_where_only_the_scale_overflows():
     # at the origin of N,S,E,W, s_2m = C_m C_(m+1) (Catalan numbers): s_520 is
     # about 8.4e305 although the scale 4^520 passes the float range
@@ -387,6 +400,25 @@ def test_profile_of_chosen_filters_matches_the_full_profile():
         assert series.underflow == full[flt].underflow
     assert (count_walks(D3, 40, "origin", mode="float").values.tobytes()
             == full[("axes", (0, 1, 2))].values.tobytes())
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=lambda e: e.name)
+def test_one_filter_profile_is_the_all_filter_series_byte_for_byte(entry):
+    # a pass for some filters steps only the parts those filters read
+    s = entry.stepset()
+    full = count_profile(s, 160)
+    for flt in standard_filters(2):
+        one = count_profile(s, 160, filters=[flt])[flt]
+        assert one.values.tobytes() == full[flt].values.tobytes(), flt
+        assert (one.log_scale, one.underflow) == (full[flt].log_scale, full[flt].underflow)
+
+
+def test_evolve_keeps_the_parts_its_filters_read():
+    vectors, weights = [v for v, _ in D3.steps], [1] * len(D3.steps)
+    *_, origin = _dp.evolve(vectors, weights, 12, object, [(0, 1, 2)])
+    assert set(origin) == {(0, 1, 2)}
+    *_, axis = _dp.evolve(vectors, weights, 12, object, [(1,), (0, 1)])
+    assert set(axis) == {(0, 1, 2), (0, 1), (1, 2), (1,)}
 
 
 def test_monotone_bound_integer_weights():

@@ -8,11 +8,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from orthantwalks.asympt import PeriodicForm
 from orthantwalks.catalog import ENTRIES
-from orthantwalks.cli import verify_model
 from orthantwalks.enumeration import CountSeries, count_profile, count_walks
-from orthantwalks.fit import MIN_FIT_N, GrowthFit, common_period, compare_fit, estimate_growth
+from orthantwalks.fit import MIN_FIT_N, GrowthFit, common_period, compare, estimate_growth
 from orthantwalks.stepset import build_stepset
+from orthantwalks.verify import verify_model
 
 
 def synth(values, log_scale=0.0, flt="anywhere"):
@@ -47,6 +48,14 @@ def test_fit_periodic_with_structural_zeros():
     assert fit.structural_zeros == (1,)
     assert abs(fit.constants[0] - 7) < 1e-4
     assert 1 not in fit.constants
+
+
+def test_fit_exact_fraction_series_past_the_float_range():
+    # s_n = (3/2)^n as exact Fractions up to n = 2000, about 1e352 at the end
+    fit = estimate_growth(CountSeries("exact", "anywhere",
+                                      [Fraction(3, 2) ** n for n in range(2001)]))
+    assert abs(fit.rho - 1.5) < 1e-6
+    assert abs(fit.alpha) < 1e-3
 
 
 def test_fit_requires_length():
@@ -85,11 +94,15 @@ def test_fit_tolerance_monotonicity():
     assert errs[1] < errs[0]
 
 
-# ---------------------------------------------------------------- compare_fit
+# ------------------------------------------------------- compare with a fit
 
 def fitted(constants, period, rho=2.0, alpha=-1.0):
     zeros = tuple(r for r in range(period) if r not in constants)
     return GrowthFit(rho, alpha, period, constants, zeros, True, {})
+
+
+def predicted(constants, rate=2.0, alpha=-1.0):
+    return PeriodicForm(len(constants), list(constants), alpha, rate, str(rate))
 
 
 @pytest.mark.parametrize("p, q, span", [
@@ -99,13 +112,13 @@ def test_common_period(p, q, span):
 
 
 def test_compare_rejects_incompatible_periods():
-    ok, details = compare_fit(fitted({0: 1.0, 1: 1.0}, 2), 2.0, -1.0, [1.0, 1.0, 1.0])
+    ok, details = compare(predicted([1.0, 1.0, 1.0]), fitted({0: 1.0, 1: 1.0}, 2))
     assert not ok
     assert details["reason"] == "fit period 2 incompatible with 3"
 
 
 def test_compare_rejects_incompatible_periods_reversed():
-    ok, details = compare_fit(fitted({0: 1.0, 1: 1.0, 2: 1.0}, 3), 2.0, -1.0, [1.0, 1.0])
+    ok, details = compare(predicted([1.0, 1.0]), fitted({0: 1.0, 1: 1.0, 2: 1.0}, 3))
     assert not ok
     assert details["reason"] == "fit period 3 incompatible with 2"
 
@@ -114,46 +127,46 @@ def test_compare_rejects_incompatible_periods_reversed():
 def test_compare_aligns_periods_both_ways(fit_period, period):
     # constants repeating with period 2, written out over period 2 or 4
     fit = fitted({r: (3.0, 5.0)[r % 2] for r in range(fit_period)}, fit_period)
-    ok, details = compare_fit(fit, 2.0, -1.0, [(3.0, 5.0)[r % 2] for r in range(period)])
+    ok, details = compare(predicted([(3.0, 5.0)[r % 2] for r in range(period)]), fit)
     assert ok
     assert details["constant_rel_errs"] == {str(r): 0.0 for r in range(4)}
 
 
 def test_compare_takes_exact_and_multiprecision_predictions():
-    ok, details = compare_fit(fitted({0: 1.0}, 1), mpmath.mpf(2), Fraction(-1),
-                              [mpmath.mpf(1)])
+    ok, details = compare(predicted([mpmath.mpf(1)], mpmath.mpf(2), Fraction(-1)),
+                          fitted({0: 1.0}, 1))
     assert ok
     assert details == {"log_rho_err": 0.0, "alpha_err": 0.0, "constant_rel_errs": {"0": 0.0}}
 
 
 def test_compare_flags_mass_on_a_predicted_zero_class():
-    ok, details = compare_fit(fitted({0: 4.0, 1: 1e-5}, 2), 2.0, -1.0, [4.0, 0.0])
+    ok, details = compare(predicted([4.0, 0.0]), fitted({0: 4.0, 1: 1e-5}, 2))
     assert not ok
     assert details["constant_rel_errs"] == {"0": 0.0, "1": math.inf}
 
 
 def test_compare_accepts_a_structural_zero_on_a_predicted_zero_class():
-    ok, details = compare_fit(fitted({0: 4.0}, 2), 2.0, -1.0, [4.0, 0.0])
+    ok, details = compare(predicted([4.0, 0.0]), fitted({0: 4.0}, 2))
     assert ok
     assert details["constant_rel_errs"] == {"0": 0.0}
 
 
 def test_compare_refolds_a_shorter_fit_period():
-    ok, details = compare_fit(fitted({0: 3.0}, 1), 2.0, -1.0, [3.0, 3.0])
+    ok, details = compare(predicted([3.0, 3.0]), fitted({0: 3.0}, 1))
     assert ok
     assert details["constant_rel_errs"] == {"0": 0.0, "1": 0.0}
 
 
 @pytest.mark.parametrize("got, passes", [(1.09, True), (1.11, False)])
 def test_compare_constant_tolerance(got, passes):
-    ok, details = compare_fit(fitted({0: got}, 1), 2.0, -1.0, [1.0])
+    ok, details = compare(predicted([1.0]), fitted({0: got}, 1))
     assert ok is passes
     assert details["constant_rel_errs"]["0"] == pytest.approx(got - 1)
 
 
 @pytest.mark.parametrize("rho, alpha", [(2.03, -1.0), (2.0, -1.06)])
 def test_compare_rate_and_alpha_tolerances(rho, alpha):
-    ok, _ = compare_fit(fitted({0: 1.0}, 1, rho=rho, alpha=alpha), 2.0, -1.0, [1.0])
+    ok, _ = compare(predicted([1.0]), fitted({0: 1.0}, 1, rho=rho, alpha=alpha))
     assert not ok
 
 

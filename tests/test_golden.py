@@ -26,6 +26,8 @@ CASES = {
     "verify_N_W_SE": (["verify", "--n", "256", "--model", "N,W,SE"], 2),
     "catalog_symbolic": (["catalog", "--check", "--table", "both",
                           "--modes", "symbolic"], 0),
+    # both modes: the empirical cells' fitted details, at the default n 512
+    "catalog_both": (["catalog", "--check", "--table", "both"], 0),
     "asympt_N_SE_SW_axes1": (["asympt", "--model", "N,SE,SW",
                               "--endpoint", "axes=1"], 0),
     "critical_N_SE_S_SW": (["critical", "--model", "N,SE,S,SW"], 0),

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mpmath import mp
+
 import orthantwalks
+from orthantwalks import fit
 
 PACKAGE = Path(orthantwalks.__file__).parent
 LAURENT = "orthantwalks.laurent"
@@ -111,3 +114,51 @@ def test_cli_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _tolerance_uses(source):
+    """(line, name) of each comparison tolerance the source defines, reads or
+    imports: SYMBOLIC_REL_TOL and the EMP_* names."""
+    def tolerance(name):
+        return name == "SYMBOLIC_REL_TOL" or name.startswith("EMP_")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and tolerance(node.id):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and tolerance(node.attr):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if tolerance(a.name)]
+    return found
+
+
+def test_the_tolerance_owner_guard_sees_every_use():
+    assert _tolerance_uses("from orthantwalks.fit import EMP_ALPHA_TOL as tol") == [
+        (1, "EMP_ALPHA_TOL")]
+    assert _tolerance_uses("import orthantwalks.fit as f\nok = err < f.SYMBOLIC_REL_TOL") == [
+        (2, "SYMBOLIC_REL_TOL")]
+    assert _tolerance_uses("EMP_CONST_TOL = 0.2") == [(1, "EMP_CONST_TOL")]
+    assert _tolerance_uses("from orthantwalks.fit import compare\nTOL = 1e-3") == []
+
+
+def test_only_fit_holds_the_comparison_tolerances():
+    # one comparison reads them, so the symbolic and the empirical rule cannot
+    # drift apart between verify and catalog --check
+    offenders = {p.name: found for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name != "fit.py" and (found := _tolerance_uses(p.read_text()))}
+    assert not offenders
+    with mp.workprec(53):
+        assert fit.SYMBOLIC_REL_TOL == mp.mpf("1e-12")
+    assert (fit.EMP_LOG_RHO_TOL, fit.EMP_ALPHA_TOL, fit.EMP_CONST_TOL) == (1e-2, 0.05, 0.10)
+
+
+def test_cli_only_parses_dispatches_and_writes():
+    # verification lives in orthantwalks.verify; cli re-exports verify_model
+    # and estimate_growth by name, which perfbench wraps
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"verify_model", "VerificationReport", "expansion_payload"}
+    from orthantwalks import cli, verify
+    assert cli.verify_model is verify.verify_model
+    assert cli.estimate_growth is fit.estimate_growth
