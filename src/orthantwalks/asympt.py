@@ -10,20 +10,39 @@ Two routes produce (rate, polynomial order, per-residue constants):
   explicit formula to any depth exactly in ``QuadVal`` arithmetic (for the
   diagonal Hessian it reads u gU^l only at even multi-indices); only the
   prefactor (2 pi)^{-m/2} prod_a lam_a^{-1/2} is numeric, and each coefficient is
-  rounded once.  One expansion plan, ``_Integrand``, built once per
-  ``asympt_full`` call from the model and the filter, decides the form and
+  rounded once.  One expansion plan, ``_Integrand``, built once per model and
+  endpoint variant and kept with the ``StepSet``, decides the form and
   gives its exact phase and amplitude polynomials: the one-factor form for
   fully symmetric models; the kernel sheet, in z_1..z_d, for smooth points;
   and with positive drift and the drift axis left free, the crossing points,
   where the sheet meets the pole {z_d = 1}, expanded after the residue there
   in z_1..z_{d-1}.
 
+The contributing points come in families, and the plan expands one point of
+each; every other point takes the coefficients of an earlier one by one of
+two exact rules (``_Integrand.expand_all``):
+
+* complex conjugation: where a point's centre is the complex conjugate of
+  another's, so are its coefficients.  Every plan polynomial has rational
+  coefficients, so the jets at the conjugate centre are the conjugate jets
+  with theta -> -theta, and the engine reads them only at even multi-indices.
+* sign flips: where the centre is signs * (another centre), signs in
+  {+-1}^m, and z -> signs * z maps the phase to +-itself, the numerator to
+  mu times itself and each denominator k to nu_k times itself (mu, nu_k =
+  +-1, checked term by term on the ``LaurentPoly``s), the jets at the two
+  centres are those of the same polynomials up to these signs: the phase
+  jet is unchanged, the amplitude jet is mu / prod nu_k times the other.
+
+Both rules give the expansion's own bits: the sums L_k are exact, so the
+derived L_k are the expanded ones negated or conjugated exactly, and rounding
+to nearest commutes with a change of sign, so the rounded coefficients follow.
+
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
-``asympt_full`` translates the filter, builds the plan, takes the points of
+``asympt_full`` translates the filter, takes the plan and the points of
 its form (crossing or smooth-sheet, both chosen exactly by ``critical``),
-expands each and folds: every output is folded into a periodic
+expands them and folds: every output is folded into a periodic
 normal form with real per-residue constants, which is what verification
 compares.  The fold reads exact zeros and exact units: the leading index is
 the first with a nonzero coefficient, each rate is 1, -1, i or -i (the
@@ -213,6 +232,7 @@ class _Integrand:
         self.dim = dim = d - 1 if crossing else d
         self.alpha = Fraction(-dim, 2)
         self.depth = 2 + len([j for j in variant if j != d - 1])
+        self._units = {}  # sign vector -> flip_unit
         num = LaurentPoly.const(dim, 1)
         for j in range(d if symmetric else d - 1):
             num = num * (1 + LaurentPoly.variable(dim, j))
@@ -232,27 +252,76 @@ class _Integrand:
         self.num = num * (B - LaurentPoly.variable(d, d - 1, 2) * A)
         self.dens = [B] if d - 1 in variant else [B, 1 - LaurentPoly.variable(d, d - 1)]
 
+    def center(self, point):
+        """The point's exact coordinates in this plan's variables."""
+        return point.exact_w()[:self.dim]
+
     def jets(self, point, phase_order, amplitude_order):
         """Amplitude jet u, phase jet g and diagonal Hessian entries at one
         contributing point, to the given degrees."""
-        center = point.exact_w()[:self.dim]
+        center = self.center(point)
         g, lam = _phase_jets(self.phase, center, phase_order)
         u = jet_of_exponential_substitution(self.num, center, amplitude_order)
         for den in self.dens:
             u = u * jet_of_exponential_substitution(den, center, amplitude_order).reciprocal()
         return u, g, lam
 
+    def _check_form(self, point):
+        if point.is_crossing() != self.crossing:
+            kind = "a crossing point" if point.is_crossing() else "a smooth-sheet point"
+            raise ValueError(f"the {self.route} expansion does not take {kind}")
+
     def expand(self, point, N):
         """The depth-N expansion at one point of this plan's form; each jet
         only to the degree ``_saddle_coefficients`` reads."""
         if N < 1:
             raise ValueError(f"expansion depth N must be at least 1, got {N}")
-        if point.is_crossing() != self.crossing:
-            kind = "a crossing point" if point.is_crossing() else "a smooth-sheet point"
-            raise ValueError(f"the {self.route} expansion does not take {kind}")
+        self._check_form(point)
         u, g, lam = self.jets(point, 2 * N, 2 * (N - 1))
         return ContributionTerm(point, point.rate_exact, self.alpha,
                                 _saddle_coefficients(u, g, lam, N))
+
+    def expand_all(self, points, N):
+        """The depth-N expansions at ``points``, in order.  A point whose
+        centre is the complex conjugate, or a sign flip (``flip_unit``), of
+        an earlier point's centre takes that point's coefficients, conjugated
+        or times the flip's unit; every other point is expanded."""
+        terms, known = [], []  # known: (center, its complex conjugate, coefficients)
+        for p in points:
+            self._check_form(p)
+            center = self.center(p)
+            derived = next((c for k in known if (c := self._image(center, *k)) is not None), None)
+            term = (self.expand(p, N) if derived is None
+                    else ContributionTerm(p, p.rate_exact, self.alpha, derived))
+            known.append((center, tuple(c.conjugate() for c in center), term.coefficients))
+            terms.append(term)
+        return terms
+
+    def _image(self, center, other, other_conj, coefficients):
+        """The coefficients at ``center`` from the ``coefficients`` at the
+        centre ``other``, or None when neither rule relates the two."""
+        if center == other_conj:
+            return [mp.conj(c) for c in coefficients]
+        signs = tuple(1 if c == o else -1 if c == -o else 0 for c, o in zip(center, other))
+        unit = None if 0 in signs else self.flip_unit(signs)
+        if unit is None:
+            return None
+        return list(coefficients) if unit == 1 else [-c for c in coefficients]
+
+    def flip_unit(self, signs):
+        """mu / prod_k nu_k when z -> signs * z maps the phase to +-itself,
+        the numerator to mu times itself and each denominator k to nu_k times
+        itself; None otherwise.  Decided once per sign vector."""
+        if signs not in self._units:
+            parts = [p.reflection_sign(signs) for p in (self.phase, self.num, *self.dens)]
+            self._units[signs] = None if None in parts else math.prod(parts[1:])
+        return self._units[signs]
+
+
+def _plan(s: StepSet, variant) -> _Integrand:
+    """The expansion plan of ``s`` and a canonical variant, built once per
+    StepSet."""
+    return s.derived(("plan", variant), lambda s: _Integrand(s, variant))
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
@@ -268,7 +337,7 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     number of integration variables (d, or d-1 after the residue at a
     crossing point).
     """
-    return _Integrand(s, numerator_variant).expand(point, N)
+    return _plan(s, tuple(sorted(numerator_variant))).expand(point, N)
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
@@ -424,10 +493,10 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     string is the exact rate of the principal point; unsupported models are
     refused by ``decompose`` when the plan or the points are built.
     """
-    plan = _Integrand(s, s.canonical_variant(normalize_filter(flt, s.dim)))
+    plan = _plan(s, s.canonical_variant(normalize_filter(flt, s.dim)))
     pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
     with mp.workprec(prec + GUARD_BITS):
-        terms = [plan.expand(p, plan.depth if N is None else N) for p in pts]
+        terms = plan.expand_all(pts, plan.depth if N is None else N)
         periodic = _fold(terms, plan.alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
     return AsymptoticExpansion(terms, plan.alpha, periodic, periodic is None, plan.route,

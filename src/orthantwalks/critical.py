@@ -135,24 +135,31 @@ def _sign_vector_points(s: StepSet, dcmp, crossing):
     return out
 
 
+def _points(s: StepSet, crossing):
+    """The crossing or the smooth-sheet points, searched once per StepSet."""
+    key = "crossing points" if crossing else "smooth-sheet points"
+    return s.derived(key, lambda s: tuple(_sign_vector_points(s, decompose(s), crossing)))
+
+
 def contributing_points(s: StepSet):
     """All contributing singularities for the length diagonal, per drift class.
 
     Positive drift: crossing points (w, 1, t) with |S(w,1)| = S(1).  Negative
     drift: smooth points (w, +-sqrt(B(w)/A(w)), t).  Zero drift (fully
     symmetric): the sign points, the all-ones one lying on the crossing.  For
-    drift <= 0 these are exactly the ``smooth_sheet_points``.
+    drift <= 0 these are exactly the ``smooth_sheet_points``.  A new list on
+    every call.
     """
-    return _sign_vector_points(s, decompose(s), classify(s).drift_sign > 0)
+    return list(_points(s, classify(s).drift_sign > 0))
 
 
 def smooth_sheet_points(s: StepSet):
-    """Smooth-sheet critical points regardless of drift sign.
+    """Smooth-sheet critical points regardless of drift sign, in a new list.
 
     These drive boundary-return asymptotics when the returning set includes
     the drift axis (the 1 - z_d factor cancels and the crossing disappears).
     """
-    return _sign_vector_points(s, decompose(s), False)
+    return list(_points(s, False))
 
 
 def minimal_point(s: StepSet) -> ContributingPoint:

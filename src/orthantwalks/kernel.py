@@ -110,6 +110,11 @@ class DiagonalKernel:
 
 
 def diag_kernel(s: StepSet) -> DiagonalKernel:
+    """The rational-diagonal representation of ``s``, built once per StepSet."""
+    return s.derived("diagonal kernel", _diag_kernel)
+
+
+def _diag_kernel(s):
     dcmp = decompose(s)
     d = s.dim
     nv = d + 1  # z_1..z_d, t

@@ -8,13 +8,14 @@ c in one field.  Every coefficient is i^{|e|} times an element of
 Q(sqrt(r)), r = m's numerator times its denominator, held as a pair of
 Python integers over divided powers, so products, reciprocals and logarithms
 are exact and zeros are exact zeros; outside the jet it is a QuadVal.  Only
-``to_mp``, ``Jet.coefficient`` and ``LaurentPoly.eval`` round.  A jet claims
+``to_mp``, ``QuadVal.to_mp`` and ``LaurentPoly.eval`` round.  A jet claims
 no degree past its order, so a product is read only as far as its factors
 fix it.  ``noise_floor`` is the one test for rounding noise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -242,6 +243,16 @@ class LaurentPoly:
             out[tuple(e)] = coeff * expo[j]
         return LaurentPoly(self.dim, out)
 
+    def reflection_sign(self, signs):
+        """The sign s = +-1 with p(signs * z) = s p(z), signs in {+-1}^dim,
+        or None when p(signs * z) is not +-p(z): each term picks up the
+        product of the signs at its odd exponents, so the identity holds
+        exactly when all terms pick up the same one (any s for p = 0)."""
+        found = {math.prod(sg for sg, e in zip(signs, expo) if e % 2) for expo in self.terms}
+        if len(found) > 1:
+            return None
+        return found.pop() if found else 1
+
     # ------------------------------------------------------------ evaluation
 
     def eval(self, point):
@@ -372,7 +383,8 @@ class QuadVal:
         return QuadVal(other) / self if isinstance(other, (int, Fraction)) else NotImplemented
 
     def conj(self):
-        """rat - coef*sqrt(m)."""
+        """The Galois conjugate rat - coef*sqrt(m).  It is the complex
+        conjugate only when m < 0; see ``conjugate``."""
         x, y, d, m = self._k
         return QuadVal._of(x, -y, d, m)
 
@@ -384,6 +396,16 @@ class QuadVal:
     def is_rational(self):
         """True when the value has no root part."""
         return not self._k[1]
+
+    def is_real(self):
+        """True when the value is a real number: no root part, or the root of
+        a positive radicand."""
+        return not self._k[1] or self._k[3] > 0
+
+    def conjugate(self):
+        """The complex conjugate, as for Python's numbers: the value itself
+        when it is real, and the Galois conjugate ``conj`` when m < 0."""
+        return self if self.is_real() else self.conj()
 
     def __bool__(self):
         """False exactly when the value is 0, decided by rational comparisons."""
@@ -441,7 +463,7 @@ class Jet:
     1 + h, integral over one base: a product of degrees k1 and k2 only takes
     the binomial C(k1 + k2, k1).  ``coeffs`` maps each multi-index with a
     nonzero coefficient to its pair (x_e, y_e), read outside as a ``QuadVal``
-    (``value``) or rounded (``coefficient``).  Multi-indices are trusted.
+    (``value``).  Multi-indices are trusted.
     """
 
     __slots__ = ("dim", "order", "r", "scale", "base", "coeffs")
@@ -468,14 +490,6 @@ class Jet:
     def values(self):
         """``value`` at each multi-index with a nonzero coefficient."""
         return {e: self.value(e) for e in self.coeffs}
-
-    def coefficient(self, expo):
-        """The coefficient at ``expo`` at the working precision."""
-        expo = tuple(expo)
-        return self.value(expo).to_mp() * (1, 1j, -1, -1j)[sum(expo) % 4]
-
-    def constant_term(self):
-        return self.coefficient((0,) * self.dim)
 
     def truncated(self, order):
         """The terms to degree ``order``, at most the jet's own order."""
@@ -632,6 +646,23 @@ def _mul_into(out, r, e1, x1, y1, row):
             out[e] = (px, py)
 
 
+@functools.cache
+def _substitution_tables(dim, order):
+    """What every substitution jet of one dimension and order shares: the
+    multi-indices k to total degree ``order``; for each k past the first, its
+    parent step (the position of k minus 1 at its first nonzero place j, and
+    j); and each k's multinomial |k|!/k!, which turns 1/k! into divided
+    powers (1/k! = (|k|!/k!) / |k|!)."""
+    index = tuple(multi_indices(dim, order))
+    pos = {k: i for i, k in enumerate(index)}
+    steps = []
+    for k in index[1:]:
+        j = next(j for j, kj in enumerate(k) if kj)
+        steps.append((pos[k[:j] + (k[j] - 1,) + k[j + 1:]], j))
+    mults = tuple(math.factorial(sum(k)) // math.prod(map(math.factorial, k)) for k in index)
+    return index, tuple(steps), mults
+
+
 def jet_of_exponential_substitution(p, center, order):
     """Taylor jet at theta=0 of theta |-> p(c_1 e^{i theta_1}, ..., c_d e^{i theta_d}).
 
@@ -659,13 +690,7 @@ def jet_of_exponential_substitution(p, center, order):
             a, b = a * up ** abs(e), b * down ** abs(e)
         terms.append((expo, a, b, half % 2) if b > 0 else (expo, -a, -b, half % 2))
     den = math.lcm(*(b for _, _, b, _ in terms))  # X_k, Y_k summed as integers
-    index = list(multi_indices(d, order))
-    # each k past the first is a smaller one plus 1 at its first nonzero place j
-    pos = {k: i for i, k in enumerate(index)}
-    steps = []
-    for k in index[1:]:
-        j = next(j for j, kj in enumerate(k) if kj)
-        steps.append((pos[k[:j] + (k[j] - 1,) + k[j + 1:]], j))
+    index, steps, mults = _substitution_tables(d, order)
     sums = []  # [X_k, Y_k] for k in index: sum over the terms of value * e^k
     for odd in (0, 1):
         part = [(expo, a * (den // b)) for expo, a, b, o in terms if o == odd]
@@ -679,8 +704,6 @@ def jet_of_exponential_substitution(p, center, order):
     root = math.isqrt(r) if r >= 0 else -1  # a negative r is no square
     fold = root * root == r
     out = {}
-    for k, x, y in zip(index, *sums):
-        # divided powers: 1/k! = (|k|!/k!) / |k|!
-        mult = math.factorial(sum(k)) // math.prod(map(math.factorial, k))
+    for k, mult, x, y in zip(index, mults, *sums):
         out[k] = ((q * x + root * y) * mult, 0) if fold else (q * x * mult, y * mult)
     return Jet(d, order, out, 0 if fold else r, q * den)._reduced()

@@ -1,11 +1,15 @@
 """Weighted step-set models on {-1,0,1}^d: validation, symmetry classification,
 and the exact decompositions of the characteristic Laurent polynomial that the
-asymptotic formulas consume."""
+asymptotic formulas consume.
+
+A model's exact derived data (its class, decomposition, diagonal kernel,
+contributing points and expansion plans) depends only on the model, so each
+datum is built once per ``StepSet`` and kept with it (``StepSet.derived``)."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from orthantwalks.laurent import LaurentPoly
@@ -78,11 +82,22 @@ class StepSet:
     canonical permutation (canonical axis i is original axis axis_order[i])
     placing the non-symmetric axis last, so the theory can always treat the
     final coordinate as the drift direction.
+
+    The data ``derived`` keeps is no part of equality, hashing or repr, and a
+    new StepSet (``scaled`` too) starts without any.
     """
 
     dim: int
     steps: tuple  # ((vector, weight), ...) in original axis order
     axis_order: tuple  # canonical position -> original axis
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, key, build):
+        """``build(self)``, built on the first call with ``key`` and kept with
+        this StepSet; a build that raises keeps nothing."""
+        if key not in self._store:
+            self._store[key] = build(self)
+        return self._store[key]
 
     # -------------------------------------------------------------- mappings
 
@@ -202,6 +217,10 @@ def build_stepset(dimension, steps):
 
 def classify(s: StepSet) -> SymmetryClass:
     """Symmetry class and drift sign; Unsupported when outside the theory."""
+    return s.derived("class", _classify)
+
+
+def _classify(s):
     sym = _symmetric_axes(s.dim, s.steps)
     non_sym = [j for j in range(s.dim) if j not in sym]
     d = s.dim
@@ -252,6 +271,10 @@ class Decomposition:
 
 def decompose(s: StepSet) -> Decomposition:
     """Exact decompositions of the characteristic polynomial (canonical order)."""
+    return s.derived("decomposition", _decompose)
+
+
+def _decompose(s):
     cls = classify(s)
     if cls.kind == UNSUPPORTED:  # the one support check every analytic route meets
         if cls.axis is not None:

@@ -3,7 +3,7 @@ the shifted-slice DP kernel, the mpmath jets with the numeric substitution
 and the engine's explicit formula on them, the operator saddle route, numeric
 point selection, numeric folding), and the exact
 helpers only tests use (group action, rational equality, closed-form
-series)."""
+series), with an exact jet's coefficients read at the working precision."""
 
 from __future__ import annotations
 
@@ -352,6 +352,18 @@ class MpcJet:
             raise ZeroDivisionError("jet has zero constant term")
         return (self * (1 / c0))._by_degree(
             mp.log(c0), lambda i, deg: mp.mpf(i - deg) / deg, plus_self=True)
+
+
+def jet_coefficient(jet, expo):
+    """A ``laurent.Jet``'s coefficient at ``expo`` at the working precision:
+    i^{|e|} times its exact ``value``."""
+    expo = tuple(expo)
+    return jet.value(expo).to_mp() * (1, 1j, -1, -1j)[sum(expo) % 4]
+
+
+def jet_constant_term(jet):
+    """A ``laurent.Jet``'s constant term at the working precision."""
+    return jet_coefficient(jet, (0,) * jet.dim)
 
 
 def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):

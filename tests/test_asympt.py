@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from helpers import (
+    jet_coefficient,
     numeric_fold,
     numeric_jet_of_exponential_substitution,
     numeric_saddle_coefficients,
@@ -210,13 +211,13 @@ def _lemma_targets(s, dcmp, p):
             e2 = tuple(2 if k == j else 0 for k in range(d))
             bj = dcmp.eval_Bk(j, p.w)
             assert not jet.value(e1)  # an exact zero
-            out.append((jet.coefficient(e2) * 2, -2 * p.w[j] * bj))
+            out.append((jet_coefficient(jet, e2) * 2, -2 * p.w[j] * bj))
         if p.stratum == "SmoothV1":
             ed1 = tuple(1 if k == d - 1 else 0 for k in range(d))
             ed2 = tuple(2 if k == d - 1 else 0 for k in range(d))
             bd = dcmp.eval_B(p.w)
             assert not jet.value(ed1)
-            out.append((jet.coefficient(ed2) * 2, -2 * bd / p.w[d - 1]))
+            out.append((jet_coefficient(jet, ed2) * 2, -2 * bd / p.w[d - 1]))
             for j in range(d - 1):
                 e = tuple((2 if k == j else 0) + (1 if k == d - 1 else 0)
                           for k in range(d))
@@ -225,7 +226,7 @@ def _lemma_targets(s, dcmp, p):
                 apv = apj.eval(zhat) if apj.dim else apj.eval(())
                 bpv = bpj.eval(zhat) if bpj.dim else bpj.eval(())
                 want = -2j * p.w[j] * (p.w[d - 1] * apv - bpv / p.w[d - 1])
-                out.append((jet.coefficient(e) * 2, want))
+                out.append((jet_coefficient(jet, e) * 2, want))
         return out
 
 
@@ -281,7 +282,7 @@ def test_exact_jets_match_numeric_substitution(s, order, data):
                 scale = max([abs(c) for c in oracle.coeffs.values()] + [mp.mpf(1)])
                 for e, c in oracle.coeffs.items():
                     if exact.value(e):
-                        assert abs(exact.coefficient(e) - c) <= mp.mpf(2) ** -200 * abs(c)
+                        assert abs(jet_coefficient(exact, e) - c) <= mp.mpf(2) ** -200 * abs(c)
                     else:
                         assert abs(c) <= mp.mpf(2) ** -(PREC // 2) * scale
 
@@ -407,7 +408,7 @@ def test_exact_saddle_jets_match_mpc_oracle(s, order, data):
                 for e in set(exact.values()) | set(oracle.coeffs):
                     c = oracle.coefficient(e)
                     if exact.value(e):
-                        assert abs(exact.coefficient(e) - c) <= mp.mpf(2) ** -180 * scale
+                        assert abs(jet_coefficient(exact, e) - c) <= mp.mpf(2) ** -180 * scale
                     else:
                         assert abs(c) <= mp.mpf(2) ** -(PREC // 2) * scale
 
@@ -712,3 +713,89 @@ def test_exact_fold_matches_numeric_fold(s, depth, data):
     closed = asympt_closed(s, prec=PREC)
     assert _same_form(closed.periodic, numeric_fold(
         closed.terms, closed.alpha, str(closed.terms[0].rate_exact), PREC))
+
+
+# ------------------------------------------- one expansion per point class
+
+WEIGHTED_NNWS = build_stepset(2, [("NE", 1), ("NW", 1), ("S", "3/2")])
+S3_FILTERS = ("anywhere", ("axes", (0,)), ("axes", (1,)), ("axes", (2,)), ("axes", (0, 1)),
+              "origin")
+CORPUS_FILTERS = ("anywhere", ("axes", (0,)), ("axes", (2,)), "origin")
+
+
+def _term_bits(term):
+    """A term as the oracle compares it: each coefficient's real and
+    imaginary part by repr at the working precision, the rate and the point."""
+    return (term.point, term.rate_exact, term.alpha,
+            [(repr(c.real), repr(c.imag)) for c in term.coefficients])
+
+
+def _every_point_expanded(s, flt, N):
+    """Oracle: ``asympt_full``'s terms from a new plan that expands every
+    point itself."""
+    plan = _Integrand(s, s.canonical_variant(normalize_filter(flt, s.dim)))
+    pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
+    return [plan.expand(p, plan.depth if N is None else N) for p in pts]
+
+
+def test_reused_expansions_equal_expanding_every_point(corpus_3d):
+    # the conjugation and sign-flip rules are exact: every derived term is
+    # the expanded one bit for bit
+    cases = [(e.stepset(), COLUMN_FILTERS[col], n) for e in ENTRIES if e.theorem_covered()
+             for col in ("anywhere", "x_axis", "y_axis", "origin") for n in (None, 3, 5)]
+    cases += [(S3, flt, n) for flt in S3_FILTERS for n in (None, 4)]
+    cases += [(S4, flt, None) for flt in ("anywhere", "origin", ("axes", (0,)))]
+    cases += [(WEIGHTED_NNWS, flt, None) for flt in COLUMN_FILTERS.values()]
+    cases += [(s, flt, None) for s in corpus_3d[::24] for flt in CORPUS_FILTERS]
+    assert len(cases) == 192 + 12 + 3 + 4 + 70 * 4
+    for s, flt, n in cases:
+        got = asympt_full(s, flt, N=n, prec=PREC).terms
+        with mp.workprec(PREC + GUARD_BITS):
+            assert [_term_bits(t) for t in got] == [
+                _term_bits(t) for t in _every_point_expanded(s, flt, n)], (s.describe(), flt, n)
+
+
+def _counted_expansions(monkeypatch):
+    """The points ``_Integrand.expand`` runs on from now on."""
+    seen = []
+    expand = _Integrand.expand
+
+    def counted(self, point, N):
+        seen.append(point)
+        return expand(self, point, N)
+
+    monkeypatch.setattr(_Integrand, "expand", counted)
+    return seen
+
+
+@pytest.mark.parametrize("s, flt, expanded, points", [
+    (build_stepset(2, ["N", "SE", "SW"]), ("axes", (0,)), 3, 4),  # one conjugate pair
+    (NSGROUP, "origin", 1, 2),  # the drift roots: coefficients equal
+    (S3, ("axes", (0,)), 6, 8),
+    (S3, "origin", 2, 8),
+    (S4, "origin", 2, 16),
+], ids=["N,SE,SW axes=1", "N,S,SE,SW origin", "3D axes=1", "3D origin", "4D origin"])
+def test_each_class_of_points_is_expanded_once(monkeypatch, s, flt, expanded, points):
+    seen = _counted_expansions(monkeypatch)
+    terms = asympt_full(s, flt, prec=PREC).terms
+    assert (len(seen), len(terms)) == (expanded, points)
+
+
+def test_catalog_theorem_cells_expand_86_of_114_points(monkeypatch):
+    seen = _counted_expansions(monkeypatch)
+    terms = [t for e in ENTRIES if e.theorem_covered() for flt in COLUMN_FILTERS.values()
+             for t in asympt_full(e.stepset(), flt, prec=PREC).terms]
+    assert (len(seen), len(terms)) == (86, 114)
+
+
+def test_drift_flip_is_refused_where_the_pole_factor_breaks_it(monkeypatch):
+    # N,SE,SW axes=1 keeps 1/(1 - z_2): z_2 -> -z_2 maps it to 1/(1 + z_2),
+    # so the two real points (rates -+2 sqrt(2)) are both expanded
+    s = build_stepset(2, ["N", "SE", "SW"])
+    plan = _Integrand(s, (0,))
+    assert plan.dens[-1] == 1 - LaurentPoly.variable(2, 1)
+    assert plan.dens[-1].reflection_sign((1, -1)) is None and plan.flip_unit((1, -1)) is None
+    seen = _counted_expansions(monkeypatch)
+    asympt_full(s, ("axes", (0,)), prec=PREC)
+    assert sorted(str(p.rate_exact) for p in seen if p.rate_exact.is_real()) == [
+        "-2*sqrt(2)", "2*sqrt(2)"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from helpers import jet_coefficient, jet_constant_term
 from orthantwalks.laurent import (
     ExponentOverflowError,
     Jet,
@@ -144,14 +145,14 @@ def test_jet_constant_poly():
     p = LaurentPoly.const(2, 5)
     jet = jet_of_exponential_substitution(p, (2, 3), 3)
     assert jet.values() == {(0, 0): QuadVal(5)}
-    assert jet.constant_term() == 5
+    assert jet_constant_term(jet) == 5
 
 
 def test_jet_constant_term_matches_eval():
     with mp.workprec(220):
         jet = jet_of_exponential_substitution(NSESSW.sbar_poly(), NSESSW_POINT, 4)
         pt = (mp.mpf(1), 1 / mp.sqrt(3))
-        assert abs(jet.constant_term() - NSESSW.sbar_poly().eval(pt)) < mp.mpf(2) ** -180
+        assert abs(jet_constant_term(jet) - NSESSW.sbar_poly().eval(pt)) < mp.mpf(2) ** -180
 
 
 def test_jet_gradient_vanishes_at_interior_critical_point():
@@ -165,7 +166,7 @@ def test_jet_second_derivative_along_drift_axis():
     # second theta_d derivative is -2 B_d / p_d = -2 sqrt(3) at this point
     with mp.workprec(220):
         jet = jet_of_exponential_substitution(NSESSW.sbar_poly(), NSESSW_POINT, 4)
-        second = jet.coefficient((0, 2)) * 2
+        second = jet_coefficient(jet, (0, 2)) * 2
         assert abs(second - (-2 * mp.sqrt(3))) < mp.mpf(2) ** -170
 
 
@@ -191,7 +192,7 @@ def test_jet_matches_finite_differences(p, center, axis, k):
         kfac = 1
         for i in range(2, k + 1):
             kfac *= i
-        jet_deriv = jet.coefficient(e) * kfac
+        jet_deriv = jet_coefficient(jet, e) * kfac
 
         cs = [mp.mpf(c.numerator) / c.denominator for c in center]
 
@@ -267,7 +268,8 @@ def test_jet_mul_reciprocal_log_exp():
     assert values[(0, 0)] == QuadVal(8) and values[(3, 0)] == QuadVal(Fraction(1, 6))
     assert values[(0, 2)] == QuadVal(2) and (1, 1) not in values
     with mp.workprec(220):
-        assert jet.coefficient((3, 0)) == mp.mpc(0, -1) / 6 and jet.coefficient((0, 2)) == -2
+        assert jet_coefficient(jet, (3, 0)) == mp.mpc(0, -1) / 6
+        assert jet_coefficient(jet, (0, 2)) == -2
     assert (jet * jet.reciprocal()).values() == {(0, 0): QuadVal(1)}
     # the exponential series of log(f / f(0)) gives f / f(0) back
     lg = jet.log()
@@ -474,3 +476,37 @@ def test_quadval_prints_its_form():
 def test_quadval_with_no_root_part_prints_its_rational():
     assert str(QuadVal(3, 0, 5)) == "3" and str(QuadVal(0, 0, 5)) == "0"
     assert str(QuadVal(Fraction(-7, 2), Fraction(0), Fraction(2))) == "-7/2"
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_pairs())
+def test_quadval_complex_conjugate_agrees_with_the_value(pair):
+    x, _, _ = pair
+    with mp.workprec(300):
+        v = x.to_mp()
+        assert x.is_real() == (mp.im(v) == 0)
+        assert _close(x.conjugate().to_mp(), mp.conj(v))
+
+
+def test_complex_conjugate_is_the_galois_conjugate_only_below_zero():
+    # a real value is its own complex conjugate, whatever its root part
+    real = QuadVal(1, 2, 3)  # 1 + 2 sqrt(3)
+    assert real.is_real() and real.conjugate() == real != real.conj()
+    assert QuadVal(0, 1, Fraction(1, 2)).conjugate() == QuadVal(0, 1, Fraction(1, 2))
+    assert QuadVal(5, 1, 9).is_real() and QuadVal(Fraction(2, 3)).is_real()
+    imaginary = QuadVal(1, 2, -3)  # 1 + 2i sqrt(3)
+    assert not imaginary.is_real()
+    assert imaginary.conjugate() == imaginary.conj() == QuadVal(1, -2, -3)
+    assert QuadVal(0, 1, -4).conjugate() == QuadVal(0, -1, -4)  # 2i -> -2i
+
+
+def test_reflection_sign():
+    # S of N,SE,SW: y + x/y + 1/(x y)
+    s = LP(2, {(0, 1): 1, (1, -1): 1, (-1, -1): 1})
+    assert s.reflection_sign((1, 1)) == 1
+    assert s.reflection_sign((1, -1)) == -1  # every term has an odd y exponent
+    assert s.reflection_sign((-1, 1)) is None and s.reflection_sign((-1, -1)) is None
+    assert (1 - Y).reflection_sign((1, -1)) is None  # 1 - y -> 1 + y
+    assert (1 - Y * Y).reflection_sign((1, -1)) == 1
+    assert (X * Y).reflection_sign((1, -1)) == -1 == (X * YI).reflection_sign((-1, 1))
+    assert LaurentPoly.zero(2).reflection_sign((-1, 1)) == 1

@@ -1,12 +1,17 @@
 """Step-set validation, classification, canonicalization, and decompositions."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import symmetric_models
+from orthantwalks import asympt, stepset
+from orthantwalks.asympt import asympt_full
+from orthantwalks.critical import contributing_points, smooth_sheet_points
+from orthantwalks.kernel import diag_kernel
 from orthantwalks.laurent import LaurentPoly
 from orthantwalks.stepset import (
     HIGHLY_SYMMETRIC,
@@ -19,6 +24,7 @@ from orthantwalks.stepset import (
     decompose,
     stepset_from_document,
 )
+from orthantwalks.verify import verify_model
 
 
 def test_highly_symmetric_classification():
@@ -203,3 +209,53 @@ def test_symmetric_axis_relabeling(s):
         assert dr.B.eval(ones) - dr.A.eval(ones) == ds.B.eval(ones) - ds.A.eval(ones)
         assert sorted(dr.b_scalars) == sorted(ds.b_scalars)
         assert classify(r).kind == cls.kind
+
+
+# ------------------------------------------------------ per-model derived data
+
+def test_derived_data_stays_out_of_equality_hash_and_repr():
+    s, t = build_stepset(2, ["N", "SE", "SW"]), build_stepset(2, ["N", "SE", "SW"])
+    before = repr(s)
+    asympt_full(s, "origin")
+    diag_kernel(s)
+    assert s._store and not t._store
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t) == before
+    assert before == f"StepSet(dim=2, steps={s.steps!r}, axis_order=(0, 1))"
+    assert s != s.scaled(2) and not s.scaled(2)._store
+    assert decompose(s.scaled(2)) != decompose(s)
+
+
+def test_point_lists_are_new_on_every_call():
+    s = build_stepset(2, ["N", "SE", "SW"])
+    for search in (contributing_points, smooth_sheet_points):
+        want = search(s)
+        got = search(s)
+        got.pop()
+        got.append(None)
+        assert search(s) == want and search(s) is not want
+    assert asympt_full(s, ("axes", (0,))).terms == asympt_full(s, ("axes", (0,))).terms
+
+
+def test_each_model_is_decomposed_and_planned_once(monkeypatch):
+    calls = []
+    build, plan = stepset._decompose, asympt._Integrand.__init__
+
+    def counted(s):
+        calls.append(("decompose", s))
+        return build(s)
+
+    def counted_plan(self, s, variant):
+        calls.append(("plan", variant))
+        plan(self, s, variant)
+
+    monkeypatch.setattr(stepset, "_decompose", counted)
+    monkeypatch.setattr(asympt._Integrand, "__init__", counted_plan)
+    models = [build_stepset(2, ["N", "S", "SE", "SW"]), build_stepset(2, ["NE", "NW", "S"])]
+    for _ in range(3):
+        for s in models:
+            asympt_full(s)
+            asympt_full(s, "origin", N=3)
+            verify_model(s, n_max=72)
+            verify_model(s, n_max=72, flt="origin")
+    assert Counter(calls) == {("decompose", models[0]): 1, ("decompose", models[1]): 1,
+                              ("plan", ()): 2, ("plan", (0, 1)): 2}
