@@ -22,7 +22,7 @@ from functools import partial
 from mpmath import mp
 
 from orthantwalks.asympt import PeriodicForm, asympt_full
-from orthantwalks.enumeration import count_profile, normalize_filter
+from orthantwalks.enumeration import count_profile
 from orthantwalks.fit import compare, estimate_growth
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
@@ -296,11 +296,14 @@ def stored_cell(model, flt):
     return next((sa for _, col, sa in cells(entry, "both") if COLUMN_FILTERS[col] == flt), None)
 
 
-def _profile(name, n_max):
-    """The float DP profile of catalog entry ``name``.  A process pool is handed
-    this function by reference, never ``count_profile``, which a tracer may
-    have rebound to a closure that cannot be pickled."""
-    return count_profile(lookup(name).stepset(), n_max)
+def _profile(name, n_max, which):
+    """The float DP profile of catalog entry ``name`` under the filters of its
+    cells in ``which``.  A process pool is handed this function by reference,
+    never ``count_profile``, which a tracer may have rebound to a closure that
+    cannot be pickled."""
+    entry = lookup(name)
+    return count_profile(entry.stepset(), n_max,
+                         [COLUMN_FILTERS[col] for _, col, _ in cells(entry, which)])
 
 
 def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
@@ -321,15 +324,19 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     if threads > 1 and passes:
         # processes, not threads: a DP step is many short numpy calls with the
         # GIL held between them; imported here, as the import would add about
-        # 35 ms to every start of the CLI
+        # 35 ms to every start of the CLI.  The kernel, and numpy with it, is
+        # loaded before the pool, so the forked workers inherit it rather than
+        # each importing it again.
         from concurrent.futures import ProcessPoolExecutor
+
+        from orthantwalks import _dp  # noqa: F401
 
         pool = ProcessPoolExecutor(min(threads, len(passes)))
     try:
         if pool:
-            pending = {name: pool.submit(_profile, name, n_max).result for name in passes}
+            pending = {name: pool.submit(_profile, name, n_max, which).result for name in passes}
         else:
-            pending = {name: partial(_profile, name, n_max) for name in passes}
+            pending = {name: partial(_profile, name, n_max, which) for name in passes}
         with mp.workprec(prec + GUARD_BITS):
             for entry in chosen:
                 s = entry.stepset()
@@ -351,7 +358,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                     if "empirical" in modes:
                         if profile is None:
                             profile = pending[entry.name]()
-                        series = profile[normalize_filter(flt, s.dim)]
+                        series = profile[flt]
                         ok, details = compare(want, estimate_growth(series))
                         results.append(CellResult(entry.name, table, col, "empirical",
                                                   "pass" if ok else "fail", details))

@@ -10,7 +10,8 @@ the parts that keep all of its axes.  Exact mode counts in Python big integers
 and divides by D^n when it reads a count (giving Fractions for non-integer
 weights); it is bit-reproducible.  Float mode renormalizes by the total weight
 S(1) at every step, storing u_n = s_n / S(1)^n together with the log scale, so
-series up to n ~ 1000 neither overflow nor silently degrade.
+series up to n ~ 1000 neither overflow nor silently degrade.  numpy and the
+kernel load at the first count (``_kernel``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from orthantwalks import _dp
 from orthantwalks.stepset import StepSet
 
 
@@ -156,6 +154,17 @@ def _axes(flt):
     return () if flt == "anywhere" else flt[1]
 
 
+def _kernel():
+    """numpy and the DP kernel, imported by the functions that count walks:
+    the rest of the package never needs them, and loading them costs about
+    0.13 s and 12 MB."""
+    import numpy
+
+    from orthantwalks import _dp
+
+    return numpy, _dp
+
+
 def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
 
@@ -170,6 +179,7 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'float'")
     _check_box(s, n_max, "exact DP")
+    _, _dp = _kernel()
     vectors, weights, denom = _integer_weights(s)
     axes = [_axes(flt)]
     read = _dp.totals_reader(axes)
@@ -188,6 +198,7 @@ def count_profile(s: StepSet, n_max, filters=None):
     """
     _check_length(n_max)
     _check_box(s, n_max, "float DP")
+    np, _dp = _kernel()
     vectors, weights, _ = _integer_weights(s)
     if filters is None:
         keys = ["anywhere"] + [("axes", tuple(j for j in range(s.dim) if mask >> j & 1))
@@ -216,6 +227,7 @@ def endpoint_tables(s: StepSet, n_max):
     if n_max > ENDPOINT_TABLE_MAX_N:
         raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
     _check_box(s, n_max, "exact DP")
+    np, _dp = _kernel()
     vectors, weights, denom = _integer_weights(s)
     # n <= n_max steps before a horizon of 2 n_max no walk is far from any axis
     # yet, so each state is one part holding every endpoint

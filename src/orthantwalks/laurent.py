@@ -228,10 +228,6 @@ class LaurentPoly:
                 out[expo[:var] + expo[var + 1:]] = coeff
         return LaurentPoly(self.dim - 1, out)
 
-    def var_exponents(self, var):
-        """Sorted list of exponents of var that occur in the support."""
-        return sorted({e[var] for e in self.terms})
-
     def deriv(self, j):
         """Formal partial derivative with respect to z_j."""
         out = {}
@@ -490,12 +486,6 @@ class Jet:
     def values(self):
         """``value`` at each multi-index with a nonzero coefficient."""
         return {e: self.value(e) for e in self.coeffs}
-
-    def truncated(self, order):
-        """The terms to degree ``order``, at most the jet's own order."""
-        if order > self.order:
-            raise ValueError(f"a jet of order {self.order} does not know degree {order}")
-        return Jet(self.dim, order, self.coeffs, self.r, self.scale, self.base)
 
     def tail(self, degree):
         """The terms of total degree ``degree`` and above."""

@@ -27,6 +27,7 @@ from orthantwalks.fit import PERIOD_CANDIDATES
 from orthantwalks.laurent import (
     DEFAULT_PREC_BITS,
     GUARD_BITS,
+    Jet,
     LaurentPoly,
     multi_indices,
     to_mp,
@@ -366,6 +367,18 @@ def jet_constant_term(jet):
     return jet_coefficient(jet, (0,) * jet.dim)
 
 
+def jet_truncated(jet, order):
+    """A ``laurent.Jet``'s terms to degree ``order``, at most its own order."""
+    if order > jet.order:
+        raise ValueError(f"a jet of order {jet.order} does not know degree {order}")
+    return Jet(jet.dim, order, jet.coeffs, jet.r, jet.scale, jet.base)
+
+
+def var_exponents(p, var):
+    """The sorted exponents of z_var in the support of the ``LaurentPoly`` p."""
+    return sorted({e[var] for e in p.terms})
+
+
 def numeric_jet_of_exponential_substitution(p, center, order, prec=DEFAULT_PREC_BITS):
     """Oracle: the substitution jet of ``laurent.jet_of_exponential_substitution``
     evaluated numerically at an mpmath centre, as before that routine took
@@ -637,7 +650,7 @@ def act(el, p, dcmp):
         p = p.invert_var(j)
     if not el.gamma:
         return p, 0, 0
-    exps = p.var_exponents(d - 1)
+    exps = var_exponents(p, d - 1)
     if not exps:
         return p, 0, 0
     lo, hi = min(exps), max(exps)

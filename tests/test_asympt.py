@@ -20,6 +20,7 @@ from helpers import (
 )
 from orthantwalks.asympt import (
     ContributionTerm,
+    _fold,
     _Integrand,
     _phase_jets,
     _saddle_coefficients,
@@ -40,7 +41,12 @@ from orthantwalks.critical import (
     smooth_sheet_points,
 )
 from orthantwalks.enumeration import normalize_filter
-from orthantwalks.laurent import GUARD_BITS, LaurentPoly, jet_of_exponential_substitution
+from orthantwalks.laurent import (
+    GUARD_BITS,
+    LaurentPoly,
+    jet_of_exponential_substitution,
+    noise_floor,
+)
 from orthantwalks.stepset import (
     UnsupportedModelError,
     build_stepset,
@@ -634,6 +640,51 @@ def test_fold_treats_rounding_noise_as_zero():
         assert pf.period == stored.period
         for got, want in zip(pf.constants, stored.constant_values()):
             assert abs(got - want) < mp.mpf(10) ** -30 * want
+
+
+def _term(rate, *coefficients):
+    return ContributionTerm(None, rate, Fraction(-2), [mp.mpc(c) for c in coefficients])
+
+
+def test_fold_refuses_a_leading_rate_without_a_unit():
+    # 2 leads with 1/n and 1 + i with 1/n^2: only the leading terms' units
+    # count, and 1 + i has none
+    with mp.workprec(PREC):
+        assert _fold([_term(QuadVal(2), 0, 1), _term(QuadVal(1, 1, -1), 0, 0, 3)],
+                     Fraction(-2)) is not None
+        assert _fold([_term(QuadVal(2), 0, 1), _term(QuadVal(1, 1, -1), 0, 5)],
+                     Fraction(-2)) is None
+
+
+def test_fold_refuses_a_residue_sum_off_the_real_line():
+    # 3 + y*i at rates 2 and -2 sums to 6 + 2y*i and 0: real only while its
+    # imaginary part stays within the noise floor times |6|
+    with mp.workprec(PREC):
+        for y, folds in ((noise_floor(), True), (4 * noise_floor(), False),
+                         (mp.mpf("1e-20"), False)):
+            terms = [_term(QuadVal(2), mp.mpc(3, y)), _term(QuadVal(-2), mp.mpc(3, y))]
+            pf = _fold(terms, Fraction(-2))
+            assert (pf is not None) is folds
+            if folds:
+                assert (pf.period, pf.constants) == (2, [6, 0])
+
+
+def test_fold_sums_each_residue_class():
+    # rates 2, -2, 2i and -2i at period 4: the residue-r constant is
+    # sum_u c_u u^r over the units u, and the exponent drops by the index of
+    # the first nonzero coefficient
+    c = mp.mpc(1, 2)
+    terms = [_term(QuadVal(2), 0, 1), _term(QuadVal(-2), 0, 4),
+             _term(QuadVal(0, 2, -1), 0, c), _term(QuadVal(0, -2, -1), 0, mp.conj(c))]
+    with mp.workprec(PREC):
+        pf = _fold(terms, Fraction(-2))
+        assert (pf.period, pf.alpha, pf.rate_modulus, pf.rate_modulus_exact) == (
+            4, Fraction(-3), 2, "2")
+        assert pf.constants == [1 + 4 + 2, 1 - 4 - 4, 1 + 4 - 2, 1 - 4 + 4]
+        assert all(isinstance(k, mp.mpf) for k in pf.constants)
+        pf = _fold(terms[:2], Fraction(-2))
+        assert (pf.period, pf.constants) == (2, [5, -3])
+        assert _fold([_term(QuadVal(2), 0, 0)], Fraction(-2)) is None
 
 
 @settings(max_examples=20, deadline=None)

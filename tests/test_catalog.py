@@ -18,6 +18,7 @@ from orthantwalks.catalog import (
     NEG,
     ALG,
     NOSYM,
+    COLUMN_FILTERS,
     CatalogEntry,
     StoredAsymptotics,
     cells,
@@ -161,6 +162,15 @@ def test_reproduce_pools_a_wrapped_count_profile(monkeypatch):
     one = reproduce_tables("both", entries=SMALL, n_max=128, threads=1)
     monkeypatch.setattr(catalog, "count_profile", wrapper)
     assert reproduce_tables("both", entries=SMALL, n_max=128, threads=2) == one
+
+
+def test_each_pass_counts_only_the_filters_its_cells_read():
+    # a table1 cell reads anywhere alone; NE,W,S has no table2 cells
+    x, y, origin = (COLUMN_FILTERS[c] for c in ("x_axis", "y_axis", "origin"))
+    assert list(catalog._profile("NE,W,S", 40, "both")) == ["anywhere"]
+    assert list(catalog._profile("N,SE,SW", 40, "table1")) == ["anywhere"]
+    assert list(catalog._profile("N,SE,SW", 40, "table2")) == [x, y, origin]
+    assert list(catalog._profile("N,SE,SW", 40, "both")) == ["anywhere", x, y, origin]
 
 
 class FakePool:

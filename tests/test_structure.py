@@ -104,16 +104,81 @@ def test_engine_asks_the_jets_for_degrees():
     assert _laurent_leaks("if g.order < 2 * N:\n    pass", {"order"}) == [(1, "order")]
 
 
+def _fresh_run(probe):
+    """The standard output of ``probe`` run in a new interpreter on the
+    package source: this session has numpy loaded already."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+ARRAY_CODE = ("numpy", "orthantwalks._dp")
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # concurrent.futures.process costs about 35 ms to import, a sizeable share
     # of the CLI's start-up; only a catalog run with threads > 1 needs it
     probe = ("import sys, orthantwalks.cli\n"
              "print(sorted(m for m in sys.modules\n"
              "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_run(probe).strip() == "[]"
+
+
+def test_only_counting_walks_loads_the_array_code():
+    # numpy and the DP kernel cost about 0.13 s and 12 MB to import; the
+    # engine, the point search, the diagonal and the catalog's listing and
+    # symbolic check count no walks, so they never load them
+    probe = f"""
+import contextlib, io, sys
+import orthantwalks.cli as cli
+loaded = lambda: [m for m in {ARRAY_CODE!r} if m in sys.modules]
+print("import", loaded())
+for argv in (["asympt", "--model", "N,SE,SW"], ["critical", "--model", "N,S,E,W"],
+             ["diagonal", "--model", "N,SE,SW"], ["orbitsum", "--model", "N,SE,SW"],
+             ["catalog"], ["catalog", "--check", "--modes", "symbolic", "--table", "both"],
+             ["count", "--model", "N,SE,SW", "--n", "8"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(" ".join(argv[:2]), code, loaded())
+"""
+    assert _fresh_run(probe).splitlines() == [
+        "import []",
+        "asympt --model 0 []",
+        "critical --model 0 []",
+        "diagonal --model 0 []",
+        "orbitsum --model 0 []",
+        "catalog 0 []",
+        "catalog --check 0 []",
+        f"count --model 0 {list(ARRAY_CODE)}",
+    ]
+
+
+def test_catalog_pool_forks_after_the_kernel_is_loaded():
+    # the forked workers inherit numpy and the kernel rather than each
+    # importing them again
+    probe = f"""
+import concurrent.futures, sys
+from concurrent.futures import Future
+from orthantwalks import catalog
+
+class Pool:
+    def __init__(self, max_workers):
+        print("pool", max_workers, [m for m in {ARRAY_CODE!r} if m in sys.modules])
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, **kwargs):
+        pass
+
+concurrent.futures.ProcessPoolExecutor = Pool
+entries = [catalog.lookup("N,S,E,W"), catalog.lookup("N,SE,SW")]
+print(len(catalog.reproduce_tables("table1", ("empirical",), n_max=80, entries=entries,
+                                   threads=2)))
+"""
+    assert _fresh_run(probe).splitlines() == [f"pool 2 {list(ARRAY_CODE)}", "2"]
 
 
 def _tolerance_uses(source):
