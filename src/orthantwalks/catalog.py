@@ -1,7 +1,7 @@
 """Curated data for the 23 D-finite quarter-plane models: stored asymptotics
-for walks ending anywhere and for boundary returns, closed-form generating
-functions where known, and the reproduction harness comparing stored values
-against the symbolic engine and the enumeration oracle.
+for walks ending anywhere and for boundary returns, and the reproduction
+harness comparing stored values against the symbolic engine and the
+enumeration oracle.
 
 Stored constants are exact radical expressions, turned into numbers only by
 ``StoredAsymptotics``, at the caller's working precision (``reproduce_tables``
@@ -15,9 +15,10 @@ means the endpoint has first coordinate 0, ``y_axis`` second coordinate 0,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import repeat
 
 from mpmath import mp
 
@@ -81,7 +82,6 @@ class CatalogEntry:
     klass: str
     table1: StoredAsymptotics
     table2: dict | None  # keys x_axis, y_axis, origin
-    gf_closed_form: tuple | None = None  # (p, r, q): F = (p(t) - sqrt(r(t))) / q(t)
 
     def stepset(self) -> StepSet:
         return build_stepset(2, self.steps)
@@ -219,15 +219,13 @@ ENTRIES = (
         _sa("3", Fraction(-3, 2), "3*sqrt(3)/(2*sqrt(pi))"),
         {"x_axis": _sa("3", Fraction(-5, 2), "27*sqrt(3)/(8*sqrt(pi))"),
          "y_axis": _sa("3", Fraction(-5, 2), "27*sqrt(3)/(8*sqrt(pi))"),
-         "origin": _sa("3", -4, "81*sqrt(3)/pi", "0", "0")},
-        gf_closed_form=((1, -1), (1, -2, -3), (0, 0, 2))),
+         "origin": _sa("3", -4, "81*sqrt(3)/pi", "0", "0")}),
     CatalogEntry(
         "NW,SE,N,S,E,W", ("NW", "SE", "N", "S", "E", "W"), NOSYM,
         _sa("6", Fraction(-3, 2), "3*sqrt(3)/(2*sqrt(pi))"),
         {"x_axis": _sa("6", Fraction(-5, 2), "27*sqrt(3)/(8*sqrt(pi))"),
          "y_axis": _sa("6", Fraction(-5, 2), "27*sqrt(3)/(8*sqrt(pi))"),
-         "origin": _sa("6", -4, "27*sqrt(3)/pi")},
-        gf_closed_form=((1, -2), (1, -4, -12), (0, 0, 8))),
+         "origin": _sa("6", -4, "27*sqrt(3)/pi")}),
     CatalogEntry(
         "E,SE,W,NW", ("E", "SE", "W", "NW"), NOSYM,
         _sa("4", -2, "8/pi"),
@@ -307,21 +305,26 @@ def _profile(name, n_max, which):
 
 
 def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
-                     prec=DEFAULT_PREC_BITS, entries=None, threads=1):
+                     prec=DEFAULT_PREC_BITS, entries=None, threads=None):
     """Reproduce the stored asymptotics tables; returns a list of CellResult.
 
     Symbolic mode runs the engine only on theorem-covered entries, every
     column of them, and reports the other entries' cells as skipped; empirical
     mode fits the float enumeration oracle on all entries and all columns.
-    With ``threads`` > 1 the float DP passes run in that many worker
-    processes (at most one per pass) while this process runs the engine and
-    the fits; the cells do not depend on ``threads``.
+    The float DP passes run in ``threads`` worker processes (``None``: one per
+    CPU this process may run on; the parameter stays so that a caller such as
+    the benchmark can fix it), at most one per pass, beside the engine and the
+    fits in this process; with one worker each pass runs here, at its entry's
+    first cell.  The cells do not depend on ``threads``.
     """
     results = []
     chosen = entries if entries is not None else ENTRIES
     passes = [e.name for e in chosen if cells(e, which)] if "empirical" in modes else []
-    pool = None
-    if threads > 1 and passes:
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    workers, pool = min(threads, len(passes)), None
+    if workers > 1:
         # processes, not threads: a DP step is many short numpy calls with the
         # GIL held between them; imported here, as the import would add about
         # 35 ms to every start of the CLI.  The kernel, and numpy with it, is
@@ -331,12 +334,9 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
 
         from orthantwalks import _dp  # noqa: F401
 
-        pool = ProcessPoolExecutor(min(threads, len(passes)))
+        pool = ProcessPoolExecutor(workers)
     try:
-        if pool:
-            pending = {name: pool.submit(_profile, name, n_max, which).result for name in passes}
-        else:
-            pending = {name: partial(_profile, name, n_max, which) for name in passes}
+        profiles = (pool.map if pool else map)(_profile, passes, repeat(n_max), repeat(which))
         with mp.workprec(prec + GUARD_BITS):
             for entry in chosen:
                 s = entry.stepset()
@@ -357,7 +357,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                                                   status, details))
                     if "empirical" in modes:
                         if profile is None:
-                            profile = pending[entry.name]()
+                            profile = next(profiles)
                         series = profile[flt]
                         ok, details = compare(want, estimate_growth(series))
                         results.append(CellResult(entry.name, table, col, "empirical",

@@ -99,7 +99,6 @@ FLAGS = {
     "--mode": {"choices": ("exact", "float"), "default": "exact"},
     "--order": {"type": int, "default": None, "help": "expansion depth N"},
     "--digits": {"type": int, "default": 16},
-    "--threads": {"type": int, "default": 1},
     "--check": {"action": "store_true"},
     "--table": {"choices": ("table1", "table2", "both"), "default": "table1"},
     "--modes": {"default": "symbolic,empirical"},
@@ -116,7 +115,7 @@ COMMAND_FLAGS = {
     "critical": ("--model", "--digits"),
     "asympt": ("--model", "--endpoint", "--order", "--digits"),
     "verify": ("--model", "--n", "--endpoint", "--digits"),
-    "catalog": ("--n", "--threads", "--check", "--table", "--modes"),
+    "catalog": ("--n", "--check", "--table", "--modes"),
 }
 SHARED_FLAGS = ("--precision-bits", "--format", "--out")
 
@@ -253,8 +252,7 @@ def _cmd_catalog(args):
                 for e in catalog_mod.ENTRIES for _, col, sa in catalog_mod.cells(e, args.table)]
         return 0, {"schema_version": SCHEMA_VERSION, "rows": rows}
     results = catalog_mod.reproduce_tables(args.table, modes, n_max=n_max,
-                                           prec=args.precision_bits,
-                                           threads=args.threads)
+                                           prec=args.precision_bits)
     rows = [{"model": r.model, "table": r.table, "column": r.column,
              "mode": r.mode, "status": r.status} for r in results]
     statuses = {r.status for r in results}
@@ -270,8 +268,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # verify fits a series: refused below the fitter's shortest before any work
         n_least = MIN_FIT_N if args.command == "verify" else 0
-        for flag, least in (("n", n_least), ("order", 1), ("digits", 1), ("threads", 1),
-                            ("precision-bits", 1)):
+        for flag, least in (("n", n_least), ("order", 1), ("digits", 1), ("precision-bits", 1)):
             value = getattr(args, flag.replace("-", "_"), None)  # absent, or a None default
             if value is not None and value < least:
                 raise UsageError(f"--{flag} must be at least {least}")

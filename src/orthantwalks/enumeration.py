@@ -57,10 +57,17 @@ def parse_filter(text, dim):
     if text in ("anywhere", "origin"):
         return normalize_filter(text, dim)
     if text.startswith("axes="):
-        axes = tuple(int(a) - 1 for a in text[5:].split(",") if a.strip())
+        axes = []
+        for a in filter(None, (a.strip() for a in text[5:].split(","))):
+            try:
+                axes.append(int(a))
+            except ValueError:
+                raise ValueError(f"endpoint filter {text!r}: {a!r} is not an axis number") from None
         if not axes:
             raise ValueError(f"endpoint filter {text!r} names no axis")
-        return normalize_filter(("axes", axes), dim)
+        if not all(1 <= a <= dim for a in axes):
+            raise ValueError(f"endpoint filter {text!r}: axes are numbered 1 to {dim}")
+        return normalize_filter(("axes", tuple(a - 1 for a in axes)), dim)
     raise ValueError(f"cannot parse endpoint filter {text!r}")
 
 

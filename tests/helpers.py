@@ -677,11 +677,19 @@ def rational_equal(lhs, rhs, dcmp):
     return left == right
 
 
+# algebraic generating functions F = (p(t) - sqrt(r(t))) / q(t) of catalog
+# entries, by entry name, as coefficient lists (p, r, q) in increasing degree
+GF_CLOSED_FORMS = {
+    "N,W,SE": ((1, -1), (1, -2, -3), (0, 0, 2)),
+    "NW,SE,N,S,E,W": ((1, -2), (1, -4, -12), (0, 0, 8)),
+}
+
+
 def gf_series(entry, n_max):
-    """Exact Maclaurin coefficients of a catalog entry's stored algebraic closed form."""
-    if entry.gf_closed_form is None:
+    """Exact Maclaurin coefficients of a catalog entry's algebraic closed form."""
+    if entry.name not in GF_CLOSED_FORMS:
         raise ValueError(f"{entry.name} carries no closed-form generating function")
-    p, r, q = entry.gf_closed_form
+    p, r, q = GF_CLOSED_FORMS[entry.name]
     order = n_max + 3
     rr = [Fraction(r[k]) if k < len(r) else Fraction(0) for k in range(order)]
     if rr[0] != 1:

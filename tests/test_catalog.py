@@ -2,14 +2,14 @@
 
 import concurrent.futures
 import multiprocessing
+import os
 from collections import Counter
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from helpers import gf_series
+from helpers import GF_CLOSED_FORMS, gf_series
 from orthantwalks import catalog
 from orthantwalks.catalog import (
     ENTRIES,
@@ -77,7 +77,7 @@ def test_lookup_negative_drift_constants():
 
 def test_lookup_gf_model():
     e = lookup("N,W,SE")
-    assert e.gf_closed_form is not None
+    assert e.name in GF_CLOSED_FORMS
     assert e.table1.alpha == Fraction(-3, 2)
     with mp.workprec(200):
         want = 3 * mp.sqrt(3) / (2 * mp.sqrt(mp.pi))
@@ -174,8 +174,8 @@ def test_each_pass_counts_only_the_filters_its_cells_read():
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: runs each submit at once, starts no
-    process, and records its size and shutdown."""
+    """Stands in for ProcessPoolExecutor: maps in this process, as the
+    built-in map does, starts no process, and records its size and shutdown."""
 
     built = []
 
@@ -183,13 +183,24 @@ class FakePool:
         self.max_workers, self.shutdowns = max_workers, []
         FakePool.built.append(self)
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
     def shutdown(self, **kwargs):
         self.shutdowns.append(kwargs)
+
+
+def _check_pool(monkeypatch, modes, entries, threads, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "built", [])
+    res = reproduce_tables("table1", modes, n_max=80, entries=entries, threads=threads)
+    assert len(res) == len(entries or ENTRIES) * len(modes)
+    if workers is None:
+        assert FakePool.built == []
+    else:
+        [pool] = FakePool.built
+        assert pool.max_workers == workers
+        assert pool.shutdowns == [{"cancel_futures": True}]
 
 
 @pytest.mark.parametrize("threads, modes, entries, workers", [
@@ -201,16 +212,29 @@ class FakePool:
 ])
 def test_reproduce_pool_never_outnumbers_its_passes(monkeypatch, threads, modes,
                                                      entries, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(FakePool, "built", [])
-    res = reproduce_tables("table1", modes, n_max=80, entries=entries, threads=threads)
-    assert len(res) == len(entries or ENTRIES) * len(modes)
-    if workers is None:
-        assert FakePool.built == []
-    else:
-        [pool] = FakePool.built
-        assert pool.max_workers == workers
-        assert pool.shutdowns == [{"cancel_futures": True}]
+    _check_pool(monkeypatch, modes, entries, threads, workers)
+
+
+@pytest.mark.parametrize("cpus, threads, entries, workers", [
+    (1, None, None, None),
+    (3, None, None, 3),
+    (3, None, SMALL, 3),
+    (64, None, None, 23),
+    (64, 1, SMALL, None),
+    (64, 2, SMALL, 2),
+], ids=["1 cpu", "3 cpus", "3 cpus SMALL", "64 cpus", "64 cpus threads=1",
+        "64 cpus threads=2"])
+def test_reproduce_pool_follows_the_cpus_it_may_use(monkeypatch, cpus, threads, entries,
+                                                    workers):
+    # without threads, one worker per CPU in the process's affinity mask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _check_pool(monkeypatch, ("empirical",), entries, threads, workers)
+
+
+def test_reproduce_counts_cpus_where_the_platform_has_no_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _check_pool(monkeypatch, ("empirical",), SMALL, None, 3)
 
 
 def test_reproduce_raises_the_pass_error_for_any_thread_count():

@@ -1,6 +1,8 @@
 """Model verification and the command-line surface."""
 
 import json
+import multiprocessing
+import os
 import re
 import shlex
 from decimal import Decimal
@@ -10,7 +12,7 @@ import pytest
 from mpmath import mp
 
 from orthantwalks.asympt import asympt_closed
-from orthantwalks.cli import build_parser, main
+from orthantwalks.cli import COMMAND_FLAGS, SHARED_FLAGS, build_parser, main
 from orthantwalks.stepset import build_stepset, load_stepset
 from orthantwalks.verify import verify_model
 
@@ -138,7 +140,6 @@ def test_cli_low_precision_keeps_the_verdicts(capsys, bits):
     ["critical", "--model", "N,SE,S,SW", "--digits", "0"],
     ["critical", "--model", "N,SE,S,SW", "--precision-bits", "0"],
     ["count", "--model", "N,S,E,W", "--precision-bits", "-5"],
-    ["catalog", "--check", "--modes", "symbolic", "--threads", "0"],
     ["catalog", "--check", "--modes", "symbolic", "--n", "-1"],
     ["diagonal", "--model", "NE,NW,S", "--n", "-3"],
     ["count", "--model", "N,S,E,W", "--n", "-1"],
@@ -185,14 +186,16 @@ def test_cli_float_count_past_the_float_range(capsys):
     assert Decimal(rows[520]["count"]).adjusted() == 305
 
 
-def test_cli_catalog_pass_error_for_any_thread_count(capsys):
-    # a pass that a worker process refuses ends the check as one in-process does
+def test_cli_catalog_pass_error_for_any_thread_count(capsys, monkeypatch):
+    # a pass that a worker process refuses ends the check as one in-process
+    # does: with 1 CPU the passes run here, with 2 in a pool of 2
     outcomes = []
-    for threads in ("1", "2"):
-        code = main(["catalog", "--check", "--n", "9000", "--modes", "empirical",
-                     "--threads", threads])
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        code = main(["catalog", "--check", "--n", "9000", "--modes", "empirical"])
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
+        assert multiprocessing.active_children() == []
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (1, "")
     assert "exceeds the limit" in outcomes[0][2]
@@ -345,14 +348,24 @@ def test_cli_malformed_model_file(tmp_path, capsys, doc, field):
     assert "Traceback" not in captured.err
 
 
+# what each bad --endpoint prints after "usage error: --endpoint: " on a 2D model
+BAD_ENDPOINTS = {
+    "nowhere": "cannot parse endpoint filter 'nowhere'",
+    "axes=a": "endpoint filter 'axes=a': 'a' is not an axis number",
+    "axes=3": "endpoint filter 'axes=3': axes are numbered 1 to 2",
+    "axes=": "endpoint filter 'axes=' names no axis",
+    "axes=0": "endpoint filter 'axes=0': axes are numbered 1 to 2",
+    "axes=1.5": "endpoint filter 'axes=1.5': '1.5' is not an axis number",
+}
+
+
 @pytest.mark.parametrize("command", ["count", "diagonal", "asympt", "verify"])
-@pytest.mark.parametrize("endpoint", ["nowhere", "axes=a", "axes=3", "axes="])
+@pytest.mark.parametrize("endpoint", list(BAD_ENDPOINTS))
 def test_cli_bad_endpoint_is_usage_error(capsys, command, endpoint):
     assert main([command, "--model", "N,SE,S,SW", "--endpoint", endpoint]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error: --endpoint")
-    assert "Traceback" not in captured.err
+    assert captured.err == f"usage error: --endpoint: {BAD_ENDPOINTS[endpoint]}\n"
 
 
 def test_cli_usage_errors(capsys):
@@ -371,6 +384,7 @@ def test_cli_catalog_listing(capsys):
     ["orbitsum", "--model", "N,S,E,W", "--n", "5"],
     ["catalog", "--mode", "float"],
     ["count", "--model", "N,S,E,W", "--threads", "4"],
+    ["catalog", "--check", "--threads", "2"],
 ])
 def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
     assert main(argv) == 3
@@ -379,10 +393,22 @@ def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
     assert "usage error: unrecognized arguments" in captured.err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_cli_readme_command_lines_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     lines = re.findall(r"^orthantwalks +(.+)$", readme, flags=re.M)
     assert len(lines) == 7
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line))
+
+
+def test_cli_readme_flag_table_matches_the_parser():
+    readme = README.read_text()
+    table = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", readme, flags=re.M))
+    assert {command: tuple(re.findall(r"`(--[\w-]+)", flags))
+            for command, flags in table.items()} == COMMAND_FLAGS
+    shared = re.search(r"Every subcommand also takes (.+?)\.\s", readme, flags=re.S)
+    assert tuple(re.findall(r"`(--[\w-]+)", shared[1])) == SHARED_FLAGS

@@ -259,10 +259,20 @@ def test_filter_parsing():
     assert parse_filter("origin", 2) == ("axes", (0, 1))
     assert parse_filter("axes=2", 2) == ("axes", (1,))
     assert normalize_filter(("axes", ()), 2) == "anywhere"
-    with pytest.raises(ValueError):
-        parse_filter("axes=5", 2)
+    for text, dim, message in (
+            ("axes=5", 2, "endpoint filter 'axes=5': axes are numbered 1 to 2"),
+            ("axes=0", 2, "endpoint filter 'axes=0': axes are numbered 1 to 2"),
+            ("axes=-1", 2, "endpoint filter 'axes=-1': axes are numbered 1 to 2"),
+            ("axes=4", 3, "endpoint filter 'axes=4': axes are numbered 1 to 3"),
+            ("axes=x", 2, "endpoint filter 'axes=x': 'x' is not an axis number"),
+            ("axes=1,x", 2, "endpoint filter 'axes=1,x': 'x' is not an axis number"),
+            ("axes=1.5", 2, "endpoint filter 'axes=1.5': '1.5' is not an axis number"),
+            ("nowhere", 2, "cannot parse endpoint filter 'nowhere'")):
+        with pytest.raises(ValueError) as info:
+            parse_filter(text, dim)
+        assert str(info.value) == message
     for empty in ("axes=", "axes=,"):  # names no boundary, so it is not 'anywhere'
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="names no axis"):
             parse_filter(empty, 2)
 
 

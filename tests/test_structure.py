@@ -117,7 +117,7 @@ ARRAY_CODE = ("numpy", "orthantwalks._dp")
 
 def test_cli_import_leaves_out_the_process_pool():
     # concurrent.futures.process costs about 35 ms to import, a sizeable share
-    # of the CLI's start-up; only a catalog run with threads > 1 needs it
+    # of the CLI's start-up; only a catalog run with more than one worker needs it
     probe = ("import sys, orthantwalks.cli\n"
              "print(sorted(m for m in sys.modules\n"
              "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
@@ -158,17 +158,14 @@ def test_catalog_pool_forks_after_the_kernel_is_loaded():
     # importing them again
     probe = f"""
 import concurrent.futures, sys
-from concurrent.futures import Future
 from orthantwalks import catalog
 
 class Pool:
     def __init__(self, max_workers):
         print("pool", max_workers, [m for m in {ARRAY_CODE!r} if m in sys.modules])
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
     def shutdown(self, **kwargs):
         pass
