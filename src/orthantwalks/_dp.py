@@ -14,13 +14,19 @@ projected off a, the weights of steps that share their live components added.
 A walk far on every axis becomes a scalar.  Every live coordinate stays within
 min(n, H - n), and the work is about 2^-d of a pass over {0..n}^d per step.
 
-A part over k axes keeps two flat buffers (three with non-unit weights) of
-(H//2 + 3)^k cells, allocated once, and a step moves its live box by one
-contiguous add per merged step.  The stride tracks the live box: a part uses
-only the first w^k cells of each buffer, w slots per axis, with w a little
-wider than the box; about every ``SLACK`` steps the box is copied to a new
-stride inside the same buffers, so a step spans about live^k cells rather
-than live rows of the widest stride.
+A part over k axes keeps its state in one flat buffer of (H//2 + 3)^k cells,
+allocated once, and a step moves its live box by one contiguous add per merged
+step.  The stride tracks the live box: a part uses only the first w^k cells of
+its buffer, w slots per axis, with w a little wider than the box; about every
+``SLACK`` steps the box is copied to a new stride inside the same buffer, so a
+step spans about live^k cells rather than live rows of the widest stride.
+
+A part of at most ``IN_PLACE_CELLS`` cells fits in the cache with a second
+buffer (and a third with non-unit weights): each step writes the next state
+there, and the two trade places.  A larger part, in 3D and 4D, would run each
+of a step's array passes from memory, so it keeps the one buffer and steps it
+in place, ``BLOCK`` cells at a time.  Both give every cell the same operations
+in the same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ import math
 import numpy as np
 
 SLACK = 16  # spare slots per axis while the box grows: a re-stride every ~SLACK steps
+IN_PLACE_CELLS = 2**17  # a part with more cells than this keeps one buffer, stepped in place
+BLOCK = 2**15  # the cells an in-place step forms at a time, so its passes run from cache
 _sum = np.add.reduce  # ndarray.sum without its Python wrapper: the same reduction
 
 
@@ -60,17 +68,16 @@ class _Buffer:
 
 
 class _Part:
-    """The walks whose collapsed axes are all far: one flat buffer over the live axes.
+    """The walks whose collapsed axes are all far: a flat buffer over the live axes.
 
     Each live axis has ``width`` slots, coordinate x at slot x + 1 and slot 0
     catching walks that step off the orthant.  ``cur`` is zero outside the live
     box, so no ±1 step of a nonzero cell wraps into the next row or hyperplane.
     """
 
-    __slots__ = ("k", "children", "projected", "width", "unit", "steps",
-                 "cur", "nxt", "scratch")
+    __slots__ = ("k", "children", "projected", "width", "unit", "steps", "cur", "scratch")
 
-    def __init__(self, axes, vectors, weights, size, width, dtype):
+    def __init__(self, axes, vectors, weights, size, dtype):
         merged = {}
         for v, w in zip(vectors, weights):
             key = tuple(v[a] for a in axes)
@@ -81,12 +88,13 @@ class _Part:
         self.children = [axes[:i] + axes[i + 1:] for i in range(self.k)]
         self.projected = list(merged.items())
         self.cur = _Buffer(size**self.k, dtype)
-        self.nxt = _Buffer(size**self.k, dtype)
-        # the first merged step writes its span, and the products of the others
-        # land here, so no step allocates a temporary
-        self.scratch = (np.zeros(size**self.k, dtype=dtype)
-                        if any(w != 1 for _, w in self.projected[1:]) else None)
-        self._set_width(width)
+
+    def _scratch(self, cells, dtype):
+        """Where the products of the merged steps after the first land, so no
+        step allocates a temporary; None when those steps all weigh 1."""
+        if any(w != 1 for _, w in self.projected[1:]):
+            return np.zeros(cells, dtype=dtype)
+        return None
 
     def _set_width(self, width):
         k = self.k
@@ -95,7 +103,27 @@ class _Part:
         self.steps = [(sum(c * width**j for j, c in enumerate(reversed(v))), w)
                       for v, w in self.projected]
         self.cur.layout(k, width)
-        self.nxt.layout(k, width)
+
+    def box(self, m):
+        """View of cur on {0..m-1}^k."""
+        return self.cur.nd[_box(self.k, m)]
+
+
+class _TwoBuffers(_Part):
+    """A part small enough for the cache: each step writes the next state into
+    a second buffer, and the two trade places."""
+
+    __slots__ = ("nxt",)
+
+    def __init__(self, axes, vectors, weights, size, width, dtype):
+        super().__init__(axes, vectors, weights, size, dtype)
+        self.nxt = _Buffer(size**self.k, dtype)
+        self.scratch = self._scratch(size**self.k, dtype)
+        self._set_width(width)
+
+    def _set_width(self, width):
+        super()._set_width(width)
+        self.nxt.layout(self.k, width)
 
     def restride(self, width, live):
         """Move the live box {0..live-1}^k of cur to ``width`` slots per axis."""
@@ -107,10 +135,6 @@ class _Part:
         self._set_width(width)
         self.cur.nd[box] = old
         self.nxt.flat[:used] = 0
-
-    def box(self, m):
-        """View of cur on {0..m-1}^k."""
-        return self.cur.nd[_box(self.k, m)]
 
     def step(self, live, reach, scale):
         """Advance cur from {0..live-1}^k to {0..reach-1}^k, then apply ``scale``,
@@ -144,6 +168,84 @@ class _Part:
             out = nxt[lo:hi + unit]
             op(out, by, out=out)
         self.cur, self.nxt = self.nxt, self.cur
+
+
+class _InPlace(_Part):
+    """A part too large for the cache: one buffer, stepped in place one block
+    of ``BLOCK`` cells at a time.
+
+    A step forms a block's new values in ``block`` from a ``window`` of the old
+    cells within ``unit`` of it, then copies them back; the window's first
+    ``unit`` cells are saved from the previous block before it is overwritten.
+    Every cell gets the same operations in the same order as in
+    ``_TwoBuffers.step``, so both give the same bits.
+    """
+
+    __slots__ = ("window", "block")
+
+    def __init__(self, axes, vectors, weights, size, width, dtype):
+        super().__init__(axes, vectors, weights, size, dtype)
+        widest = sum(size**j for j in range(self.k))  # the unit at the widest stride
+        self.window = np.zeros(BLOCK + 2 * widest, dtype=dtype)
+        self.block = np.zeros(BLOCK, dtype=dtype)
+        self.scratch = self._scratch(BLOCK, dtype)
+        self._set_width(width)
+
+    def restride(self, width, live):
+        """Move the live box {0..live-1}^k to ``width`` slots per axis, one
+        hyperplane at a time through a copy in the window, which steps use only
+        while they run: in descending order when the stride grows and ascending
+        when it shrinks, so no hyperplane lands on one not yet moved."""
+        old = self.cur.nd
+        grows = width > self.width
+        self._set_width(width)
+        new = self.cur.nd
+        inner = _box(self.k - 1, live)
+        plane = self.window[:live**(self.k - 1)].reshape((live,) * (self.k - 1))
+        for s in range(live, 0, -1) if grows else range(1, live + 1):
+            src = old[(s,) + inner]
+            plane[...] = src
+            src.fill(0)
+            new[(s,) + inner] = plane
+
+    def step(self, live, reach, scale):
+        """Advance cur from {0..live-1}^k to {0..reach-1}^k, then apply ``scale``,
+        a ufunc and its operand, if given."""
+        flat, window = self.cur.flat, self.window
+        unit, cells = self.unit, len(self.block)
+        lo, hi = unit, live * unit + 1  # the flat span of {0..live-1}^k
+        (first, w0), *rest = self.steps
+        window[:unit] = 0  # the cells before lo, all on a face
+        for a in range(lo, hi + unit, cells):  # the span of {0..reach-1}^k
+            b = min(a + cells, hi + unit)
+            n = b - a
+            # window[i] is old cell a - unit + i; the old state is zero from hi on
+            top = max(a, min(b + unit, hi))
+            window[unit:unit + top - a] = flat[a:top]
+            window[unit + top - a:n + 2 * unit] = 0
+            # the first merged step writes the whole block: past the old state
+            # it reads zeros, as _TwoBuffers.step zeroes what its span misses
+            new = self.block[:n]
+            src = window[unit - first:unit - first + n]
+            if w0 == 1:
+                new[...] = src
+            else:
+                np.multiply(src, w0, out=new)
+            for off, w in rest:
+                src = window[unit - off:unit - off + n]
+                if w == 1:
+                    new += src
+                else:
+                    part = self.scratch[:n]
+                    np.multiply(src, w, out=part)
+                    new += part
+            if scale is not None:
+                op, by = scale
+                op(new, by, out=new)
+            window[:unit] = window[n:n + unit]  # old cells [b - unit, b), for the next block
+            flat[a:b] = new
+        for face in self.cur.faces:  # drop the walks that stepped off an axis
+            face.fill(0)
 
 
 def evolve(vectors, weights, n_max, dtype, filters=None):
@@ -182,7 +284,8 @@ def evolve(vectors, weights, n_max, dtype, filters=None):
 
     def part(axes):
         if axes not in parts:
-            parts[axes] = _Part(axes, vectors, weights, size, width, dtype)
+            kind = _InPlace if size ** len(axes) > IN_PLACE_CELLS else _TwoBuffers
+            parts[axes] = kind(axes, vectors, weights, size, width, dtype)
         return parts[axes]
 
     def state(live):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,22 +181,34 @@ def test_evolve_buffers_are_zero_outside_the_live_box(d):
 
 
 # kernels whose horizons cross several re-strides: every step of {-1,0,1}^2 with
-# weights 1, 2, 3 in turn; the 3D example with one weight 2; and WEIGHTED, whose
-# projections onto one axis merge into weights 3 and 9
+# weights 1, 2, 3 in turn; the 3D example with one weight 2; WEIGHTED, whose
+# projections onto one axis merge into weights 3 and 9; and D4 with one weight
+# 2, re-strided every few steps so that a short horizon crosses several strides
 RESTRIDE_CASES = {
     "2D": ([v for v in itertools.product((-1, 0, 1), repeat=2) if any(v)],
-           [1 + i % 3 for i in range(8)], 200),
-    "3D": ([v for v, _ in D3.steps], [2, 1, 1, 1, 1], 80),
-    "merged": ([v for v, _ in WEIGHTED.steps], [1, 3, 2, 4], 150),
+           [1 + i % 3 for i in range(8)], 200, _dp.SLACK),
+    "3D": ([v for v, _ in D3.steps], [2, 1, 1, 1, 1], 80, _dp.SLACK),
+    "merged": ([v for v, _ in WEIGHTED.steps], [1, 3, 2, 4], 150, _dp.SLACK),
+    "4D": ([v for v, _ in D4.steps], [2] + [1] * 8, 24, 2),
 }
 
 
 @pytest.mark.parametrize("dtype", [object, np.float64], ids=["exact", "float"])
-@pytest.mark.parametrize("case", list(RESTRIDE_CASES))
-def test_evolve_matches_the_slice_kernel_across_restrides(case, dtype):
+@pytest.mark.parametrize("case, in_place", [
+    pytest.param(case, in_place, id=case + "-in-place" * in_place)
+    for in_place in (False, True) for case in RESTRIDE_CASES])
+def test_evolve_matches_the_slice_kernel_across_restrides(case, dtype, in_place, monkeypatch):
     # the flat kernel copies each live box to a narrower or wider stride as it
     # grows and shrinks; every state must stay what the slice kernel computes
-    vectors, weights, horizon = RESTRIDE_CASES[case]
+    vectors, weights, horizon, slack = RESTRIDE_CASES[case]
+    if in_place:
+        # every part but the scalar one keeps a single buffer, stepped in blocks
+        # of 40 cells that cut rows and re-strided inside it; a re-stride every
+        # few steps lets a shorter horizon cross as many strides
+        monkeypatch.setattr(_dp, "IN_PLACE_CELLS", 1)
+        monkeypatch.setattr(_dp, "BLOCK", 40)
+        slack, horizon = 4, min(horizon, 40)
+    monkeypatch.setattr(_dp, "SLACK", slack)
     full = tuple(range(len(vectors[0])))
     strides = set()
     for n, (got, want) in enumerate(zip(_dp.evolve(vectors, weights, horizon, dtype),
@@ -250,6 +263,22 @@ def test_float_profiles_are_frozen_bit_for_bit(name):
     for series in count_profile(entry.stepset(), 160).values():
         h.update(series.values.tobytes())
     assert h.hexdigest() == PROFILE_DIGESTS_160[name]
+
+
+@pytest.mark.parametrize("weights", [[1] * 5, [2, 1, 3, 1, 1]], ids=["unit", "weighted"])
+def test_large_parts_keep_one_buffer(weights):
+    # the 3D example's full part at n = 144 has 75^3 cells, more than
+    # IN_PLACE_CELLS: stepped in place, it holds one float64 buffer of them
+    # where two, and a third for non-unit weights, would hold 2 or 3 times that
+    s = build_stepset(3, list(zip([v for v, _ in D3.steps], weights)))
+    count_walks(s, 2, "anywhere", "float")  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        count_walks(s, 144, "anywhere", "float")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 75**3 * 8
 
 
 # ------------------------------------------------------------------ filters
