@@ -125,9 +125,13 @@ class AsymptoticExpansion:
     terms: list
     alpha: Fraction  # base exponent shared by the terms
     periodic: PeriodicForm | None
-    partial: bool = False
     route: str = ""
     notes: tuple = ()
+
+    @property
+    def partial(self):
+        """Whether the terms did not fold into a periodic normal form."""
+        return self.periodic is None
 
 
 # ------------------------------------------------------------ jet machinery
@@ -476,8 +480,7 @@ def asympt_closed(s: StepSet, prec=DEFAULT_PREC_BITS) -> AsymptoticExpansion:
             terms = [ContributionTerm(None, QuadVal(q1, 2 * r, a1 * b1),
                                       alpha, [c_of(r * rho)])
                      for r in ((1, -1) if dcmp.Q.is_zero() else (1,))]
-        return AsymptoticExpansion(terms, alpha, _fold(terms, alpha), partial=False,
-                                   route="closed")
+        return AsymptoticExpansion(terms, alpha, _fold(terms, alpha), route="closed")
 
 
 # ------------------------------------------------------------ full pipeline
@@ -499,5 +502,4 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
         terms = plan.expand_all(pts, plan.depth if N is None else N)
         periodic = _fold(terms, plan.alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
-    return AsymptoticExpansion(terms, plan.alpha, periodic, periodic is None, plan.route,
-                               notes)
+    return AsymptoticExpansion(terms, plan.alpha, periodic, plan.route, notes)

@@ -347,8 +347,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
                     if "symbolic" in modes:
                         if not entry.theorem_covered():
                             status, details = "skipped", {"reason": entry.klass}
-                        elif (exp := asympt_full(s, flt, prec=prec)).partial \
-                                or exp.periodic is None:
+                        elif (exp := asympt_full(s, flt, prec=prec)).partial:
                             status, details = "partial", {"notes": list(exp.notes)}
                         else:
                             ok, details = compare(want, exp.periodic)

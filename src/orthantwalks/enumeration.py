@@ -177,7 +177,8 @@ def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
 
     Both modes raise CapacityError when the box {0..n_max}^d the walks span
     has more than ``DEFAULT_STATE_CAP`` cells, although no buffer of the
-    kernel holds more than (n_max//2 + 3)^d of them.
+    kernel holds more than (n_max//2 + 3)^d of them and a zero pad of one
+    unit at the widest stride, sum((n_max//2 + 3)^j for j < d) cells.
     """
     _check_length(n_max)
     flt = normalize_filter(flt, s.dim)

@@ -108,7 +108,7 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
             exp = asympt_full(s, flt, prec=prec)
             predicted = expansion_payload(exp, digits)
             partial = exp.partial
-            pf = exp.periodic if not exp.partial else None
+            pf = exp.periodic
         if pf is None:
             stored = stored_cell(s, flt)
             if stored is not None:

@@ -176,7 +176,10 @@ def test_evolve_buffers_are_zero_outside_the_live_box(d):
         for n, state in enumerate(_dp.evolve(vectors, weights, horizon, object)):
             for axes, arr in state.items():
                 buf = arr.base  # the part's flat buffer, which the view reads
-                assert buf.ndim == 1 and buf.size == (horizon // 2 + 3) ** len(axes)
+                # the widest box and past it a pad of one unit at the widest
+                # stride, which must stay zero: gathers read it as empty cells
+                size, k = horizon // 2 + 3, len(axes)
+                assert buf.ndim == 1 and buf.size == size**k + sum(size**j for j in range(k))
                 assert np.count_nonzero(buf) == np.count_nonzero(arr), (horizon, n, axes)
 
 
@@ -256,13 +259,35 @@ PROFILE_DIGESTS_160 = {
 }
 
 
+def _profile_digest(s, n_max):
+    h = hashlib.sha256()
+    for series in count_profile(s, n_max).values():
+        h.update(series.values.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", list(PROFILE_DIGESTS_160))
 def test_float_profiles_are_frozen_bit_for_bit(name):
     (entry,) = [e for e in catalog.ENTRIES if e.name == name]
-    h = hashlib.sha256()
-    for series in count_profile(entry.stepset(), 160).values():
-        h.update(series.values.tobytes())
-    assert h.hexdigest() == PROFILE_DIGESTS_160[name]
+    assert _profile_digest(entry.stepset(), 160) == PROFILE_DIGESTS_160[name]
+
+
+# the same digests, taken before both kinds of part formed their cells through
+# one formula, over parts stepped in place at their real sizes: the 3D
+# example's full part at n = 144 (75^3 cells), unit and weighted, and D4's at
+# n = 72 (39^4 cells), whose unit of 60,880 cells is wider than a block
+LARGE_PART_DIGESTS = {
+    "3D": (D3, 144, "5269890b5fca79300b6b094fd92f035d25dc2209df9ce56d06ba1cc9f73ff26f"),
+    "3D-weighted": (build_stepset(3, list(zip([v for v, _ in D3.steps], [2, 1, 3, 1, 1]))), 144,
+                    "d164ca67453c1e4c1ecf06cc316d2120377035d1126f302e8f5a0534a2e006bd"),
+    "4D": (D4, 72, "1e78b5e09e63eb55c3d74b906d4107a13cf2ba189d6074c696a799f7d470942e"),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_PART_DIGESTS))
+def test_float_profiles_of_large_parts_are_frozen_bit_for_bit(name):
+    s, n_max, digest = LARGE_PART_DIGESTS[name]
+    assert _profile_digest(s, n_max) == digest
 
 
 @pytest.mark.parametrize("weights", [[1] * 5, [2, 1, 3, 1, 1]], ids=["unit", "weighted"])
