@@ -290,11 +290,14 @@ def test_float_profiles_of_large_parts_are_frozen_bit_for_bit(name):
     assert _profile_digest(s, n_max) == digest
 
 
-@pytest.mark.parametrize("weights", [[1] * 5, [2, 1, 3, 1, 1]], ids=["unit", "weighted"])
-def test_large_parts_keep_one_buffer(weights):
+@pytest.mark.parametrize("weights, bound", [([1] * 5, 1.3), ([2, 1, 3, 1, 1], 1.4)],
+                         ids=["unit", "weighted"])
+def test_large_parts_keep_one_buffer(weights, bound):
     # the 3D example's full part at n = 144 has 75^3 cells, more than
     # IN_PLACE_CELLS: stepped in place, it holds one float64 buffer of them
-    # where two, and a third for non-unit weights, would hold 2 or 3 times that
+    # where two, and a third for non-unit weights, would hold 2 or 3 times that;
+    # past the buffer and its pad come the window, a scratch block with
+    # non-unit weights, and the smaller parts
     s = build_stepset(3, list(zip([v for v, _ in D3.steps], weights)))
     count_walks(s, 2, "anywhere", "float")  # numpy's first-use allocations
     tracemalloc.start()
@@ -303,7 +306,30 @@ def test_large_parts_keep_one_buffer(weights):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 75**3 * 8
+    assert peak < bound * 75**3 * 8
+
+
+@pytest.mark.parametrize("weights", [[1] * 5, [2, 1, 3, 1, 1]], ids=["unit", "weighted"])
+def test_in_place_steps_allocate_no_arrays(weights, monkeypatch):
+    # once a part exists, its steps and re-strides form every block straight
+    # into the buffer and move hyperplanes through the window: past the
+    # state's views and dicts, no array is allocated.  A block of 2^10 cells
+    # makes any block-sized array (8 kB) larger than the bound
+    monkeypatch.setattr(_dp, "IN_PLACE_CELLS", 1)
+    monkeypatch.setattr(_dp, "BLOCK", 2**10)
+    monkeypatch.setattr(_dp, "SLACK", 4)
+    vectors = [v for v, _ in D3.steps]
+    states = _dp.evolve(vectors, weights, 40, np.float64, [(0, 1, 2)])
+    assert set(next(states)) == {(0, 1, 2)}  # the full part only, in place
+    tracemalloc.start()
+    try:
+        for n, _ in enumerate(states, 1):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 40
+    assert peak < 6000
 
 
 # ------------------------------------------------------------------ filters
