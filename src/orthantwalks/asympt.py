@@ -40,17 +40,19 @@ to nearest commutes with a change of sign, so the rounded coefficients follow.
 The leading-order crossing formula ``transverse_contribution`` is kept only
 as an independent check on the engine.
 
-``asympt_full`` translates the filter, takes the plan and the points of
-its form (crossing or smooth-sheet, both chosen exactly by ``critical``),
-expands them and folds: every output is folded into a periodic
-normal form with real per-residue constants, which is what verification
-compares.  The fold reads exact zeros and exact units: the leading index is
-the first with a nonzero coefficient, each rate is 1, -1, i or -i (the
-exact ``QuadVal.unit`` of the rate) times one shared modulus, and the period
-is the order of the units of the leading terms.  The folded rate is that of
-the first term with unit 1: the principal point for the engine, the first
-term for the closed forms.  Neither route checks support itself:
-``stepset.decompose`` refuses unsupported models.
+Each function here that takes an endpoint filter takes it in the user's
+axes, as ``count_walks`` does; the plan is keyed by its canonical axes
+(``StepSet.canonical_variant``).  ``asympt_full`` takes the plan and the
+points of its form (crossing or smooth-sheet, both chosen exactly by
+``critical``), expands them and folds: every output is folded into a
+periodic normal form with real per-residue constants, which is what
+verification compares.  The fold reads exact zeros and exact units: the
+leading index is the first with a nonzero coefficient, each rate is 1, -1,
+i or -i (the exact ``QuadVal.unit`` of the rate) times one shared modulus,
+and the period is the order of the units of the leading terms.  The folded
+rate is that of the first term with unit 1: the principal point for the
+engine, the first term for the closed forms.  Neither route checks support
+itself: ``stepset.decompose`` refuses unsupported models.
 
 ``asympt_full`` and ``asympt_closed`` each set the one working precision,
 ``prec + GUARD_BITS``; everything else here runs at the precision it is given.
@@ -82,13 +84,7 @@ from orthantwalks.laurent import (
     noise_floor,
     to_mp,
 )
-from orthantwalks.stepset import (
-    HIGHLY_SYMMETRIC,
-    StepSet,
-    classify,
-    decompose,
-)
-from orthantwalks.enumeration import normalize_filter
+from orthantwalks.stepset import HIGHLY_SYMMETRIC, StepSet, classify, decompose
 
 
 @dataclass
@@ -322,36 +318,39 @@ class _Integrand:
         return self._units[signs]
 
 
-def _plan(s: StepSet, variant) -> _Integrand:
-    """The expansion plan of ``s`` and a canonical variant, built once per
-    StepSet."""
+def _plan(s: StepSet, flt) -> _Integrand:
+    """The expansion plan of ``s`` and an endpoint filter in the user's axes,
+    built once per StepSet and canonical variant."""
+    variant = s.canonical_variant(flt)
     return s.derived(("plan", variant), lambda s: _Integrand(s, variant))
 
 
 def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
-                        numerator_variant=()) -> ContributionTerm:
+                        flt="anywhere") -> ContributionTerm:
     """Depth-N saddle expansion at one contributing point, at the caller's
     working precision (``asympt_full`` sets it once for all its points).
 
-    ``numerator_variant`` is a set of canonical axes carrying boundary factors
-    (1 - z_j).  The expansion plan of the model and ``numerator_variant``
-    (see ``_Integrand``) fixes the form; a point that plan does not expand
-    (a crossing point where it takes the smooth sheet, or the reverse) raises
-    ``ValueError``.  Coefficients are reported against n^{-m/2 - k}, m the
-    number of integration variables (d, or d-1 after the residue at a
-    crossing point).
+    ``flt`` is the endpoint filter in the user's axes, as for
+    ``asympt_full``: each axis it pins to 0 carries a boundary factor
+    (1 - z_j).  The expansion plan of the model and the filter (see
+    ``_Integrand``) fixes the form; a point that plan does not expand (a
+    crossing point where it takes the smooth sheet, or the reverse) raises
+    ``ValueError``, and so does a filter ``normalize_filter`` refuses.
+    Coefficients are reported against n^{-m/2 - k}, m the number of
+    integration variables (d, or d-1 after the residue at a crossing point).
     """
-    return _plan(s, tuple(sorted(numerator_variant))).expand(point, N)
+    return _plan(s, flt).expand(point, N)
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
-                            numerator_variant=()) -> ContributionTerm:
+                            flt="anywhere") -> ContributionTerm:
     """Leading-order contribution at a crossing point (kernel sheet meeting
     {z_d=1}) from the closed crossing formula; a zero coefficient where the
     effective numerator vanishes there.  Kept as an independent check on the
     residue expansion of ``smooth_contribution``.  Only points from the
     crossing search are taken (``ContributingPoint.is_crossing``): the
-    zero-drift all-ones point, which lies on z_d = 1 too, is refused."""
+    zero-drift all-ones point, which lies on z_d = 1 too, is refused.
+    ``flt`` is the endpoint filter in the user's axes."""
     if not point.is_crossing():
         raise ValueError("transverse_contribution requires a crossing point")
     d = s.dim
@@ -359,7 +358,7 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     kern = diag_kernel(s)
     coords = point.coords()
     geff = kern.G.eval(coords) / kern.H2.eval(coords)
-    for j in numerator_variant:
+    for j in s.canonical_variant(flt):
         geff *= 1 - coords[j]
     if abs(geff) < noise_floor():
         geff = mp.mpc(0)  # the effective numerator vanishes here
@@ -489,14 +488,14 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
                 ) -> AsymptoticExpansion:
     """Sum point contributions for the requested endpoint filter and fold.
 
-    The filter is given in user axes; it is translated to canonical axes
-    internally.  Zero-drift models must be fully symmetric; they are handled
+    The filter is given in the user's axes; the plan is keyed by its
+    canonical axes.  Zero-drift models must be fully symmetric; they are handled
     through the one-factor symmetric representation, which keeps every
     contributing point on a smooth sheet for any filter.  The folded rate
     string is the exact rate of the principal point; unsupported models are
     refused by ``decompose`` when the plan or the points are built.
     """
-    plan = _plan(s, s.canonical_variant(normalize_filter(flt, s.dim)))
+    plan = _plan(s, flt)
     pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
     with mp.workprec(prec + GUARD_BITS):
         terms = plan.expand_all(pts, plan.depth if N is None else N)

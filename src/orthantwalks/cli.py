@@ -21,13 +21,14 @@ from mpmath import mp
 from orthantwalks import catalog as catalog_mod
 from orthantwalks.asympt import asympt_full
 from orthantwalks.critical import check_critical, contributing_points
-from orthantwalks.enumeration import CapacityError, count_walks, filter_name, parse_filter
+from orthantwalks.enumeration import CapacityError, count_walks
 # perfbench/instrument.py wraps cli.estimate_growth and cli.verify_model by name,
 # and perfbench/workloads.py calls cli.verify_model
 from orthantwalks.fit import MIN_FIT_N, estimate_growth  # noqa: F401
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, orbit_sum
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
-from orthantwalks.stepset import StepSet, StepSetError, load_stepset, stepset_from_document
+from orthantwalks.stepset import (
+    StepSet, StepSetError, filter_name, load_stepset, parse_filter, stepset_from_document)
 from orthantwalks.verify import SCHEMA_VERSION, expansion_payload, verify_model
 
 
@@ -55,11 +56,11 @@ def _resolve_model(text) -> StepSet:
         raise UsageError(f"cannot resolve model {text!r}: {ex}") from ex
 
 
-def _emit(payload, fmt, out, rows=None):
+def _emit(payload, fmt, out):
+    rows = payload.get("rows", [])
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
-        rows = rows if rows is not None else payload.get("rows", [])
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -67,7 +68,6 @@ def _emit(payload, fmt, out, rows=None):
             writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "md":
-        rows = rows if rows is not None else payload.get("rows", [])
         if not rows:
             text = "(empty)\n"
         else:
@@ -173,7 +173,7 @@ def _cmd_diagonal(args, s):
     n = args.n if args.n is not None else 10
     flt = _endpoint(args, s)
     kern = diag_kernel(s)
-    coeffs = diagonal_coeffs(kern, n, boundary_axes=s.canonical_variant(flt))
+    coeffs = diagonal_coeffs(kern, n, flt)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": s.describe(),

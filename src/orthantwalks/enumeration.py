@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orthantwalks.stepset import StepSet
+from orthantwalks.stepset import StepSet, normalize_filter
 
 
 class CapacityError(RuntimeError):
@@ -30,54 +30,6 @@ class CapacityError(RuntimeError):
 
 DEFAULT_STATE_CAP = 1 << 26  # largest box (n_max+1)^d any count may span
 ENDPOINT_TABLE_MAX_N = 12
-
-
-def normalize_filter(flt, dim):
-    """Canonical filter form: 'anywhere' or ('axes', sorted axis tuple).
-
-    Axes are 0-based user-coordinate indices; 'origin' means all axes.
-    """
-    if flt in (None, "anywhere"):
-        return "anywhere"
-    if flt == "origin":
-        return ("axes", tuple(range(dim)))
-    if isinstance(flt, tuple) and len(flt) == 2 and flt[0] == "axes":
-        axes = tuple(sorted(set(int(a) for a in flt[1])))
-        if not axes:
-            return "anywhere"
-        if any(a < 0 or a >= dim for a in axes):
-            raise ValueError("filter axis out of range")
-        return ("axes", axes)
-    raise ValueError(f"unknown endpoint filter {flt!r}")
-
-
-def parse_filter(text, dim):
-    """Parse CLI filter syntax: anywhere | origin | axes=1,2 (1-based axes)."""
-    text = text.strip().lower()
-    if text in ("anywhere", "origin"):
-        return normalize_filter(text, dim)
-    if text.startswith("axes="):
-        axes = []
-        for a in filter(None, (a.strip() for a in text[5:].split(","))):
-            try:
-                axes.append(int(a))
-            except ValueError:
-                raise ValueError(f"endpoint filter {text!r}: {a!r} is not an axis number") from None
-        if not axes:
-            raise ValueError(f"endpoint filter {text!r} names no axis")
-        if not all(1 <= a <= dim for a in axes):
-            raise ValueError(f"endpoint filter {text!r}: axes are numbered 1 to {dim}")
-        return normalize_filter(("axes", tuple(a - 1 for a in axes)), dim)
-    raise ValueError(f"cannot parse endpoint filter {text!r}")
-
-
-def filter_name(flt, dim):
-    if flt == "anywhere":
-        return "anywhere"
-    axes = flt[1]
-    if len(axes) == dim:
-        return "origin"
-    return "axes=" + ",".join(str(a + 1) for a in axes)
 
 
 @dataclass
@@ -94,9 +46,6 @@ class CountSeries:
     values: object
     log_scale: float = 0.0
     underflow: bool = False
-
-    def __len__(self):
-        return len(self.values)
 
     def n_max(self):
         return len(self.values) - 1

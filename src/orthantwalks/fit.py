@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from orthantwalks.enumeration import CountSeries
 from orthantwalks.laurent import noise_floor
 
 # the periods the fitter tries, shortest first; the engine's fold
@@ -87,8 +86,9 @@ def _class_chain(logs, r, p, q):
     return out
 
 
-def estimate_growth(series: CountSeries) -> GrowthFit:
-    """Fit s_n ~ C_r rho^n n^alpha per residue class.
+def estimate_growth(series) -> GrowthFit:
+    """Fit s_n ~ C_r rho^n n^alpha per residue class of an
+    ``enumeration.CountSeries``.
 
     Period: smallest candidate for which every residue class has a consistent
     zero pattern and stable within-class ratios in the tail.  alpha comes from

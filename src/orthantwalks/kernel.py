@@ -6,11 +6,13 @@ positive-part identity check.
 Diagonal extraction, the positive-part check and the non-negativity check
 all expand 1/(H1 * H2) in t by one recurrence over the factors
 ``diag_kernel`` builds; the positive-part check reads the same t-coefficients
-at reflected exponents and compares them with the DP oracle's endpoint table.
+at reflected exponents and compares them with the DP oracle's endpoint table,
+the one function here that loads the oracle.
 
 All polynomials here live in canonical axis order (drift axis last); diagonal
 variables are z_1..z_d with t as the final variable of (d+1)-variable
-polynomials.
+polynomials.  Endpoint filters come in the user's axes, as everywhere in the
+package, and ``diagonal_coeffs`` translates them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orthantwalks.enumeration import endpoint_tables
 from orthantwalks.laurent import LaurentPoly
 from orthantwalks.stepset import StepSet, decompose
 
@@ -163,14 +164,14 @@ def coprimality_spotcheck(kern: DiagonalKernel):
 
 # ------------------------------------------------------------ t-expansion
 
-def _series_pieces(kern: DiagonalKernel, boundary_axes):
+def _series_pieces(kern: DiagonalKernel, axes):
     """D and the integer polynomials D*a, D*b, D*g0, D*g1 in z_1..z_d, as
     exponent -> coefficient dicts, where H1 = 1 - t a, H2 = 1 - t b,
-    g0 + t g1 = G * prod_{j in boundary_axes} (1 - z_j) and D is the lcm of
-    the denominators of a, b, g0 and g1."""
+    g0 + t g1 = G * prod_{j in axes} (1 - z_j) over the canonical ``axes``,
+    and D is the lcm of the denominators of a, b, g0 and g1."""
     d = kern.stepset.dim
     edge = LaurentPoly.const(d, 1)
-    for j in set(boundary_axes):
+    for j in axes:
         edge = edge * (1 - LaurentPoly.variable(d, j))
     polys = (-kern.H1.coeff_slice(d, 1), -kern.H2.coeff_slice(d, 1),
              edge * kern.G.coeff_slice(d, 0), edge * kern.G.coeff_slice(d, 1))
@@ -220,15 +221,18 @@ def _diagonal_term(g, f, n):
     return total
 
 
-def diagonal_coeffs(kern: DiagonalKernel, n_max, boundary_axes=()):
-    """Exact [ (z_1..z_d t)^n ] of G/H for n <= n_max.
+def diagonal_coeffs(kern: DiagonalKernel, n_max, flt="anywhere"):
+    """Exact [ (z_1..z_d t)^n ] of G/H for n <= n_max: the counts of walks
+    ending as the endpoint filter ``flt`` asks, in any form
+    ``normalize_filter`` takes (user axes, as for ``count_walks``).
 
-    ``boundary_axes`` multiplies the numerator by prod (1 - z_j) over the given
-    canonical axes, giving the boundary-return diagonals.  The geometric
-    expansion of 1/H3 in z_d is folded in by summing the z_d-exponents <= n.
-    The sums run in integers, D^(n+1) times the coefficient, divided once.
+    Each axis the filter pins to 0 multiplies the numerator by (1 - z_j),
+    z_j its canonical variable, giving the boundary-return diagonals.  The
+    geometric expansion of 1/H3 in z_d is folded in by summing the
+    z_d-exponents <= n.  The sums run in integers, D^(n+1) times the
+    coefficient, divided once.
     """
-    denom, (a, b, g0, g1) = _series_pieces(kern, boundary_axes)
+    denom, (a, b, g0, g1) = _series_pieces(kern, kern.stepset.canonical_variant(flt))
     out = []
     prev = {}
     for n, f in enumerate(_t_series(a, b, n_max, n_max)):
@@ -258,6 +262,8 @@ def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
     the coefficient of L_n at (n - i_1, ..., n - i_d), and the identity is
     checkable exactly.
     """
+    from orthantwalks.enumeration import endpoint_tables  # the DP oracle, loaded here only
+
     d = s.dim
     denom, (a, b, g0, g1) = _series_pieces(diag_kernel(s), range(d - 1))
     results = []

@@ -259,24 +259,15 @@ class LaurentPoly:
         """
         if len(point) != self.dim:
             raise ValueError("point length does not match dimension")
-        exact = all(isinstance(c, (int, Fraction)) for c in point)
-        if exact:
-            coords = [Fraction(c) for c in point]
-            if any(c == 0 for c in coords):
-                raise ZeroDivisionError("zero coordinate: negative exponents undefined")
-            total = Fraction(0)
-            for expo, coeff in self.terms.items():
-                val = coeff
-                for c, e in zip(coords, expo):
-                    val *= c ** e
-                total += val
-            return total
-        coords = [to_mp(c) for c in point]
+        if all(isinstance(c, (int, Fraction)) for c in point):
+            convert, total = Fraction, Fraction(0)
+        else:
+            convert, total = to_mp, mp.mpc(0)
+        coords = [convert(c) for c in point]
         if any(c == 0 for c in coords):
             raise ZeroDivisionError("zero coordinate: negative exponents undefined")
-        total = mp.mpc(0)
         for expo, coeff in self.terms.items():
-            val = to_mp(coeff)
+            val = convert(coeff)
             for c, e in zip(coords, expo):
                 val *= c ** e
             total += val

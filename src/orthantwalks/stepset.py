@@ -1,5 +1,6 @@
 """Weighted step-set models on {-1,0,1}^d: validation, symmetry classification,
-and the exact decompositions of the characteristic Laurent polynomial that the
+endpoint filters (in the user's axes) and their canonical translation, and the
+exact decompositions of the characteristic Laurent polynomial that the
 asymptotic formulas consume.
 
 A model's exact derived data (its class, decomposition, diagonal kernel,
@@ -67,6 +68,57 @@ def parse_weight(w):
     raise StepSetError(f"cannot parse weight {w!r}")
 
 
+# ------------------------------------------------------------ endpoint filters
+
+def normalize_filter(flt, dim):
+    """Canonical filter form: 'anywhere' or ('axes', sorted axis tuple).
+
+    Axes are 0-based user-coordinate indices; 'origin' means all axes.
+    """
+    if flt in (None, "anywhere"):
+        return "anywhere"
+    if flt == "origin":
+        return ("axes", tuple(range(dim)))
+    if isinstance(flt, tuple) and len(flt) == 2 and flt[0] == "axes":
+        axes = tuple(sorted(set(int(a) for a in flt[1])))
+        if not axes:
+            return "anywhere"
+        if any(a < 0 or a >= dim for a in axes):
+            raise ValueError("filter axis out of range")
+        return ("axes", axes)
+    raise ValueError(f"unknown endpoint filter {flt!r}")
+
+
+def parse_filter(text, dim):
+    """Parse CLI filter syntax: anywhere | origin | axes=1,2 (1-based axes)."""
+    text = text.strip().lower()
+    if text in ("anywhere", "origin"):
+        return normalize_filter(text, dim)
+    if text.startswith("axes="):
+        axes = []
+        for a in filter(None, (a.strip() for a in text[5:].split(","))):
+            try:
+                axes.append(int(a))
+            except ValueError:
+                raise ValueError(f"endpoint filter {text!r}: {a!r} is not an axis number") from None
+        if not axes:
+            raise ValueError(f"endpoint filter {text!r} names no axis")
+        if not all(1 <= a <= dim for a in axes):
+            raise ValueError(f"endpoint filter {text!r}: axes are numbered 1 to {dim}")
+        return normalize_filter(("axes", tuple(a - 1 for a in axes)), dim)
+    raise ValueError(f"cannot parse endpoint filter {text!r}")
+
+
+def filter_name(flt, dim):
+    """The CLI name of a normalized filter, as ``parse_filter`` reads it."""
+    if flt == "anywhere":
+        return "anywhere"
+    axes = flt[1]
+    if len(axes) == dim:
+        return "origin"
+    return "axes=" + ",".join(str(a + 1) for a in axes)
+
+
 @dataclass(frozen=True)
 class SymmetryClass:
     kind: str  # HighlySymmetric | MissingOneAxis | Unsupported
@@ -108,8 +160,9 @@ class StepSet:
         return tuple((self.canonical_vector(v), w) for v, w in self.steps)
 
     def canonical_variant(self, flt):
-        """The sorted canonical axes of a normalized endpoint filter; () for
-        'anywhere'."""
+        """The sorted canonical axes of an endpoint filter in any form
+        ``normalize_filter`` takes (user axes); () for 'anywhere'."""
+        flt = normalize_filter(flt, self.dim)
         if flt == "anywhere":
             return ()
         return tuple(sorted(self.axis_order.index(a) for a in flt[1]))

@@ -433,10 +433,10 @@ def numeric_saddle_jets(s, point, variant, phase_order, amplitude_order, prec=DE
         return u, g, lam
 
 
-def numeric_saddle_coefficients(s, point, N, numerator_variant=(), prec=DEFAULT_PREC_BITS):
+def numeric_saddle_coefficients(s, point, N, variant=(), prec=DEFAULT_PREC_BITS):
     """Oracle: ``asympt.smooth_contribution``'s coefficients by the engine's
     explicit formula in ``MpcJet`` arithmetic, as before the exact jets."""
-    u, g, lam = numeric_saddle_jets(s, point, numerator_variant, 2 * N, 2 * (N - 1), prec)
+    u, g, lam = numeric_saddle_jets(s, point, variant, 2 * N, 2 * (N - 1), prec)
     with mp.workprec(prec + GUARD_BITS):
         d = g.dim
         u_terms = [(e, sum(e), tuple(x & 1 for x in e), c) for e, c in u.coeffs.items()
@@ -472,7 +472,7 @@ def numeric_saddle_coefficients(s, point, N, numerator_variant=(), prec=DEFAULT_
         return [pref * t for t in totals]
 
 
-def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
+def operator_saddle_coefficients(s, point, N, variant=(), prec=192):
     """Oracle: the depth-N saddle coefficients by the operator route.
 
     Builds every jet to degree 6(N-1) and applies H = -sum_a lam_a^{-1} d_a^2
@@ -484,7 +484,7 @@ def operator_saddle_coefficients(s, point, N, numerator_variant=(), prec=192):
     wp = prec + GUARD_BITS
     order = max(2, 6 * (N - 1))
     with mp.workprec(wp):
-        u, g, lam = numeric_saddle_jets(s, point, numerator_variant, order, order, prec)
+        u, g, lam = numeric_saddle_jets(s, point, variant, order, order, prec)
         d = g.dim
 
         def H(jet):

@@ -1,5 +1,6 @@
 """Saddle-point engine vs closed forms, derivative identities, and folding."""
 
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -40,7 +41,8 @@ from orthantwalks.critical import (
     minimal_point,
     smooth_sheet_points,
 )
-from orthantwalks.enumeration import normalize_filter
+from orthantwalks.enumeration import count_walks
+from orthantwalks.kernel import diag_kernel, diagonal_coeffs
 from orthantwalks.laurent import (
     GUARD_BITS,
     LaurentPoly,
@@ -63,6 +65,10 @@ S3 = build_stepset(
 S4 = build_stepset(
     4, [((0, 0, 0, 1), 1)] + [((sx, sy, sz, -1), 1) for sx in (-1, 1) for sy in (-1, 1)
                               for sz in (-1, 1)])
+# the drift axis first (x) in 2D and in the middle (y) in 3D
+W_NE_SE = build_stepset(2, ["W", "NE", "SE"])
+S3_MIDDLE = build_stepset(
+    3, [((0, 1, 0), 1)] + [((sx, -1, sz), 1) for sx in (-1, 1) for sz in (-1, 1)])
 
 PREC = 192
 
@@ -331,7 +337,7 @@ def test_engine_reads_the_amplitude_only_to_its_order(s, axes):
     # L_k reads u gU^l to degree 2(N-1+l), which u to degree 2(N-1) fixes
     # since gU^l starts at degree 3l: an amplitude jet of exactly that order
     # gives the operator route's coefficients, which read every jet to 6(N-1)
-    variant, N = s.canonical_variant(normalize_filter(("axes", axes), s.dim)), 3
+    variant, N = s.canonical_variant(("axes", axes)), 3
     plan = _Integrand(s, variant)
     with mp.workprec(280):
         pts = (contributing_points if plan.crossing else smooth_sheet_points)(s)
@@ -362,14 +368,15 @@ def test_saddle_coefficients_match_operator_oracle(s, axes, depth):
     # Where the amplitude vanishes at the point (every boundary filter here)
     # the phase is read only to degree 2N-1; the unfiltered plain and residue
     # forms read it to degree 2N.
-    variant = s.canonical_variant(normalize_filter(("axes", axes), s.dim))
+    flt = ("axes", axes)
+    variant = s.canonical_variant(flt)
     with mp.workprec(280):
         pts = contributing_points(s)
         want = [operator_saddle_coefficients(s, p, depth, variant, PREC) for p in pts]
         scale = max(abs(c) for cs in want for c in cs)
         for p, cs in zip(pts, want):
             for n in range(1, depth + 1):
-                got = smooth_contribution(s, p, N=n, numerator_variant=variant).coefficients
+                got = smooth_contribution(s, p, N=n, flt=flt).coefficients
                 assert len(got) == n
                 for g, w in zip(got, cs):
                     assert abs(g - w) <= mp.mpf(10) ** -60 * scale
@@ -424,12 +431,11 @@ def test_exact_saddle_jets_match_mpc_oracle(s, order, data):
 def test_deeper_expansion_extends_shallower(s, depth, data):
     axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
     flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
-    variant = s.canonical_variant(flt)
     with mp.workprec(260):
         # the points asympt_full expands for this filter
         for p in [t.point for t in asympt_full(s, flt, N=1, prec=PREC).terms]:
-            shallow = smooth_contribution(s, p, N=depth, numerator_variant=variant).coefficients
-            deep = smooth_contribution(s, p, N=depth + 1, numerator_variant=variant).coefficients
+            shallow = smooth_contribution(s, p, N=depth, flt=flt).coefficients
+            deep = smooth_contribution(s, p, N=depth + 1, flt=flt).coefficients
             scale = max([abs(c) for c in deep] + [mp.mpf(1)])
             assert len(deep) == depth + 1
             for a, b in zip(shallow, deep):
@@ -443,11 +449,10 @@ def test_smooth_contribution_takes_the_asympt_full_path(s, depth, data):
     # asympt_full bit for bit at its working precision
     axes = data.draw(st.sets(st.integers(0, s.dim - 1)), label="axes")
     flt = ("axes", tuple(sorted(axes))) if axes else "anywhere"
-    variant = s.canonical_variant(flt)
     exp = asympt_full(s, flt, N=depth, prec=PREC)
     with mp.workprec(PREC + GUARD_BITS):
         for t in exp.terms:
-            got = smooth_contribution(s, t.point, depth, variant)
+            got = smooth_contribution(s, t.point, depth, flt)
             assert (got.rate_exact, got.alpha) == (t.rate_exact, t.alpha)
             assert [c._mpc_ for c in got.coefficients] == [c._mpc_ for c in t.coefficients]
 
@@ -456,16 +461,50 @@ def test_smooth_contribution_refuses_points_of_the_other_form():
     # positive drift: a free drift axis takes the crossing points, a returning
     # one the smooth-sheet points; the other search's points are refused, not
     # expanded in another form
-    drift_axis = (NNWS.dim - 1,)
+    drift_axis = ("axes", (NNWS.axis_order[-1],))
     with mp.workprec(PREC + GUARD_BITS):
         for p in contributing_points(NNWS):
-            smooth_contribution(NNWS, p, 2, ())
+            smooth_contribution(NNWS, p, 2, "anywhere")
             with pytest.raises(ValueError, match="does not take a crossing point"):
                 smooth_contribution(NNWS, p, 2, drift_axis)
         for p in smooth_sheet_points(NNWS):
             smooth_contribution(NNWS, p, 2, drift_axis)
             with pytest.raises(ValueError, match="does not take a smooth-sheet point"):
-                smooth_contribution(NNWS, p, 2, ())
+                smooth_contribution(NNWS, p, 2, "anywhere")
+
+
+@pytest.mark.parametrize("s", [W_NE_SE, S3_MIDDLE], ids=["W,NE,SE", "3D drift on y"])
+def test_one_filter_for_every_route_whatever_the_axis_order(s):
+    # the diagonal, the DP oracle, the engine and the per-point expansion
+    # all read one filter in the user's axes, whichever axis the drift is on
+    assert s.axis_order == ((1, 0) if s.dim == 2 else (0, 2, 1))
+    kern, n = diag_kernel(s), 8 if s.dim == 2 else 5
+    filters = ["anywhere", "origin"] + [("axes", axes) for r in range(1, s.dim)
+                                        for axes in itertools.combinations(range(s.dim), r)]
+    for flt in filters:
+        assert diagonal_coeffs(kern, n, flt) == count_walks(s, n, flt).values
+        exp = asympt_full(s, flt, N=2, prec=PREC)
+        with mp.workprec(PREC + GUARD_BITS):
+            for t in exp.terms:
+                got = smooth_contribution(s, t.point, 2, flt)
+                assert (got.rate_exact, got.alpha) == (t.rate_exact, t.alpha)
+                assert [c._mpc_ for c in got.coefficients] == [c._mpc_ for c in t.coefficients]
+
+
+def test_a_drift_first_diagonal_reads_its_filter_in_user_axes():
+    # the returns to x = 0, not to y = 0, which is canonical axis 0
+    got = diagonal_coeffs(diag_kernel(W_NE_SE), 8, ("axes", (0,)))
+    assert got == [1, 0, 1, 0, 4, 0, 15, 0, 84]
+
+
+@pytest.mark.parametrize("flt", [("axes", (2,)), "nowhere", (0,)],
+                         ids=["axis 3 in 2D", "nowhere", "bare axes"])
+def test_both_routes_refuse_a_bad_filter(flt):
+    p = smooth_sheet_points(W_NE_SE)[0]
+    with pytest.raises(ValueError, match="filter"):
+        diagonal_coeffs(diag_kernel(W_NE_SE), 4, flt)
+    with mp.workprec(PREC + GUARD_BITS), pytest.raises(ValueError, match="filter"):
+        smooth_contribution(W_NE_SE, p, 2, flt)
 
 
 def test_d3_origin_expansion():
@@ -784,7 +823,7 @@ def _term_bits(term):
 def _every_point_expanded(s, flt, N):
     """Oracle: ``asympt_full``'s terms from a new plan that expands every
     point itself."""
-    plan = _Integrand(s, s.canonical_variant(normalize_filter(flt, s.dim)))
+    plan = _Integrand(s, s.canonical_variant(flt))
     pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
     return [plan.expand(p, plan.depth if N is None else N) for p in pts]
 

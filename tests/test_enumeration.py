@@ -20,10 +20,8 @@ from orthantwalks.enumeration import (
     count_walks,
     endpoint_table,
     endpoint_tables,
-    normalize_filter,
-    parse_filter,
 )
-from orthantwalks.stepset import build_stepset
+from orthantwalks.stepset import build_stepset, normalize_filter, parse_filter
 
 NSEW = build_stepset(2, ["N", "S", "E", "W"])
 NNWS = build_stepset(2, ["NE", "NW", "S"])

@@ -44,6 +44,12 @@ CASES = {
     # depth 6 over three variables: the deepest jets and the longest L_k sums
     "asympt_3d_origin_order6": (["asympt", "--model", str(GOLDEN / "model_3d_example.json"),
                                  "--endpoint", "origin", "--order", "6", "--digits", "30"], 0),
+    # the drift axis first: NE,NW,S with its axes swapped, so each filter is
+    # translated to canonical axes (crossing points, smooth sheet, diagonal)
+    "asympt_W_NE_SE_axes2": (["asympt", "--model", "W,NE,SE", "--endpoint", "axes=2"], 0),
+    "asympt_W_NE_SE_axes1": (["asympt", "--model", "W,NE,SE", "--endpoint", "axes=1"], 0),
+    "diagonal_W_NE_SE_axes2": (["diagonal", "--model", "W,NE,SE", "--endpoint", "axes=2",
+                                "--n", "12"], 0),
 }
 
 

@@ -12,6 +12,7 @@ import orthantwalks
 from orthantwalks import fit
 
 PACKAGE = Path(orthantwalks.__file__).parent
+GOLDEN = Path(__file__).parent / "golden"
 LAURENT = "orthantwalks.laurent"
 # the coordinates of a Q(sqrt(m)) value and a jet's integer pairs
 VALUE_INTERNALS = {"coeffs", "scale", "base", "r", "rat", "coef"}
@@ -151,6 +152,20 @@ for argv in (["asympt", "--model", "N,SE,SW"], ["critical", "--model", "N,S,E,W"
         "catalog --check 0 []",
         f"count --model 0 {list(ARRAY_CODE)}",
     ]
+
+
+def test_the_engine_loads_no_dp_code():
+    # endpoint filters and their canonical axes live in stepset, so the
+    # engine, the point search and the fitter never import the DP oracle
+    probe = f"""
+import sys
+import orthantwalks.asympt, orthantwalks.critical, orthantwalks.fit
+from orthantwalks.stepset import build_stepset, load_stepset
+orthantwalks.asympt.asympt_full(build_stepset(2, ["N", "SE", "SW"]), ("axes", (0,)))
+orthantwalks.asympt.asympt_full(load_stepset({str(GOLDEN / "model_3d_example.json")!r}), "origin")
+print([m for m in ("orthantwalks.enumeration", "orthantwalks._dp") if m in sys.modules])
+"""
+    assert _fresh_run(probe).strip() == "[]"
 
 
 def test_catalog_pool_forks_after_the_kernel_is_loaded():
