@@ -267,8 +267,8 @@ class _Integrand:
         return u, g, lam
 
     def _check_form(self, point):
-        if point.is_crossing() != self.crossing:
-            kind = "a crossing point" if point.is_crossing() else "a smooth-sheet point"
+        if point.crossing != self.crossing:
+            kind = "a crossing point" if point.crossing else "a smooth-sheet point"
             raise ValueError(f"the {self.route} expansion does not take {kind}")
 
     def expand(self, point, N):
@@ -348,10 +348,10 @@ def transverse_contribution(s: StepSet, point: ContributingPoint,
     {z_d=1}) from the closed crossing formula; a zero coefficient where the
     effective numerator vanishes there.  Kept as an independent check on the
     residue expansion of ``smooth_contribution``.  Only points from the
-    crossing search are taken (``ContributingPoint.is_crossing``): the
+    crossing search are taken (``ContributingPoint.crossing``): the
     zero-drift all-ones point, which lies on z_d = 1 too, is refused.
     ``flt`` is the endpoint filter in the user's axes."""
-    if not point.is_crossing():
+    if not point.crossing:
         raise ValueError("transverse_contribution requires a crossing point")
     d = s.dim
     dcmp = decompose(s)

@@ -47,10 +47,6 @@ def _resolve_model(text) -> StepSet:
     if os.path.exists(text):
         return load_stepset(text)
     try:
-        return catalog_mod.lookup(text).stepset()
-    except KeyError:
-        pass
-    try:
         return stepset_from_document(text)
     except StepSetError as ex:
         raise UsageError(f"cannot resolve model {text!r}: {ex}") from ex

@@ -45,7 +45,9 @@ class ContributingPoint:
 
     ``stratum`` is geometry: TransverseV1V3 marks a point on z_d = 1, which
     with zero drift includes the all-ones smooth-sheet point.  Which search
-    found the point is ``is_crossing()``.
+    found the point is ``crossing``, recorded by the search: the rate alone
+    cannot tell, since the smooth sheet's Sbar(w) is rational where A(w)B(w)
+    is a square (4 at the all-ones point of N,S,E,W).
     """
 
     stratum: str  # SmoothV1 | TransverseV1V3
@@ -53,6 +55,7 @@ class ContributingPoint:
     w_signs: tuple  # exact +-1 for the first d-1 coordinates
     wd_squared: Fraction  # exact square of the drift coordinate
     rate_exact: QuadVal  # exact form of 1/(w_1..w_d t) = Sbar(w)
+    crossing: bool  # found by the crossing search (w_d = 1, rate S(w, 1))
 
     def is_principal(self):
         """All signs +1 and the principal root: the point with positive coordinates."""
@@ -66,18 +69,12 @@ class ContributingPoint:
     def w(self):
         return tuple(mp.mpc(sg) for sg in self.w_signs) + (self.exact_w()[-1].to_mp(),)
 
-    def is_crossing(self):
-        """A point of the crossing search: only that search stores the rate
-        as a rational, S(w, 1); the smooth sheet's Sbar(w) always has a
-        root part, even where its radicand is a perfect square."""
-        return self.rate_exact.is_rational()
-
     @property
     def t(self):
         """1/(w_1...w_d Sbar(w)); a real at a crossing point, since w_d = 1
         and the rate is the rational S(w,1) there."""
         prod = math.prod(self.w_signs)
-        if self.is_crossing():
+        if self.crossing:
             return mp.re((1 / (prod * self.rate_exact)).to_mp())
         return 1 / (prod * self.w[-1] * self.rate())
 
@@ -130,7 +127,7 @@ def _sign_vector_points(s: StepSet, dcmp, crossing):
         for nu, wd_squared, rate in drifts:
             # w_d = 1 exactly: on the crossing (for zero drift, the all-ones point)
             stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
-            out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate))
+            out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate, crossing))
     out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
 

@@ -2,15 +2,16 @@
 
 Laurent polynomials are sparse dicts mapping integer exponent vectors to
 nonzero Fractions.  ``QuadVal`` is the exact number type of a field
-Q(sqrt(m)).  Jets are truncated multivariate Taylor expansions in the angular
-variables of the substitution z_j = c_j * exp(i*theta_j) at an exact centre
-c in one field.  Every coefficient is i^{|e|} times an element of
-Q(sqrt(r)), r = m's numerator times its denominator, held as a pair of
-Python integers over divided powers, so products, reciprocals and logarithms
-are exact and zeros are exact zeros; outside the jet it is a QuadVal.  Only
-``to_mp``, ``QuadVal.to_mp`` and ``LaurentPoly.eval`` round.  A jet claims
-no degree past its order, so a product is read only as far as its factors
-fix it.  ``noise_floor`` is the one test for rounding noise.
+Q(sqrt(m)), one held form per number (a rational root is folded in).  Jets
+are truncated multivariate Taylor expansions in the angular variables of the
+substitution z_j = c_j * exp(i*theta_j) at an exact centre c in one field.
+Every coefficient is i^{|e|} times an element of Q(sqrt(r)), r = m's
+numerator times its denominator, held as a pair of Python integers over
+divided powers, so products, reciprocals and logarithms are exact and zeros
+are exact zeros; outside the jet it is a QuadVal.  Only ``to_mp``,
+``QuadVal.to_mp`` and ``LaurentPoly.eval`` round.  A jet claims no degree
+past its order, so a product is read only as far as its factors fix it.
+``noise_floor`` is the one test for rounding noise.
 """
 
 from __future__ import annotations
@@ -287,23 +288,27 @@ class QuadVal:
     means sqrt(m) = i*sqrt(|m|)), held as integers (x + y*sqrt(m)) / d in
     lowest terms, d > 0, with y = m = 0 when there is no root part.
 
+    Construction folds a rational root into the rational part (3 + sqrt(9)
+    is held as 6), so each value has one held form: it is 0 exactly when
+    x = y = 0, only 0 has norm 0, and values compare and hash as numbers.
     Values over one m, and rationals with any, combine exactly by + - * /,
-    one gcd each; a quotient goes through the conjugate over the norm, so a
-    divisor of norm 0 raises ``ZeroDivisionError`` (3 + sqrt(9) too).  Values
-    compare and hash by their held form.
+    one gcd each, which keeps m; a quotient goes through the conjugate over
+    the norm.  Values over different radicands (sqrt(8), 2*sqrt(2)) do not.
     """
 
     __slots__ = ("_k",)  # (x, y, d, m)
 
     def __new__(cls, rat, coef=0, m=0):
-        rat, coef = _as_fraction(rat), _as_fraction(coef)
+        rat, coef, m = _as_fraction(rat), _as_fraction(coef), _as_fraction(m)
+        if m > 0 and (root := _exact_root(m)) is not None:
+            rat, coef = rat + coef * root, 0
         d = math.lcm(rat.denominator, coef.denominator)
         return cls._of(rat.numerator * (d // rat.denominator),
-                       coef.numerator * (d // coef.denominator), d, _as_fraction(m))
+                       coef.numerator * (d // coef.denominator), d, m)
 
     @classmethod
     def _of(cls, x, y, d, m):
-        """(x + y*sqrt(m)) / d for integers x, y and d > 0, and rational m."""
+        """(x + y*sqrt(m)) / d for integers x, y, d > 0 and rational m, no positive square."""
         if not (y and m):
             y, m = 0, 0
         val, g = object.__new__(cls), math.gcd(x, y, d)
@@ -380,10 +385,6 @@ class QuadVal:
         x, y, d, m = self._k
         return Fraction(x * x * m.denominator - y * y * m.numerator, d * d * m.denominator)
 
-    def is_rational(self):
-        """True when the value has no root part."""
-        return not self._k[1]
-
     def is_real(self):
         """True when the value is a real number: no root part, or the root of
         a positive radicand."""
@@ -395,10 +396,8 @@ class QuadVal:
         return self if self.is_real() else self.conj()
 
     def __bool__(self):
-        """False exactly when the value is 0, decided by rational comparisons."""
-        if self.m < 0:  # rat + i*coef*sqrt(-m)
-            return bool(self.rat or self.coef)
-        return self.rat * self.coef > 0 or self.rat ** 2 != self.coef ** 2 * self.m
+        """False exactly when the value is 0: when x = y = 0."""
+        return bool(self._k[0] or self._k[1])
 
     def to_mp(self):
         """The value at the working precision."""
@@ -421,11 +420,11 @@ class QuadVal:
         return 1 if lead > 0 else -1
 
     def __str__(self):
-        """A perfect-square radicand is printed as its root: 2 + 2*sqrt(9)
-        reads 8; a value with no root part reads as its rational."""
-        root = _exact_root(abs(self.m))
-        if root is not None and self.m >= 0:
-            return str(self.rat + self.coef * root)
+        """A value with no root part reads as its rational; the root of a
+        negative square is printed as i times its rational: sqrt(-4) reads 2*i."""
+        if not self.coef:
+            return str(self.rat)
+        root = _exact_root(abs(self.m))  # None for every positive m
         if root is None:
             coef, unit = self.coef, (f"i*sqrt({-self.m})" if self.m < 0 else f"sqrt({self.m})")
         else:  # i times a rational
@@ -443,12 +442,13 @@ class Jet:
     The coefficient at the multi-index e is
     i^{|e|} (x_e + y_e sqrt(r)) / (scale * |e|! * base^{|e|}), with integers
     x_e, y_e, scale > 0 and base > 0, and one integer radicand r that is 0 (a
-    rational jet: every y_e is 0) or no perfect square, so a coefficient is 0
-    exactly when x_e = y_e = 0.  The powers of i multiply as the multi-indices
-    add, so the pairs multiply as a power series over Q(sqrt(r)); the divided
-    powers |e|! base^{|e|} keep products, and the reciprocal and logarithm of
-    1 + h, integral over one base: a product of degrees k1 and k2 only takes
-    the binomial C(k1 + k2, k1).  ``coeffs`` maps each multi-index with a
+    rational jet: every y_e is 0) or no perfect square (``QuadVal`` folds
+    rational roots), so a coefficient is 0 exactly when x_e = y_e = 0.  The
+    powers of i multiply as the multi-indices add, so the pairs multiply as a
+    power series over Q(sqrt(r)); the divided powers |e|! base^{|e|} keep
+    products, and the reciprocal and logarithm of 1 + h, integral over one
+    base: a product of degrees k1 and k2 only takes the binomial
+    C(k1 + k2, k1).  ``coeffs`` maps each multi-index with a
     nonzero coefficient to its pair (x_e, y_e), read outside as a ``QuadVal``
     (``value``).  Multi-indices are trusted.
     """
@@ -647,16 +647,18 @@ def _substitution_tables(dim, order):
 def jet_of_exponential_substitution(p, center, order):
     """Taylor jet at theta=0 of theta |-> p(c_1 e^{i theta_1}, ..., c_d e^{i theta_d}).
 
-    Each c_j is a rational or a ``QuadVal`` r*sqrt(m) with one m for all, so
-    each term of p is x or y*sqrt(m) at c, with rational x or y; exp(i<e,theta>)
-    has the Taylor coefficient i^{|k|} e^k / k! at k.  The coefficient at k is
+    Each c_j is a rational (a rational ``QuadVal`` reads as its rational) or
+    a ``QuadVal`` r*sqrt(m) with one m for all, so each term of p is x or
+    y*sqrt(m) at c, with rational x or y; exp(i<e,theta>) has the Taylor
+    coefficient i^{|k|} e^k / k! at k.  The coefficient at k is
     i^{|k|}/k! (X_k + Y_k sqrt(m)), with X_k and Y_k exact sums over the terms.
     With m = a/b in lowest terms, sqrt(m) = sqrt(ab)/b, so the jet lies over
-    Q(sqrt(ab)); a perfect square ab folds its root into the rationals.
+    Q(sqrt(ab)); ab is no perfect square, since ``QuadVal`` folds a rational root.
     """
     d = p.dim
     if len(center) != d:
         raise ValueError("center length does not match dimension")
+    center = [c.rat if isinstance(c, QuadVal) and not c.m else c for c in center]
     m = next((c.m for c in center if isinstance(c, QuadVal)), Fraction(0))
     if any(isinstance(c, QuadVal) and (c.rat or c.m != m) for c in center):
         raise ValueError("center coordinates must be rationals or multiples of one sqrt(m)")
@@ -681,10 +683,5 @@ def jet_of_exponential_substitution(p, center, order):
             rows.append(list(map(mul, rows[parent], cols[j])))
         sums.append([sum(row) for row in rows])
     q = m.denominator
-    r = m.numerator * q
-    root = math.isqrt(r) if r >= 0 else -1  # a negative r is no square
-    fold = root * root == r
-    out = {}
-    for k, mult, x, y in zip(index, mults, *sums):
-        out[k] = ((q * x + root * y) * mult, 0) if fold else (q * x * mult, y * mult)
-    return Jet(d, order, out, 0 if fold else r, q * den)._reduced()
+    out = {k: (q * x * mult, y * mult) for k, mult, x, y in zip(index, mults, *sums)}
+    return Jet(d, order, out, m.numerator * q, q * den)._reduced()

@@ -73,18 +73,21 @@ def parse_weight(w):
 def normalize_filter(flt, dim):
     """Canonical filter form: 'anywhere' or ('axes', sorted axis tuple).
 
-    Axes are 0-based user-coordinate indices; 'origin' means all axes.
+    Axes are 0-based user-coordinate indices, a tuple or list of ints;
+    'origin' means all axes.
     """
     if flt in (None, "anywhere"):
         return "anywhere"
     if flt == "origin":
         return ("axes", tuple(range(dim)))
     if isinstance(flt, tuple) and len(flt) == 2 and flt[0] == "axes":
-        axes = tuple(sorted(set(int(a) for a in flt[1])))
+        if not (isinstance(flt[1], (tuple, list)) and all(type(a) is int for a in flt[1])):
+            raise ValueError(f"endpoint filter {flt!r}: axes must be a tuple or list of ints")
+        axes = tuple(sorted(set(flt[1])))
         if not axes:
             return "anywhere"
         if any(a < 0 or a >= dim for a in axes):
-            raise ValueError("filter axis out of range")
+            raise ValueError(f"endpoint filter {flt!r}: axis out of range")
         return ("axes", axes)
     raise ValueError(f"unknown endpoint filter {flt!r}")
 
@@ -248,10 +251,10 @@ def build_stepset(dimension, steps):
         w = parse_weight(w)
         if w <= 0:
             raise StepSetError(f"weight of step {vec} must be positive")
+        if any(v == vec for v, _ in parsed):
+            raise StepSetError(f"duplicate step vector {vec}")
         parsed.append((vec, w))
     vectors = [v for v, _ in parsed]
-    if len(set(vectors)) != len(vectors):
-        raise StepSetError("duplicate step vector")
     for j in range(dimension):
         if not any(v[j] == 1 for v in vectors):
             raise StepSetError(f"no forward step along axis {j + 1}")

@@ -566,7 +566,7 @@ def numeric_sign_vector_points(s, crossing, prec=DEFAULT_PREC_BITS):
                 if any(abs(g.eval(point)) > tol for g in gradients):
                     continue
                 stratum = TRANSVERSE if wd_squared == 1 and nu == 0 else SMOOTH
-                out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate))
+                out.append(ContributingPoint(stratum, nu, signs, wd_squared, rate, crossing))
     out.sort(key=lambda p: (p.w_signs, p.nu), reverse=True)
     return out
 

@@ -189,6 +189,19 @@ def test_crossing_formula_rejects_zero_drift_point(steps):
                 transverse_contribution(s, p)
 
 
+def test_the_search_not_the_form_of_the_rate_marks_a_crossing_point():
+    # the all-ones smooth-sheet point of N,S,E,W has Sbar = 2 + 2*sqrt(1), the
+    # rational 4, as a crossing rate S(w, 1) is; it is still no crossing point
+    p = next(p for p in smooth_sheet_points(NSEW) if p.is_principal())
+    assert p.rate_exact == QuadVal(4) and p.stratum == TRANSVERSE and not p.crossing
+    with mp.workprec(PREC + GUARD_BITS):
+        with pytest.raises(ValueError, match="requires a crossing point"):
+            transverse_contribution(NSEW, p)
+        # NE,NW,S at 'anywhere' expands its crossing points only
+        with pytest.raises(ValueError, match="does not take a smooth-sheet point"):
+            smooth_contribution(NNWS, p, 2, "anywhere")
+
+
 def test_closed_constant_rejects_crossing_point():
     p2 = minimal_point(NNWS)
     with pytest.raises((ZeroDivisionError, ValueError)):

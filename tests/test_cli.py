@@ -374,6 +374,18 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_reads_a_duplicate_step_list_as_a_model_file_does(tmp_path, capsys):
+    # a compass list is not looked up by its set of steps: N,N,S,E,W is no N,S,E,W
+    assert main(["asympt", "--model", "N,N,S,E,W"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate step vector (0, 1)" in captured.err
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": 2, "steps": ["N", "N", "S", "E", "W"]}))
+    assert main(["asympt", "--model", str(path)]) == 1
+    assert "duplicate step vector (0, 1)" in capsys.readouterr().err
+
+
 def test_cli_catalog_listing(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

@@ -218,9 +218,9 @@ def test_candidate_count_bounds(s):
     # off the crossing both searches are one: asympt_full relies on it
     if cls.drift_sign <= 0:
         assert pts == sheet
-    # is_crossing marks the points of the crossing search, whatever their stratum
-    assert all(p.is_crossing() == (cls.drift_sign > 0) for p in pts)
-    assert not any(p.is_crossing() for p in sheet)
+    # crossing marks the points of the crossing search, whatever their stratum
+    assert all(p.crossing == (cls.drift_sign > 0) for p in pts)
+    assert not any(p.crossing for p in sheet)
     # every point is critical and off the second kernel sheet (H2_distance)
     assert all(check_critical(s, p).ok for p in pts + sheet)
     with mp.workprec(256):

@@ -337,6 +337,8 @@ def test_filter_parsing():
     assert parse_filter("origin", 2) == ("axes", (0, 1))
     assert parse_filter("axes=2", 2) == ("axes", (1,))
     assert normalize_filter(("axes", ()), 2) == "anywhere"
+    assert normalize_filter(("axes", (1, 0, 1)), 2) == ("axes", (0, 1))
+    assert normalize_filter(("axes", [1]), 2) == ("axes", (1,))
     for text, dim, message in (
             ("axes=5", 2, "endpoint filter 'axes=5': axes are numbered 1 to 2"),
             ("axes=0", 2, "endpoint filter 'axes=0': axes are numbered 1 to 2"),
@@ -352,6 +354,15 @@ def test_filter_parsing():
     for empty in ("axes=", "axes=,"):  # names no boundary, so it is not 'anywhere'
         with pytest.raises(ValueError, match="names no axis"):
             parse_filter(empty, 2)
+
+
+@pytest.mark.parametrize("flt", [("axes", (0.5,)), ("axes", (1.9,)), ("axes", (True,)),
+                                 ("axes", "01"), ("axes", 0)],
+                         ids=["half", "near two", "bool", "string", "bare int"])
+def test_normalize_filter_refuses_axes_that_are_not_ints(flt):
+    with pytest.raises(ValueError, match="endpoint filter") as info:
+        normalize_filter(flt, 2)
+    assert repr(flt) in str(info.value)
 
 
 def test_filter_nesting():

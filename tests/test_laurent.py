@@ -277,6 +277,16 @@ def test_jet_mul_reciprocal_log_exp():
     assert _series(lg, exp_series) == _combine([(Fraction(1, 8), values)])
 
 
+@settings(max_examples=25, deadline=None)
+@given(laurent_polys(dim=2), nonzero_rationals)
+def test_jet_at_a_folded_root_is_the_jet_at_its_rational(p, y):
+    # sqrt(9) is held as 3, so the centre (sqrt(9), y) is the rational (3, y)
+    folded = jet_of_exponential_substitution(p, (QuadVal(0, 1, 9), y), 4)
+    plain = jet_of_exponential_substitution(p, (3, y), 4)
+    assert folded.r == plain.r == 0
+    assert (folded.scale, folded.base, folded.coeffs) == (plain.scale, plain.base, plain.coeffs)
+
+
 # random centres with one radicand m: not a square, negative, a square, none
 RADICANDS = [Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(-4), Fraction(9, 4),
              Fraction(1, 4), None]
@@ -423,7 +433,7 @@ def test_quadval_field_operations_match_mpmath(pair):
         assert _close((Fraction(2, 7) * x).to_mp(), nx * 2 / 7)
         assert _close(x.conj().to_mp(), to_mp(x.rat) - to_mp(x.coef) * root)
         assert _close(to_mp(x.norm()), nx * x.conj().to_mp())
-        if y.norm():  # with a perfect-square m, also some nonzero y have norm 0
+        if y:
             assert _close((x / y).to_mp(), nx / ny) and _close((1 / y).to_mp(), 1 / ny)
 
 
@@ -433,19 +443,30 @@ def test_quadval_identities_are_exact(pair):
     x, y, _ = pair
     assert x * x.conj() == QuadVal(x.norm())
     assert (x + y) - y == x and x * y == y * x and x - x == QuadVal(0)
-    if x.norm():
+    if x:
         assert x * (1 / x) == QuadVal(1) and (x * y) / x == y
     with pytest.raises(ZeroDivisionError):
         x / (y - y)
 
 
 def test_quadval_divides_through_the_norm():
-    # 3 + sqrt(9) = 6 has norm 0: the quotient through the conjugate refuses it
-    with pytest.raises(ZeroDivisionError):
-        1 / QuadVal(3, 1, 9)
+    # 3 + sqrt(9) is held as 6, so only 0 has norm 0 and the quotient is 1/6
+    assert 1 / QuadVal(3, 1, 9) == QuadVal(Fraction(1, 6))
     assert QuadVal(2, 1, 2) / QuadVal(2, -1, 2) == QuadVal(3, 2, 2)
     with pytest.raises(ValueError):
         QuadVal(0, 1, 2) + QuadVal(0, 1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals, nonzero_rationals | st.sampled_from(
+    [Fraction(3), Fraction(3, 2), Fraction(1, 2)]))
+def test_a_rational_root_is_folded_into_one_form(a, b, r):
+    # a + b*sqrt(r^2) is the rational a + b*|r|: one value, one held form
+    folded, plain = QuadVal(a, b, r * r), QuadVal(a + b * abs(r))
+    assert folded == plain and hash(folded) == hash(plain)
+    assert str(folded) == str(plain) and not folded.coef and not folded.m
+    with mp.workprec(300):
+        assert folded.to_mp() == plain.to_mp()
 
 
 @settings(max_examples=150, deadline=None)
