@@ -33,6 +33,15 @@ buffer from a window holding the old cells within a unit of it.  Both
 kinds form their cells through one formula, ``_Part._form``, so both give
 every cell the same operations in the same order, and the same bits.  Both
 stay: with every part stepped in place, the 2D catalog ran 20% slower (2 cores).
+
+A model may also bound how far an orthant walk gets along an axis: with
+reach rate rho_a (``_reach_rates``), no walk of n steps passes x_a =
+floor(rho_a n).  On a part whose first axis, the slowest in the flat layout,
+has rho_a < 1, a step forms, zeroes, moves and collapses only the rows up to
+that one: its flat spans just end sooner, and the pages past them stay
+untouched, so unmapped.  On the 3D example's symmetric axes rho = 1/2.  The
+cells left unformed would have been formed as exact zeros, so the views a
+state yields, and the counts read from them, keep every bit.
 """
 
 from __future__ import annotations
@@ -53,9 +62,34 @@ def kernel_backend():
     return "numpy"
 
 
-def _box(k, m):
-    """Index of the slots of {0..m-1}^k; the Ellipsis makes the 0-d part a view too."""
-    return (...,) + (slice(1, m + 1),) * k
+def _box(k, m, rows=None):
+    """Index of the slots of {0..m-1}^k, the first axis cut to {0..rows-1} if
+    given; the Ellipsis makes the 0-d part a view too."""
+    if rows is None or rows >= m or not k:
+        return (...,) + (slice(1, m + 1),) * k
+    return (..., slice(1, rows + 1)) + (slice(1, m + 1),) * (k - 1)
+
+
+def _reach_rates(vectors):
+    """Twice the reach rate rho_a of each axis a with rho_a < 1, an int: no
+    orthant walk of n steps gets past x_a = floor(rho_a n).
+
+    A walk that ends with x_b >= 0 takes steps whose v_b average at least 0,
+    so the average of their v_a is at most the largest over the steps with
+    v_b >= 0 and over the even mixes of a step with v_b = 1 and one with
+    v_b = -1; rho_a is the least of these over the other axes b.  The bound
+    depends on the steps alone, not on their weights.
+    """
+    d = len(vectors[0])
+    rates = {}
+    for a in range(d):
+        twice = min((max([2 * v[a] for v in vectors if v[b] >= 0]
+                         + [u[a] + v[a] for u in vectors if u[b] == 1
+                            for v in vectors if v[b] == -1], default=0)
+                     for b in range(d) if b != a), default=2)
+        if twice < 2:
+            rates[a] = max(twice, 0)
+    return rates
 
 
 class _Buffer:
@@ -69,8 +103,9 @@ class _Buffer:
     def layout(self, k, width):
         """Read the first width^k cells as k axes of ``width`` slots each."""
         self.nd = self.flat[:width**k].reshape((width,) * k)
-        # slot 0 of each axis, which catches the walks that step off it
-        self.faces = [self.nd[(slice(None),) * j + (0, ...)] for j in range(k)]
+        # slot 0 of each axis, which catches the walks that step off it; no
+        # flat span reaches the first axis's, which lies before slot 1 of it
+        self.faces = [self.nd[(slice(None),) * j + (0, ...)] for j in range(1, k)]
 
 
 class _Part:
@@ -78,10 +113,12 @@ class _Part:
 
     Each live axis has ``width`` slots, coordinate x at slot x + 1 and slot 0
     catching walks that step off the orthant.  ``cur`` is zero outside the live
-    box, so no ±1 step of a nonzero cell wraps into the next row or hyperplane.
+    box, so no ±1 step of a nonzero cell wraps into the next row or hyperplane,
+    and on the first axis, ``lead``, past coordinate ``rows`` - 1.
     """
 
-    __slots__ = ("k", "children", "projected", "pad", "width", "unit", "steps", "cur", "scratch")
+    __slots__ = ("k", "lead", "rows", "children", "projected", "pad", "width", "unit", "plane",
+                 "steps", "cur", "scratch")
 
     def __init__(self, axes, vectors, weights, size, dtype):
         merged = {}
@@ -91,6 +128,8 @@ class _Part:
         if np.dtype(dtype) != np.dtype(object):
             merged = {key: float(w) for key, w in merged.items()}
         self.k = len(axes)
+        self.lead = axes[0] if axes else None
+        self.rows = size  # no bound until a step sets one
         self.children = [axes[:i] + axes[i + 1:] for i in range(self.k)]
         self.projected = list(merged.items())
         self.pad = sum(size**j for j in range(self.k))  # the unit at the widest stride
@@ -107,6 +146,7 @@ class _Part:
         k = self.k
         self.width = width
         self.unit = sum(width**j for j in range(k))  # from (c,..,c) to (c+1,..,c+1)
+        self.plane = width**k // width  # the cells of one hyperplane of the first axis
         self.steps = [(sum(c * width**j for j, c in enumerate(reversed(v))), w)
                       for v, w in self.projected]
         self.cur.layout(k, width)
@@ -136,9 +176,19 @@ class _Part:
             op, by = scale
             op(new, by, out=new)
 
-    def box(self, m):
-        """View of cur on {0..m-1}^k."""
-        return self.cur.nd[_box(self.k, m)]
+    def _end(self, reach):
+        """The end of the flat span [unit, end) of {0..reach-1}^k, its first
+        axis cut to {0..rows-1}."""
+        return reach * self.unit + 1 - (reach - self.rows) * self.plane
+
+    def _zero_faces(self, buf):
+        """Drop the walks that stepped off an axis, in the rows a step formed."""
+        for face in buf.faces:
+            face[:self.rows + 1].fill(0)
+
+    def box(self, m, rows=None):
+        """View of cur on {0..m-1}^k, the first axis cut to {0..rows-1} if given."""
+        return self.cur.nd[_box(self.k, m, rows)]
 
 
 class _TwoBuffers(_Part):
@@ -159,8 +209,9 @@ class _TwoBuffers(_Part):
 
     def restride(self, width, live):
         """Move the live box {0..live-1}^k of cur to ``width`` slots per axis."""
-        used = self.width**self.k
-        box = _box(self.k, live)
+        # cur and nxt, the states one and two steps back, lie in {0..live}^k
+        used = self._end(live + 1)
+        box = _box(self.k, live, self.rows)
         old = self.cur.nd[box]
         self.nxt.flat[:used] = 0
         self.cur, self.nxt = self.nxt, self.cur
@@ -172,11 +223,10 @@ class _TwoBuffers(_Part):
         """Advance cur to {0..reach-1}^k, then apply ``scale``, a ufunc and its
         operand, if given."""
         # nxt holds the state of two steps back: zero on the faces and past the
-        # flat span [unit, reach * unit + 1) of {0..reach-1}^k, which _form fills
+        # flat span of {0..reach-1}^k, which _form fills
         unit = self.unit
-        self._form(self.nxt.flat[unit:reach * unit + 1], self.cur.flat, unit, scale)
-        for face in self.nxt.faces:  # drop the walks that stepped off an axis
-            face.fill(0)
+        self._form(self.nxt.flat[unit:self._end(reach)], self.cur.flat, unit, scale)
+        self._zero_faces(self.nxt)
         self.cur, self.nxt = self.nxt, self.cur
 
 
@@ -209,7 +259,8 @@ class _InPlace(_Part):
         new = self.cur.nd
         inner = _box(self.k - 1, live)
         plane = self.window[:live**(self.k - 1)].reshape((live,) * (self.k - 1))
-        for s in range(live, 0, -1) if grows else range(1, live + 1):
+        rows = min(live, self.rows)
+        for s in range(rows, 0, -1) if grows else range(1, rows + 1):
             src = old[(s,) + inner]
             plane[...] = src
             src.fill(0)
@@ -220,7 +271,7 @@ class _InPlace(_Part):
         operand, if given."""
         flat, window = self.cur.flat, self.window
         unit, cells = self.unit, len(window) - 2 * self.pad  # BLOCK when the window was made
-        end = reach * unit + 1  # the flat span of {0..reach-1}^k is [unit, end)
+        end = self._end(reach)
         window[:unit] = 0  # the cells before the span, all on a face
         for a in range(unit, end, cells):
             b = min(a + cells, end)
@@ -228,8 +279,7 @@ class _InPlace(_Part):
             window[unit:n + 2 * unit] = flat[a:b + unit]  # window[i] is old cell a - unit + i
             self._form(flat[a:b], window, unit, scale)
             window[:unit] = window[n:n + unit]  # old cells [b - unit, b), for the next block
-        for face in self.cur.faces:  # drop the walks that stepped off an axis
-            face.fill(0)
+        self._zero_faces(self.cur)
 
 
 def evolve(vectors, weights, n_max, dtype, filters=None):
@@ -257,6 +307,7 @@ def evolve(vectors, weights, n_max, dtype, filters=None):
         # product is several times cheaper than a quotient
         scale = ((np.multiply, 1 / total) if math.frexp(total)[0] == 0.5
                  else (np.true_divide, total))
+    rates = _reach_rates(vectors)
     size = n_max // 2 + 3  # the widest a live axis gets, plus the off-orthant slot
     width = min(3 + SLACK, size)  # the stride of every part
     parts = {}
@@ -281,6 +332,9 @@ def evolve(vectors, weights, n_max, dtype, filters=None):
     for n in range(1, n_max + 1):
         reach = live + 1
         cut = min(n, n_max - n) + 1
+        rows = {a: min(reach, n * twice // 2 + 1) for a, twice in rates.items()}
+        for p in parts.values():
+            p.rows = rows.get(p.lead, reach)
         # a step needs reach + 1 slots per axis; the box grows up to the middle
         # of the horizon and shrinks after it
         if not live + 2 <= width <= live + 2 + SLACK:
@@ -295,14 +349,16 @@ def evolve(vectors, weights, n_max, dtype, filters=None):
             near, beyond, whole = slice(0, cut), slice(cut, reach), slice(0, reach)
             for k in range(d, 0, -1):
                 for p in [p for p in parts.values() if p.k == k]:
-                    arr = p.box(reach)
+                    arr = p.box(reach, p.rows)
                     for i, child in enumerate(p.children):
                         # the axes before i are already cut to {0..cut-1}
-                        far = (...,) + (near,) * i + (beyond,) + (whole,) * (k - 1 - i)
+                        far = arr[(...,) + (near,) * i + (beyond,) + (whole,) * (k - 1 - i)]
                         if needed(child):
-                            into = (...,) + (near,) * i + (whole,) * (k - 1 - i)
-                            part(child).box(reach)[into] += _sum(arr[far], i)
-                        arr[far] = 0  # keeps cur zero outside {0..cut-1}^k
+                            # a child that keeps axis 0 keeps its rows too
+                            into = part(child).box(reach, p.rows if i else None)
+                            if far.size:  # empty when the rows on axis 0 end before the cut
+                                into[(...,) + (near,) * i + (whole,) * (k - 1 - i)] += _sum(far, i)
+                        far[...] = 0  # keeps cur zero outside {0..cut-1}^k
         live = min(reach, cut)
         yield state(live)
 

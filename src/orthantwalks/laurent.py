@@ -117,12 +117,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.dim == other.dim and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(self.dim, other)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

@@ -100,25 +100,33 @@ def symmetric_models(draw, dims=(2, 3), want=("pos", "neg", "hs")):
     return build_stepset(d, steps)
 
 
-def symmetric_3d_corpus():
-    """Every unit-weight 3D model symmetric over x and y: each nonempty union
-    of the 11 reflection orbits of {-1,0,1}^3 \\ {0} under the sign flips of x
-    and y, in the order of its bit mask over the orbits, kept when
-    ``build_stepset``, ``classify`` and ``decompose`` accept it."""
-    reps = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (-1, 0, 1) if (a, b, c) != (0, 0, 0)]
-    orbits = [sorted({(sa * a, sb * b, c) for sa in (1, -1) for sb in (1, -1)})
-              for a, b, c in reps]
+def symmetric_corpus(d, masks):
+    """The unit-weight d-dimensional models symmetric over every axis but the
+    last: for each bit mask, in order, the union of the chosen reflection
+    orbits of {-1,0,1}^d \\ {0} under the sign flips of the first d-1 axes,
+    kept when ``build_stepset``, ``classify`` and ``decompose`` accept it."""
+    reps = [r + (c,) for r in itertools.product((0, 1), repeat=d - 1) for c in (-1, 0, 1)
+            if any(r) or c]
+    orbits = [sorted({tuple(s * a for s, a in zip(signs, rep)) + (rep[-1],)
+                      for signs in itertools.product((1, -1), repeat=d - 1)})
+              for rep in reps]
     corpus = []
-    for mask in range(1, 2 ** len(orbits)):
+    for mask in masks:
         steps = [(v, 1) for i, orbit in enumerate(orbits) if mask >> i & 1 for v in orbit]
         try:
-            s = build_stepset(3, steps)
+            s = build_stepset(d, steps)
             classify(s)
             decompose(s)
         except (StepSetError, UnsupportedModelError):
             continue
         corpus.append(s)
     return corpus
+
+
+def symmetric_3d_corpus():
+    """Every unit-weight 3D model symmetric over x and y: each nonempty union
+    of the 11 reflection orbits, in the order of its bit mask."""
+    return symmetric_corpus(3, range(1, 2**11))
 
 
 def brute_force_endpoints(steps, n_max, dim):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from helpers import (
     numeric_saddle_jets,
     operator_saddle_coefficients,
     symmetric_3d_corpus,
+    symmetric_corpus,
     symmetric_models,
 )
 from orthantwalks.asympt import (
@@ -769,6 +771,20 @@ def test_engine_matches_closed_forms_on_the_3d_corpus(corpus_3d):
     stride = corpus_3d[::8]
     assert len(stride) == 209
     for s in stride:
+        full, closed = asympt_full(s, prec=PREC).periodic, asympt_closed(s, prec=PREC).periodic
+        assert (full.period, full.alpha, full.rate_modulus_exact) == (
+            closed.period, closed.alpha, closed.rate_modulus_exact), s
+        for got, want in zip(full.constants, closed.constants):
+            assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want), s
+
+
+def test_engine_matches_closed_forms_on_random_4d_models():
+    # 100 unions of the 23 sign-flip orbits of {-1,0,1}^4, drawn with a fixed
+    # seed: the 98 that are supported models, of both nonzero drift signs
+    rng = random.Random(17)
+    sample = symmetric_corpus(4, [rng.randrange(1, 2**23) for _ in range(100)])
+    assert Counter(classify(s).drift_sign for s in sample) == {-1: 54, 1: 44}
+    for s in sample:
         full, closed = asympt_full(s, prec=PREC).periodic, asympt_closed(s, prec=PREC).periodic
         assert (full.period, full.alpha, full.rate_modulus_exact) == (
             closed.period, closed.alpha, closed.rate_modulus_exact), s

@@ -27,7 +27,7 @@ from orthantwalks.catalog import (
     reproduce_tables,
     stored_cell,
 )
-from orthantwalks.asympt import PeriodicForm
+from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import CapacityError, count_walks
 from orthantwalks.fit import compare
 from orthantwalks.stepset import build_stepset, classify
@@ -130,6 +130,19 @@ def test_reproduce_symbolic_subset():
     assert not by_status.get("partial")
     # errors at rounding level (about 1e-77 here) are reported as exactly 0
     assert all(e == 0.0 for r in res for e in r.details["constant_rel_errs"])
+
+
+def test_reproduce_reports_a_partial_expansion(monkeypatch):
+    # every cell expands in full at the default depth; at depth 2 the n^-3
+    # boundary returns of N,SE,SW have no leading term, and those cells are
+    # reported partial with the engine's note, compared with nothing
+    monkeypatch.setattr(catalog, "asympt_full",
+                        lambda s, flt, prec: asympt_full(s, flt, N=2, prec=prec))
+    res = reproduce_tables("both", ("symbolic",), entries=[lookup("N,SE,SW")])
+    note = ["no nonzero leading coefficient at this expansion depth"]
+    assert [(r.column, r.status, r.details.get("notes")) for r in res] == [
+        ("anywhere", "pass", None), ("x_axis", "partial", note),
+        ("y_axis", "pass", None), ("origin", "partial", note)]
 
 
 def test_reproduce_empirical_subset():

@@ -1,19 +1,24 @@
 """Model verification and the command-line surface."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import re
 import shlex
+import tempfile
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from orthantwalks import catalog as catalog_mod
 from orthantwalks.asympt import asympt_closed
 from orthantwalks.cli import COMMAND_FLAGS, SHARED_FLAGS, build_parser, main
-from orthantwalks.stepset import build_stepset, load_stepset
+from orthantwalks.stepset import SHORTHAND_2D, build_stepset, load_stepset
 from orthantwalks.verify import verify_model
 
 
@@ -274,6 +279,19 @@ def test_cli_asympt_flat_hessian_matches_closed_form(tmp_path, capsys, bits):
     assert rep["constants"] == [mp.nstr(closed.constants[0], 16)] == ["5.641895835477563e+19"]
 
 
+def test_cli_float_count_flags_an_underflow(tmp_path, capsys):
+    # with N weighing 1000, the share of the walks back at the origin falls
+    # about 15-fold a step: by n = 300 it is below 1e-290 of S(1)^n and the
+    # float count reads 0 where the walks exist, which the report flags
+    path = _huge_n_model(tmp_path, "1000")
+    argv = ["count", "--model", str(path), "--endpoint", "origin", "--mode", "float"]
+    for n, flagged in (("100", False), ("300", True)):
+        code, out = run_cli(capsys, *argv, "--n", n)
+        assert code == 0
+        assert json.loads(out).get("underflow", False) is flagged
+    assert json.loads(out)["rows"][300]["count"] == "0.0"
+
+
 def test_cli_capacity_error(capsys):
     assert main(["count", "--model", "N,S,E,W", "--n", "9000", "--mode", "float"]) == 1
     captured = capsys.readouterr()
@@ -384,6 +402,83 @@ def test_cli_reads_a_duplicate_step_list_as_a_model_file_does(tmp_path, capsys):
     path.write_text(json.dumps({"dimension": 2, "steps": ["N", "N", "S", "E", "W"]}))
     assert main(["asympt", "--model", str(path)]) == 1
     assert "duplicate step vector (0, 1)" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ the error contract
+
+COMPASS = sorted(SHORTHAND_2D) + ["X", "", "N:2", "NN"]
+CATALOG_NAMES = [e.name for e in catalog_mod.ENTRIES]
+# a few values of each flag a random command line draws from: valid ones, and
+# ones below a floor, off a choice list or not numbers at all.  No line runs a
+# catalog check, which runs the engine on every entry, or a verify, whose
+# series must be longer than any --n here
+FLAG_VALUES = {
+    "--n": ["-1", "0", "4", "x"],
+    "--endpoint": ["anywhere", "origin", "axes=1", "axes=2", "axes=3", "axes=", "nowhere"],
+    "--mode": ["exact", "float", "int"],
+    "--order": ["0", "1", "3"],
+    "--digits": ["0", "6"],
+    "--table": ["table1", "both", "table3"],
+    "--modes": ["symbolic", "empirical", "both"],
+    "--precision-bits": ["0", "64", "160"],
+    "--format": ["json", "csv", "md", "xml"],
+}
+MODEL_DOCS = st.fixed_dictionaries({}, optional={
+    "dimension": st.sampled_from([1, 2, 3, 0, "2", 2.5, None]),
+    "steps": st.lists(st.one_of(
+        st.sampled_from(COMPASS),
+        st.fixed_dictionaries({"vector": st.one_of(
+            st.sampled_from(COMPASS),
+            st.lists(st.integers(-2, 2), min_size=1, max_size=4))}, optional={
+            "weight": st.sampled_from(["1", "2", "1/2", "0", "-1", "abc", "1e400", 3, True])})),
+        max_size=6),
+})
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with a random set of flags, some that it does not take,
+    and a model: a catalog name, a compass list, a model file's document, or
+    none."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    if command in ("count", "diagonal", "verify") and "--n" not in argv:
+        argv += ["--n", "4"]  # short series: the budget goes to the checks
+    model = draw(st.one_of(st.none(), st.sampled_from(CATALOG_NAMES),
+                           st.lists(st.sampled_from(COMPASS), max_size=6).map(",".join),
+                           MODEL_DOCS))
+    return argv, model
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_cli_never_raises_and_exits_0_to_3(line):
+    # main reports every failure as an error line and an exit code, never as
+    # a traceback
+    argv, model = line
+    takes = COMMAND_FLAGS[argv[0]] + SHARED_FLAGS
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(model, dict):
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w") as fh:
+                json.dump(model, fh)
+            model = path
+        if model is not None:
+            argv += ["--model", model]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if any(a.startswith("--") and a not in takes for a in argv):
+        assert code == 3, argv  # a flag the subcommand does not take
+    if code in (0, 2):
+        assert out.getvalue() and not err.getvalue(), argv
+    else:
+        assert not out.getvalue() and err.getvalue().count("\n") == 1, argv
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_catalog_listing(capsys):

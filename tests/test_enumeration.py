@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -330,6 +333,72 @@ def test_in_place_steps_allocate_no_arrays(weights, monkeypatch):
     assert peak < 6000
 
 
+def _reach_rows_reached(vectors, weights, horizon):
+    """The parts in which some state of the slice kernel, which forms every
+    row, holds a walk at x = floor(rho n) on the first axis; asserts none
+    gets past it."""
+    rates = _dp._reach_rates(vectors)
+    reached = set()
+    for n, state in enumerate(slice_evolve(vectors, weights, horizon, object)):
+        for axes, arr in state.items():
+            if axes and axes[0] in rates:
+                top = n * rates[axes[0]] // 2
+                assert not np.count_nonzero(arr[top + 1:]), (n, axes)
+                if top < len(arr) and np.count_nonzero(arr[top]):
+                    reached.add(axes)
+    return reached
+
+
+def test_reach_rates_of_the_catalog_and_the_examples():
+    # twice rho for each axis with rho < 1: the axes along which every step
+    # forward also steps down the drift axis
+    rates = {e.name: _dp._reach_rates([v for v, _ in e.stepset().steps])
+             for e in catalog.ENTRIES}
+    assert {name: r for name, r in rates.items() if r} == {
+        "N,SE,SW": {0: 1}, "N,S,SE,SW": {0: 1}, "N,W,SE": {0: 1}, "E,SE,W,NW": {1: 1}}
+    assert _dp._reach_rates([v for v, _ in D3.steps]) == {0: 1, 1: 1}
+    assert _dp._reach_rates([v for v, _ in D4.steps]) == {0: 1, 1: 1, 2: 1}
+    # the bound needs the orthant, not the weights: a lone step backward on
+    # an axis, or none forward on the other, holds it at 0
+    assert _dp._reach_rates([(1, -1), (-1, -1)]) == {0: 0, 1: 0}
+    assert _dp._reach_rates([(1,), (-1,)]) == {}
+
+
+@pytest.mark.parametrize("s, horizon", [(D3, 24), (D4, 12), (NSESW, 40)],
+                         ids=["3D", "4D", "N,SE,SW"])
+def test_no_walk_passes_the_reach_row(s, horizon):
+    # the full part meets the bound; the others hold too few walks to
+    vectors = [v for v, _ in s.steps]
+    assert tuple(range(s.dim)) in _reach_rows_reached(vectors, [1] * len(vectors), horizon)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kernel_inputs(), st.integers(0, 24))
+def test_no_walk_of_a_random_kernel_passes_the_reach_row(inputs, horizon):
+    _reach_rows_reached(*inputs, horizon)
+
+
+def test_the_3d_float_pass_leaves_the_rows_past_its_reach_unmapped():
+    # the 3D example's full part at n = 144 holds 75^3 float64 cells, 3.4 MB,
+    # stepped in place; its rows past x = n/2 are never written, so their
+    # pages stay unmapped.  Before the reach rows the pass grew the peak
+    # resident set by 3.6 MB, after them by 2.4 MB (Linux, 2 cores)
+    probe = """
+import resource
+from orthantwalks.enumeration import count_walks
+from orthantwalks.stepset import build_stepset
+s = build_stepset(3, [((0, 0, 1), 1)] + [((x, y, -1), 1) for x in (-1, 1) for y in (-1, 1)])
+count_walks(s, 2, "anywhere", "float")  # numpy's first-use allocations
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+count_walks(s, 144, "anywhere", "float")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = os.path.dirname(os.path.dirname(_dp.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) < 3.2 * 1024  # ru_maxrss is in kB on Linux
+
+
 # ------------------------------------------------------------------ filters
 
 def test_filter_parsing():
@@ -415,6 +484,12 @@ def test_exact_log_value_past_the_float_range():
     assert series.log_value(0) == pytest.approx(700 * math.log(3) - 5 * math.log(2), rel=1e-15)
     assert series.log_value(1) == -math.inf
     assert series.log_value(2) == math.log(3**700)
+
+
+def test_exact_value_is_the_stored_count():
+    series = count_walks(WEIGHTED, 6)
+    assert [series.value(n) for n in range(7)] == series.values
+    assert series.value(6) == Fraction(213, 8) and series.value(1) == Fraction(1, 2)
 
 
 def test_float_value_finite_where_only_the_scale_overflows():

@@ -50,6 +50,18 @@ def test_fit_periodic_with_structural_zeros():
     assert 1 not in fit.constants
 
 
+def test_fit_drops_a_class_whose_constant_it_cannot_read():
+    # constant 7 on even n and 1e-300 on odd n, rate 2: the odd class's
+    # log-constant, about -690, is past the fitter's reach of 300, so the fit
+    # keeps the even class alone and does not call itself converged
+    u = [7.0 if n % 2 == 0 else 1e-300 for n in range(513)]
+    fit = estimate_growth(synth(u, math.log(2)))
+    assert fit.period == 2 and fit.structural_zeros == ()
+    assert abs(fit.rho - 2) < 1e-9
+    assert list(fit.constants) == [0] and abs(fit.constants[0] - 7) < 1e-4
+    assert not fit.converged
+
+
 def test_fit_exact_fraction_series_past_the_float_range():
     # s_n = (3/2)^n as exact Fractions up to n = 2000, about 1e352 at the end
     fit = estimate_growth(CountSeries("exact", "anywhere",
