@@ -84,7 +84,7 @@ from orthantwalks.laurent import (
     noise_floor,
     to_mp,
 )
-from orthantwalks.stepset import HIGHLY_SYMMETRIC, StepSet, classify, decompose
+from orthantwalks.stepset import HIGHLY_SYMMETRIC, StepSet, check_count, classify, decompose
 
 
 @dataclass
@@ -274,8 +274,6 @@ class _Integrand:
     def expand(self, point, N):
         """The depth-N expansion at one point of this plan's form; each jet
         only to the degree ``_saddle_coefficients`` reads."""
-        if N < 1:
-            raise ValueError(f"expansion depth N must be at least 1, got {N}")
         self._check_form(point)
         u, g, lam = self.jets(point, 2 * N, 2 * (N - 1))
         return ContributionTerm(point, point.rate_exact, self.alpha,
@@ -339,7 +337,7 @@ def smooth_contribution(s: StepSet, point: ContributingPoint, N=2,
     Coefficients are reported against n^{-m/2 - k}, m the number of
     integration variables (d, or d-1 after the residue at a crossing point).
     """
-    return _plan(s, flt).expand(point, N)
+    return _plan(s, flt).expand(point, check_count(N, "expansion depth N", 1))
 
 
 def transverse_contribution(s: StepSet, point: ContributingPoint,
@@ -496,9 +494,10 @@ def asympt_full(s: StepSet, flt="anywhere", N=None, prec=DEFAULT_PREC_BITS
     refused by ``decompose`` when the plan or the points are built.
     """
     plan = _plan(s, flt)
+    N = plan.depth if N is None else check_count(N, "expansion depth N", 1)
     pts = contributing_points(s) if plan.crossing else smooth_sheet_points(s)
     with mp.workprec(prec + GUARD_BITS):
-        terms = plan.expand_all(pts, plan.depth if N is None else N)
+        terms = plan.expand_all(pts, N)
         periodic = _fold(terms, plan.alpha)
     notes = () if periodic is not None else ("no nonzero leading coefficient at this expansion depth",)
     return AsymptoticExpansion(terms, plan.alpha, periodic, plan.route, notes)

@@ -26,7 +26,7 @@ from orthantwalks.asympt import PeriodicForm, asympt_full
 from orthantwalks.enumeration import count_profile
 from orthantwalks.fit import compare, estimate_growth
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
-from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset
+from orthantwalks.stepset import SHORTHAND_2D, StepSet, build_stepset, check_count
 
 HS = "HighlySymmetric"
 POS = "PositiveDrift"
@@ -317,6 +317,7 @@ def reproduce_tables(which="table1", modes=("symbolic", "empirical"), n_max=512,
     fits in this process; with one worker each pass runs here, at its entry's
     first cell.  The cells do not depend on ``threads``.
     """
+    n_max = check_count(n_max, "n_max")
     results = []
     chosen = entries if entries is not None else ENTRIES
     passes = [e.name for e in chosen if cells(e, which)] if "empirical" in modes else []

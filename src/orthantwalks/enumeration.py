@@ -8,20 +8,26 @@ that can still return to a boundary hyperplane by the horizon n_max and sums
 the rest over the axes they can no longer reach, so a filter's count adds up
 the parts that keep all of its axes.  Exact mode counts in Python big integers
 and divides by D^n when it reads a count (giving Fractions for non-integer
-weights); it is bit-reproducible.  Float mode renormalizes by the total weight
-S(1) at every step, storing u_n = s_n / S(1)^n together with the log scale, so
-series up to n ~ 1000 neither overflow nor silently degrade.  numpy and the
-kernel load at the first count (``_kernel``).
+weights); it is bit-reproducible.  An exact count of the walks ending anywhere
+reads only boundary counts: the kernel equation at z = (1, ..., 1) gives s_n
+from s_(n-1) and the counts of the walks ending on each set of hyperplanes
+(``_anywhere_counts``), so no step sums the walks far from every axis.  Float
+mode renormalizes by the total weight S(1) at every step, storing
+u_n = s_n / S(1)^n together with the log scale, so series up to n ~ 1000
+neither overflow nor silently degrade; it sums every part for its anywhere
+count, as the recurrence would cancel catastrophically in floating point at
+negative drift.  numpy and the kernel load at the first count (``_kernel``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from orthantwalks.stepset import StepSet, normalize_filter
+from orthantwalks.stepset import StepSet, check_count, normalize_filter
 
 
 class CapacityError(RuntimeError):
@@ -37,7 +43,8 @@ class CountSeries:
     """Walk counts s_0..s_n under an endpoint filter.
 
     mode 'exact': values are ints/Fractions.  mode 'float': values are the
-    renormalized u_n = s_n / S(1)^n and log_scale = log S(1), so
+    renormalized u_n = s_n / S(1)^n, log_scale = log S(1) and scale = S(1)
+    as a float (exp(log_scale) when not given), so s_n = u_n * scale^n and
     log s_n = log u_n + n * log_scale.
     """
 
@@ -46,6 +53,11 @@ class CountSeries:
     values: object
     log_scale: float = 0.0
     underflow: bool = False
+    scale: float | None = None
+
+    def __post_init__(self):
+        if self.scale is None:
+            self.scale = math.exp(self.log_scale)
 
     def n_max(self):
         return len(self.values) - 1
@@ -54,8 +66,8 @@ class CountSeries:
         """s_n; in float mode a float, finite whenever s_n is (else OverflowError)."""
         if self.mode == "exact":
             return self.values[n]
-        try:
-            return self.values[n] * math.exp(n * self.log_scale)
+        try:  # S(1)^n as a float power: exact while it fits, so 6 walks read 6.0
+            return self.values[n] * self.scale**n
         except OverflowError:  # S(1)^n overflows, s_n need not: scale in base 2
             k, r = divmod(n * self.log_scale / math.log(2), 1)
             return math.ldexp(self.values[n] * 2.0**r, int(k))
@@ -100,11 +112,6 @@ def _exact(count, denom, n):
     return count if denom == 1 or not count else Fraction(count, denom**n)
 
 
-def _check_length(n_max):
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-
-
 def _axes(flt):
     """The axes a normalized filter pins to 0."""
     return () if flt == "anywhere" else flt[1]
@@ -124,25 +131,67 @@ def _kernel():
 def count_walks(s: StepSet, n_max, flt="anywhere", mode="exact"):
     """Total weight of n-step orthant walks satisfying the endpoint filter, n <= n_max.
 
-    Both modes raise CapacityError when the box {0..n_max}^d the walks span
+    An exact count at 'anywhere' comes from the boundary counts by the kernel
+    equation at z = (1, ..., 1) (``_anywhere_counts``); every other count,
+    and every float count, sums the kernel's parts that keep the filter's
+    axes.  Both modes raise CapacityError when the box {0..n_max}^d the walks span
     has more than ``DEFAULT_STATE_CAP`` cells, although no buffer of the
     kernel holds more than (n_max//2 + 3)^d of them and a zero pad of one
     unit at the widest stride, sum((n_max//2 + 3)^j for j < d) cells.
     """
-    _check_length(n_max)
+    n_max = check_count(n_max, "n_max")
     flt = normalize_filter(flt, s.dim)
     if mode == "float":
         return count_profile(s, n_max, filters=[flt])[flt]
     if mode != "exact":
         raise ValueError("mode must be 'exact' or 'float'")
     _check_box(s, n_max, "exact DP")
-    _, _dp = _kernel()
     vectors, weights, denom = _integer_weights(s)
-    axes = [_axes(flt)]
-    read = _dp.totals_reader(axes)
-    values = [_exact(read(state)[0], denom, n)
-              for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object, axes))]
-    return CountSeries("exact", flt, values)
+    if flt == "anywhere":
+        counts = _anywhere_counts(vectors, weights, n_max)
+    else:
+        _, _dp = _kernel()
+        axes = [_axes(flt)]
+        read = _dp.totals_reader(axes)
+        counts = [read(state)[0] for state in _dp.evolve(vectors, weights, n_max, object, axes)]
+    return CountSeries("exact", flt, [_exact(c, denom, n) for n, c in enumerate(counts)])
+
+
+def _anywhere_counts(vectors, weights, n_max):
+    """Integer-weight counts of the walks ending anywhere, n <= n_max, from
+    the kernel equation at z = (1, ..., 1):
+
+        s_n = S(1) s_(n-1) + sum over non-empty J of (-1)^|J| N_J s_(n-1)(J),
+
+    where N_J is the weight of the steps with v_j = -1 for every j in J and
+    s_(n-1)(J) counts the walks ending on x_j = 0 for every j in J: by
+    inclusion-exclusion over the axes, the sum takes off every step that
+    leaves the orthant.  Only boundary counts are read, so the pass to the
+    horizon n_max - 1 never builds the part of the walks far from every axis.
+    """
+    _, _dp = _kernel()
+    # not empty: every axis has a step with v_j = -1
+    filters, signed = zip(*_boundary_weights(vectors, weights))
+    read = _dp.totals_reader(filters)
+    total = sum(weights)
+    counts = [1]
+    if n_max:
+        for state in _dp.evolve(vectors, weights, n_max - 1, object, filters):
+            counts.append(total * counts[-1] + sum(map(operator.mul, signed, read(state))))
+    return counts
+
+
+def _boundary_weights(vectors, weights):
+    """(J, (-1)^|J| N_J) for each non-empty axis set J with N_J != 0, N_J the
+    weight of the steps with v_j = -1 for every j in J."""
+    d = len(vectors[0])
+    out = []
+    for r in range(1, d + 1):
+        for axes in itertools.combinations(range(d), r):
+            weight = sum(w for v, w in zip(vectors, weights) if all(v[j] == -1 for j in axes))
+            if weight:
+                out.append((axes, (-1) ** r * weight))
+    return out
 
 
 def count_profile(s: StepSet, n_max, filters=None):
@@ -153,7 +202,7 @@ def count_profile(s: StepSet, n_max, filters=None):
     subset being the origin).  ``filters`` lists filters in any form
     ``normalize_filter`` takes; the result is keyed by their normal forms.
     """
-    _check_length(n_max)
+    n_max = check_count(n_max, "n_max")
     _check_box(s, n_max, "float DP")
     np, _dp = _kernel()
     vectors, weights, _ = _integer_weights(s)
@@ -168,19 +217,19 @@ def count_profile(s: StepSet, n_max, filters=None):
     for n, state in enumerate(_dp.evolve(vectors, weights, n_max, np.float64, axes)):
         for arr, total in zip(raw, read(state)):
             arr[n] = total
-    log_scale = math.log(float(s.total_weight()))
+    scale = float(s.total_weight())
     out = {}
     for flt, arr in zip(keys, raw):
         positive = arr[arr > 0]
         underflow = bool(positive.size and positive.min() < 1e-290)
-        out[flt] = CountSeries("float", flt, arr, log_scale, underflow)
+        out[flt] = CountSeries("float", flt, arr, math.log(scale), underflow, scale)
     return out
 
 
 def endpoint_tables(s: StepSet, n_max):
     """Exact coefficients of the length-n slices of the full endpoint generating
     function for n = 0..n_max, one table per n, from one DP pass."""
-    _check_length(n_max)
+    n_max = check_count(n_max, "n_max")
     if n_max > ENDPOINT_TABLE_MAX_N:
         raise CapacityError(f"endpoint tables limited to n <= {ENDPOINT_TABLE_MAX_N}")
     _check_box(s, n_max, "exact DP")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from orthantwalks.laurent import LaurentPoly
-from orthantwalks.stepset import StepSet, decompose
+from orthantwalks.stepset import StepSet, check_count, decompose
 
 COPRIMALITY_SAMPLES = 4  # rational points tried on each factor's zero set
 
@@ -232,6 +232,7 @@ def diagonal_coeffs(kern: DiagonalKernel, n_max, flt="anywhere"):
     z_d-exponents <= n.  The sums run in integers, D^(n+1) times the
     coefficient, divided once.
     """
+    n_max = check_count(n_max, "n_max")
     denom, (a, b, g0, g1) = _series_pieces(kern, kern.stepset.canonical_variant(flt))
     out = []
     prev = {}
@@ -264,6 +265,7 @@ def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
     """
     from orthantwalks.enumeration import endpoint_tables  # the DP oracle, loaded here only
 
+    n_max = check_count(n_max, "n_max")
     d = s.dim
     denom, (a, b, g0, g1) = _series_pieces(diag_kernel(s), range(d - 1))
     results = []
@@ -283,6 +285,7 @@ def positive_part_check(s: StepSet, n_max=6) -> PositivePartReport:
 
 def series_nonnegative(kern: DiagonalKernel, n_max=8):
     """All t-coefficients of 1/(H1*H2) have non-negative coefficients."""
+    n_max = check_count(n_max, "n_max")
     _, (a, b, _, _) = _series_pieces(kern, ())
     # f_n has no exponent above 2n, so the bound 2 * n_max keeps every term
     return all(c >= 0 for f in _t_series(a, b, n_max, 2 * n_max) for c in f.values())

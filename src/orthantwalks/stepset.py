@@ -10,6 +10,7 @@ datum is built once per ``StepSet`` and kept with it (``StepSet.derived``)."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,6 +51,19 @@ def _integer(value, what):
     except (TypeError, ValueError, OverflowError):
         pass
     raise StepSetError(f"{what} {value!r} is not an integer")
+
+
+def check_count(value, name, least=0):
+    """``value`` as an int when it is an integer of at least ``least`` (0 for
+    a length, 1 for an expansion depth); otherwise a ValueError naming
+    ``name``.  A bool or an integral float is refused too.  Every route that
+    takes a length or a depth checks it here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
 def parse_weight(w):

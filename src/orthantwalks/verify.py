@@ -18,7 +18,7 @@ from orthantwalks.fit import MIN_FIT_N, compare, estimate_growth
 from orthantwalks.kernel import diag_kernel, diagonal_coeffs, positive_part_check
 from orthantwalks.laurent import DEFAULT_PREC_BITS, GUARD_BITS
 from orthantwalks.stepset import (
-    StepSet, UnsupportedModelError, classify, filter_name, normalize_filter)
+    StepSet, UnsupportedModelError, check_count, classify, filter_name, normalize_filter)
 
 SCHEMA_VERSION = "2"
 
@@ -78,7 +78,7 @@ def verify_model(s: StepSet, n_max=None, flt="anywhere", prec=DEFAULT_PREC_BITS,
     cls = classify(s)
     d = s.dim
     flt = normalize_filter(flt, d)
-    n_max = n_max if n_max is not None else FIT_N.get(d, MIN_FIT_N)
+    n_max = FIT_N.get(d, MIN_FIT_N) if n_max is None else check_count(n_max, "n_max")
     exact_n = EXACT_N.get(d, 8)
     notes = []
     exact_checks = {}

@@ -1,5 +1,5 @@
 """Shared test utilities: random model generation, oracles (brute-force counts,
-the shifted-slice DP kernel, the mpmath jets with the numeric substitution
+the direct sum of the exact DP's anywhere counts, the shifted-slice DP kernel, the mpmath jets with the numeric substitution
 and the engine's explicit formula on them, the operator saddle route, numeric
 point selection, numeric folding), and the exact
 helpers only tests use (group action, rational equality, closed-form
@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 from mpmath import mp
 
+from orthantwalks import _dp
 from orthantwalks.asympt import PeriodicForm, _Integrand
 from orthantwalks.critical import (
     SMOOTH,
@@ -208,6 +209,17 @@ class SlicePart:
                 self.nxt[dst] += part
         if total is not None:
             self.nxt[box] /= total
+
+
+def direct_anywhere_counts(s, n_max):
+    """Oracle for ``count_walks(s, n_max)``: the exact counts s_0..s_n_max of
+    the walks ending anywhere, as the sum of every cell of every part of the
+    exact DP pass to the horizon n_max, on the weights scaled to integers."""
+    denom = math.lcm(*(w.denominator for _, w in s.steps))
+    vectors, weights = [v for v, _ in s.steps], [int(w * denom) for _, w in s.steps]
+    read = _dp.totals_reader([()])
+    return [Fraction(read(state)[0], denom**n)
+            for n, state in enumerate(_dp.evolve(vectors, weights, n_max, object))]
 
 
 def slice_evolve(vectors, weights, n_max, dtype):

@@ -172,6 +172,14 @@ def test_cli_float_count_prints_plain_floats(capsys):
     assert "np." not in out
 
 
+def test_cli_float_count_reads_whole_counts_exactly(capsys):
+    # u_n = s_n / 4^n is exact here, and so is its product with the power 4^n
+    code, out = run_cli(capsys, "count", "--model", "N,S,E,W", "--mode", "float",
+                        "--n", "3", "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["1.0", "2.0", "6.0", "18.0"]
+
+
 def test_cli_float_count_past_the_float_range(capsys):
     # 8 steps: the counts pass 1.8e308 near n = 340, where log_count still holds them
     code, out = run_cli(capsys, "count", "--model", "N,S,E,W,NE,NW,SE,SW",

@@ -13,8 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_counts, brute_force_endpoints, slice_evolve, symmetric_models
-from orthantwalks import _dp, catalog
+from helpers import (
+    brute_force_counts,
+    brute_force_endpoints,
+    direct_anywhere_counts,
+    slice_evolve,
+    symmetric_models,
+)
+from orthantwalks import _dp, catalog, enumeration
 from orthantwalks.enumeration import (
     ENDPOINT_TABLE_MAX_N,
     CapacityError,
@@ -25,6 +31,7 @@ from orthantwalks.enumeration import (
     endpoint_tables,
 )
 from orthantwalks.stepset import build_stepset, normalize_filter, parse_filter
+from orthantwalks.verify import verify_model
 
 NSEW = build_stepset(2, ["N", "S", "E", "W"])
 NNWS = build_stepset(2, ["NE", "NW", "S"])
@@ -148,6 +155,75 @@ def kernel_inputs(draw):
     weights = draw(st.lists(st.integers(1, 3), min_size=len(vectors), max_size=len(vectors)))
     build_stepset(d, list(zip(vectors, weights)))
     return vectors, weights
+
+
+# ------------------------------------------ anywhere counts by the kernel equation
+# An exact count at 'anywhere' reads only the boundary counts, through the
+# kernel equation at z = (1, ..., 1); the direct sum over every part is its
+# oracle.
+
+# the weighted templates of the benchmark's verify workload, with half-integer
+# weights, so the counts are Fractions
+HALF_WEIGHTED = {f"{','.join(steps)} half-integer weights":
+                 build_stepset(2, [(name, Fraction(2 * i + 1, 2)) for i, name in enumerate(steps)])
+                 for steps in (["N", "S", "SE", "SW"], ["NE", "NW", "S"],
+                               ["N", "S", "E", "W", "NE", "NW", "SE", "SW"])}
+KERNEL_EQUATION_CASES = ([(e.stepset(), 100, e.name) for e in catalog.ENTRIES]
+                         + [(s, 64, name) for name, s in HALF_WEIGHTED.items()]
+                         + [(D3, 60, "3D"), (D4, 24, "4D")])
+
+
+def check_kernel_equation(s, n_max):
+    assert count_walks(s, n_max).values == direct_anywhere_counts(s, n_max)
+
+
+@pytest.mark.parametrize("s, n_max", [case[:2] for case in KERNEL_EQUATION_CASES],
+                         ids=[case[2] for case in KERNEL_EQUATION_CASES])
+def test_anywhere_counts_from_the_kernel_equation_are_the_direct_sum(s, n_max):
+    check_kernel_equation(s, n_max)
+
+
+def test_half_integer_weights_count_in_fractions():
+    values = count_walks(HALF_WEIGHTED["N,S,SE,SW half-integer weights"], 8).values
+    assert values[0] == 1 and all(type(v) is Fraction for v in values[1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_inputs(), st.integers(0, 40))
+def test_kernel_equation_matches_the_direct_sum_on_random_models(inputs, n_max):
+    vectors, weights = inputs
+    check_kernel_equation(build_stepset(len(vectors[0]), list(zip(vectors, weights))), n_max)
+
+
+def test_exact_anywhere_pass_builds_no_scalar_part(monkeypatch):
+    seen = set()
+    evolve = _dp.evolve
+
+    def recorded(*args, **kwargs):
+        for state in evolve(*args, **kwargs):
+            seen.update(state)
+            yield state
+
+    monkeypatch.setattr(_dp, "evolve", recorded)
+    count_walks(D3, 30)
+    assert seen == {axes for r in (1, 2, 3) for axes in itertools.combinations(range(3), r)}
+
+
+def test_a_flipped_boundary_weight_sign_is_caught(monkeypatch):
+    # the mutation: the sign of N_J for the first boundary set J flipped
+    boundary_weights = enumeration._boundary_weights
+
+    def flipped(vectors, weights):
+        (axes, signed), *rest = boundary_weights(vectors, weights)
+        return [(axes, -signed)] + rest
+
+    monkeypatch.setattr(enumeration, "_boundary_weights", flipped)
+    for s, n_max, _ in KERNEL_EQUATION_CASES:
+        with pytest.raises(AssertionError):
+            check_kernel_equation(s, n_max)
+    report = verify_model(NSESSW)
+    assert report.exact_checks["diagonal_vs_oracle"]["pass"] is False
+    assert report.status == "fail"
 
 
 @settings(max_examples=30, deadline=None)

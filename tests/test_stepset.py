@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,14 @@ from helpers import symmetric_models
 from orthantwalks import asympt, stepset
 from orthantwalks.asympt import asympt_full
 from orthantwalks.critical import contributing_points, smooth_sheet_points
-from orthantwalks.kernel import diag_kernel
+from orthantwalks.catalog import reproduce_tables
+from orthantwalks.enumeration import count_profile, count_walks, endpoint_table, endpoint_tables
+from orthantwalks.kernel import (
+    diag_kernel,
+    diagonal_coeffs,
+    positive_part_check,
+    series_nonnegative,
+)
 from orthantwalks.laurent import LaurentPoly
 from orthantwalks.stepset import (
     HIGHLY_SYMMETRIC,
@@ -259,3 +267,52 @@ def test_each_model_is_decomposed_and_planned_once(monkeypatch):
             verify_model(s, n_max=72, flt="origin")
     assert Counter(calls) == {("decompose", models[0]): 1, ("decompose", models[1]): 1,
                               ("plan", ()): 2, ("plan", (0, 1)): 2}
+
+
+# ------------------------------------------------------- lengths and depths
+# Every route that takes a series length or an expansion depth checks it with
+# ``check_count``: an int, not a bool or an integral float, and at least 0 (a
+# length) or 1 (a depth); the ValueError names the argument.
+
+NSEW = build_stepset(2, ["N", "S", "E", "W"])
+NSESW = build_stepset(2, ["N", "SE", "SW"])
+LENGTH_ROUTES = {
+    "count_walks": lambda n: count_walks(NSEW, n),
+    "count_walks float": lambda n: count_walks(NSEW, n, mode="float"),
+    "count_profile": lambda n: count_profile(NSEW, n),
+    "endpoint_tables": lambda n: endpoint_tables(NSEW, n),
+    "endpoint_table": lambda n: endpoint_table(NSEW, n),
+    "diagonal_coeffs": lambda n: diagonal_coeffs(diag_kernel(NSEW), n),
+    "positive_part_check": lambda n: positive_part_check(NSEW, n),
+    "series_nonnegative": lambda n: series_nonnegative(diag_kernel(NSEW), n),
+    "verify_model": lambda n: verify_model(NSEW, n_max=n),
+    "reproduce_tables": lambda n: reproduce_tables(modes=("symbolic",), n_max=n),
+}
+DEPTH_ROUTES = {
+    "asympt_full": lambda depth: asympt_full(NSESW, N=depth),
+    "smooth_contribution": lambda depth: asympt.smooth_contribution(
+        NSESW, smooth_sheet_points(NSESW)[0], N=depth),
+}
+
+
+@pytest.mark.parametrize("count", LENGTH_ROUTES.values(), ids=LENGTH_ROUTES)
+def test_every_length_route_refuses_what_is_not_a_length(count):
+    for bad, message in [(True, "must be an int, got True"), (3.5, "must be an int, got 3.5"),
+                         (4.0, "must be an int, got 4.0"), ("3", "must be an int, got '3'"),
+                         (-1, "must be non-negative, got -1")]:
+        with pytest.raises(ValueError, match=f"^n_max {message}$"):
+            count(bad)
+
+
+@pytest.mark.parametrize("expand", DEPTH_ROUTES.values(), ids=DEPTH_ROUTES)
+def test_every_depth_route_refuses_what_is_not_a_depth(expand):
+    for bad, message in [(True, "must be an int, got True"), (2.0, "must be an int, got 2.0"),
+                         (0, "must be at least 1, got 0")]:
+        with pytest.raises(ValueError, match=f"^expansion depth N {message}$"):
+            expand(bad)
+
+
+def test_check_count_takes_any_integer_and_returns_an_int():
+    got = stepset.check_count(np.int64(3), "n_max")
+    assert got == 3 and type(got) is int
+    assert stepset.check_count(1, "N", 1) == 1
